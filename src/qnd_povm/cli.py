@@ -16,7 +16,7 @@ domain error.  All outputs are deterministic given config + seed.
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import json
 import math
 import os
@@ -38,39 +38,56 @@ from .spin_state import moments, state_to_json
 HEADER = f"# qnd-povm v{__version__}, schema v1"
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _artifact(path):
+    """Text handle for one output artifact.
+
+    None or "-" streams to stdout.  Otherwise the text goes to a temp file
+    beside `path` that replaces `path` only once the block completes, so a
+    run that fails midway leaves neither a truncated artifact nor the temp.
+    """
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
-def _write_csv(path, fieldnames, rows, footer_comments=()):
-    fh, owned = _open_out(path)
+        yield sys.stdout
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+_CHUNK_ROWS = 4096
+
+
+def _write_table(path, columns, arrays, footer=()):
+    """Write equal-length columns as a CSV table under the versioned header.
+
+    Integers are written with str and floats with repr, one row per line
+    terminated by CRLF; the header and the `# key = value` footer lines end
+    in LF.  Rows are formatted in fixed-size chunks, so memory stays bounded
+    by the chunk rather than the table.
+    """
+    arrays = [np.asarray(a) for a in arrays]
+    line = ",".join("{!r}" if a.dtype.kind == "f" else "{}" for a in arrays) + "\r\n"
+    n = len(arrays[0])
+    with _artifact(path) as fh:
         fh.write(HEADER + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow(row)
-        for line in footer_comments:
-            fh.write(f"# {line}\n")
-    finally:
-        if owned:
-            fh.close()
+        fh.write(",".join(columns) + "\r\n")
+        for lo in range(0, n, _CHUNK_ROWS):
+            chunk = [a[lo:lo + _CHUNK_ROWS].tolist() for a in arrays]
+            fh.write("".join(map(line.format, *chunk)))
+        for comment in footer:
+            fh.write(f"# {comment}\n")
 
 
 def _write_json(path, payload):
-    fh, owned = _open_out(path)
-    try:
+    with _artifact(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    finally:
-        if owned:
-            fh.close()
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -94,27 +111,25 @@ def cmd_amp_scan(cfg: ExperimentConfig, args) -> int:
             model = gaussian_model(params, outcome)
         except DomainError:
             model = None
-        rows = []
-        for m, a, an in zip(m_values, exact, normed):
-            if model is None:
-                g = ""
-            else:
-                g = _fmt(math.exp(
-                    model.log_prefactor
-                    - (float(m) - model.m0) ** 2 / (2.0 * model.sigma2)
-                ))
-            rows.append([_fmt(float(m)), _fmt(a), _fmt(an), g])
+        m_z = [float(m) for m in m_values]
+        gauss = None if model is None else [
+            math.exp(model.log_prefactor - (m - model.m0) ** 2 / (2.0 * model.sigma2))
+            for m in m_z
+        ]
+        columns = ["m_z", "A_exact", "A_exact_normalized", "A_gauss"]
         ext = "json" if args.format == "json" else "csv"
         path = os.path.join(args.out, f"{case['label']}.{ext}")
         if args.format == "json":
             _write_json(path, {
                 "tool": "qnd-povm", "version": __version__, "schema": "v1",
-                "columns": ["m_z", "A_exact", "A_exact_normalized", "A_gauss"],
-                "rows": [[float(r[0]), float(r[1]), float(r[2]),
-                          None if r[3] == "" else float(r[3])] for r in rows],
+                "columns": columns,
+                "rows": list(zip(m_z, exact.tolist(), normed.tolist(),
+                                 gauss or [None] * len(m_z))),
             })
         else:
-            _write_csv(path, ["m_z", "A_exact", "A_exact_normalized", "A_gauss"], rows)
+            # an undefined Gaussian model leaves the A_gauss column empty
+            _write_table(path, columns,
+                         [m_z, exact, normed, gauss or [""] * len(m_z)])
     return 0
 
 
@@ -125,19 +140,20 @@ def cmd_photon_dist(cfg: ExperimentConfig, args) -> int:
         "mass_tolerance", 1e-6)
     dist = outcome_distribution(params, state, tol,
                                 max_total=cfg.raw.get("max_total"))
-    rows = [[o.n_c, o.n_d, _fmt(p)] for o, p in dist.entries]
-    footer = [f"captured_mass = {dist.captured_mass!r}",
-              f"cutoff_total = {dist.cutoff_total}"]
+    columns = ["n_c", "n_d", "p"]
+    arrays = [dist.n_c, dist.n_d, dist.p]
     if args.format == "json":
         _write_json(args.out, {
             "tool": "qnd-povm", "version": __version__, "schema": "v1",
-            "columns": ["n_c", "n_d", "p"],
-            "rows": [[o.n_c, o.n_d, p] for o, p in dist.entries],
+            "columns": columns,
+            "rows": list(zip(*(a.tolist() for a in arrays))),
             "captured_mass": dist.captured_mass,
             "cutoff_total": dist.cutoff_total,
         })
     else:
-        _write_csv(args.out, ["n_c", "n_d", "p"], rows, footer_comments=footer)
+        _write_table(args.out, columns, arrays,
+                     footer=[f"captured_mass = {dist.captured_mass!r}",
+                             f"cutoff_total = {dist.cutoff_total}"])
     return 0
 
 
@@ -154,8 +170,7 @@ def cmd_measure(cfg: ExperimentConfig, args) -> int:
     dist = outcome_distribution(params, state, tol,
                                 max_total=cfg.raw.get("max_total"))
     prior_m = moments(state)
-    fh, owned = _open_out(args.out)
-    try:
+    with _artifact(args.out) as fh:
         for shot in range(shots):
             shot_seed = (int(seed) + shot) % (1 << 64)
             out = sample_outcome(dist, shot_seed)
@@ -187,9 +202,6 @@ def cmd_measure(cfg: ExperimentConfig, args) -> int:
                 "posterior_ref": ref,
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    finally:
-        if owned:
-            fh.close()
     return 0
 
 
@@ -204,23 +216,18 @@ def cmd_wigner(cfg: ExperimentConfig, args) -> int:
     n_phi = grid.get("n_phi", 361)
     rho = density_from_state(state, cfg.n_atoms / 2.0)
     wg = wigner(rho, n_theta=n_theta, n_phi=n_phi)
+    columns = ["theta", "phi", "w"]
+    # row-major over the grid: theta outer, phi inner
+    arrays = [np.repeat(wg.thetas, wg.phis.size), np.tile(wg.phis, wg.thetas.size),
+              wg.values.ravel()]
     if args.format == "json":
         _write_json(args.out, {
             "tool": "qnd-povm", "version": __version__, "schema": "v1",
-            "columns": ["theta", "phi", "w"],
-            "rows": [
-                [float(t), float(p), float(wg.values[i, j])]
-                for i, t in enumerate(wg.thetas)
-                for j, p in enumerate(wg.phis)
-            ],
+            "columns": columns,
+            "rows": list(zip(*(a.tolist() for a in arrays))),
         })
     else:
-        rows = (
-            [_fmt(t), _fmt(p), _fmt(wg.values[i, j])]
-            for i, t in enumerate(wg.thetas)
-            for j, p in enumerate(wg.phis)
-        )
-        _write_csv(args.out, ["theta", "phi", "w"], rows)
+        _write_table(args.out, columns, arrays)
     return 0
 
 
@@ -247,15 +254,11 @@ def cmd_validate(cfg: ExperimentConfig, args) -> int:
 
     seed = args.seed if args.seed is not None else cfg.raw.get("seed", 20260810)
     results = run_all(seed=int(seed))
-    fh, owned = _open_out(args.out)
-    try:
-        ok = True
+    ok = True
+    with _artifact(args.out) as fh:
         for name, passed, detail in results:
             ok &= passed
             fh.write(f"{'PASS' if passed else 'FAIL'}  {name}  {detail}\n")
-    finally:
-        if owned:
-            fh.close()
     return 0 if ok else 1
 
 

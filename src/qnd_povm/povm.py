@@ -131,21 +131,43 @@ class PhotonOutcome:
 
 @dataclass
 class OutcomeDistribution:
-    """Enumerated outcome probabilities over a total-photon window."""
+    """Enumerated outcome probabilities over a total-photon window.
 
-    entries: tuple
+    Columnar: entry i is the outcome (n_c[i], n_d[i]) with probability p[i].
+    The columns are read-only, so that the cached views below stay valid.
+    """
+
+    n_c: np.ndarray
+    n_d: np.ndarray
+    p: np.ndarray
     cutoff_total: int
     captured_mass: float
 
+    def __post_init__(self):
+        self.n_c = np.asarray(self.n_c, dtype=np.int64)
+        self.n_d = np.asarray(self.n_d, dtype=np.int64)
+        self.p = np.asarray(self.p, dtype=np.float64)
+        if not (self.n_c.ndim == 1 and self.n_c.shape == self.n_d.shape == self.p.shape):
+            raise DomainError("n_c, n_d and p must be 1-d arrays of one length")
+        for col in (self.n_c, self.n_d, self.p):
+            col.flags.writeable = False
+
+    @cached_property
+    def entries(self) -> tuple:
+        """(PhotonOutcome, p) pairs; a compatibility view of the columns."""
+        return tuple(
+            (PhotonOutcome(nc, nd), q)
+            for nc, nd, q in zip(self.n_c.tolist(), self.n_d.tolist(), self.p.tolist())
+        )
+
     @cached_property
     def _cumulative(self) -> np.ndarray:
-        return np.cumsum(np.array([p for _, p in self.entries]))
+        return np.cumsum(self.p)
 
     def mean_total(self) -> float:
         """Mean of n_c + n_d under the (renormalized) captured mass."""
-        tot = np.array([o.total for o, _ in self.entries], dtype=float)
-        p = np.array([p for _, p in self.entries])
-        return float(np.dot(tot, p) / self.captured_mass)
+        tot = (self.n_c + self.n_d).astype(float)
+        return float(np.dot(tot, self.p) / self.captured_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +433,16 @@ def outcome_distribution(params: QndParams, state: CollectiveState,
             return got
         ncs = np.arange(total + 1)
         const = -s + total * math.log(s / 2.0)
-        x = (
-            ncs[:, None] * lc[None, :]
-            + (total - ncs)[:, None] * ld[None, :]
-            - (lf[ncs] + lf[total - ncs])[:, None]
-            + const
-        )
+        # in place, in the order of
+        #   ncs lc + (total - ncs) ld - (lf[ncs] + lf[total - ncs]) + const
+        # so that every probability is the same float as the expression's
+        x = np.multiply.outer(ncs, lc)
+        x += np.multiply.outer(total - ncs, ld)
+        x -= (lf[ncs] + lf[total - ncs])[:, None]
+        x += const
         with np.errstate(under="ignore"):
-            p = np.exp(x) @ weights
+            np.exp(x, out=x)
+        p = x @ weights
         rows[total] = p
         return p
 
@@ -439,12 +463,11 @@ def outcome_distribution(params: QndParams, state: CollectiveState,
             break
         k += 1.0
 
-    entries = []
-    for t in range(lo, hi + 1):
-        p = rows[t]
-        for nc in range(t + 1):
-            entries.append((PhotonOutcome(nc, t - nc), float(p[nc])))
-    return OutcomeDistribution(entries=tuple(entries), cutoff_total=hi,
+    window = range(lo, hi + 1)
+    n_c = np.concatenate([np.arange(t + 1) for t in window])
+    n_d = np.repeat(window, [t + 1 for t in window]) - n_c
+    p = np.concatenate([rows[t] for t in window])
+    return OutcomeDistribution(n_c=n_c, n_d=n_d, p=p, cutoff_total=hi,
                                captured_mass=mass)
 
 
@@ -454,19 +477,20 @@ def sample_outcome(dist: OutcomeDistribution, seed: int) -> PhotonOutcome:
     Uses numpy's PCG64 generator keyed by the seed, so a given
     (distribution, seed) pair yields the same outcome on every platform.
     """
-    if dist.captured_mass <= 0.0 or not dist.entries:
+    p = dist.p
+    if dist.captured_mass <= 0.0 or p.size == 0:
         raise DomainError("cannot sample from an empty distribution")
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     target = rng.random() * dist.captured_mass
     idx = int(np.searchsorted(dist._cumulative, target, side="right"))
-    idx = min(idx, len(dist.entries) - 1)
+    idx = min(idx, p.size - 1)
     # a draw landing exactly on a CDF boundary could select a zero-mass
     # entry; step to the nearest entry that actually carries probability
-    while idx > 0 and dist.entries[idx][1] == 0.0:
+    while idx > 0 and p[idx] == 0.0:
         idx -= 1
-    if dist.entries[idx][1] == 0.0:
+    if p[idx] == 0.0:
         raise DomainError("distribution carries no probability mass")
-    return dist.entries[idx][0]
+    return PhotonOutcome(int(dist.n_c[idx]), int(dist.n_d[idx]))
 
 
 def params_to_json(params: QndParams) -> dict:

@@ -13,10 +13,9 @@ from .approx import gaussian_model
 from .numerics import clebsch_gordan, legendre_norm_table
 from .povm import (PhotonOutcome, QndParams, log_amplitude,
                    log_matrix_element, log_matrix_element_direct,
-                   outcome_distribution)
-from .spin_state import CollectiveState, Sector, dicke_state, normalize
-from .povm import posterior, outcome_probability
-from .spin_state import overlap
+                   outcome_distribution, outcome_probability, posterior)
+from .spin_state import (CollectiveState, Sector, dicke_state, normalize,
+                         overlap)
 
 
 def _random_state(rng, two_j: int) -> CollectiveState:
@@ -111,15 +110,12 @@ def check_cg_orthogonality(seed: int):
 def check_harmonic_orthonormality(seed: int):
     lmax = 6
     x, wq = np.polynomial.legendre.leggauss(2 * lmax + 2)
-    nphi = 4 * lmax + 4
-    phis = 2.0 * math.pi * np.arange(nphi) / nphi
     worst = 0.0
     for m in range(0, lmax + 1):
         rows = legendre_norm_table(lmax, m, x)
         gram = (rows * wq) @ rows.T * (2.0 * math.pi)
         want = np.eye(rows.shape[0])
         worst = max(worst, float(np.max(np.abs(gram - want))))
-    _ = phis
     return "spherical-harmonic orthonormality", worst < 1e-8, \
         f"worst deviation {worst:.2e}"
 

@@ -1,16 +1,23 @@
 import csv
 import hashlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from qnd_povm import cli
+from qnd_povm.analysis import density_from_state, wigner
+from qnd_povm.approx import gaussian_model
 from qnd_povm.cli import main
-from qnd_povm.config import parse_angle
-from qnd_povm.errors import ConfigError
+from qnd_povm.config import ExperimentConfig, build_params, parse_angle
+from qnd_povm.errors import ConfigError, DomainError
+from qnd_povm.numerics import HalfInt
+from qnd_povm.povm import PhotonOutcome, amplitude, outcome_distribution
 
 
 def run_cli(*argv):
@@ -436,3 +443,158 @@ def test_amp_scan_json_format(tmp_path):
     data = json.loads((outdir / "j.json").read_text())
     assert len(data["rows"]) == 21
     assert all(len(r) == 4 for r in data["rows"])
+
+
+# -------------------------------------------------------------- output bytes
+# The expected bytes are built here the way the writers used to build them,
+# with csv.writer over pre-formatted rows, so that the table writer is pinned
+# to that format: CRLF after the column line and each row, LF after the
+# version header and the footer comments.
+
+def csv_writer_text(names, rows, footer=()):
+    buf = io.StringIO(newline="")
+    buf.write(cli.HEADER + "\n")
+    writer = csv.writer(buf)
+    writer.writerow(names)
+    for row in rows:
+        writer.writerow(row)
+    for line in footer:
+        buf.write(f"# {line}\n")
+    return buf.getvalue()
+
+
+def json_text(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+PD_SMALL = dict(BASE, N=10, mass_tolerance=1e-5,
+                params={"gamma": [5.1, 0.4], "chi": [5.0, 0.0], "gt": "pi/N"})
+
+
+def _small_distribution():
+    cfg = ExperimentConfig.from_dict("photon-dist", PD_SMALL)
+    return outcome_distribution(cfg.params(), cfg.initial_state(), 1e-5)
+
+
+def test_photon_dist_csv_bytes_pinned(tmp_path, capsys):
+    dist = _small_distribution()
+    want = csv_writer_text(
+        ["n_c", "n_d", "p"],
+        [[o.n_c, o.n_d, repr(float(p))] for o, p in dist.entries],
+        [f"captured_mass = {dist.captured_mass!r}",
+         f"cutoff_total = {dist.cutoff_total}"])
+    assert want.count("\r\n") == dist.p.size + 1
+    path = write_config(tmp_path, "pd.json", PD_SMALL)
+    out = tmp_path / "pd.csv"
+    assert run_cli("photon-dist", "--config", path, "--out", str(out)) == 0
+    assert out.read_bytes() == want.encode("utf-8")
+    capsys.readouterr()
+    assert run_cli("photon-dist", "--config", path, "--out", "-") == 0
+    assert capsys.readouterr().out == want
+
+
+def test_photon_dist_json_bytes_pinned(tmp_path):
+    dist = _small_distribution()
+    want = json_text({
+        "tool": "qnd-povm", "version": cli.__version__, "schema": "v1",
+        "columns": ["n_c", "n_d", "p"],
+        "rows": [[o.n_c, o.n_d, p] for o, p in dist.entries],
+        "captured_mass": dist.captured_mass,
+        "cutoff_total": dist.cutoff_total,
+    })
+    path = write_config(tmp_path, "pd.json", PD_SMALL)
+    out = tmp_path / "pd.json.out"
+    assert run_cli("photon-dist", "--config", path, "--out", str(out),
+                   "--format", "json") == 0
+    assert out.read_bytes() == want.encode("utf-8")
+
+
+def test_wigner_bytes_pinned(tmp_path):
+    raw = {"params": {"gamma": [5.0, 0.0], "chi": [5.0, 0.0], "gt": "pi/2"},
+           "N": 6, "initial": {"type": "coherent", "theta": "pi/3"},
+           "grid": {"n_theta": 5, "n_phi": 7}}
+    cfg = ExperimentConfig.from_dict("wigner", raw)
+    wg = wigner(density_from_state(cfg.initial_state(), cfg.n_atoms / 2.0),
+                n_theta=5, n_phi=7)
+    grid = [(float(t), float(p), float(wg.values[i, j]))
+            for i, t in enumerate(wg.thetas) for j, p in enumerate(wg.phis)]
+    path = write_config(tmp_path, "w.json", raw)
+    out = tmp_path / "w.csv"
+    assert run_cli("wigner", "--config", path, "--out", str(out)) == 0
+    want = csv_writer_text(["theta", "phi", "w"],
+                           [[repr(x) for x in row] for row in grid])
+    assert out.read_bytes() == want.encode("utf-8")
+    assert run_cli("wigner", "--config", path, "--out", str(out),
+                   "--format", "json") == 0
+    assert out.read_bytes() == json_text({
+        "tool": "qnd-povm", "version": cli.__version__, "schema": "v1",
+        "columns": ["theta", "phi", "w"], "rows": [list(r) for r in grid],
+    }).encode("utf-8")
+
+
+def test_amp_scan_bytes_pinned(tmp_path):
+    cases = [{"label": "g", "params": {"gamma": [5.1, 0.0], "chi": [5.0, 0.0],
+                                       "gt": "pi/N"},
+              "N": 12, "outcome": {"n_c": 24, "n_d": 27}},
+             {"label": "nog", "params": {"gamma": [5.1, 0.0], "chi": [5.0, 0.0],
+                                         "gt": "pi/N"},
+              "N": 12, "outcome": {"n_c": 0, "n_d": 50}}]
+    path = write_config(tmp_path, "amp.json", {"cases": cases})
+    outdir = tmp_path / "scan"
+    assert run_cli("amp-scan", "--config", path, "--out", str(outdir)) == 0
+    for case in cases:
+        params = build_params(case["params"], case["N"])
+        outcome = PhotonOutcome(case["outcome"]["n_c"], case["outcome"]["n_d"])
+        ms = [HalfInt(t) for t in range(-case["N"], case["N"] + 1, 2)]
+        exact = np.array([amplitude(params, outcome, m) for m in ms])
+        normed = exact / float(exact.max())
+        try:
+            model = gaussian_model(params, outcome)
+        except DomainError:
+            model = None
+        rows = []
+        for m, a, an in zip(ms, exact, normed):
+            g = "" if model is None else repr(math.exp(
+                model.log_prefactor
+                - (float(m) - model.m0) ** 2 / (2.0 * model.sigma2)))
+            rows.append([repr(float(m)), repr(float(a)), repr(float(an)), g])
+        want = csv_writer_text(["m_z", "A_exact", "A_exact_normalized", "A_gauss"],
+                               rows)
+        assert (model is None) == (case["label"] == "nog")
+        assert (outdir / f"{case['label']}.csv").read_bytes() == want.encode("utf-8")
+
+
+# ----------------------------------------------------------- atomic artifacts
+
+def test_table_writer_failure_leaves_no_file(tmp_path):
+    out = tmp_path / "t.csv"
+    cli._write_table(str(out), ["a", "b"], [np.arange(3), np.ones(3)], ["k = 1"])
+    assert os.listdir(tmp_path) == ["t.csv"]
+    out.unlink()
+
+    def footer():
+        yield "k = 1"
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError):
+        cli._write_table(str(out), ["a", "b"], [np.arange(3), np.ones(3)], footer())
+    assert os.listdir(tmp_path) == []
+
+
+def test_measure_failure_leaves_no_file(tmp_path, monkeypatch):
+    path = write_config(tmp_path, "m.json", dict(BASE, shots=8, seed=7,
+                                                 mass_tolerance=1e-8))
+    calls = []
+    real = cli.posterior
+
+    def failing_posterior(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise DomainError("injected failure")
+        return real(*args)
+
+    monkeypatch.setattr(cli, "posterior", failing_posterior)
+    assert run_cli("measure", "--config", path,
+                   "--out", str(tmp_path / "m.jsonl")) == 4
+    assert len(calls) == 3
+    assert os.listdir(tmp_path) == ["m.json"]

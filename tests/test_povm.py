@@ -377,15 +377,16 @@ def test_unity_decomposition_multi_sector():
 # -------------------------------------------------------------------- sampling
 
 def test_sample_single_entry():
-    dist = OutcomeDistribution(entries=((PhotonOutcome(3, 4), 1.0),),
-                               cutoff_total=7, captured_mass=1.0)
+    dist = OutcomeDistribution(n_c=np.array([3]), n_d=np.array([4]),
+                               p=np.array([1.0]), cutoff_total=7,
+                               captured_mass=1.0)
     for seed in (0, 1, 99, 2**63):
         assert sample_outcome(dist, seed) == PhotonOutcome(3, 4)
 
 
 def test_sample_two_equal_entries_frequencies():
     dist = OutcomeDistribution(
-        entries=((PhotonOutcome(0, 1), 0.5), (PhotonOutcome(1, 0), 0.5)),
+        n_c=np.array([0, 1]), n_d=np.array([1, 0]), p=np.array([0.5, 0.5]),
         cutoff_total=1, captured_mass=1.0)
     n = 100_000
     hits = sum(sample_outcome(dist, seed).n_c for seed in range(n))
@@ -402,7 +403,9 @@ def test_sample_deterministic():
 
 
 def test_sample_empty_distribution():
-    dist = OutcomeDistribution(entries=(), cutoff_total=0, captured_mass=0.0)
+    dist = OutcomeDistribution(n_c=np.array([], dtype=np.int64),
+                               n_d=np.array([], dtype=np.int64),
+                               p=np.array([]), cutoff_total=0, captured_mass=0.0)
     with pytest.raises(DomainError):
         sample_outcome(dist, 1)
 
