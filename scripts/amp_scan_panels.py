@@ -12,6 +12,7 @@ Usage: python scripts/amp_scan_panels.py [--out OUTDIR]
 
 import argparse
 import json
+import os
 import tempfile
 
 from qnd_povm.cli import main as cli_main
@@ -62,10 +63,11 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="out/amp_scan")
     args = ap.parse_args()
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump({"cases": cases()}, fh)
-        cfg = fh.name
-    rc = cli_main(["amp-scan", "--config", cfg, "--out", args.out])
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "amp_scan.json")
+        with open(cfg, "w") as fh:
+            json.dump({"cases": cases()}, fh)
+        rc = cli_main(["amp-scan", "--config", cfg, "--out", args.out])
     print(f"amp-scan -> {args.out} (exit {rc})")
     return rc
 

@@ -11,14 +11,13 @@ Usage: python scripts/cat_pipeline.py [--out OUTDIR]
 """
 
 import argparse
-import csv
 import json
 import math
 import os
 import tempfile
 
 from qnd_povm.analysis import cat_fidelity
-from qnd_povm.cli import HEADER
+from qnd_povm.cli import _write_table
 from qnd_povm.cli import main as cli_main
 from qnd_povm.povm import PhotonOutcome, QndParams, amplitude, posterior
 from qnd_povm.spin_state import coherent_state
@@ -26,14 +25,6 @@ from qnd_povm.spin_state import coherent_state
 N_ATOMS = 10
 PARAMS = {"gamma": [5.0, 0.0], "chi": [5.0, 0.0], "gt": "pi/2"}
 OUTCOME = {"n_c": 26, "n_d": 26}
-
-
-def write_csv(path, names, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(HEADER + "\n")
-        w = csv.writer(fh)
-        w.writerow(names)
-        w.writerows(rows)
 
 
 def main():
@@ -45,38 +36,33 @@ def main():
     base = {"params": PARAMS, "N": N_ATOMS,
             "initial": {"type": "coherent", "theta": "pi/2"}}
 
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(dict(base, mass_tolerance=1e-8), fh)
-        dist_cfg = fh.name
-    cli_main(["photon-dist", "--config", dist_cfg,
-              "--out", os.path.join(args.out, "photon_dist.csv")])
+    with tempfile.TemporaryDirectory() as tmp:
+        dist_cfg = os.path.join(tmp, "photon_dist.json")
+        with open(dist_cfg, "w") as fh:
+            json.dump(dict(base, mass_tolerance=1e-8), fh)
+        cli_main(["photon-dist", "--config", dist_cfg,
+                  "--out", os.path.join(args.out, "photon_dist.csv")])
 
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(dict(base, state="posterior", outcome=OUTCOME,
-                       grid={"n_theta": 121, "n_phi": 241}), fh)
-        wig_cfg = fh.name
-    cli_main(["wigner", "--config", wig_cfg,
-              "--out", os.path.join(args.out, "wigner_posterior.csv")])
+        wig_cfg = os.path.join(tmp, "wigner.json")
+        with open(wig_cfg, "w") as fh:
+            json.dump(dict(base, state="posterior", outcome=OUTCOME,
+                           grid={"n_theta": 121, "n_phi": 241}), fh)
+        cli_main(["wigner", "--config", wig_cfg,
+                  "--out", os.path.join(args.out, "wigner_posterior.csv")])
 
     params = QndParams(gamma=5.0, chi=5.0, gt=math.pi / 2.0)
-    rows = []
-    for m in range(-N_ATOMS // 2, N_ATOMS // 2 + 1):
-        rows.append([m,
-                     repr(amplitude(params, PhotonOutcome(26, 26), m)),
-                     repr(amplitude(params, PhotonOutcome(0, 51), m)),
-                     repr(amplitude(params, PhotonOutcome(51, 0), m))])
-    write_csv(os.path.join(args.out, "parity_envelopes.csv"),
-              ["m_z", "A_both_ports", "A_c_dark", "A_d_dark"], rows)
+    m_z = list(range(-N_ATOMS // 2, N_ATOMS // 2 + 1))
+    envelopes = [[amplitude(params, PhotonOutcome(nc, nd), m) for m in m_z]
+                 for nc, nd in ((26, 26), (0, 51), (51, 0))]
+    _write_table(os.path.join(args.out, "parity_envelopes.csv"),
+                 ["m_z", "A_both_ports", "A_c_dark", "A_d_dark"], [m_z, *envelopes])
 
     prior = coherent_state(N_ATOMS, math.pi / 2.0)
     post = posterior(params, PhotonOutcome(**OUTCOME), prior)
-    rows = []
-    for i, m in enumerate(range(-N_ATOMS // 2, N_ATOMS // 2 + 1)):
-        rows.append([m, repr(float(prior.sectors[0].amps[i].real)),
-                     repr(float(post.sectors[0].amps[i].real)),
-                     repr(float(post.sectors[0].amps[i].imag))])
-    write_csv(os.path.join(args.out, "wavefunction_before_after.csv"),
-              ["m_z", "prior_re", "post_re", "post_im"], rows)
+    _write_table(os.path.join(args.out, "wavefunction_before_after.csv"),
+                 ["m_z", "prior_re", "post_re", "post_im"],
+                 [m_z, prior.sectors[0].amps.real, post.sectors[0].amps.real,
+                  post.sectors[0].amps.imag])
 
     fid = cat_fidelity(post, N_ATOMS)
     with open(os.path.join(args.out, "summary.json"), "w") as fh:

@@ -19,12 +19,12 @@ from .errors import (ConfigError, DomainError, PreconditionError, QndError,
 from .numerics import (HalfInt, clebsch_gordan, log_binomial, log_factorial,
                        spherical_harmonic)
 from .povm import (OutcomeDistribution, PhotonOutcome, QndParams, amplitude,
-                   apply, detector_phases, log_amplitude, log_matrix_element,
-                   log_matrix_element_direct, outcome_distribution,
-                   outcome_probability, params_from_json, params_to_json,
-                   phase_phi, posterior, sample_outcome)
+                   apply, condition, detector_phases, eigen, log_amplitude,
+                   log_matrix_element, log_matrix_element_direct,
+                   outcome_distribution, outcome_probability, params_from_json,
+                   params_to_json, phase_phi, posterior, sample_outcome)
 from .spin_state import (CollectiveState, Sector, SpinMoments, coherent_state,
                          dicke_state, make_state, moments, normalize, overlap,
-                         state_from_json, state_to_json)
+                         scale_amplitudes, state_from_json, state_to_json)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .numerics import HalfInt, clebsch_gordan_row, legendre_norm_table
-from .povm import PhotonOutcome, QndParams, log_amplitude
+from .povm import PhotonOutcome, QndParams, eigen
 from .spin_state import (CollectiveState, Sector, coherent_state, moments,
                          normalize, overlap)
 
@@ -231,15 +231,12 @@ def parity_pattern_check(params: QndParams, outcome: PhotonOutcome,
         case = ParityCase.D_DARK
         members = [m for m in range(-N // 2, N // 2 + 1) if m % 4 == 3]
     support = tuple(sorted(members))
-    logs = {
-        m: log_amplitude(params, outcome, m) for m in range(-N // 2, N // 2 + 1)
-    }
+    grid = np.arange(-N // 2, N // 2 + 1)
+    logs = dict(zip(grid.tolist(), eigen(params, outcome, grid)[1].tolist()))
     on = [logs[m] for m in support]
-    off = [logs[m] for m in range(-N // 2, N // 2 + 1) if m not in support]
+    off = [logs[m] for m in logs if m not in support]
     peak = max(on)
-    worst = -math.inf
-    for lo in off:
-        worst = max(worst, lo - peak)
+    worst = max((lo - peak for lo in off), default=-math.inf)
     ratio = 0.0 if worst == -math.inf else math.exp(worst)
     return ParityPattern(
         case=case,

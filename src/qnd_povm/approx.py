@@ -19,9 +19,8 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, ZeroProjectionError
 from .numerics import HalfInt
-from .povm import (PhotonOutcome, QndParams, _global_phase, _phase_arrays,
-                   phase_phi)
-from .spin_state import CollectiveState, Sector
+from .povm import PhotonOutcome, QndParams, eigen, phase_phi
+from .spin_state import CollectiveState, Sector, scale_amplitudes
 
 
 @dataclass(frozen=True)
@@ -75,9 +74,12 @@ def gaussian_model(params: QndParams, outcome: PhotonOutcome) -> GaussianModel:
     return GaussianModel(m0=m0, sigma2=1.0 / curv, log_prefactor=log_pref)
 
 
+def _log_gaussian(model: GaussianModel, m):
+    return model.log_prefactor - (m - model.m0) ** 2 / (2.0 * model.sigma2)
+
+
 def gaussian_amplitude(model: GaussianModel, m_z) -> float:
-    m = float(m_z)
-    return math.exp(model.log_prefactor - (m - model.m0) ** 2 / (2.0 * model.sigma2))
+    return math.exp(_log_gaussian(model, float(m_z)))
 
 
 def peak_solutions(params: QndParams, outcome: PhotonOutcome, J) -> list[float]:
@@ -118,25 +120,15 @@ def approx_apply(params: QndParams, outcome: PhotonOutcome,
                  state: CollectiveState) -> CollectiveState:
     """Apply the Gaussian-envelope form of the measurement (unnormalized).
 
-    Same contract as the exact application: absolute prefactor retained and
-    the exact per-count detector phases multiplied in, so any fidelity gap to
-    the exact posterior comes from the envelope alone.
+    The exact operator with its envelope E swapped for the Gaussian and
+    nothing else: absolute prefactor and exact per-count detector phases
+    retained, so any fidelity gap to the exact posterior comes from the
+    envelope alone.
     """
     model = gaussian_model(params, outcome)
-    s = params.photon_mean
-    log_const = -s / 2.0 + 0.5 * outcome.total * math.log(s / 2.0) + model.log_prefactor
-    new_secs = []
-    for sec in state.sectors:
-        m = sec.m_values()
-        logmag = log_const - (m - model.m0) ** 2 / (2.0 * model.sigma2)
-        pc, pd = _phase_arrays(params, m)
-        phase = outcome.n_c * pc + outcome.n_d * pd + _global_phase(params, outcome)
-        with np.errstate(under="ignore"):
-            factor = np.exp(logmag) * np.exp(1j * phase)
-        new_secs.append(Sector(sec.two_j, sec.amps * factor))
-    out = CollectiveState(tuple(new_secs), norm_hint=1.0)
-    object.__setattr__(out, "norm_hint", out.squared_norm())
-    return out
+    m = state.m_values()
+    log_c, _, phase = eigen(params, outcome, m)
+    return scale_amplitudes(state, log_c + _log_gaussian(model, m), phase)
 
 
 def projective_params(params: QndParams, outcome: PhotonOutcome) -> ProjectiveParams:

@@ -26,13 +26,13 @@ import numpy as np
 
 from . import __version__
 from .analysis import density_from_state, wigner
-from .approx import gaussian_model, project, projective_params
+from .approx import (gaussian_amplitude, gaussian_model, project,
+                     projective_params)
 from .config import ExperimentConfig, build_params
 from .errors import (ConfigError, DomainError, PreconditionError,
                      QndError, ResourceCapError)
-from .numerics import HalfInt
-from .povm import (PhotonOutcome, amplitude, outcome_distribution,
-                   outcome_probability, posterior, sample_outcome)
+from .povm import (PhotonOutcome, condition, eigen, outcome_distribution,
+                   posterior, sample_outcome)
 from .spin_state import moments, state_to_json
 
 HEADER = f"# qnd-povm v{__version__}, schema v1"
@@ -102,20 +102,19 @@ def cmd_amp_scan(cfg: ExperimentConfig, args) -> int:
         n = case["N"]
         params = build_params(case["params"], n)
         outcome = PhotonOutcome(case["outcome"]["n_c"], case["outcome"]["n_d"])
-        two_j = n
-        m_values = [HalfInt(t) for t in range(-two_j, two_j + 1, 2)]
-        exact = np.array([amplitude(params, outcome, m) for m in m_values])
+        m_z = (np.arange(-n, n + 1, 2) / 2.0).tolist()
+        # math.exp, as `amplitude` uses, so the column equals its values
+        exact = np.array([math.exp(x) for x in eigen(params, outcome, m_z)[1].tolist()])
         peak = float(exact.max())
-        normed = exact / peak if peak > 0 else exact
+        if peak == 0.0:
+            raise DomainError(f"case {case['label']!r}: the envelope underflows "
+                              "to 0 at every m_z")
+        normed = exact / peak
         try:
             model = gaussian_model(params, outcome)
         except DomainError:
             model = None
-        m_z = [float(m) for m in m_values]
-        gauss = None if model is None else [
-            math.exp(model.log_prefactor - (m - model.m0) ** 2 / (2.0 * model.sigma2))
-            for m in m_z
-        ]
+        gauss = None if model is None else [gaussian_amplitude(model, m) for m in m_z]
         columns = ["m_z", "A_exact", "A_exact_normalized", "A_gauss"]
         ext = "json" if args.format == "json" else "csv"
         path = os.path.join(args.out, f"{case['label']}.{ext}")
@@ -174,13 +173,12 @@ def cmd_measure(cfg: ExperimentConfig, args) -> int:
         for shot in range(shots):
             shot_seed = (int(seed) + shot) % (1 << 64)
             out = sample_outcome(dist, shot_seed)
-            p = outcome_probability(params, out, state)
-            if p <= 0.0:
+            log_p, post = condition(params, out, state)
+            if post is None:
                 raise QndError(
                     f"sampled outcome ({out.n_c}, {out.n_d}) has zero "
                     f"probability (shot {shot}, seed {shot_seed})"
                 )
-            post = posterior(params, out, state)
             post_m = moments(post)
             ref = None
             if dump:
@@ -194,7 +192,7 @@ def cmd_measure(cfg: ExperimentConfig, args) -> int:
                 "n_c": out.n_c,
                 "n_d": out.n_d,
                 "r": out.r if out.total > 0 else None,
-                "log_prob": math.log(p),
+                "log_prob": log_p,
                 "mean_jz": post_m.mean_jz,
                 "var_jz": post_m.var_jz,
                 "squeezing_ratio": post_m.var_jz / prior_m.var_jz

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, ResourceCapError
 from .numerics import HalfInt, log_factorial, log_factorial_array
-from .spin_state import CollectiveState, Sector
+from .spin_state import CollectiveState, normalize, scale_amplitudes
 
 _TWO_PI = 2.0 * math.pi
 # sentinel for log(0) that survives multiplication by small integer counts
@@ -188,9 +188,13 @@ def _as_m(m_z) -> float:
         raise DomainError(f"cannot interpret {m_z!r} as a spin projection") from exc
 
 
+def _phi(params: QndParams, m):
+    return params.gt * m / 2.0 + params.phi_chigamma / 2.0 + math.pi / 4.0
+
+
 def phase_phi(params: QndParams, m_z) -> float:
     """Interference phase phi(m_z) = gt m_z / 2 + phi_chigamma / 2 + pi / 4."""
-    return params.gt * _as_m(m_z) / 2.0 + params.phi_chigamma / 2.0 + math.pi / 4.0
+    return _phi(params, _as_m(m_z))
 
 
 def detector_phases(params: QndParams, m_z) -> tuple[float, float]:
@@ -207,8 +211,7 @@ def detector_phases(params: QndParams, m_z) -> tuple[float, float]:
 
 
 def _phase_arrays(params: QndParams, m: np.ndarray):
-    m = np.asarray(m, dtype=float)
-    phi = params.gt * m / 2.0 + params.phi_chigamma / 2.0 + math.pi / 4.0
+    phi = _phi(params, np.asarray(m, dtype=float))
     ag, ac = params.abs_gamma, params.abs_chi
     sp, cp = np.sin(phi), np.cos(phi)
     phi_c = np.arctan2((ac - ag) * sp, (ac + ag) * cp)
@@ -241,55 +244,54 @@ def _log_bases(params: QndParams, m: np.ndarray):
     return log_c, log_d
 
 
+def eigen(params: QndParams, outcome: PhotonOutcome, m):
+    """The operator's eigenvalue lambda(m_z) over an array of m_z, factorised.
+
+    ln lambda(m) = C + E(m) + i Phi(m), returned as (C, E, Phi):
+
+    * C = -s/2 + (n/2) ln(s/2), a constant set by the outcome alone
+      (s = |gamma|^2 + |chi|^2, n = n_c + n_d);
+    * E = ln A(m), the log of the non-negative envelope, -inf at its exact
+      zeros;
+    * Phi = n_c phi_c(m) + n_d phi_d(m) plus an m-independent phase that
+      makes the product equal the direct form; not reduced mod 2 pi.
+
+    This is the one place the spectral form is assembled; every other
+    evaluation of the operator reads it from here.
+    """
+    m = np.asarray(m, dtype=float)
+    nc, nd = outcome.n_c, outcome.n_d
+    s = params.photon_mean
+    log_c = -s / 2.0 + 0.5 * outcome.total * math.log(s / 2.0)
+    lc, ld = _log_bases(params, m)
+    log_e = 0.5 * nc * lc + 0.5 * nd * ld - 0.5 * (log_factorial(nc) + log_factorial(nd))
+    # only a sentinel base (an exact zero raised to a positive count) gets here
+    log_e[log_e < _LOG_ZERO / 4] = -math.inf
+    pc, pd = _phase_arrays(params, m)
+    glob = outcome.total * (
+        cmath.phase(params.gamma) + params.phi_chigamma / 2.0 + math.pi / 4.0
+    )
+    if params.eta <= 0.0:
+        glob += nd * math.pi
+    return log_c, log_e, nc * pc + nd * pd + glob
+
+
 def log_amplitude(params: QndParams, outcome: PhotonOutcome, m_z) -> float:
     """ln A(m_z) of the non-negative amplitude envelope; -inf at exact zeros."""
-    lc, ld = _log_bases(params, np.array([_as_m(m_z)]))
-    val = (
-        0.5 * outcome.n_c * lc[0]
-        + 0.5 * outcome.n_d * ld[0]
-        - 0.5 * (log_factorial(outcome.n_c) + log_factorial(outcome.n_d))
-    )
-    return -math.inf if val < _LOG_ZERO / 2 else float(val)
+    return float(eigen(params, outcome, [_as_m(m_z)])[1][0])
 
 
 def amplitude(params: QndParams, outcome: PhotonOutcome, m_z) -> float:
     """Amplitude envelope A(m_z) >= 0 the measurement imprints on m_z."""
-    la = log_amplitude(params, outcome, m_z)
-    return 0.0 if la == -math.inf else math.exp(la)
-
-
-def _global_phase(params: QndParams, outcome: PhotonOutcome) -> float:
-    """m_z-independent phase making the spectral form equal the direct one."""
-    lam = outcome.total * (
-        cmath.phase(params.gamma) + params.phi_chigamma / 2.0 + math.pi / 4.0
-    )
-    if params.eta <= 0.0:
-        lam += outcome.n_d * math.pi
-    return lam
-
-
-def _log_magnitude_arrays(params: QndParams, outcome: PhotonOutcome,
-                          m: np.ndarray) -> np.ndarray:
-    lc, ld = _log_bases(params, m)
-    s = params.photon_mean
-    return (
-        -s / 2.0
-        + 0.5 * outcome.total * math.log(s / 2.0)
-        + 0.5 * outcome.n_c * lc
-        + 0.5 * outcome.n_d * ld
-        - 0.5 * (log_factorial(outcome.n_c) + log_factorial(outcome.n_d))
-    )
+    return math.exp(log_amplitude(params, outcome, m_z))
 
 
 def log_matrix_element(params: QndParams, outcome: PhotonOutcome, m_z):
     """(log magnitude, phase) of <J m_z|M|J m_z> via the spectral form."""
-    mv = np.array([_as_m(m_z)])
-    logmag = _log_magnitude_arrays(params, outcome, mv)[0]
-    pc, pd = _phase_arrays(params, mv)
-    phase = outcome.n_c * pc[0] + outcome.n_d * pd[0] + _global_phase(params, outcome)
-    if logmag < _LOG_ZERO / 4:
+    log_c, log_e, phase = eigen(params, outcome, [_as_m(m_z)])
+    if log_e[0] == -math.inf:
         return -math.inf, 0.0
-    return float(logmag), _wrap_pi(float(phase))
+    return float(log_c + log_e[0]), _wrap_pi(float(phase[0]))
 
 
 def log_matrix_element_direct(params: QndParams, outcome: PhotonOutcome, m_z):
@@ -331,74 +333,47 @@ def apply(params: QndParams, outcome: PhotonOutcome,
     eigenvalue including the absolute prefactor, so the squared norm of the
     result is exactly the outcome probability of a normalized input.
     """
-    new_secs = []
-    for sec in state.sectors:
-        mv = sec.m_values()
-        logmag = _log_magnitude_arrays(params, outcome, mv)
-        pc, pd = _phase_arrays(params, mv)
-        phase = outcome.n_c * pc + outcome.n_d * pd + _global_phase(params, outcome)
-        factor = np.exp(logmag) * np.exp(1j * phase)
-        new_secs.append(Sector(sec.two_j, sec.amps * factor))
-    out = CollectiveState(tuple(new_secs), norm_hint=1.0)
-    object.__setattr__(out, "norm_hint", out.squared_norm())
-    return out
+    log_c, log_e, phase = eigen(params, outcome, state.m_values())
+    return scale_amplitudes(state, log_c + log_e, phase)
+
+
+def condition(params: QndParams, outcome: PhotonOutcome,
+              state: CollectiveState) -> tuple[float, CollectiveState | None]:
+    """ln P(outcome) and the normalized posterior, from one kernel evaluation.
+
+    The envelope is shifted by its peak over the occupied m_z before it
+    multiplies the state, so outcomes deep in the tail still normalize
+    cleanly; with n2 the squared norm of the shifted state,
+    ln P = 2 (C + shift) + ln n2.  The posterior keeps the per-m_z detector
+    phases.  A zero-probability outcome gives (-inf, None).
+    """
+    if not state.is_normalized():
+        raise PreconditionError("conditioning on an outcome needs a normalized state")
+    log_c, log_e, phase = eigen(params, outcome, state.m_values())
+    occupied = np.concatenate([sec.amps for sec in state.sectors]) != 0.0
+    shift = float(np.max(log_e, where=occupied, initial=-math.inf))
+    if shift == -math.inf:
+        return -math.inf, None
+    scaled = scale_amplitudes(state, log_e - shift, phase)
+    n2 = scaled.norm_hint
+    if n2 == 0.0:
+        return -math.inf, None
+    return 2.0 * (log_c + shift) + math.log(n2), normalize(scaled)
 
 
 def outcome_probability(params: QndParams, outcome: PhotonOutcome,
                         state: CollectiveState) -> float:
     """Probability of detecting (n_c, n_d) on a normalized state."""
-    if not state.is_normalized():
-        raise PreconditionError("outcome_probability needs a normalized state")
-    shift = None
-    acc = 0.0
-    pieces = []
-    for sec in state.sectors:
-        w = np.abs(sec.amps) ** 2
-        logmag = _log_magnitude_arrays(params, outcome, sec.m_values())
-        pieces.append((w, logmag))
-        top = np.max(logmag) if logmag.size else -math.inf
-        shift = top if shift is None else max(shift, top)
-    if shift is None or shift == -math.inf:
-        return 0.0
-    for w, logmag in pieces:
-        acc += float(np.dot(w, np.exp(2.0 * (logmag - shift))))
-    return math.exp(2.0 * shift) * acc
+    return math.exp(condition(params, outcome, state)[0])
 
 
 def posterior(params: QndParams, outcome: PhotonOutcome,
               state: CollectiveState) -> CollectiveState:
-    """Normalized post-measurement state.
-
-    The per-m_z detector phases are retained; only the overall scale is
-    divided out.  Internally shifts by the peak log magnitude so that
-    outcomes deep in the tail still normalize cleanly.
-    """
-    if not state.is_normalized():
-        raise PreconditionError("posterior needs a normalized state")
-    scaled = []
-    shift = -math.inf
-    for sec in state.sectors:
-        logmag = _log_magnitude_arrays(params, outcome, sec.m_values())
-        occupied = np.abs(sec.amps) > 0.0
-        if np.any(occupied):
-            shift = max(shift, float(np.max(logmag[occupied])))
-        scaled.append(logmag)
-    if shift == -math.inf:
+    """Normalized post-measurement state; see `condition`."""
+    post = condition(params, outcome, state)[1]
+    if post is None:
         raise DomainError("zero-probability outcome has no posterior")
-    secs = []
-    for sec, logmag in zip(state.sectors, scaled):
-        pc, pd = _phase_arrays(params, sec.m_values())
-        phase = outcome.n_c * pc + outcome.n_d * pd + _global_phase(params, outcome)
-        factor = np.exp(logmag - shift) * np.exp(1j * phase)
-        secs.append(Sector(sec.two_j, sec.amps * factor))
-    tmp = CollectiveState(tuple(secs), norm_hint=1.0)
-    n2 = tmp.squared_norm()
-    if n2 == 0.0:
-        raise DomainError("zero-probability outcome has no posterior")
-    scale = 1.0 / math.sqrt(n2)
-    return CollectiveState(
-        tuple(Sector(s.two_j, s.amps * scale) for s in secs), norm_hint=1.0
-    )
+    return post
 
 
 def outcome_distribution(params: QndParams, state: CollectiveState,
@@ -420,9 +395,8 @@ def outcome_distribution(params: QndParams, state: CollectiveState,
     cap = int(max_total) if max_total is not None else int(4.0 * s + 100.0)
     sigma_p = math.sqrt(s)
 
-    m_all = np.concatenate([sec.m_values() for sec in state.sectors])
     weights = np.concatenate([np.abs(sec.amps) ** 2 for sec in state.sectors])
-    lc, ld = _log_bases(params, m_all)
+    lc, ld = _log_bases(params, state.m_values())
 
     rows: dict[int, np.ndarray] = {}
     lf = log_factorial_array(cap + 1)

@@ -70,6 +70,10 @@ class CollectiveState:
                 return s
         return None
 
+    def m_values(self) -> np.ndarray:
+        """m_z of every amplitude, sectors in order, each by increasing m_z."""
+        return np.concatenate([s.m_values() for s in self.sectors])
+
     def squared_norm(self) -> float:
         return float(sum(np.sum(np.abs(s.amps) ** 2) for s in self.sectors))
 
@@ -137,6 +141,25 @@ def normalize(state: CollectiveState) -> CollectiveState:
     scale = 1.0 / math.sqrt(n2)
     secs = tuple(Sector(s.two_j, s.amps * scale) for s in state.sectors)
     return CollectiveState(secs, norm_hint=1.0)
+
+
+def scale_amplitudes(state: CollectiveState, log_factor: np.ndarray,
+                     phase: np.ndarray) -> CollectiveState:
+    """Act with a diagonal operator, given in log-polar form.
+
+    Amplitude i is multiplied by exp(log_factor[i] + i phase[i]), both arrays
+    running over `state.m_values()`.  The norm hint of the result records its
+    squared norm.
+    """
+    with np.errstate(under="ignore"):
+        factor = np.exp(log_factor) * np.exp(1j * phase)
+    secs = []
+    lo = 0
+    for s in state.sectors:
+        hi = lo + s.two_j + 1
+        secs.append(Sector(s.two_j, s.amps * factor[lo:hi]))
+        lo = hi
+    return make_state(secs)
 
 
 def moments(state: CollectiveState) -> SpinMoments:

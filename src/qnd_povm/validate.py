@@ -11,9 +11,9 @@ import numpy as np
 
 from .approx import gaussian_model
 from .numerics import clebsch_gordan, legendre_norm_table
-from .povm import (PhotonOutcome, QndParams, log_amplitude,
+from .povm import (PhotonOutcome, QndParams, condition, log_amplitude,
                    log_matrix_element, log_matrix_element_direct,
-                   outcome_distribution, outcome_probability, posterior)
+                   outcome_distribution)
 from .spin_state import (CollectiveState, Sector, dicke_state, normalize,
                          overlap)
 
@@ -77,9 +77,10 @@ def check_dicke_invariance(seed: int):
     worst = 1.0
     for m in (-20, -7, 0, 13, 20):
         st = dicke_state(20, m)
-        if outcome_probability(params, out, st) <= 0.0:
+        post = condition(params, out, st)[1]
+        if post is None:
             continue
-        fid = abs(overlap(st, posterior(params, out, st))) ** 2
+        fid = abs(overlap(st, post)) ** 2
         worst = min(worst, fid)
     return "Dicke invariance", worst >= 1.0 - 1e-12, f"min fidelity {worst!r}"
 

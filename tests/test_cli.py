@@ -213,6 +213,19 @@ def test_amp_scan_gauss_column_when_defined(tmp_path):
     assert all(r["A_gauss"] == "" for r in rows_n)
 
 
+def test_amp_scan_underflowed_envelope_is_a_domain_error(tmp_path, capsys):
+    # at 1800 detected photons every envelope value underflows to 0.0; the
+    # normalized column would be all zeros, so the case must raise instead
+    cases = [{"label": "dark", "params": {"gamma": [30.0, 0.0], "chi": [30.0, 0.0],
+                                          "gt": "pi/N"},
+              "N": 100, "outcome": {"n_c": 900, "n_d": 900}}]
+    path = write_config(tmp_path, "amp.json", {"cases": cases})
+    outdir = tmp_path / "scan"
+    assert run_cli("amp-scan", "--config", path, "--out", str(outdir)) == 4
+    assert "underflows" in capsys.readouterr().err
+    assert not (outdir / "dark.csv").exists()
+
+
 # ---------------------------------------------------------------------- measure
 
 def test_measure_deterministic_and_schema(tmp_path):
@@ -585,15 +598,15 @@ def test_measure_failure_leaves_no_file(tmp_path, monkeypatch):
     path = write_config(tmp_path, "m.json", dict(BASE, shots=8, seed=7,
                                                  mass_tolerance=1e-8))
     calls = []
-    real = cli.posterior
+    real = cli.condition
 
-    def failing_posterior(*args):
+    def failing_condition(*args):
         calls.append(1)
         if len(calls) == 3:
             raise DomainError("injected failure")
         return real(*args)
 
-    monkeypatch.setattr(cli, "posterior", failing_posterior)
+    monkeypatch.setattr(cli, "condition", failing_condition)
     assert run_cli("measure", "--config", path,
                    "--out", str(tmp_path / "m.jsonl")) == 4
     assert len(calls) == 3

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qnd_povm.approx import approx_apply
 from qnd_povm.errors import DomainError, PreconditionError, ResourceCapError
 from qnd_povm.povm import (OutcomeDistribution, PhotonOutcome, QndParams,
-                           amplitude, apply, detector_phases, log_amplitude,
-                           log_matrix_element, log_matrix_element_direct,
+                           amplitude, apply, condition, detector_phases,
+                           log_amplitude, log_matrix_element,
+                           log_matrix_element_direct,
                            outcome_distribution, outcome_probability,
                            params_from_json, params_to_json, phase_phi,
                            posterior, sample_outcome)
@@ -488,3 +490,78 @@ def test_distribution_three_lobes_long_time():
     assert mass(lambda o: o.r >= 0.8) > 0.2
     assert mass(lambda o: abs(o.r) <= 0.2) > 0.2
     assert mass(lambda o: 0.3 <= abs(o.r) <= 0.7) < 0.05
+
+
+# ------------------------------------- state-level operator vs the oracles
+# The state-level functions read one kernel; here they are checked against
+# amplitudes built from the direct form and against the Poisson mixture
+# P(n_c, n_d) = sum_m |psi_m|^2 Pois(n_c; lam_c(m)) Pois(n_d; lam_d(m)).
+
+def two_sector_state():
+    rng = np.random.default_rng(11)
+    secs = tuple(Sector(tj, rng.normal(size=tj + 1) + 1j * rng.normal(size=tj + 1))
+                 for tj in (4, 9))
+    return normalize(CollectiveState(secs, norm_hint=1.0))
+
+
+def direct_log_eigenvalues(params, outcome, m_values):
+    pairs = [log_matrix_element_direct(params, outcome, m) for m in m_values]
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+def log_poisson_mixture(params, outcome, state):
+    """ln P(outcome) from the port intensities of the interfered beams."""
+    m = state.m_values()
+    rot = np.exp(-0.5j * params.gt * m)
+    lam_c = np.abs(params.gamma * rot + 1j * params.chi / rot) ** 2 / 2.0
+    lam_d = np.abs(1j * params.gamma * rot + params.chi / rot) ** 2 / 2.0
+    w = np.concatenate([np.abs(sec.amps) ** 2 for sec in state.sectors])
+    terms = np.log(w)
+    for n, lam in ((outcome.n_c, lam_c), (outcome.n_d, lam_d)):
+        terms = terms - lam - math.lgamma(n + 1) + (n * np.log(lam) if n else 0.0)
+    top = float(np.max(terms))
+    return top + math.log(float(np.sum(np.exp(terms - top))))
+
+
+ORACLE_PARAMS = (P_REF, QndParams(gamma=2.0 + 1.0j, chi=1.5 - 0.7j, gt=0.37))
+# the last outcome lies deep in the tail: ln P is -70 and -176 on the two
+# parameter sets
+ORACLE_OUTCOMES = (PhotonOutcome(25, 26), PhotonOutcome(30, 18),
+                   PhotonOutcome(0, 7), PhotonOutcome(4, 1), PhotonOutcome(2, 95))
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS)
+@pytest.mark.parametrize("out", ORACLE_OUTCOMES)
+def test_state_operator_against_direct_form(params, out):
+    st = two_sector_state()
+    psi = np.concatenate([sec.amps for sec in st.sectors])
+    logmag, phase = direct_log_eigenvalues(params, out, st.m_values())
+
+    got = np.concatenate([sec.amps for sec in apply(params, out, st).sectors])
+    want = psi * np.exp(logmag + 1j * phase)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    got = np.concatenate([sec.amps for sec in posterior(params, out, st).sectors])
+    want = psi * np.exp(logmag - np.max(logmag) + 1j * phase)
+    want /= np.linalg.norm(want)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+    if out.n_c >= 1 and out.n_d >= 1 and abs(out.r) < params.cos_2eta:
+        approx = np.concatenate(
+            [sec.amps for sec in approx_apply(params, out, st).sectors])
+        seen = np.abs(approx) > 0.0
+        assert np.count_nonzero(seen) >= 5
+        dphi = np.angle(approx[seen] / psi[seen]) - phase[seen]
+        assert np.max(np.abs(wrapped(dphi))) <= 1e-12
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS)
+@pytest.mark.parametrize("out", ORACLE_OUTCOMES)
+def test_probability_against_poisson_mixture(params, out):
+    st = two_sector_state()
+    want = log_poisson_mixture(params, out, st)
+    log_prob, post = condition(params, out, st)
+    assert post is not None
+    assert abs(log_prob - want) <= 1e-12 * max(1.0, abs(want))
+    got = outcome_probability(params, out, st)
+    assert abs(got - math.exp(want)) <= 1e-12 * math.exp(want)

@@ -1,3 +1,4 @@
+import os
 import pathlib
 import subprocess
 import sys
@@ -18,11 +19,16 @@ SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 ])
 def test_experiment_script_runs(tmp_path, script, expected):
     out = tmp_path / "out"
+    # the scripts' temporary files must not outlive the run
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / script), "--out", str(out)],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, TMPDIR=str(scratch)))
     assert proc.returncode == 0, proc.stderr
     for name in expected:
         path = out / name
         assert path.exists(), name
         assert path.stat().st_size > 0
+    assert os.listdir(scratch) == []
