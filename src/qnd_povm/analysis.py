@@ -5,30 +5,20 @@ fidelity, and the spin Wigner function on the sphere.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .numerics import HalfInt, clebsch_gordan_row, legendre_norm_table
+from .numerics import cg_blocks, legendre_norm_table
 from .povm import PhotonOutcome, QndParams, eigen
 from .spin_state import (CollectiveState, Sector, coherent_state, moments,
                          normalize, overlap)
 
 _RESIDUE_TOL = 1e-10
-
-
-def thread_cap() -> int:
-    """Worker cap for internal parallel maps, from QND_THREADS (default 1)."""
-    raw = os.environ.get("QND_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+_PARSEVAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -52,6 +42,36 @@ class DensityMatrix:
 
     def two_m_values(self) -> np.ndarray:
         return np.arange(-self.two_j, self.two_j + 1, 2)
+
+    @cached_property
+    def multipoles(self) -> np.ndarray:
+        """Multipole table T[L, M] = rho_LM for 0 <= M <= L <= 2J.
+
+        rho_LM = sum_m (-1)^(J - m - M) <J m; J, M - m | L M> rho_{m, m-M}
+        is, for each M, one product of the transposed Clebsch-Gordan block
+        with the signed M-th subdiagonal of rho.  Entries above the diagonal
+        are 0; negative M is the Hermitian descendant
+        rho_{L,-M} = (-1)^M conj(rho_LM).
+        """
+        tj = self.two_j
+        table = np.zeros((tj + 1, tj + 1), dtype=complex)
+        for tM, block in cg_blocks(tj, tj):
+            M = tM // 2
+            tm = self.two_m_values()[M:]
+            signs = np.where(((tj - tm) // 2 - M) % 2 == 0, 1.0, -1.0)
+            table[M:, M] = block.T @ (signs * np.diagonal(self.rho, -M))
+        return table
+
+    def parseval_residual(self) -> float:
+        """|sum_LM |rho_LM|^2 - Tr rho^2| relative to Tr rho^2.
+
+        The multipoles are the coefficients of rho in an orthonormal operator
+        basis, so an exact table gives 0.
+        """
+        sq = np.abs(self.multipoles) ** 2
+        total = 2.0 * float(sq.sum()) - float(sq[:, 0].sum())
+        purity = float(np.vdot(self.rho, self.rho).real)
+        return abs(total - purity) / purity
 
 
 @dataclass(frozen=True)
@@ -96,52 +116,29 @@ def density_from_state(state: CollectiveState, J) -> DensityMatrix:
     return DensityMatrix(two_j=sec.two_j, rho=rho)
 
 
+def _multipoles(rho: DensityMatrix) -> np.ndarray:
+    """rho.multipoles, once it passes the Parseval guard."""
+    residual = rho.parseval_residual()
+    if residual > _PARSEVAL_TOL:
+        raise DomainError(f"multipole table breaks Parseval by {residual:.2e} "
+                          "relative to Tr rho^2")
+    return rho.multipoles
+
+
 def rho_lm(rho: DensityMatrix, L: int, M: int) -> complex:
-    """Multipole component of the density matrix.
+    """Multipole component rho_LM of the density matrix.
 
     Sums (-1)^(J - m - M) <J m; J, -(m - M)| L M> rho_{m, m-M} over the m
-    values where the coupled projection exists.  The sign exponent is always
-    an integer, evaluated through doubled-integer parity so half-integer J
-    stays exact.
+    values where the coupled projection exists; read from the table
+    ``DensityMatrix.multipoles``, which is built once per density matrix.
     """
     L, M = int(L), int(M)
     if L < 0 or L > rho.two_j:
         raise DomainError("L must lie in 0..2J")
     if abs(M) > L:
         raise DomainError("|M| must not exceed L")
-    tm = rho.two_m_values()
-    cg = clebsch_gordan_row(HalfInt(rho.two_j), HalfInt(2 * L), HalfInt(2 * M), tm)
-    # (-1)^(J - m - M) via parity of the doubled difference
-    par = ((rho.two_j - tm) // 2 - M) % 2
-    signs = np.where(par == 0, 1.0, -1.0)
-    # column index of m' = m - M
-    idx_col = (tm - 2 * M + rho.two_j) // 2
-    ok = (idx_col >= 0) & (idx_col <= rho.two_j)
-    rows = np.nonzero(ok)[0]
-    cols = idx_col[rows]
-    return complex(np.sum(signs[rows] * cg[rows] * rho.rho[rows, cols]))
-
-
-def _wigner_rows(two_j, rho_table, thetas, phis):
-    """W over a block of theta rows; deterministic per-point arithmetic."""
-    x = np.cos(thetas)
-    nL = two_j  # L runs 0..2J, table rows indexed by L
-    w = np.zeros((len(thetas), len(phis)), dtype=complex)
-    for M in range(-two_j, two_j + 1):
-        am = abs(M)
-        leg = legendre_norm_table(two_j, am, x)  # rows L = am..2J
-        gm = np.zeros(len(thetas), dtype=complex)
-        for L in range(am, two_j + 1):
-            c = rho_table[L][M + L]
-            if c != 0.0:
-                gm = gm + c * leg[L - am]
-        if M < 0:
-            # Y_{L,-m} = (-1)^m conj(Y_{L,m}); legendre rows are real
-            phase = ((-1.0) ** am) * np.exp(-1j * am * phis)
-        else:
-            phase = np.exp(1j * am * phis)
-        w += gm[:, None] * phase[None, :]
-    return w
+    c = complex(_multipoles(rho)[L, abs(M)])
+    return c if M >= 0 else (-1) ** M * c.conjugate()
 
 
 def wigner(rho: DensityMatrix, n_theta: int = 181, n_phi: int = 361,
@@ -150,10 +147,13 @@ def wigner(rho: DensityMatrix, n_theta: int = 181, n_phi: int = 361,
     """Spin Wigner function W(theta, phi) = sum_{L,M} rho_LM Y_LM.
 
     Defaults to an equiangular grid; any strictly sampled angle vectors can
-    be passed instead.  The multipole sum runs L = 0..2J.  The imaginary
-    residue of the reconstruction is checked against 1e-10 and discarded.
-    Rows of the grid may be evaluated in parallel (QND_THREADS), with a
-    fixed row order so results are identical to the sequential path.
+    be passed instead.  The multipole sum runs L = 0..2J as two products:
+    G[theta, M] = sum_L rho_LM Y~_L^M(cos theta), with Y~ the normalized
+    associated Legendre function, then W = G @ E with E[M, phi] = e^{iM phi}.  Raises DomainError when the multipole table
+    breaks Parseval (sum |rho_LM|^2 = Tr rho^2) by more than 1e-10 relative,
+    or when the imaginary residue of W exceeds 1e-10; the residue is
+    otherwise discarded.  Checked against sympy multipoles at 2J = 100 and
+    against Parseval up to 2J = 200.
     """
     if thetas is None:
         thetas = np.linspace(0.0, math.pi, n_theta)
@@ -162,29 +162,14 @@ def wigner(rho: DensityMatrix, n_theta: int = 181, n_phi: int = 361,
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
     two_j = rho.two_j
-    # table rows are L = 0..2J, each row a vector over M = -L..L; negative M
-    # comes from the exact Hermitian descendant rho_{L,-M} = (-1)^M rho_LM*,
-    # which keeps the reconstruction real to rounding even at large J
-    rho_table = []
-    for L in range(two_j + 1):
-        row = np.zeros(2 * L + 1, dtype=complex)
-        for M in range(0, L + 1):
-            row[M + L] = rho_lm(rho, L, M)
-            if M > 0:
-                row[L - M] = ((-1) ** M) * np.conj(row[M + L])
-        rho_table.append(row)
-
-    workers = thread_cap()
-    if workers <= 1 or len(thetas) < 4:
-        w = _wigner_rows(two_j, rho_table, thetas, phis)
-    else:
-        chunks = np.array_split(np.arange(len(thetas)), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda ix: _wigner_rows(two_j, rho_table, thetas[ix], phis),
-                         chunks)
-            )
-        w = np.vstack(parts)
+    table = _multipoles(rho)
+    x = np.cos(thetas)
+    g = np.empty((thetas.size, 2 * two_j + 1), dtype=complex)
+    for M in range(two_j + 1):
+        g[:, two_j + M] = table[M:, M] @ legendre_norm_table(two_j, M, x)
+    # rho_{L,-M} Y_{L,-M} = conj(rho_LM Y_LM): columns M = -2J..-1 mirror 2J..1
+    g[:, :two_j] = np.conj(g[:, :two_j:-1])
+    w = g @ np.exp(1j * np.outer(np.arange(-two_j, two_j + 1), phis))
     residue = float(np.max(np.abs(w.imag))) if w.size else 0.0
     if residue > _RESIDUE_TOL:
         raise DomainError(f"Wigner reconstruction has imaginary residue {residue:.2e}")

@@ -85,8 +85,10 @@ def _write_table(path, columns, arrays, footer=()):
 
 
 def _write_json(path, payload):
+    """Write `payload` as JSON, stamped with the tool, version and schema."""
+    stamped = {"tool": "qnd-povm", "version": __version__, "schema": "v1", **payload}
     with _artifact(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(stamped, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -97,7 +99,9 @@ def _write_json(path, payload):
 def cmd_amp_scan(cfg: ExperimentConfig, args) -> int:
     if args.out is None:
         raise ConfigError("amp-scan writes one file per case; --out DIR is required")
-    os.makedirs(args.out, exist_ok=True)
+    # every case is computed before any file is written, so a config with a
+    # failing case leaves no output behind
+    tables = []
     for case in cfg.raw["cases"]:
         n = case["N"]
         params = build_params(case["params"], n)
@@ -109,18 +113,19 @@ def cmd_amp_scan(cfg: ExperimentConfig, args) -> int:
         if peak == 0.0:
             raise DomainError(f"case {case['label']!r}: the envelope underflows "
                               "to 0 at every m_z")
-        normed = exact / peak
         try:
             model = gaussian_model(params, outcome)
         except DomainError:
             model = None
         gauss = None if model is None else [gaussian_amplitude(model, m) for m in m_z]
-        columns = ["m_z", "A_exact", "A_exact_normalized", "A_gauss"]
-        ext = "json" if args.format == "json" else "csv"
-        path = os.path.join(args.out, f"{case['label']}.{ext}")
+        tables.append((case["label"], m_z, exact, exact / peak, gauss))
+    columns = ["m_z", "A_exact", "A_exact_normalized", "A_gauss"]
+    ext = "json" if args.format == "json" else "csv"
+    os.makedirs(args.out, exist_ok=True)
+    for label, m_z, exact, normed, gauss in tables:
+        path = os.path.join(args.out, f"{label}.{ext}")
         if args.format == "json":
             _write_json(path, {
-                "tool": "qnd-povm", "version": __version__, "schema": "v1",
                 "columns": columns,
                 "rows": list(zip(m_z, exact.tolist(), normed.tolist(),
                                  gauss or [None] * len(m_z))),
@@ -143,7 +148,6 @@ def cmd_photon_dist(cfg: ExperimentConfig, args) -> int:
     arrays = [dist.n_c, dist.n_d, dist.p]
     if args.format == "json":
         _write_json(args.out, {
-            "tool": "qnd-povm", "version": __version__, "schema": "v1",
             "columns": columns,
             "rows": list(zip(*(a.tolist() for a in arrays))),
             "captured_mass": dist.captured_mass,
@@ -220,7 +224,6 @@ def cmd_wigner(cfg: ExperimentConfig, args) -> int:
               wg.values.ravel()]
     if args.format == "json":
         _write_json(args.out, {
-            "tool": "qnd-povm", "version": __version__, "schema": "v1",
             "columns": columns,
             "rows": list(zip(*(a.tolist() for a in arrays))),
         })
@@ -237,7 +240,6 @@ def cmd_project(cfg: ExperimentConfig, args) -> int:
     pp = projective_params(params, outcome)
     amp, collapsed = project(params, state, pp.u, pp.m0)
     _write_json(args.out, {
-        "tool": "qnd-povm", "version": __version__, "schema": "v1",
         "u": pp.u, "v": pp.v, "m0": pp.m0,
         "xi_c": pp.xi_c, "xi_d": pp.xi_d,
         "xi_plus": pp.xi_plus, "xi_minus": pp.xi_minus,

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from .analysis import DensityMatrix
 from .approx import gaussian_model
 from .numerics import clebsch_gordan, legendre_norm_table
 from .povm import (PhotonOutcome, QndParams, condition, log_amplitude,
@@ -108,6 +109,17 @@ def check_cg_orthogonality(seed: int):
     return "CG orthogonality", worst < 1e-10, f"worst deviation {worst:.2e}"
 
 
+def check_multipole_parseval(seed: int):
+    # a random full-rank density matrix at the largest J the Wigner map
+    # claims; an exact multipole table satisfies sum |rho_LM|^2 = Tr rho^2
+    rng = np.random.default_rng(seed + 3)
+    a = rng.normal(size=(101, 101)) + 1j * rng.normal(size=(101, 101))
+    h = a @ a.conj().T
+    dev = DensityMatrix(two_j=100, rho=h / np.trace(h).real).parseval_residual()
+    return "multipole Parseval at 2J=100", dev <= 1e-10, \
+        f"rel deviation {dev:.2e}"
+
+
 def check_harmonic_orthonormality(seed: int):
     lmax = 6
     x, wq = np.polynomial.legendre.leggauss(2 * lmax + 2)
@@ -141,6 +153,7 @@ def run_all(seed: int = 20260810):
         check_photon_conservation,
         check_dicke_invariance,
         check_cg_orthogonality,
+        check_multipole_parseval,
         check_harmonic_orthonormality,
         check_gaussian_width,
     )

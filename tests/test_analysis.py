@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qnd_povm import analysis
 from qnd_povm.analysis import (DensityMatrix, ParityCase, cat_fidelity,
                                cat_state, density_from_state,
                                parity_pattern_check, rho_lm, squeezing_report,
@@ -200,13 +201,43 @@ def test_wigner_coherent_prior_floor():
     assert wg.values.max() > 1.0
 
 
-def test_wigner_thread_cap_determinism(monkeypatch):
+def _cat_posterior_density(n):
+    post = posterior(P_SYM, PhotonOutcome(26, 26), coherent_state(n, math.pi / 2.0))
+    return density_from_state(post, n / 2.0)
+
+
+def test_wigner_large_j_cat():
+    # the Racah sum gave a map from -290 to +296 here, with exit 0
+    dm = _cat_posterior_density(160)
+    wg = wigner(dm)
+    assert np.max(np.abs(wg.values)) < 4.0
+    t2 = np.abs(dm.multipoles) ** 2
+    parseval = 2.0 * t2.sum() - t2[:, 0].sum()
+    assert abs(parseval - 1.0) <= 1e-12
+
+
+def test_multipoles_against_oracle_at_2j_100():
+    dm = _cat_posterior_density(100)
+    assert dm.parseval_residual() <= 1e-12
+    for L, M in ((0, 0), (3, 2), (40, 1), (77, 40), (100, 0), (100, 100)):
+        want = rho_lm_oracle(dm.rho, 100, L, M)
+        assert abs(rho_lm(dm, L, M) - want) < 1e-12, (L, M)
+
+
+def test_parseval_guard_rejects_corrupt_table(monkeypatch):
+    real = analysis.cg_blocks
+
+    def corrupt(tj1, tj2):
+        for tM, block in real(tj1, tj2):
+            yield tM, (1.0 + 1e-6 * (tM == 2)) * block
+
+    monkeypatch.setattr(analysis, "cg_blocks", corrupt)
     dm = density_from_state(coherent_state(8, 1.0), 4)
-    monkeypatch.delenv("QND_THREADS", raising=False)
-    base = wigner(dm, n_theta=33, n_phi=17)
-    monkeypatch.setenv("QND_THREADS", "3")
-    threaded = wigner(dm, n_theta=33, n_phi=17)
-    assert np.array_equal(base.values, threaded.values)
+    assert dm.parseval_residual() > 1e-10
+    with pytest.raises(DomainError, match="Parseval"):
+        wigner(dm, n_theta=9, n_phi=9)
+    with pytest.raises(DomainError, match="Parseval"):
+        rho_lm(dm, 2, 1)
 
 
 # ------------------------------------------------------------------- squeezing

@@ -226,6 +226,20 @@ def test_amp_scan_underflowed_envelope_is_a_domain_error(tmp_path, capsys):
     assert not (outdir / "dark.csv").exists()
 
 
+def test_amp_scan_failing_case_writes_no_file(tmp_path):
+    # the first case is fine; the second underflows, so the run writes nothing
+    cases = [{"label": "ok", "params": {"gamma": [5.1, 0.0], "chi": [5.0, 0.0],
+                                        "gt": "pi/N"},
+              "N": 20, "outcome": {"n_c": 25, "n_d": 25}},
+             {"label": "dark", "params": {"gamma": [30.0, 0.0], "chi": [30.0, 0.0],
+                                          "gt": "pi/N"},
+              "N": 100, "outcome": {"n_c": 900, "n_d": 900}}]
+    path = write_config(tmp_path, "amp.json", {"cases": cases})
+    outdir = tmp_path / "scan"
+    assert run_cli("amp-scan", "--config", path, "--out", str(outdir)) == 4
+    assert not outdir.exists()
+
+
 # ---------------------------------------------------------------------- measure
 
 def test_measure_deterministic_and_schema(tmp_path):

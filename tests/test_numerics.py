@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnd_povm.errors import DomainError
-from qnd_povm.numerics import (HalfInt, clebsch_gordan, clebsch_gordan_row,
+from qnd_povm.numerics import (HalfInt, cg_blocks, clebsch_gordan,
                                legendre_norm_table, log_binomial,
                                log_factorial, spherical_harmonic)
 
@@ -197,25 +197,58 @@ def test_cg_orthogonality(tj1, tj2):
                 assert abs(acc - want) < 1e-10
 
 
-def test_cg_row_matches_scalar():
-    tm = np.arange(-10, 11, 2)
-    row = clebsch_gordan_row(5, 4, 2, tm)
-    for i, t in enumerate(tm):
-        m1 = t / 2
-        m2 = 2 - m1
-        want = clebsch_gordan(5, m1, 5, m2, 4, 2) if abs(m2) <= 5 else 0.0
-        assert abs(row[i] - want) < 1e-13
+def test_cg_blocks_match_scalar():
+    for tj1, tj2 in ((10, 10), (5, 3), (2, 7)):
+        seen = []
+        for tM, block in cg_blocks(tj1, tj2):
+            seen.append(tM)
+            assert np.max(np.abs(block.T @ block - np.eye(block.shape[1]))) < 1e-14
+            lo, l_lo = max(-tj1, tM - tj2), max(abs(tj1 - tj2), tM)
+            for a in range(block.shape[0]):
+                for b in range(block.shape[1]):
+                    tm1, tL = lo + 2 * a, l_lo + 2 * b
+                    args = (tj1 / 2, tm1 / 2, tj2 / 2, (tM - tm1) / 2, tL / 2)
+                    assert clebsch_gordan(*args, tM / 2) == block[a, b]
+                    # at M = 0 the mirror is another entry of the same block
+                    flip = (-1) ** ((tj1 + tj2 - tL) // 2)
+                    mirrored = (tj1 / 2, -tm1 / 2, tj2 / 2, -(tM - tm1) / 2, tL / 2)
+                    got = clebsch_gordan(*mirrored, -tM / 2)
+                    assert abs(got - flip * block[a, b]) < 1e-14
+        assert seen == list(range(tj1 + tj2, -1, -2))
 
 
 def test_cg_large_j_stability():
-    # orthogonality at the j ~ 50 scale used by sphere expansions; the
-    # alternating Racah sum loses ~1e-8 to cancellation there, no worse
-    for tL in (0, 40, 160):
-        acc = 0.0
-        for tm1 in range(-100, 101, 2):
-            a = clebsch_gordan(50, tm1 / 2, 50, -tm1 / 2, tL / 2, 0)
-            acc += a * a
-        assert abs(acc - 1.0) < 1e-7
+    for tj in (100, 200):
+        for tL in (0, 40, 160, 2 * tj):
+            acc = 0.0
+            for tm1 in range(-tj, tj + 1, 2):
+                a = clebsch_gordan(tj / 2, tm1 / 2, tj / 2, -tm1 / 2, tL / 2, 0)
+                acc += a * a
+            assert abs(acc - 1.0) <= 1e-12, (tj, tL)
+
+
+# (2j1, 2m1, 2j2, 2L, 2M) at j = 50, 100 and 200, equal and unequal j,
+# integer and half-integer; M = 0 and small M need the whole sign walk.
+# <100 7; 100 -7 | 120 0> = 0.0815... came out as 5120 from the Racah sum.
+LARGE_J_CASES = [
+    (100, 14, 100, 40, 0), (100, -96, 100, 198, 4), (100, 2, 100, 2, 2),
+    (200, 14, 200, 240, 0), (200, 0, 200, 2, 0), (200, -200, 200, 400, 0),
+    (200, 60, 199, 35, -3), (200, 198, 199, 397, 7), (201, -1, 200, 1, 1),
+    (400, 10, 400, 600, 0), (400, -4, 400, 0, 0), (400, 100, 400, 798, 0),
+]
+
+
+@pytest.mark.parametrize("tj1,tm1,tj2,tL,tM", LARGE_J_CASES)
+def test_cg_against_sympy_large_j(tj1, tm1, tj2, tL, tM):
+    sympy_cg = pytest.importorskip("sympy.physics.quantum.cg")
+    from sympy import Rational, N as sN
+
+    tm2 = tM - tm1
+    want = float(sN(sympy_cg.CG(
+        Rational(tj1, 2), Rational(tm1, 2), Rational(tj2, 2), Rational(tm2, 2),
+        Rational(tL, 2), Rational(tM, 2)).doit(), 30))
+    got = clebsch_gordan(tj1 / 2, tm1 / 2, tj2 / 2, tm2 / 2, tL / 2, tM / 2)
+    assert abs(got - want) <= 1e-13
 
 
 # ---------------------------------------------------------- spherical harmonics
