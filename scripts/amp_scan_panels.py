@@ -11,11 +11,8 @@ Usage: python scripts/amp_scan_panels.py [--out OUTDIR]
 """
 
 import argparse
-import json
-import os
-import tempfile
 
-from qnd_povm.cli import main as cli_main
+from qnd_povm.cli import run
 
 
 def cases():
@@ -63,14 +60,9 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="out/amp_scan")
     args = ap.parse_args()
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = os.path.join(tmp, "amp_scan.json")
-        with open(cfg, "w") as fh:
-            json.dump({"cases": cases()}, fh)
-        rc = cli_main(["amp-scan", "--config", cfg, "--out", args.out])
-    print(f"amp-scan -> {args.out} (exit {rc})")
-    return rc
+    run("amp-scan", {"cases": cases()}, args.out)
+    print(f"amp-scan -> {args.out}")
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    main()

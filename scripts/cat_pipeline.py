@@ -14,11 +14,9 @@ import argparse
 import json
 import math
 import os
-import tempfile
 
 from qnd_povm.analysis import cat_fidelity
-from qnd_povm.cli import _write_table
-from qnd_povm.cli import main as cli_main
+from qnd_povm.cli import run, write_table
 from qnd_povm.povm import PhotonOutcome, QndParams, amplitude, posterior
 from qnd_povm.spin_state import coherent_state
 
@@ -36,41 +34,32 @@ def main():
     base = {"params": PARAMS, "N": N_ATOMS,
             "initial": {"type": "coherent", "theta": "pi/2"}}
 
-    with tempfile.TemporaryDirectory() as tmp:
-        dist_cfg = os.path.join(tmp, "photon_dist.json")
-        with open(dist_cfg, "w") as fh:
-            json.dump(dict(base, mass_tolerance=1e-8), fh)
-        cli_main(["photon-dist", "--config", dist_cfg,
-                  "--out", os.path.join(args.out, "photon_dist.csv")])
-
-        wig_cfg = os.path.join(tmp, "wigner.json")
-        with open(wig_cfg, "w") as fh:
-            json.dump(dict(base, state="posterior", outcome=OUTCOME,
-                           grid={"n_theta": 121, "n_phi": 241}), fh)
-        cli_main(["wigner", "--config", wig_cfg,
-                  "--out", os.path.join(args.out, "wigner_posterior.csv")])
+    run("photon-dist", dict(base, mass_tolerance=1e-8),
+        os.path.join(args.out, "photon_dist.csv"))
+    run("wigner", dict(base, state="posterior", outcome=OUTCOME,
+                       grid={"n_theta": 121, "n_phi": 241}),
+        os.path.join(args.out, "wigner_posterior.csv"))
 
     params = QndParams(gamma=5.0, chi=5.0, gt=math.pi / 2.0)
     m_z = list(range(-N_ATOMS // 2, N_ATOMS // 2 + 1))
     envelopes = [[amplitude(params, PhotonOutcome(nc, nd), m) for m in m_z]
                  for nc, nd in ((26, 26), (0, 51), (51, 0))]
-    _write_table(os.path.join(args.out, "parity_envelopes.csv"),
-                 ["m_z", "A_both_ports", "A_c_dark", "A_d_dark"], [m_z, *envelopes])
+    write_table(os.path.join(args.out, "parity_envelopes.csv"),
+                ["m_z", "A_both_ports", "A_c_dark", "A_d_dark"], [m_z, *envelopes])
 
     prior = coherent_state(N_ATOMS, math.pi / 2.0)
     post = posterior(params, PhotonOutcome(**OUTCOME), prior)
-    _write_table(os.path.join(args.out, "wavefunction_before_after.csv"),
-                 ["m_z", "prior_re", "post_re", "post_im"],
-                 [m_z, prior.sectors[0].amps.real, post.sectors[0].amps.real,
-                  post.sectors[0].amps.imag])
+    write_table(os.path.join(args.out, "wavefunction_before_after.csv"),
+                ["m_z", "prior_re", "post_re", "post_im"],
+                [m_z, prior.sectors[0].amps.real, post.sectors[0].amps.real,
+                 post.sectors[0].amps.imag])
 
     fid = cat_fidelity(post, N_ATOMS)
     with open(os.path.join(args.out, "summary.json"), "w") as fh:
         json.dump({"cat_fidelity": fid, "outcome": OUTCOME, "N": N_ATOMS},
                   fh, indent=2, sort_keys=True)
     print(f"cat pipeline -> {args.out} (cat fidelity {fid:.12f})")
-    return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    main()

@@ -10,13 +10,10 @@ Usage: python scripts/dicke_photon_maps.py [--out OUTDIR]
 """
 
 import argparse
-import json
 import math
 import os
-import tempfile
 
-from qnd_povm.cli import _write_table
-from qnd_povm.cli import main as cli_main
+from qnd_povm.cli import run, write_table
 from qnd_povm.povm import QndParams
 
 
@@ -26,20 +23,15 @@ def main():
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        for label, m in (("m_minusJ", -50), ("m_zero", 0), ("m_halfJ", 25)):
-            cfg = {
-                "params": {"gamma": [5.1, 0.0], "chi": [5.0, 0.0], "gt": "pi/N"},
-                "N": 100,
-                "initial": {"type": "dicke", "m": m},
-                "mass_tolerance": 1e-8,
-            }
-            path = os.path.join(tmp, f"{label}.json")
-            with open(path, "w") as fh:
-                json.dump(cfg, fh)
-            out = os.path.join(args.out, f"dist_{label}.csv")
-            rc = cli_main(["photon-dist", "--config", path, "--out", out])
-            print(f"photon-dist m={m} -> {out} (exit {rc})")
+    for label, m in (("m_minusJ", -50), ("m_zero", 0), ("m_halfJ", 25)):
+        out = os.path.join(args.out, f"dist_{label}.csv")
+        run("photon-dist", {
+            "params": {"gamma": [5.1, 0.0], "chi": [5.0, 0.0], "gt": "pi/N"},
+            "N": 100,
+            "initial": {"type": "dicke", "m": m},
+            "mass_tolerance": 1e-8,
+        }, out)
+        print(f"photon-dist m={m} -> {out}")
 
     # r -> m0 map over the reachable asymmetry window
     params = QndParams(gamma=5.1, chi=5.0, gt=math.pi / 100.0)
@@ -47,10 +39,9 @@ def main():
     rs = [-params.cos_2eta + 2.0 * params.cos_2eta * i / steps for i in range(steps + 1)]
     m0s = [math.asin(r / params.cos_2eta) / params.gt for r in rs]
     path = os.path.join(args.out, "count_to_spin_map.csv")
-    _write_table(path, ["r", "m0"], [rs, m0s])
+    write_table(path, ["r", "m0"], [rs, m0s])
     print(f"count-to-spin map -> {path}")
-    return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    main()

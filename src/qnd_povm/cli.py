@@ -9,8 +9,9 @@ Subcommands reproduce the figure-class computations as CSV/JSON artifacts:
   project      projective-limit collapse parameters and state
   validate     run the built-in invariant suite
 
-Exit codes: 0 success, 2 configuration error, 3 resource cap, 4 numeric
-domain error.  All outputs are deterministic given config + seed.
+Exit codes: 0 success, 1 a validate check failed, 2 configuration or usage
+error, 3 resource cap, 4 numeric domain error.  All outputs are deterministic
+given config + seed.  Library callers use `run` with a config dict.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import contextlib
 import json
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -28,7 +30,7 @@ from . import __version__
 from .analysis import density_from_state, wigner
 from .approx import (gaussian_amplitude, gaussian_model, project,
                      projective_params)
-from .config import ExperimentConfig, build_params
+from .config import ExperimentConfig, build_params, read_config
 from .errors import (ConfigError, DomainError, PreconditionError,
                      QndError, ResourceCapError)
 from .povm import (PhotonOutcome, condition, eigen, outcome_distribution,
@@ -60,28 +62,19 @@ def _artifact(path):
         raise
 
 
-_CHUNK_ROWS = 4096
-
-
-def _write_table(path, columns, arrays, footer=()):
-    """Write equal-length columns as a CSV table under the versioned header.
-
-    Integers are written with str and floats with repr, one row per line
-    terminated by CRLF; the header and the `# key = value` footer lines end
-    in LF.  Rows are formatted in fixed-size chunks, so memory stays bounded
-    by the chunk rather than the table.
-    """
-    arrays = [np.asarray(a) for a in arrays]
-    line = ",".join("{!r}" if a.dtype.kind == "f" else "{}" for a in arrays) + "\r\n"
-    n = len(arrays[0])
-    with _artifact(path) as fh:
-        fh.write(HEADER + "\n")
-        fh.write(",".join(columns) + "\r\n")
-        for lo in range(0, n, _CHUNK_ROWS):
-            chunk = [a[lo:lo + _CHUNK_ROWS].tolist() for a in arrays]
-            fh.write("".join(map(line.format, *chunk)))
-        for comment in footer:
-            fh.write(f"# {comment}\n")
+@contextlib.contextmanager
+def _staged_dir(path):
+    """A fresh directory beside `path` that replaces `path` (and any earlier
+    tree there) once the block completes; a run that fails leaves neither."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    os.makedirs(tmp)
+    try:
+        yield tmp
+        shutil.rmtree(path, ignore_errors=True)
+        os.replace(tmp, path)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
 
 
 def _write_json(path, payload):
@@ -92,12 +85,42 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+_CHUNK_ROWS = 4096
+
+
+def write_table(path, columns, arrays, meta=None, fmt="csv"):
+    """Write equal-length columns as one table, in CSV or stamped JSON.
+
+    CSV: the versioned header, the column line and one row per line (ints
+    with str, floats with repr, CRLF endings), then a `# key = value` footer
+    line per `meta` item (LF endings), formatted in fixed-size chunks so
+    memory is bounded by the chunk.  JSON: `{columns, rows, **meta}`.  A
+    column after the first may be None: empty CSV fields, JSON nulls.
+    """
+    meta = meta or {}
+    n = len(arrays[0])
+    if fmt == "json":
+        rows = zip(*([None] * n if a is None else np.asarray(a).tolist() for a in arrays))
+        _write_json(path, {"columns": columns, "rows": list(rows), **meta})
+        return
+    arrays = [np.asarray([""] * n if a is None else a) for a in arrays]
+    line = ",".join("{!r}" if a.dtype.kind == "f" else "{}" for a in arrays) + "\r\n"
+    with _artifact(path) as fh:
+        fh.write(HEADER + "\n")
+        fh.write(",".join(columns) + "\r\n")
+        for lo in range(0, n, _CHUNK_ROWS):
+            chunk = [a[lo:lo + _CHUNK_ROWS].tolist() for a in arrays]
+            fh.write("".join(map(line.format, *chunk)))
+        for key, value in meta.items():
+            fh.write(f"# {key} = {value!r}\n")
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: (validated config, output path, table format) -> exit status
 # ---------------------------------------------------------------------------
 
-def cmd_amp_scan(cfg: ExperimentConfig, args) -> int:
-    if args.out is None:
+def cmd_amp_scan(cfg: ExperimentConfig, out, fmt) -> int:
+    if out is None or out == "-":
         raise ConfigError("amp-scan writes one file per case; --out DIR is required")
     # every case is computed before any file is written, so a config with a
     # failing case leaves no output behind
@@ -118,84 +141,58 @@ def cmd_amp_scan(cfg: ExperimentConfig, args) -> int:
         except DomainError:
             model = None
         gauss = None if model is None else [gaussian_amplitude(model, m) for m in m_z]
-        tables.append((case["label"], m_z, exact, exact / peak, gauss))
-    columns = ["m_z", "A_exact", "A_exact_normalized", "A_gauss"]
-    ext = "json" if args.format == "json" else "csv"
-    os.makedirs(args.out, exist_ok=True)
-    for label, m_z, exact, normed, gauss in tables:
-        path = os.path.join(args.out, f"{label}.{ext}")
-        if args.format == "json":
-            _write_json(path, {
-                "columns": columns,
-                "rows": list(zip(m_z, exact.tolist(), normed.tolist(),
-                                 gauss or [None] * len(m_z))),
-            })
-        else:
-            # an undefined Gaussian model leaves the A_gauss column empty
-            _write_table(path, columns,
-                         [m_z, exact, normed, gauss or [""] * len(m_z)])
+        tables.append((case["label"], [m_z, exact, exact / peak, gauss]))
+    os.makedirs(out, exist_ok=True)
+    for label, arrays in tables:
+        write_table(os.path.join(out, f"{label}.{fmt}"),
+                    ["m_z", "A_exact", "A_exact_normalized", "A_gauss"], arrays, fmt=fmt)
     return 0
 
 
-def cmd_photon_dist(cfg: ExperimentConfig, args) -> int:
-    params = cfg.params()
-    state = cfg.initial_state()
-    tol = args.mass_tol if args.mass_tol is not None else cfg.raw.get(
-        "mass_tolerance", 1e-6)
-    dist = outcome_distribution(params, state, tol,
+def cmd_photon_dist(cfg: ExperimentConfig, out, fmt) -> int:
+    dist = outcome_distribution(cfg.params(), cfg.initial_state(),
+                                cfg.raw.get("mass_tolerance", 1e-6),
                                 max_total=cfg.raw.get("max_total"))
-    columns = ["n_c", "n_d", "p"]
-    arrays = [dist.n_c, dist.n_d, dist.p]
-    if args.format == "json":
-        _write_json(args.out, {
-            "columns": columns,
-            "rows": list(zip(*(a.tolist() for a in arrays))),
-            "captured_mass": dist.captured_mass,
-            "cutoff_total": dist.cutoff_total,
-        })
-    else:
-        _write_table(args.out, columns, arrays,
-                     footer=[f"captured_mass = {dist.captured_mass!r}",
-                             f"cutoff_total = {dist.cutoff_total}"])
+    write_table(out, ["n_c", "n_d", "p"], [dist.n_c, dist.n_d, dist.p],
+                {"captured_mass": dist.captured_mass,
+                 "cutoff_total": dist.cutoff_total}, fmt)
     return 0
 
 
-def cmd_measure(cfg: ExperimentConfig, args) -> int:
+def cmd_measure(cfg: ExperimentConfig, out, fmt) -> int:
     params = cfg.params()
     state = cfg.initial_state()
-    tol = args.mass_tol if args.mass_tol is not None else cfg.raw.get(
-        "mass_tolerance", 1e-9)
-    seed = args.seed if args.seed is not None else cfg.raw.get("seed", 0)
-    shots = cfg.raw["shots"]
+    seed = int(cfg.raw.get("seed", 0))
     dump = cfg.raw.get("dump_posteriors", False)
-    if dump and (args.out is None or args.out == "-"):
+    if dump and (out is None or out == "-"):
         raise ConfigError("dump_posteriors needs --out FILE to anchor the dump dir")
-    dist = outcome_distribution(params, state, tol,
+    dump_dir = f"{out}.posteriors"
+    dist = outcome_distribution(params, state, cfg.raw.get("mass_tolerance", 1e-9),
                                 max_total=cfg.raw.get("max_total"))
     prior_m = moments(state)
-    with _artifact(args.out) as fh:
-        for shot in range(shots):
-            shot_seed = (int(seed) + shot) % (1 << 64)
-            out = sample_outcome(dist, shot_seed)
-            log_p, post = condition(params, out, state)
+    staged = _staged_dir(dump_dir) if dump else contextlib.nullcontext()
+    with _artifact(out) as fh, staged as stage:
+        for shot in range(cfg.raw["shots"]):
+            shot_seed = (seed + shot) % (1 << 64)
+            outcome = sample_outcome(dist, shot_seed)
+            log_p, post = condition(params, outcome, state)
             if post is None:
                 raise QndError(
-                    f"sampled outcome ({out.n_c}, {out.n_d}) has zero "
+                    f"sampled outcome ({outcome.n_c}, {outcome.n_d}) has zero "
                     f"probability (shot {shot}, seed {shot_seed})"
                 )
             post_m = moments(post)
             ref = None
             if dump:
-                dump_dir = args.out + ".posteriors"
-                os.makedirs(dump_dir, exist_ok=True)
-                ref = os.path.join(dump_dir, f"shot_{shot:06d}.json")
-                with open(ref, "w", encoding="utf-8") as pf:
+                name = f"shot_{shot:06d}.json"
+                ref = os.path.join(dump_dir, name)
+                with open(os.path.join(stage, name), "w", encoding="utf-8") as pf:
                     json.dump(state_to_json(post), pf, sort_keys=True)
             record = {
                 "seed": shot_seed,
-                "n_c": out.n_c,
-                "n_d": out.n_d,
-                "r": out.r if out.total > 0 else None,
+                "n_c": outcome.n_c,
+                "n_d": outcome.n_d,
+                "r": outcome.r if outcome.total > 0 else None,
                 "log_prob": log_p,
                 "mean_jz": post_m.mean_jz,
                 "var_jz": post_m.var_jz,
@@ -207,39 +204,30 @@ def cmd_measure(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def cmd_wigner(cfg: ExperimentConfig, args) -> int:
+def cmd_wigner(cfg: ExperimentConfig, out, fmt) -> int:
     params = cfg.params()
     state = cfg.initial_state()
     if cfg.raw.get("state", "prior") == "posterior":
         oc = cfg.raw["outcome"]
         state = posterior(params, PhotonOutcome(oc["n_c"], oc["n_d"]), state)
     grid = cfg.raw.get("grid", {})
-    n_theta = grid.get("n_theta", 181)
-    n_phi = grid.get("n_phi", 361)
     rho = density_from_state(state, cfg.n_atoms / 2.0)
-    wg = wigner(rho, n_theta=n_theta, n_phi=n_phi)
-    columns = ["theta", "phi", "w"]
+    wg = wigner(rho, n_theta=grid.get("n_theta", 181), n_phi=grid.get("n_phi", 361))
     # row-major over the grid: theta outer, phi inner
-    arrays = [np.repeat(wg.thetas, wg.phis.size), np.tile(wg.phis, wg.thetas.size),
-              wg.values.ravel()]
-    if args.format == "json":
-        _write_json(args.out, {
-            "columns": columns,
-            "rows": list(zip(*(a.tolist() for a in arrays))),
-        })
-    else:
-        _write_table(args.out, columns, arrays)
+    write_table(out, ["theta", "phi", "w"],
+                [np.repeat(wg.thetas, wg.phis.size), np.tile(wg.phis, wg.thetas.size),
+                 wg.values.ravel()], fmt=fmt)
     return 0
 
 
-def cmd_project(cfg: ExperimentConfig, args) -> int:
+def cmd_project(cfg: ExperimentConfig, out, fmt) -> int:
     params = cfg.params()
     state = cfg.initial_state()
     oc = cfg.raw["outcome"]
     outcome = PhotonOutcome(oc["n_c"], oc["n_d"])
     pp = projective_params(params, outcome)
     amp, collapsed = project(params, state, pp.u, pp.m0)
-    _write_json(args.out, {
+    _write_json(out, {
         "u": pp.u, "v": pp.v, "m0": pp.m0,
         "xi_c": pp.xi_c, "xi_d": pp.xi_d,
         "xi_plus": pp.xi_plus, "xi_minus": pp.xi_minus,
@@ -249,20 +237,51 @@ def cmd_project(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def cmd_validate(cfg: ExperimentConfig, args) -> int:
+def cmd_validate(cfg: ExperimentConfig, out, fmt) -> int:
     from .validate import run_all
 
-    seed = args.seed if args.seed is not None else cfg.raw.get("seed", 20260810)
-    results = run_all(seed=int(seed))
+    results = run_all(seed=int(cfg.raw.get("seed", 20260810)))
     ok = True
-    with _artifact(args.out) as fh:
+    with _artifact(out) as fh:
         for name, passed, detail in results:
             ok &= passed
             fh.write(f"{'PASS' if passed else 'FAIL'}  {name}  {detail}\n")
     return 0 if ok else 1
 
 
-# ---------------------------------------------------------------------------
+# subcommand -> (function, the flags it reads beyond --config and --out)
+_COMMANDS = {
+    "amp-scan": (cmd_amp_scan, ("--format",)),
+    "photon-dist": (cmd_photon_dist, ("--mass-tol", "--format")),
+    "measure": (cmd_measure, ("--seed", "--mass-tol")),
+    "wigner": (cmd_wigner, ("--format",)),
+    "project": (cmd_project, ()),
+    "validate": (cmd_validate, ("--seed",)),
+}
+
+# an override flag is left out of the parsed namespace unless it is given,
+# and stores under the config key it replaces
+_FLAGS = {
+    "--seed": {"type": int, "default": argparse.SUPPRESS,
+               "help": "override the config seed"},
+    "--mass-tol": {"type": float, "dest": "mass_tolerance", "default": argparse.SUPPRESS,
+                   "help": "override the distribution mass tolerance"},
+    "--format": {"choices": ("csv", "json"), "default": "csv",
+                 "help": "table format (default csv)"},
+}
+
+
+def run(command: str, raw: dict, out=None, fmt: str = "csv") -> int:
+    """Run a subcommand on a config dict, which must pass its schema.
+
+    `out` is as for --out (None or "-" is stdout) and `fmt` as for --format.
+    Returns the exit status; failures raise a QndError instead.
+    """
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"unknown table format {fmt!r}")
+    cfg = ExperimentConfig.from_dict(command, raw)
+    return _COMMANDS[command][0](cfg, out, fmt)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -272,38 +291,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"qnd-povm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("amp-scan", "photon-dist", "measure", "wigner", "project",
-                 "validate"):
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to the JSON experiment config",
                        required=name != "validate")
         p.add_argument("--out", help="output path (directory for amp-scan); "
                        "stdout when omitted")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--mass-tol", type=float, dest="mass_tol",
-                       help="override the distribution mass tolerance")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
-_DISPATCH = {
-    "amp-scan": cmd_amp_scan,
-    "photon-dist": cmd_photon_dist,
-    "measure": cmd_measure,
-    "wigner": cmd_wigner,
-    "project": cmd_project,
-    "validate": cmd_validate,
-}
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command, path, out = args.pop("command"), args.pop("config"), args.pop("out")
+    fmt = args.pop("format", "csv")
     try:
-        if args.command == "validate" and args.config is None:
-            cfg = ExperimentConfig.from_dict("validate", {})
-        else:
-            cfg = ExperimentConfig.load(args.command, args.config)
-        return _DISPATCH[args.command](cfg, args)
+        # what is left of the namespace are the config overrides
+        raw = {**read_config(path), **args} if path is not None else args
+        return run(command, raw, out, fmt)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

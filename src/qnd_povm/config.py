@@ -214,6 +214,20 @@ def build_initial(raw: dict, N: int) -> CollectiveState:
     return dicke_state(N / 2.0, raw["m"])
 
 
+def read_config(path: str) -> dict:
+    """The JSON object in the config file at `path`, not yet validated."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return raw
+
+
 @dataclass
 class ExperimentConfig:
     """Validated configuration for one CLI command."""
@@ -223,14 +237,7 @@ class ExperimentConfig:
 
     @staticmethod
     def load(command: str, path: str) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        return ExperimentConfig.from_dict(command, raw)
+        return ExperimentConfig.from_dict(command, read_config(path))
 
     @staticmethod
     def from_dict(command: str, raw: dict) -> "ExperimentConfig":
@@ -241,6 +248,12 @@ class ExperimentConfig:
             jsonschema.validate(raw, schema)
         except jsonschema.ValidationError as exc:
             raise ConfigError(f"config rejected: {exc.message}") from exc
+        if command == "amp-scan":
+            labels = [case["label"] for case in raw["cases"]]
+            dup = sorted({label for label in labels if labels.count(label) > 1})
+            if dup:
+                raise ConfigError(f"amp-scan writes one file per case label; "
+                                  f"duplicated: {', '.join(dup)}")
         if command == "wigner" and raw.get("state", "prior") == "posterior":
             if "outcome" not in raw:
                 raise ConfigError("posterior Wigner map needs an outcome")

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -75,6 +76,8 @@ def test_exit_code_config_error(tmp_path):
     notjson = tmp_path / "nj.json"
     notjson.write_text("{broken")
     assert run_cli("photon-dist", "--config", str(notjson)) == 2
+    notobject = write_config(tmp_path, "list.json", [])
+    assert run_cli("photon-dist", "--config", notobject, "--mass-tol", "1e-3") == 2
 
 
 def test_exit_code_resource_cap(tmp_path, capsys):
@@ -149,6 +152,8 @@ def test_amp_scan_requires_out(tmp_path):
                       "outcome": {"n_c": 25, "n_d": 25}}]}
     path = write_config(tmp_path, "amp.json", cfg)
     assert run_cli("amp-scan", "--config", path) == 2
+    assert run_cli("amp-scan", "--config", path, "--out", "-") == 2
+    assert os.listdir(tmp_path) == ["amp.json"]
 
 
 def test_amp_scan_equivalent_time_overlap(tmp_path):
@@ -595,22 +600,24 @@ def test_amp_scan_bytes_pinned(tmp_path):
 
 def test_table_writer_failure_leaves_no_file(tmp_path):
     out = tmp_path / "t.csv"
-    cli._write_table(str(out), ["a", "b"], [np.arange(3), np.ones(3)], ["k = 1"])
+    cli.write_table(str(out), ["a", "b"], [np.arange(3), np.ones(3)], {"k": 1})
     assert os.listdir(tmp_path) == ["t.csv"]
     out.unlink()
 
-    def footer():
-        yield "k = 1"
-        raise RuntimeError("interrupted")
+    class Interrupted:
+        def __repr__(self):
+            raise RuntimeError("interrupted")
 
     with pytest.raises(RuntimeError):
-        cli._write_table(str(out), ["a", "b"], [np.arange(3), np.ones(3)], footer())
+        cli.write_table(str(out), ["a", "b"], [np.arange(3), np.ones(3)],
+                        {"k": 1, "late": Interrupted()})
     assert os.listdir(tmp_path) == []
 
 
 def test_measure_failure_leaves_no_file(tmp_path, monkeypatch):
     path = write_config(tmp_path, "m.json", dict(BASE, shots=8, seed=7,
-                                                 mass_tolerance=1e-8))
+                                                 mass_tolerance=1e-8,
+                                                 dump_posteriors=True))
     calls = []
     real = cli.condition
 
@@ -625,3 +632,91 @@ def test_measure_failure_leaves_no_file(tmp_path, monkeypatch):
                    "--out", str(tmp_path / "m.jsonl")) == 4
     assert len(calls) == 3
     assert os.listdir(tmp_path) == ["m.json"]
+
+
+def test_measure_rerun_replaces_posterior_dump(tmp_path):
+    out = tmp_path / "m.jsonl"
+    dump = tmp_path / "m.jsonl.posteriors"
+    for shots in (8, 3):
+        path = write_config(tmp_path, "m.json", dict(BASE, shots=shots, seed=1,
+                                                     mass_tolerance=1e-8,
+                                                     dump_posteriors=True))
+        assert run_cli("measure", "--config", path, "--out", str(out)) == 0
+        refs = [json.loads(line)["posterior_ref"]
+                for line in out.read_text().splitlines()]
+        assert sorted(os.listdir(dump)) == sorted(os.path.basename(r) for r in refs)
+        assert len(refs) == shots
+    assert sorted(os.listdir(tmp_path)) == ["m.json", "m.jsonl", "m.jsonl.posteriors"]
+
+
+# ------------------------------------------------------------ flags and run
+
+def test_parser_registers_only_the_flags_each_command_reads():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: sorted(s for a in p._actions for s in a.option_strings
+                          if s not in ("-h", "--help"))
+             for name, p in sub.choices.items()}
+    assert flags == {
+        "amp-scan": ["--config", "--format", "--out"],
+        "photon-dist": ["--config", "--format", "--mass-tol", "--out"],
+        "measure": ["--config", "--mass-tol", "--out", "--seed"],
+        "wigner": ["--config", "--format", "--out"],
+        "project": ["--config", "--out"],
+        "validate": ["--config", "--out", "--seed"],
+    }
+    assert sum(map(len, flags.values())) == 19
+
+
+@pytest.mark.parametrize("argv", [
+    ["project", "--format", "csv"],
+    ["wigner", "--seed", "3"],
+    ["amp-scan", "--mass-tol", "1e-6"],
+])
+def test_flag_a_command_does_not_read_is_rejected(tmp_path, argv, capsys):
+    path = write_config(tmp_path, "c.json", {})
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv[0], "--config", path, *argv[1:])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--seed", "-1"],
+    ["measure", "--seed", "-1"],
+    ["photon-dist", "--mass-tol", "2"],
+    ["measure", "--mass-tol", "0"],
+])
+def test_override_flags_pass_the_config_schema(tmp_path, argv, capsys):
+    cfg = dict(BASE, shots=2, mass_tolerance=1e-6)
+    if argv[0] == "photon-dist":
+        del cfg["shots"]
+    config = [] if argv[0] == "validate" else [
+        "--config", write_config(tmp_path, "c.json", cfg)]
+    out = tmp_path / "out"
+    assert run_cli(argv[0], *config, *argv[1:], "--out", str(out)) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_amp_scan_rejects_duplicate_labels(tmp_path, capsys):
+    case = {"label": "a", "params": BASE["params"], "N": 10,
+            "outcome": {"n_c": 25, "n_d": 25}}
+    path = write_config(tmp_path, "amp.json", {"cases": [case, dict(case, N=20)]})
+    outdir = tmp_path / "scan"
+    assert run_cli("amp-scan", "--config", path, "--out", str(outdir)) == 2
+    assert "duplicated: a" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_run_takes_a_config_dict(tmp_path):
+    a, b = tmp_path / "a.json.out", tmp_path / "b.json.out"
+    path = write_config(tmp_path, "pd.json", PD_SMALL)
+    assert run_cli("photon-dist", "--config", path, "--out", str(a),
+                   "--format", "json") == 0
+    assert cli.run("photon-dist", PD_SMALL, str(b), "json") == 0
+    assert a.read_bytes() == b.read_bytes()
+    with pytest.raises(ConfigError):
+        cli.run("photon-dist", dict(PD_SMALL, N=0), str(b))
+    with pytest.raises(ConfigError):
+        cli.run("photon-dist", PD_SMALL, str(b), "xml")

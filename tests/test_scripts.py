@@ -1,9 +1,13 @@
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 
 import pytest
+
+from qnd_povm import cli
+from qnd_povm.errors import DomainError
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -32,3 +36,24 @@ def test_experiment_script_runs(tmp_path, script, expected):
         assert path.exists(), name
         assert path.stat().st_size > 0
     assert os.listdir(scratch) == []
+
+
+@pytest.mark.parametrize("script,step", [
+    ("amp_scan_panels.py", "eigen"),
+    ("dicke_photon_maps.py", "outcome_distribution"),
+    ("cat_pipeline.py", "outcome_distribution"),
+])
+def test_script_fails_when_a_step_fails(tmp_path, monkeypatch, script, step):
+    def failing(*args, **kwargs):
+        raise DomainError("injected failure")
+
+    monkeypatch.setattr(cli, step, failing)
+    monkeypatch.setattr(sys, "argv", [script, "--out", str(tmp_path / "out")])
+    try:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code not in (0, None)
+    except DomainError:
+        pass
+    else:
+        pytest.fail(f"{script} succeeded although a step failed")
