@@ -10,8 +10,9 @@ Subcommands reproduce the figure-class computations as CSV/JSON artifacts:
   validate     run the built-in invariant suite
 
 Exit codes: 0 success, 1 a validate check failed, 2 configuration or usage
-error, 3 resource cap, 4 numeric domain error.  All outputs are deterministic
-given config + seed.  Library callers use `run` with a config dict.
+error (including an output that cannot be written), 3 resource cap, 4
+numeric domain error.  All outputs are deterministic given config + seed.
+Library callers use `run` with a config dict.
 """
 
 from __future__ import annotations
@@ -41,6 +42,15 @@ HEADER = f"# qnd-povm v{__version__}, schema v1"
 
 
 @contextlib.contextmanager
+def _writing(path):
+    """Report an output that cannot be written as a usage error (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+@contextlib.contextmanager
 def _artifact(path):
     """Text handle for one output artifact.
 
@@ -52,14 +62,15 @@ def _artifact(path):
         yield sys.stdout
         return
     tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    with _writing(path):
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
 
 
 @contextlib.contextmanager
@@ -67,14 +78,15 @@ def _staged_dir(path):
     """A fresh directory beside `path` that replaces `path` (and any earlier
     tree there) once the block completes; a run that fails leaves neither."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    os.makedirs(tmp)
-    try:
-        yield tmp
-        shutil.rmtree(path, ignore_errors=True)
-        os.replace(tmp, path)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
+    with _writing(path):
+        os.makedirs(tmp)
+        try:
+            yield tmp
+            shutil.rmtree(path, ignore_errors=True)
+            os.replace(tmp, path)
+        except BaseException:
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise
 
 
 def _write_json(path, payload):
@@ -142,7 +154,8 @@ def cmd_amp_scan(cfg: ExperimentConfig, out, fmt) -> int:
             model = None
         gauss = None if model is None else [gaussian_amplitude(model, m) for m in m_z]
         tables.append((case["label"], [m_z, exact, exact / peak, gauss]))
-    os.makedirs(out, exist_ok=True)
+    with _writing(out):
+        os.makedirs(out, exist_ok=True)
     for label, arrays in tables:
         write_table(os.path.join(out, f"{label}.{fmt}"),
                     ["m_z", "A_exact", "A_exact_normalized", "A_gauss"], arrays, fmt=fmt)

@@ -32,6 +32,8 @@ from .spin_state import CollectiveState, normalize, scale_amplitudes
 _TWO_PI = 2.0 * math.pi
 # sentinel for log(0) that survives multiplication by small integer counts
 _LOG_ZERO = -1e9
+_MAX_ROWS = 1 << 24
+_TOTAL_RTOL = 1e-10
 
 
 def _wrap_pi(x: float) -> float:
@@ -379,70 +381,68 @@ def posterior(params: QndParams, outcome: PhotonOutcome,
 def outcome_distribution(params: QndParams, state: CollectiveState,
                          mass_tolerance: float,
                          max_total: int | None = None) -> OutcomeDistribution:
-    """Enumerate outcome probabilities until the requested mass is captured.
+    """Outcome probabilities over a total-photon window holding the requested mass.
 
-    Walks total photon number over a window centered on the Poissonian mean
-    |gamma|^2 + |chi|^2 with half-width k sqrt(mean), growing k until the
-    captured mass reaches 1 - mass_tolerance.  Entries come back ordered by
-    ascending total, then ascending n_c.  A window that would have to grow
-    past the hard cap raises ResourceCapError carrying the partial mass.
+    P(n_c, n_d) = sum_m |psi_m|^2 Pois(n_c; lam_c(m)) Pois(n_d; lam_d(m)), with
+    lam = (s/2) e^{log base} and lam_c + lam_d = s, so n_c + n_d ~ Pois(s)
+    whatever the state.  On that marginal alone the window, half-width
+    k sqrt(s) around s, grows over k = 4, 5, ... until it holds
+    1 - mass_tolerance; each total's row (by ascending n_c) is then one
+    contraction over m of two per-port Poisson tables.  A window past
+    max_total (carrying the marginal mass up to it) or over _MAX_ROWS entries
+    raises ResourceCapError before any table is built; a total whose rows
+    miss its Pois(s) mass by _TOTAL_RTOL raises DomainError.
     """
     if not state.is_normalized():
         raise PreconditionError("outcome_distribution needs a normalized state")
     if not (0.0 < mass_tolerance < 1.0):
         raise DomainError("mass_tolerance must lie strictly between 0 and 1")
+    if max_total is not None and max_total < 0:
+        raise DomainError("max_total must be non-negative")
     s = params.photon_mean
     cap = int(max_total) if max_total is not None else int(4.0 * s + 100.0)
-    sigma_p = math.sqrt(s)
-
     weights = np.concatenate([np.abs(sec.amps) ** 2 for sec in state.sectors])
-    lc, ld = _log_bases(params, state.m_values())
-
-    rows: dict[int, np.ndarray] = {}
-    lf = log_factorial_array(cap + 1)
-
-    def row(total: int) -> np.ndarray:
-        got = rows.get(total)
-        if got is not None:
-            return got
-        ncs = np.arange(total + 1)
-        const = -s + total * math.log(s / 2.0)
-        # in place, in the order of
-        #   ncs lc + (total - ncs) ld - (lf[ncs] + lf[total - ncs]) + const
-        # so that every probability is the same float as the expression's
-        x = np.multiply.outer(ncs, lc)
-        x += np.multiply.outer(total - ncs, ld)
-        x -= (lf[ncs] + lf[total - ncs])[:, None]
-        x += const
-        with np.errstate(under="ignore"):
-            np.exp(x, out=x)
-        p = x @ weights
-        rows[total] = p
-        return p
 
     k = 4.0
     while True:
-        lo = max(0, math.ceil(s - k * sigma_p))
-        hi = math.floor(s + k * sigma_p)
+        lo = max(0, math.ceil(s - k * math.sqrt(s)))
+        hi = math.floor(s + k * math.sqrt(s))
+        top = min(hi, cap)
+        n_rows = (top - lo + 1) * (lo + top + 2) // 2
+        if n_rows > _MAX_ROWS:
+            raise ResourceCapError(f"the photon window {lo}..{top} holds {n_rows} "
+                                   f"outcomes, over the cap of {_MAX_ROWS}")
+        lf = log_factorial_array(top)
+        marginal = weights.sum() * np.exp(np.arange(lo, top + 1) * math.log(s) - s - lf[lo:])
+        mass = float(marginal.sum())
         if hi > cap:
-            mass = sum(float(np.sum(row(t))) for t in range(lo, cap + 1))
-            raise ResourceCapError(
-                f"photon window exceeded the cap of {cap} total photons",
-                captured_mass=mass,
-            )
-        mass = 0.0
-        for t in range(lo, hi + 1):
-            mass += float(np.sum(row(t)))
+            raise ResourceCapError(f"photon window exceeded the cap of {cap} total "
+                                   "photons", captured_mass=mass)
         if mass >= 1.0 - mass_tolerance:
             break
         k += 1.0
 
+    # Pois(n; lam) = exp(n ln lam - lam - ln n!); exactly [n == 0] at lam = 0
+    log_lam = math.log(s / 2.0) + np.stack(_log_bases(params, state.m_values()))
+    with np.errstate(under="ignore"):
+        table = np.exp(log_lam[..., None] * np.arange(hi + 1) - lf
+                       - np.exp(log_lam)[..., None])
+    a = weights[:, None] * table[0]
+    b = table[1, :, ::-1].copy()  # n_d descending: total t is a[:, :t+1] . b[:, hi-t:]
+
     window = range(lo, hi + 1)
     n_c = np.concatenate([np.arange(t + 1) for t in window])
     n_d = np.repeat(window, [t + 1 for t in window]) - n_c
-    p = np.concatenate([rows[t] for t in window])
+    p = np.empty(n_c.size)
+    starts = np.flatnonzero(n_c == 0)
+    for t, start in zip(window, starts.tolist()):
+        np.einsum("mi,mi->i", a[:, :t + 1], b[:, hi - t:], out=p[start:start + t + 1])
+    by_total = np.add.reduceat(p, starts)
+    bad = np.flatnonzero(np.abs(by_total - marginal) > _TOTAL_RTOL * marginal)
+    if bad.size:
+        raise DomainError(f"the rows of total {lo + bad[0]} miss its Poisson mass")
     return OutcomeDistribution(n_c=n_c, n_d=n_d, p=p, cutoff_total=hi,
-                               captured_mass=mass)
+                               captured_mass=float(by_total.sum()))
 
 
 def sample_outcome(dist: OutcomeDistribution, seed: int) -> PhotonOutcome:

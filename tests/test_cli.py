@@ -649,6 +649,46 @@ def test_measure_rerun_replaces_posterior_dump(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["m.json", "m.jsonl", "m.jsonl.posteriors"]
 
 
+AMP_CASE = {"label": "a", "params": BASE["params"], "N": 10,
+            "outcome": {"n_c": 25, "n_d": 25}}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("photon-dist", PD_SMALL),
+    ("measure", dict(PD_SMALL, shots=3, dump_posteriors=True)),
+    ("amp-scan", {"cases": [AMP_CASE]}),
+    ("validate", None),
+])
+def test_unwritable_out_is_a_usage_error(tmp_path, command, cfg, capsys):
+    # amp-scan creates missing directories, so its output sits under a file
+    (tmp_path / "file").write_text("")
+    out = tmp_path / ("file" if command == "amp-scan" else "missing") / "x"
+    config = [] if cfg is None else ["--config", write_config(tmp_path, "c.json", cfg)]
+    assert run_cli(command, *config, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out}")
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_unwritable_posterior_dump_is_a_usage_error(tmp_path):
+    (tmp_path / "file").write_text("")
+    with pytest.raises(ConfigError, match="cannot write"):
+        with cli._staged_dir(str(tmp_path / "file" / "dump")):
+            pass
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_photon_window_over_the_row_cap_exits_3(tmp_path, capsys):
+    # a window of 2.3e13 rows: refused before any table is allocated
+    cfg = dict(BASE, N=10, params={"gamma": [1e4, 0.0], "chi": [1e4, 0.0], "gt": "pi/N"})
+    path = write_config(tmp_path, "big.json", cfg)
+    out = tmp_path / "big.csv"
+    assert run_cli("photon-dist", "--config", path, "--out", str(out)) == 3
+    assert "over the cap of 16777216" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["big.json"]
+
+
 # ------------------------------------------------------------ flags and run
 
 def test_parser_registers_only_the_flags_each_command_reads():

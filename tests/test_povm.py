@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qnd_povm import povm
 from qnd_povm.approx import approx_apply
 from qnd_povm.errors import DomainError, PreconditionError, ResourceCapError
 from qnd_povm.povm import (OutcomeDistribution, PhotonOutcome, QndParams,
@@ -351,11 +352,52 @@ def test_distribution_resource_cap():
     assert 0.0 < err.value.captured_mass < 1.0
 
 
+def _no_tables(*args):
+    raise AssertionError("a per-port table was built")
+
+
+def test_distribution_cap_mass_is_the_poisson_marginal(monkeypatch):
+    # the window is fixed from Pois(s) before any table is built, so the
+    # partial mass is the marginal over [lo, max_total] whatever the state
+    monkeypatch.setattr(povm, "_log_bases", _no_tables)
+    st = coherent_state(10, math.pi / 2.0)
+    with pytest.raises(ResourceCapError) as err:
+        outcome_distribution(P_REF, st, 1e-12, max_total=55)
+    s = P_REF.photon_mean
+    lo = math.ceil(s - 4.0 * math.sqrt(s))
+    want = math.fsum(poisson_pmf(s, t) for t in range(lo, 56))
+    assert err.value.captured_mass == pytest.approx(want, rel=1e-12)
+
+
+def test_distribution_row_cap_before_any_table(monkeypatch):
+    monkeypatch.setattr(povm, "_log_bases", _no_tables)
+    bright = QndParams(gamma=1e4, chi=1e4, gt=0.01)
+    with pytest.raises(ResourceCapError, match="over the cap of 16777216"):
+        outcome_distribution(bright, coherent_state(4, 1.0), 1e-9)
+
+
+def test_distribution_rows_guard_rejects_corrupt_bases(monkeypatch):
+    real = povm._log_bases
+
+    def corrupt(params, m):
+        lc, ld = real(params, m)
+        lc[len(lc) // 2] += 1e-6
+        return lc, ld
+
+    st = coherent_state(20, math.pi / 3.0)
+    outcome_distribution(P_REF, st, 1e-9)
+    monkeypatch.setattr(povm, "_log_bases", corrupt)
+    with pytest.raises(DomainError, match="Poisson mass"):
+        outcome_distribution(P_REF, st, 1e-9)
+
+
 def test_distribution_mass_tolerance_domain():
     st = coherent_state(4, math.pi / 2.0)
     for bad in (0.0, 1.0, -0.1, 2.0):
         with pytest.raises(DomainError):
             outcome_distribution(P_REF, st, bad)
+    with pytest.raises(DomainError):
+        outcome_distribution(P_REF, st, 1e-6, max_total=-1)
 
 
 def test_unity_decomposition_random_states():
