@@ -34,8 +34,8 @@ from .approx import (gaussian_amplitude, gaussian_model, project,
 from .config import ExperimentConfig, build_params, read_config
 from .errors import (ConfigError, DomainError, PreconditionError,
                      QndError, ResourceCapError)
-from .povm import (PhotonOutcome, condition, eigen, outcome_distribution,
-                   posterior, sample_outcome)
+from .povm import (PhotonOutcome, condition, condition_many, eigen,
+                   outcome_distribution, posterior, sample_outcome)
 from .spin_state import moments, state_to_json
 
 HEADER = f"# qnd-povm v{__version__}, schema v1"
@@ -172,6 +172,10 @@ def cmd_photon_dist(cfg: ExperimentConfig, out, fmt) -> int:
     return 0
 
 
+# shots conditioned per `condition_many` call; bounds its B x dim scratch
+_SHOT_BLOCK = 128
+
+
 def cmd_measure(cfg: ExperimentConfig, out, fmt) -> int:
     params = cfg.params()
     state = cfg.initial_state()
@@ -182,38 +186,46 @@ def cmd_measure(cfg: ExperimentConfig, out, fmt) -> int:
     dump_dir = f"{out}.posteriors"
     dist = outcome_distribution(params, state, cfg.raw.get("mass_tolerance", 1e-9),
                                 max_total=cfg.raw.get("max_total"))
-    prior_m = moments(state)
+    prior_var = moments(state).var_jz
+    shots = cfg.raw["shots"]
     staged = _staged_dir(dump_dir) if dump else contextlib.nullcontext()
     with _artifact(out) as fh, staged as stage:
-        for shot in range(cfg.raw["shots"]):
-            shot_seed = (seed + shot) % (1 << 64)
-            outcome = sample_outcome(dist, shot_seed)
-            log_p, post = condition(params, outcome, state)
-            if post is None:
+        for lo in range(0, shots, _SHOT_BLOCK):
+            block = range(lo, min(lo + _SHOT_BLOCK, shots))
+            seeds = [(seed + shot) % (1 << 64) for shot in block]
+            outcomes = [sample_outcome(dist, s) for s in seeds]
+            log_p, mean_jz, var_jz = condition_many(
+                params, [o.n_c for o in outcomes], [o.n_d for o in outcomes], state)
+            dead = np.flatnonzero(log_p == -math.inf)
+            if dead.size:
+                i = int(dead[0])
                 raise QndError(
-                    f"sampled outcome ({outcome.n_c}, {outcome.n_d}) has zero "
-                    f"probability (shot {shot}, seed {shot_seed})"
+                    f"sampled outcome ({outcomes[i].n_c}, {outcomes[i].n_d}) has zero "
+                    f"probability (shot {block[i]}, seed {seeds[i]})"
                 )
-            post_m = moments(post)
-            ref = None
-            if dump:
-                name = f"shot_{shot:06d}.json"
-                ref = os.path.join(dump_dir, name)
-                with open(os.path.join(stage, name), "w", encoding="utf-8") as pf:
-                    json.dump(state_to_json(post), pf, sort_keys=True)
-            record = {
-                "seed": shot_seed,
-                "n_c": outcome.n_c,
-                "n_d": outcome.n_d,
-                "r": outcome.r if outcome.total > 0 else None,
-                "log_prob": log_p,
-                "mean_jz": post_m.mean_jz,
-                "var_jz": post_m.var_jz,
-                "squeezing_ratio": post_m.var_jz / prior_m.var_jz
-                if prior_m.var_jz > 0 else None,
-                "posterior_ref": ref,
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            columns = zip(block, seeds, outcomes, log_p.tolist(), mean_jz.tolist(),
+                          var_jz.tolist())
+            for shot, shot_seed, outcome, lp, mean, var in columns:
+                ref = None
+                if dump:
+                    # only the dump needs the posterior's per-m_z phases
+                    post = condition(params, outcome, state)[1]
+                    name = f"shot_{shot:06d}.json"
+                    ref = os.path.join(dump_dir, name)
+                    with open(os.path.join(stage, name), "w", encoding="utf-8") as pf:
+                        json.dump(state_to_json(post), pf, sort_keys=True)
+                record = {
+                    "seed": shot_seed,
+                    "n_c": outcome.n_c,
+                    "n_d": outcome.n_d,
+                    "r": outcome.r if outcome.total > 0 else None,
+                    "log_prob": lp,
+                    "mean_jz": mean,
+                    "var_jz": var,
+                    "squeezing_ratio": var / prior_var if prior_var > 0 else None,
+                    "posterior_ref": ref,
+                }
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
     return 0
 
 
@@ -327,8 +339,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:
-        print(f"resource cap: {exc} (captured_mass={exc.captured_mass!r})",
-              file=sys.stderr)
+        mass = "" if exc.captured_mass is None else f" (captured_mass={exc.captured_mass!r})"
+        print(f"resource cap: {exc}{mass}", file=sys.stderr)
         return 3
     except (DomainError, PreconditionError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -24,10 +24,11 @@ class ZeroProjectionError(DomainError):
 class ResourceCapError(QndError):
     """An enumeration window hit its hard cap before converging.
 
-    Carries the mass captured so far so callers can report partial results.
+    Carries the mass captured so far so callers can report partial results;
+    None when the cap was hit before any mass was measured.
     """
 
-    def __init__(self, message, captured_mass=0.0):
+    def __init__(self, message, captured_mass=None):
         super().__init__(message)
         self.captured_mass = captured_mass
 

@@ -246,6 +246,27 @@ def _log_bases(params: QndParams, m: np.ndarray):
     return log_c, log_d
 
 
+def _envelope(params: QndParams, n_c, n_d, m: np.ndarray):
+    """C[B] and E[B, len(m)] of the outcomes (n_c[b], n_d[b]); see `eigen`.
+
+    The bases are read once for the whole batch.  A sentinel base (an exact
+    zero raised to a positive count) is the only way below _LOG_ZERO / 4, and
+    it is cut to -inf here.
+    """
+    n_c = np.asarray(n_c, dtype=np.int64)
+    n_d = np.asarray(n_d, dtype=np.int64)
+    if not (n_c.ndim == 1 and n_c.shape == n_d.shape):
+        raise DomainError("n_c and n_d must be 1-d arrays of one length")
+    s = params.photon_mean
+    log_c = -s / 2.0 + 0.5 * (n_c + n_d) * math.log(s / 2.0)
+    lc, ld = _log_bases(params, m)
+    log_f = np.array([log_factorial(a) + log_factorial(b)
+                      for a, b in zip(n_c.tolist(), n_d.tolist())])
+    log_e = 0.5 * n_c[:, None] * lc + 0.5 * n_d[:, None] * ld - 0.5 * log_f.reshape(-1, 1)
+    log_e[log_e < _LOG_ZERO / 4] = -math.inf
+    return log_c, log_e
+
+
 def eigen(params: QndParams, outcome: PhotonOutcome, m):
     """The operator's eigenvalue lambda(m_z) over an array of m_z, factorised.
 
@@ -258,24 +279,19 @@ def eigen(params: QndParams, outcome: PhotonOutcome, m):
     * Phi = n_c phi_c(m) + n_d phi_d(m) plus an m-independent phase that
       makes the product equal the direct form; not reduced mod 2 pi.
 
-    This is the one place the spectral form is assembled; every other
-    evaluation of the operator reads it from here.
+    This is the one place the spectral form is assembled (the envelope in
+    `_envelope`); every other evaluation of the operator reads it from here.
     """
     m = np.asarray(m, dtype=float)
     nc, nd = outcome.n_c, outcome.n_d
-    s = params.photon_mean
-    log_c = -s / 2.0 + 0.5 * outcome.total * math.log(s / 2.0)
-    lc, ld = _log_bases(params, m)
-    log_e = 0.5 * nc * lc + 0.5 * nd * ld - 0.5 * (log_factorial(nc) + log_factorial(nd))
-    # only a sentinel base (an exact zero raised to a positive count) gets here
-    log_e[log_e < _LOG_ZERO / 4] = -math.inf
+    log_c, log_e = _envelope(params, [nc], [nd], m)
     pc, pd = _phase_arrays(params, m)
     glob = outcome.total * (
         cmath.phase(params.gamma) + params.phi_chigamma / 2.0 + math.pi / 4.0
     )
     if params.eta <= 0.0:
         glob += nd * math.pi
-    return log_c, log_e, nc * pc + nd * pd + glob
+    return float(log_c[0]), log_e[0], nc * pc + nd * pd + glob
 
 
 def log_amplitude(params: QndParams, outcome: PhotonOutcome, m_z) -> float:
@@ -339,28 +355,71 @@ def apply(params: QndParams, outcome: PhotonOutcome,
     return scale_amplitudes(state, log_c + log_e, phase)
 
 
+def _log_prob(log_c: np.ndarray, log_e: np.ndarray, w: np.ndarray):
+    """ln P of each outcome row, from C[B] and E[B, k] over k occupied m_z.
+
+    w[k] = |psi_m|^2.  Each row of E is shifted by its peak before it is
+    exponentiated, so outcomes deep in the tail still normalize cleanly; with
+    n2 = sum_m w e^{2 (E - shift)}, ln P = 2 (C + shift) + ln n2.  Returns
+    (ln P[B], shift[B], q[B, k]), q the posterior weights, normalized per
+    row; a zero-probability row has ln P = -inf and all-zero weights.
+    """
+    shift = np.max(log_e, axis=1, initial=-math.inf)
+    live = shift > -math.inf
+    with np.errstate(under="ignore"):
+        q = w * np.exp(2.0 * (log_e - np.where(live, shift, 0.0)[:, None]))
+    n2 = q.sum(axis=1)
+    live &= n2 > 0.0
+    log_p = np.full(shift.shape, -math.inf)
+    log_p[live] = 2.0 * (log_c[live] + shift[live]) + np.log(n2[live])
+    q[live] /= n2[live, None]
+    return log_p, shift, q
+
+
+def _occupied(state: CollectiveState):
+    """(m_z, |psi_m|^2) of the nonzero amplitudes, and their mask."""
+    amps = np.concatenate([sec.amps for sec in state.sectors])
+    occupied = amps != 0.0
+    return state.m_values()[occupied], np.abs(amps[occupied]) ** 2, occupied
+
+
 def condition(params: QndParams, outcome: PhotonOutcome,
               state: CollectiveState) -> tuple[float, CollectiveState | None]:
     """ln P(outcome) and the normalized posterior, from one kernel evaluation.
 
-    The envelope is shifted by its peak over the occupied m_z before it
-    multiplies the state, so outcomes deep in the tail still normalize
-    cleanly; with n2 the squared norm of the shifted state,
-    ln P = 2 (C + shift) + ln n2.  The posterior keeps the per-m_z detector
-    phases.  A zero-probability outcome gives (-inf, None).
+    ln P is formed as in `condition_many`; the posterior is the state scaled
+    by the envelope shifted by the same peak, with the per-m_z detector
+    phases kept.  A zero-probability outcome gives (-inf, None).
     """
     if not state.is_normalized():
         raise PreconditionError("conditioning on an outcome needs a normalized state")
     log_c, log_e, phase = eigen(params, outcome, state.m_values())
-    occupied = np.concatenate([sec.amps for sec in state.sectors]) != 0.0
-    shift = float(np.max(log_e, where=occupied, initial=-math.inf))
-    if shift == -math.inf:
+    _, w, occupied = _occupied(state)
+    log_p, shift, _ = _log_prob(np.array([log_c]), log_e[None, occupied], w)
+    if log_p[0] == -math.inf:
         return -math.inf, None
-    scaled = scale_amplitudes(state, log_e - shift, phase)
-    n2 = scaled.norm_hint
-    if n2 == 0.0:
-        return -math.inf, None
-    return 2.0 * (log_c + shift) + math.log(n2), normalize(scaled)
+    return float(log_p[0]), normalize(scale_amplitudes(state, log_e - shift[0], phase))
+
+
+def condition_many(params: QndParams, n_c, n_d, state: CollectiveState):
+    """ln P, posterior <J_z> and posterior Var J_z of each outcome (n_c[b], n_d[b]).
+
+    The batched form of `condition` followed by `moments`: the bases are
+    read once over the occupied m_z, every outcome's envelope row is shifted
+    by its own peak, and the normalized weights reduce to <J_z> and
+    Var J_z = max(0, <m^2> - <m>^2).  A zero-probability outcome has
+    ln P = -inf and nan moments.
+    """
+    if not state.is_normalized():
+        raise PreconditionError("conditioning on an outcome needs a normalized state")
+    m, w, _ = _occupied(state)
+    log_c, log_e = _envelope(params, n_c, n_d, m)
+    log_p, _, q = _log_prob(log_c, log_e, w)
+    mean = q @ m
+    var = np.maximum(0.0, q @ (m * m) - mean ** 2)
+    dead = log_p == -math.inf
+    mean[dead] = var[dead] = math.nan
+    return log_p, mean, var
 
 
 def outcome_probability(params: QndParams, outcome: PhotonOutcome,

@@ -171,19 +171,19 @@ def test_projective_params_symmetric_light():
 def test_projective_params_small_eta_against_high_precision():
     # eta ~ 1e-8: the rearranged slope formula must match an extended
     # precision evaluation of the same closed form
-    mp.mp.dps = 50
-    chi = 5.0 * (1.0 + 2.0e-8)
-    p = QndParams(gamma=5.0, chi=chi, gt=math.pi / 100.0)
-    o = PhotonOutcome(25, 26)
-    pp = projective_params(p, o)
-    eta = mp.atan((mp.mpf(chi) - 5) / (mp.mpf(chi) + 5))
-    m0 = mp.asin(mp.mpf(o.r) / mp.cos(2 * eta)) / mp.mpf(p.gt)
-    phi0 = mp.mpf(p.gt) * m0 / 2 + mp.pi / 4
-    te = mp.tan(eta)
-    want_c = te / (2 * (mp.cos(phi0) ** 2 + te**2 * mp.sin(phi0) ** 2))
-    want_d = te / (2 * (mp.sin(phi0) ** 2 + te**2 * mp.cos(phi0) ** 2))
-    assert abs(pp.xi_c - float(want_c)) < 1e-20
-    assert abs(pp.xi_d - float(want_d)) < 1e-20
+    with mp.workdps(50):
+        chi = 5.0 * (1.0 + 2.0e-8)
+        p = QndParams(gamma=5.0, chi=chi, gt=math.pi / 100.0)
+        o = PhotonOutcome(25, 26)
+        pp = projective_params(p, o)
+        eta = mp.atan((mp.mpf(chi) - 5) / (mp.mpf(chi) + 5))
+        m0 = mp.asin(mp.mpf(o.r) / mp.cos(2 * eta)) / mp.mpf(p.gt)
+        phi0 = mp.mpf(p.gt) * m0 / 2 + mp.pi / 4
+        te = mp.tan(eta)
+        want_c = te / (2 * (mp.cos(phi0) ** 2 + te**2 * mp.sin(phi0) ** 2))
+        want_d = te / (2 * (mp.sin(phi0) ** 2 + te**2 * mp.cos(phi0) ** 2))
+        assert abs(pp.xi_c - float(want_c)) < 1e-20
+        assert abs(pp.xi_d - float(want_d)) < 1e-20
 
 
 def test_round_to_sector_parity():

@@ -18,7 +18,9 @@ from qnd_povm.cli import main
 from qnd_povm.config import ExperimentConfig, build_params, parse_angle
 from qnd_povm.errors import ConfigError, DomainError
 from qnd_povm.numerics import HalfInt
-from qnd_povm.povm import PhotonOutcome, amplitude, outcome_distribution
+from qnd_povm.povm import (PhotonOutcome, amplitude, condition, outcome_distribution,
+                           sample_outcome)
+from qnd_povm.spin_state import moments
 
 
 def run_cli(*argv):
@@ -649,6 +651,74 @@ def test_measure_rerun_replaces_posterior_dump(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["m.json", "m.jsonl", "m.jsonl.posteriors"]
 
 
+def _records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def test_measure_records_do_not_depend_on_the_posterior_dump(tmp_path, monkeypatch):
+    calls = []
+    real = cli.condition
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "condition", counted)
+    cfg = dict(BASE, shots=20, seed=5, mass_tolerance=1e-8)
+    plain, dumped = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    assert run_cli("measure", "--config", write_config(tmp_path, "a.json", cfg),
+                   "--out", str(plain)) == 0
+    assert calls == []  # every record field comes from the batch
+    cfg["dump_posteriors"] = True
+    assert run_cli("measure", "--config", write_config(tmp_path, "b.json", cfg),
+                   "--out", str(dumped)) == 0
+    assert len(calls) == 20
+    strip = [[json.dumps({k: v for k, v in rec.items() if k != "posterior_ref"},
+                         sort_keys=True) for rec in _records(p)] for p in (plain, dumped)]
+    assert strip[0] == strip[1]
+
+
+@pytest.mark.parametrize("shots", [129, 300])
+def test_measure_partial_last_block_writes_every_shot(tmp_path, shots):
+    cfg = dict(PD_SMALL, shots=shots, seed=(1 << 64) - 100)
+    out = tmp_path / "m.jsonl"
+    assert run_cli("measure", "--config", write_config(tmp_path, "m.json", cfg),
+                   "--out", str(out)) == 0
+    records = _records(out)
+    assert [rec["seed"] for rec in records] == [
+        ((1 << 64) - 100 + shot) % (1 << 64) for shot in range(shots)]
+    # each record is the per-shot draw, conditioned one outcome at a time
+    run = ExperimentConfig.from_dict("measure", cfg)
+    params, state = run.params(), run.initial_state()
+    dist = _small_distribution()
+    for rec in records[::7] + records[-3:]:
+        o = sample_outcome(dist, rec["seed"])
+        assert (rec["n_c"], rec["n_d"]) == (o.n_c, o.n_d)
+        log_p, post = condition(params, o, state)
+        got = moments(post)
+        assert abs(rec["log_prob"] - log_p) <= 1e-12 * max(1.0, abs(log_p))
+        assert abs(rec["mean_jz"] - got.mean_jz) <= 1e-12
+        assert abs(rec["var_jz"] - got.var_jz) <= 1e-12
+
+
+def test_measure_zero_probability_shot_exits_4(tmp_path, monkeypatch, capsys):
+    real = cli.condition_many
+
+    def one_impossible(*args):
+        log_p, mean, var = real(*args)
+        if log_p.size > 5:
+            log_p[5] = -math.inf
+        return log_p, mean, var
+
+    monkeypatch.setattr(cli, "condition_many", one_impossible)
+    cfg = dict(BASE, shots=200, seed=7, mass_tolerance=1e-8)
+    path = write_config(tmp_path, "m.json", cfg)
+    assert run_cli("measure", "--config", path, "--out", str(tmp_path / "m.jsonl")) == 4
+    err = capsys.readouterr().err
+    assert "has zero probability (shot 5, seed 12)" in err
+    assert os.listdir(tmp_path) == ["m.json"]
+
+
 AMP_CASE = {"label": "a", "params": BASE["params"], "N": 10,
             "outcome": {"n_c": 25, "n_d": 25}}
 
@@ -687,6 +757,22 @@ def test_photon_window_over_the_row_cap_exits_3(tmp_path, capsys):
     assert run_cli("photon-dist", "--config", path, "--out", str(out)) == 3
     assert "over the cap of 16777216" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["big.json"]
+
+
+def test_resource_cap_message_reports_only_a_measured_mass(tmp_path, capsys):
+    # the row cap is hit before any mass is computed: no mass is reported
+    cfg = dict(BASE, N=10, params={"gamma": [1e4, 0.0], "chi": [1e4, 0.0], "gt": "pi/N"})
+    path = write_config(tmp_path, "big.json", cfg)
+    assert run_cli("photon-dist", "--config", path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap: the photon window ")
+    assert err.endswith(f"over the cap of {1 << 24}\n")
+    # the total-photon cap is hit after the marginal mass up to it is known
+    path = write_config(tmp_path, "cap.json", dict(BASE, max_total=40))
+    assert run_cli("photon-dist", "--config", path) == 3
+    err = capsys.readouterr().err
+    mass = float(err.rsplit("(captured_mass=", 1)[1].rstrip(")\n"))
+    assert 0.0 < mass < 1.0
 
 
 # ------------------------------------------------------------ flags and run

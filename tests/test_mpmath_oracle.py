@@ -17,7 +17,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qnd_povm.povm import (PhotonOutcome, QndParams, condition,
+from qnd_povm.povm import (PhotonOutcome, QndParams, condition, condition_many,
                            outcome_distribution, sample_outcome)
 from qnd_povm.spin_state import coherent_state, moments
 
@@ -55,7 +55,10 @@ def _light(phase, n_atoms):
 
 
 # ln P is about -10, -23 and -45
-@pytest.mark.parametrize("n_c, n_d", [(850, 950), (1300, 650), (300, 1250)])
+N200_OUTCOMES = [(850, 950), (1300, 650), (300, 1250)]
+
+
+@pytest.mark.parametrize("n_c, n_d", N200_OUTCOMES)
 def test_condition_against_oracle_at_n200(n_c, n_d):
     params = _light(-0.5, 200)
     state = coherent_state(200, 1.2)
@@ -66,6 +69,18 @@ def test_condition_against_oracle_at_n200(n_c, n_d):
     got = moments(post)
     assert got.mean_jz == pytest.approx(mean, rel=RTOL, abs=0.0)
     assert got.var_jz == pytest.approx(var, rel=RTOL, abs=0.0)
+
+
+def test_condition_many_against_oracle_at_n200():
+    params = _light(-0.5, 200)
+    state = coherent_state(200, 1.2)
+    log_p, mean_jz, var_jz = condition_many(params, *zip(*N200_OUTCOMES), state)
+    for i, (n_c, n_d) in enumerate(N200_OUTCOMES):
+        p, mean, var = oracle(params, state, n_c, n_d)
+        want = float(mpmath.log(p))
+        assert abs(log_p[i] - want) <= RTOL * abs(want)
+        assert mean_jz[i] == pytest.approx(mean, rel=RTOL, abs=0.0)
+        assert var_jz[i] == pytest.approx(var, rel=RTOL, abs=0.0)
 
 
 def test_bright_rows_against_oracle():

@@ -238,8 +238,14 @@ LARGE_J_CASES = [
 ]
 
 
+@pytest.fixture(scope="module")
+def cg_400_400_m0():
+    """The M = 0 block of j1 = j2 = 200, from one walk shared by its cases."""
+    return list(cg_blocks(400, 400))[-1][1]
+
+
 @pytest.mark.parametrize("tj1,tm1,tj2,tL,tM", LARGE_J_CASES)
-def test_cg_against_sympy_large_j(tj1, tm1, tj2, tL, tM):
+def test_cg_against_sympy_large_j(tj1, tm1, tj2, tL, tM, request):
     sympy_cg = pytest.importorskip("sympy.physics.quantum.cg")
     from sympy import Rational, N as sN
 
@@ -247,7 +253,12 @@ def test_cg_against_sympy_large_j(tj1, tm1, tj2, tL, tM):
     want = float(sN(sympy_cg.CG(
         Rational(tj1, 2), Rational(tm1, 2), Rational(tj2, 2), Rational(tm2, 2),
         Rational(tL, 2), Rational(tM, 2)).doit(), 30))
-    got = clebsch_gordan(tj1 / 2, tm1 / 2, tj2 / 2, tm2 / 2, tL / 2, tM / 2)
+    if tj1 == tj2 == 400:
+        # rows m1 ascending from -j1, columns L ascending from 0 (cg_blocks)
+        block = request.getfixturevalue("cg_400_400_m0")
+        got = float(block[(tm1 + tj1) // 2, tL // 2])
+    else:
+        got = clebsch_gordan(tj1 / 2, tm1 / 2, tj2 / 2, tm2 / 2, tL / 2, tM / 2)
     assert abs(got - want) <= 1e-13
 
 
@@ -276,15 +287,15 @@ def test_harmonic_domain_error():
 
 def test_harmonic_against_mpmath():
     rng = np.random.default_rng(3)
-    mp.mp.dps = 30
-    for _ in range(25):
-        L = int(rng.integers(0, 41))
-        M = int(rng.integers(-L, L + 1)) if L else 0
-        th = float(rng.uniform(0.05, math.pi - 0.05))
-        ph = float(rng.uniform(0.0, 2.0 * math.pi))
-        want = mp.spherharm(L, M, th, ph)
-        got = spherical_harmonic(L, M, th, ph)
-        assert abs(got - complex(want)) < 1e-11 * max(1.0, abs(complex(want)))
+    with mp.workdps(30):
+        for _ in range(25):
+            L = int(rng.integers(0, 41))
+            M = int(rng.integers(-L, L + 1)) if L else 0
+            th = float(rng.uniform(0.05, math.pi - 0.05))
+            ph = float(rng.uniform(0.0, 2.0 * math.pi))
+            want = mp.spherharm(L, M, th, ph)
+            got = spherical_harmonic(L, M, th, ph)
+            assert abs(got - complex(want)) < 1e-11 * max(1.0, abs(complex(want)))
 
 
 @given(st.integers(min_value=0, max_value=12), st.data())

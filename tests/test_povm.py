@@ -108,20 +108,20 @@ def test_detector_phases_symmetric_light():
 
 def test_detector_phases_against_formula_oracle():
     # principal-branch oracle in extended precision, away from branch points
-    mp.mp.dps = 40
-    eta = 0.1
-    # build amplitudes with tan(eta) = (|chi|-|gamma|)/(|chi|+|gamma|)
-    t = math.tan(eta)
-    gamma, chi = 1.0 - t, 1.0 + t
-    p = QndParams(gamma=gamma, chi=chi, gt=2.0)
-    for m in (-0.4, 0.05, 0.3):  # phi stays inside (-pi/2, pi/2)
-        phi = phase_phi(p, m)
-        assert abs(phi) < math.pi / 2.0
-        want_c = float(mp.atan(mp.tan(eta) * mp.tan(phi)))
-        want_d = float(mp.atan(mp.tan(phi) / mp.tan(eta)) - mp.pi / 2)
-        pc, pd = detector_phases(p, m)
-        assert abs(pc - want_c) < 1e-13
-        assert abs(wrapped(pd - want_d)) < 1e-13
+    with mp.workdps(40):
+        eta = 0.1
+        # build amplitudes with tan(eta) = (|chi|-|gamma|)/(|chi|+|gamma|)
+        t = math.tan(eta)
+        gamma, chi = 1.0 - t, 1.0 + t
+        p = QndParams(gamma=gamma, chi=chi, gt=2.0)
+        for m in (-0.4, 0.05, 0.3):  # phi stays inside (-pi/2, pi/2)
+            phi = phase_phi(p, m)
+            assert abs(phi) < math.pi / 2.0
+            want_c = float(mp.atan(mp.tan(eta) * mp.tan(phi)))
+            want_d = float(mp.atan(mp.tan(phi) / mp.tan(eta)) - mp.pi / 2)
+            pc, pd = detector_phases(p, m)
+            assert abs(pc - want_c) < 1e-13
+            assert abs(wrapped(pd - want_d)) < 1e-13
 
 
 # ------------------------------------------------------------------- amplitude
@@ -503,6 +503,85 @@ def test_posterior_pulled_toward_count_asymmetry():
     m0 = math.asin(o.r / P_REF.cos_2eta) / P_REF.gt
     assert 0.0 < m_peak < m0
     assert moments(post).mean_jz > 1.0
+
+
+# ------------------------------------------------------- batched conditioning
+
+P_N200 = QndParams(gamma=5.1, chi=5.0, gt=math.pi / 200.0)
+# shallow and deep outcomes in one batch: ln P from about -10 down to -176
+BATCH = [(25, 26), (0, 0), (60, 20), (5, 100), (140, 0), (0, 160), (161, 0),
+         (26, 25), (1, 0)]
+
+
+def _two_sector_state():
+    rng = np.random.default_rng(11)
+    secs = [Sector(tj, rng.normal(size=tj + 1) + 1j * rng.normal(size=tj + 1))
+            for tj in (4, 9)]
+    return normalize(CollectiveState(tuple(secs), norm_hint=1.0))
+
+
+@pytest.mark.parametrize("params, state", [
+    (P_REF, _two_sector_state()),
+    (P_REF, dicke_state(8, 1)),           # zero amplitudes drop out
+    (P_N200, coherent_state(200, 1.2)),
+])
+def test_condition_many_matches_condition_and_moments(params, state):
+    n_c, n_d = zip(*BATCH)
+    log_p, mean_jz, var_jz = povm.condition_many(params, n_c, n_d, state)
+    assert log_p.shape == mean_jz.shape == var_jz.shape == (len(BATCH),)
+    for i, out in enumerate(BATCH):
+        want_p, post = condition(params, PhotonOutcome(*out), state)
+        want = moments(post)
+        assert abs(log_p[i] - want_p) <= 1e-12 * max(1.0, abs(want_p))
+        assert abs(mean_jz[i] - want.mean_jz) <= 1e-12 * max(1.0, abs(want.mean_jz))
+        assert abs(var_jz[i] - want.var_jz) <= 1e-12 * max(1.0, want.var_jz)
+    if state.sectors[0].two_j == 200:
+        assert log_p.min() < -175.0 and log_p.max() > -11.0
+
+
+def test_condition_many_zero_probability_row():
+    # beams so faint that port c's base underflows to an exact zero at
+    # gt m = pi/2: on that Dicke ket (1, 0) is impossible, (0, 1) is not
+    faint = QndParams(gamma=1e-150, chi=1e-150, gt=math.pi / 2.0)
+    st = dicke_state(5, 1)
+    assert condition(faint, PhotonOutcome(1, 0), st) == (-math.inf, None)
+    log_p, mean_jz, var_jz = povm.condition_many(faint, [0, 1, 0], [1, 0, 0], st)
+    assert list(np.isfinite(log_p)) == [True, False, True]
+    assert log_p[1] == -math.inf
+    assert math.isnan(mean_jz[1]) and math.isnan(var_jz[1])
+    assert mean_jz[0] == mean_jz[2] == 1.0 and var_jz[0] == var_jz[2] == 0.0
+
+
+def test_condition_many_domain():
+    st = coherent_state(10, 1.0)
+    with pytest.raises(PreconditionError):
+        povm.condition_many(P_REF, [1], [1],
+                            CollectiveState((Sector(10, 2.0 * st.sectors[0].amps),)))
+    with pytest.raises(DomainError):
+        povm.condition_many(P_REF, [1, 2], [1], st)
+    with pytest.raises(DomainError):
+        povm.condition_many(P_REF, [-1], [1], st)
+    empty = povm.condition_many(P_REF, [], [], st)
+    assert all(a.shape == (0,) for a in empty)
+
+
+def test_eigen_unchanged_on_a_grid():
+    # the envelope as it was assembled inline, before the batch helper
+    m = np.arange(-50, 51) / 2.0
+    lc, ld = povm._log_bases(P_REF, m)
+    for nc, nd in ((25, 26), (0, 0), (300, 0), (0, 7)):
+        log_c, log_e, _ = povm.eigen(P_REF, PhotonOutcome(nc, nd), m)
+        s = P_REF.photon_mean
+        assert log_c == -s / 2.0 + 0.5 * (nc + nd) * math.log(s / 2.0)
+        want = 0.5 * nc * lc + 0.5 * nd * ld - 0.5 * (
+            povm.log_factorial(nc) + povm.log_factorial(nd))
+        want[want < povm._LOG_ZERO / 4] = -math.inf
+        assert np.array_equal(log_e, want)
+    # a batch row is bitwise the single-outcome envelope
+    batch_c, batch_e = povm._envelope(P_REF, [25, 300], [26, 0], m)
+    for row, (nc, nd) in enumerate(((25, 26), (300, 0))):
+        log_c, log_e, _ = povm.eigen(P_REF, PhotonOutcome(nc, nd), m)
+        assert batch_c[row] == log_c and np.array_equal(batch_e[row], log_e)
 
 
 def test_peak_condition_across_outcomes():
