@@ -3,7 +3,7 @@
 
 Writes four families of envelope scans as CSV, one file per curve:
   ratio sweep    fixed total count, varying count asymmetry r
-  total sweep    r = 0 with growing total photon number (light scaled along)
+  total sweep    r = 0 with total photon number 12 to 1800 (light scaled along)
   time sweep     fixed counts, interaction phase pi/N, 2pi/N, 4pi/N
   size sweep     ensembles N = 50, 100, 200 at the equivalent time pi/N
 
@@ -28,7 +28,8 @@ def cases():
             "outcome": {"n_c": nc, "n_d": 50 - nc},
         })
     # total-count sweep at r = 0, light amplitudes scaled with the counts
-    for n, g, c in ((6, 1.247, 1.2226), (25, 2.55, 2.5), (102, 5.1, 5.0)):
+    for n, g, c in ((6, 1.247, 1.2226), (25, 2.55, 2.5), (102, 5.1, 5.0),
+                    (900, 15.15, 14.85)):
         out.append({
             "label": f"total_{2 * n}",
             "params": {"gamma": [2.0 * g, 0.0], "chi": [2.0 * c, 0.0],

@@ -24,7 +24,7 @@ from .povm import (OutcomeDistribution, PhotonOutcome, QndParams, amplitude,
                    outcome_distribution, outcome_probability, params_from_json,
                    params_to_json, phase_phi, posterior, sample_outcome)
 from .spin_state import (CollectiveState, Sector, SpinMoments, coherent_state,
-                         dicke_state, make_state, moments, normalize, overlap,
-                         scale_amplitudes, state_from_json, state_to_json)
+                         dicke_state, moments, normalize, overlap, scale_amplitudes,
+                         state_from_json, state_to_json)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, ResourceCapError
 from .numerics import cg_blocks, legendre_norm_table
 from .povm import PhotonOutcome, QndParams, eigen
 from .spin_state import (CollectiveState, Sector, coherent_state, moments,
@@ -19,6 +19,9 @@ from .spin_state import (CollectiveState, Sector, coherent_state, moments,
 
 _RESIDUE_TOL = 1e-10
 _PARSEVAL_TOL = 1e-10
+# cap on the entries of the largest array `wigner` builds, the same as the
+# row cap of outcome_distribution
+_MAX_GRID = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -141,30 +144,33 @@ def rho_lm(rho: DensityMatrix, L: int, M: int) -> complex:
     return c if M >= 0 else (-1) ** M * c.conjugate()
 
 
-def wigner(rho: DensityMatrix, n_theta: int = 181, n_phi: int = 361,
-           thetas: np.ndarray | None = None,
-           phis: np.ndarray | None = None) -> WignerGrid:
+def wigner(rho: DensityMatrix, n_theta: int = 181, n_phi: int = 361) -> WignerGrid:
     """Spin Wigner function W(theta, phi) = sum_{L,M} rho_LM Y_LM.
 
-    Defaults to an equiangular grid; any strictly sampled angle vectors can
-    be passed instead.  The multipole sum runs L = 0..2J as two products:
-    G[theta, M] = sum_L rho_LM Y~_L^M(cos theta), with Y~ the normalized
-    associated Legendre function, then W = G @ E with E[M, phi] = e^{iM phi}.  Raises DomainError when the multipole table
-    breaks Parseval (sum |rho_LM|^2 = Tr rho^2) by more than 1e-10 relative,
-    or when the imaginary residue of W exceeds 1e-10; the residue is
-    otherwise discarded.  Checked against sympy multipoles at 2J = 100 and
-    against Parseval up to 2J = 200.
+    Sampled on the equiangular grid of n_theta polar angles over [0, pi] and
+    n_phi azimuths over [0, 2 pi].  The multipole sum runs L = 0..2J as two
+    products: G[theta, M] = sum_L rho_LM Y~_L^M(cos theta), with Y~ the
+    normalized associated Legendre function, then W = G @ E with
+    E[M, phi] = e^{iM phi}.  Raises ResourceCapError before building any
+    array when G, E or W would hold more than 2^24 entries.  Raises
+    DomainError when the multipole table breaks Parseval
+    (sum |rho_LM|^2 = Tr rho^2) by more than 1e-10 relative, or when the
+    imaginary residue of W exceeds 1e-10; the residue is otherwise
+    discarded.  Checked against sympy multipoles at 2J = 100 and against
+    Parseval up to 2J = 200.
     """
-    if thetas is None:
-        thetas = np.linspace(0.0, math.pi, n_theta)
-    if phis is None:
-        phis = np.linspace(0.0, 2.0 * math.pi, n_phi)
-    thetas = np.asarray(thetas, dtype=float)
-    phis = np.asarray(phis, dtype=float)
     two_j = rho.two_j
+    n_m = 2 * two_j + 1
+    largest = max(n_theta * n_m, n_m * n_phi, n_theta * n_phi)
+    if largest > _MAX_GRID:
+        raise ResourceCapError(f"a {n_theta}x{n_phi} Wigner grid at 2J={two_j} needs "
+                               f"an array of {largest} entries, over the cap of "
+                               f"{_MAX_GRID}")
+    thetas = np.linspace(0.0, math.pi, n_theta)
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi)
     table = _multipoles(rho)
     x = np.cos(thetas)
-    g = np.empty((thetas.size, 2 * two_j + 1), dtype=complex)
+    g = np.empty((n_theta, n_m), dtype=complex)
     for M in range(two_j + 1):
         g[:, two_j + M] = table[M:, M] @ legendre_norm_table(two_j, M, x)
     # rho_{L,-M} Y_{L,-M} = conj(rho_LM Y_LM): columns M = -2J..-1 mirror 2J..1
@@ -241,7 +247,7 @@ def cat_state(N: int, relative_phase: float = 0.0) -> CollectiveState:
     plus = coherent_state(N, math.pi / 2.0)
     minus = coherent_state(N, -math.pi / 2.0)
     amps = plus.sectors[0].amps + np.exp(1j * relative_phase) * minus.sectors[0].amps
-    return normalize(CollectiveState((Sector(N, amps),), norm_hint=1.0))
+    return normalize(CollectiveState((Sector(N, amps),)))
 
 
 def cat_fidelity(state: CollectiveState, N: int) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError, ZeroProjectionError
 from .numerics import HalfInt
 from .povm import PhotonOutcome, QndParams, eigen, phase_phi
-from .spin_state import CollectiveState, Sector, scale_amplitudes
+from .spin_state import CollectiveState, Sector, normalize, scale_amplitudes
 
 
 @dataclass(frozen=True)
@@ -191,19 +191,14 @@ def project(params: QndParams, state: CollectiveState, u: float,
     s = params.photon_mean
     amp = math.exp(-((u - s / 2.0) ** 2) / s) / (math.pi * u) ** 0.25
     secs = []
-    total = 0.0
     for sec in state.sectors:
         tm = round_to_sector_parity(m0, sec.two_j)
         a = np.zeros(sec.two_j + 1, dtype=complex)
         if abs(tm) <= sec.two_j:
             i = (tm + sec.two_j) // 2
             a[i] = sec.amps[i]
-            total += abs(sec.amps[i]) ** 2
         secs.append(Sector(sec.two_j, a))
-    if total == 0.0:
+    collapsed = CollectiveState(tuple(secs))
+    if collapsed.squared_norm() == 0.0:
         raise ZeroProjectionError("state has no support at the collapse point")
-    scale = 1.0 / math.sqrt(total)
-    out = CollectiveState(
-        tuple(Sector(s_.two_j, s_.amps * scale) for s_ in secs), norm_hint=1.0
-    )
-    return amp, out
+    return amp, normalize(collapsed)

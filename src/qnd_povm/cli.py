@@ -142,23 +142,25 @@ def cmd_amp_scan(cfg: ExperimentConfig, out, fmt) -> int:
         params = build_params(case["params"], n)
         outcome = PhotonOutcome(case["outcome"]["n_c"], case["outcome"]["n_d"])
         m_z = (np.arange(-n, n + 1, 2) / 2.0).tolist()
-        # math.exp, as `amplitude` uses, so the column equals its values
-        exact = np.array([math.exp(x) for x in eigen(params, outcome, m_z)[1].tolist()])
-        peak = float(exact.max())
-        if peak == 0.0:
-            raise DomainError(f"case {case['label']!r}: the envelope underflows "
-                              "to 0 at every m_z")
+        log_a = eigen(params, outcome, m_z)[1]
+        log_peak = float(log_a.max())
+        meta = {"log_A_peak": log_peak}
         try:
             model = gaussian_model(params, outcome)
+            meta["log_prefactor"] = model.log_prefactor
         except DomainError:
             model = None
         gauss = None if model is None else [gaussian_amplitude(model, m) for m in m_z]
-        tables.append((case["label"], [m_z, exact, exact / peak, gauss]))
+        # math.exp, as `amplitude` uses, so the column equals its values; at
+        # large counts it underflows to 0, and the footer keeps the scale
+        exact = [math.exp(x) for x in log_a.tolist()]
+        tables.append((case["label"], [m_z, exact, np.exp(log_a - log_peak), gauss], meta))
     with _writing(out):
         os.makedirs(out, exist_ok=True)
-    for label, arrays in tables:
+    for label, arrays, meta in tables:
         write_table(os.path.join(out, f"{label}.{fmt}"),
-                    ["m_z", "A_exact", "A_exact_normalized", "A_gauss"], arrays, fmt=fmt)
+                    ["m_z", "A_exact", "A_exact_normalized", "A_gauss"], arrays, meta,
+                    fmt=fmt)
     return 0
 
 

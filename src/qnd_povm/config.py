@@ -17,7 +17,7 @@ from typing import Any
 import jsonschema
 
 from .errors import ConfigError
-from .povm import QndParams
+from .povm import QndParams, params_from_json
 from .spin_state import CollectiveState, coherent_state, dicke_state
 
 _ANGLE_RE = re.compile(
@@ -190,18 +190,8 @@ def parse_angle(value, N: int | None = None) -> float:
     return coef * math.pi / d
 
 
-def _as_complex(v) -> complex:
-    if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
-    return complex(v)
-
-
 def build_params(raw: dict, N: int | None) -> QndParams:
-    return QndParams(
-        gamma=_as_complex(raw["gamma"]),
-        chi=_as_complex(raw["chi"]),
-        gt=parse_angle(raw["gt"], N),
-    )
+    return params_from_json({**raw, "gt": parse_angle(raw["gt"], N)})
 
 
 def build_initial(raw: dict, N: int) -> CollectiveState:

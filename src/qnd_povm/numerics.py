@@ -56,20 +56,11 @@ class HalfInt:
     def value(self) -> float:
         return self.twice / 2.0
 
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def __float__(self) -> float:
         return self.value
 
     def __neg__(self) -> "HalfInt":
         return HalfInt(-self.twice)
-
-    def __add__(self, other) -> "HalfInt":
-        return HalfInt(self.twice + HalfInt.coerce(other).twice)
-
-    def __sub__(self, other) -> "HalfInt":
-        return HalfInt(self.twice - HalfInt.coerce(other).twice)
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:

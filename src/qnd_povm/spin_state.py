@@ -9,7 +9,7 @@ pairs with amplitudes ordered by increasing m_z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class Sector:
 @dataclass(frozen=True)
 class CollectiveState:
     sectors: tuple[Sector, ...]
-    norm_hint: float = field(default=1.0)
 
     def __post_init__(self):
         object.__setattr__(self, "sectors", tuple(self.sectors))
@@ -77,8 +76,8 @@ class CollectiveState:
     def squared_norm(self) -> float:
         return float(sum(np.sum(np.abs(s.amps) ** 2) for s in self.sectors))
 
-    def is_normalized(self, tol: float = _NORM_TOL) -> bool:
-        return abs(self.squared_norm() - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.squared_norm() - 1.0) <= _NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -89,13 +88,6 @@ class SpinMoments:
     normalized_var: float
 
 
-def make_state(sectors) -> CollectiveState:
-    """Build a state and record its squared norm as the norm hint."""
-    st = CollectiveState(tuple(sectors), norm_hint=1.0)
-    object.__setattr__(st, "norm_hint", st.squared_norm())
-    return st
-
-
 def dicke_state(J, m_z) -> CollectiveState:
     """Basis ket |J, m_z> as a single-sector state."""
     tj = HalfInt.coerce(J).twice
@@ -103,7 +95,7 @@ def dicke_state(J, m_z) -> CollectiveState:
     i = sec.index_of(m_z)  # raises if out of range
     a = np.zeros(tj + 1, dtype=complex)
     a[i] = 1.0
-    return CollectiveState((Sector(tj, a),), norm_hint=1.0)
+    return CollectiveState((Sector(tj, a),))
 
 
 def coherent_state(N: int, theta: float) -> CollectiveState:
@@ -131,7 +123,7 @@ def coherent_state(N: int, theta: float) -> CollectiveState:
     with np.errstate(under="ignore"):
         amps = sign * np.exp(logmag)
     amps = amps / math.sqrt(float(np.sum(amps**2)))
-    return CollectiveState((Sector(N, amps.astype(complex)),), norm_hint=1.0)
+    return CollectiveState((Sector(N, amps.astype(complex)),))
 
 
 def normalize(state: CollectiveState) -> CollectiveState:
@@ -140,7 +132,7 @@ def normalize(state: CollectiveState) -> CollectiveState:
         raise DomainError("cannot normalize the zero state")
     scale = 1.0 / math.sqrt(n2)
     secs = tuple(Sector(s.two_j, s.amps * scale) for s in state.sectors)
-    return CollectiveState(secs, norm_hint=1.0)
+    return CollectiveState(secs)
 
 
 def scale_amplitudes(state: CollectiveState, log_factor: np.ndarray,
@@ -148,8 +140,7 @@ def scale_amplitudes(state: CollectiveState, log_factor: np.ndarray,
     """Act with a diagonal operator, given in log-polar form.
 
     Amplitude i is multiplied by exp(log_factor[i] + i phase[i]), both arrays
-    running over `state.m_values()`.  The norm hint of the result records its
-    squared norm.
+    running over `state.m_values()`.
     """
     with np.errstate(under="ignore"):
         factor = np.exp(log_factor) * np.exp(1j * phase)
@@ -159,7 +150,7 @@ def scale_amplitudes(state: CollectiveState, log_factor: np.ndarray,
         hi = lo + s.two_j + 1
         secs.append(Sector(s.two_j, s.amps * factor[lo:hi]))
         lo = hi
-    return make_state(secs)
+    return CollectiveState(tuple(secs))
 
 
 def moments(state: CollectiveState) -> SpinMoments:
@@ -222,4 +213,4 @@ def state_from_json(data: dict) -> CollectiveState:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed state record: {exc}") from exc
-    return make_state(secs)
+    return CollectiveState(secs)

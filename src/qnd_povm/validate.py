@@ -21,7 +21,7 @@ from .spin_state import (CollectiveState, Sector, dicke_state, normalize,
 
 def _random_state(rng, two_j: int) -> CollectiveState:
     a = rng.normal(size=two_j + 1) + 1j * rng.normal(size=two_j + 1)
-    return normalize(CollectiveState((Sector(two_j, a),), norm_hint=1.0))
+    return normalize(CollectiveState((Sector(two_j, a),)))
 
 
 def check_dual_form(seed: int):

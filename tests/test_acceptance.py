@@ -26,7 +26,7 @@ def _report(num, name, ok, detail=""):
 
 def _random_state(rng, two_j):
     a = rng.normal(size=two_j + 1) + 1j * rng.normal(size=two_j + 1)
-    return normalize(CollectiveState((Sector(two_j, a),), norm_hint=1.0))
+    return normalize(CollectiveState((Sector(two_j, a),)))
 
 
 def test_criterion_01_unity_decomposition():

@@ -8,7 +8,7 @@ from qnd_povm.analysis import (DensityMatrix, ParityCase, cat_fidelity,
                                cat_state, density_from_state,
                                parity_pattern_check, rho_lm, squeezing_report,
                                wigner)
-from qnd_povm.errors import DomainError, PreconditionError
+from qnd_povm.errors import DomainError, PreconditionError, ResourceCapError
 from qnd_povm.povm import PhotonOutcome, QndParams, posterior
 from qnd_povm.spin_state import (CollectiveState, Sector, coherent_state,
                                  dicke_state, normalize, overlap)
@@ -87,9 +87,9 @@ def test_rho_lm_maximally_mixed():
 
 def test_rho_lm_phase_invariant_monopole():
     a = normalize(CollectiveState(
-        (Sector(4, np.array([0.5, 0.1j, 0.2, -0.3, 0.6])),), norm_hint=1.0))
+        (Sector(4, np.array([0.5, 0.1j, 0.2, -0.3, 0.6])),)))
     b = normalize(CollectiveState(
-        (Sector(4, np.exp(1j * 0.83) * a.sectors[0].amps),), norm_hint=1.0))
+        (Sector(4, np.exp(1j * 0.83) * a.sectors[0].amps),)))
     da, db = density_from_state(a, 2), density_from_state(b, 2)
     assert rho_lm(da, 0, 0) == pytest.approx(rho_lm(db, 0, 0), rel=1e-12)
 
@@ -157,6 +157,19 @@ def test_wigner_real_and_linear():
     assert wm.values.dtype == float
 
 
+@pytest.mark.parametrize("n_theta,n_phi", [(5000, 5000), (1 << 23, 2), (2, 1 << 23)])
+def test_wigner_grid_cap(n_theta, n_phi, monkeypatch):
+    # W (theta x phi), G (theta x M) and E (M x phi) are each capped, before
+    # any Legendre table is built
+    def failing(*args, **kwargs):
+        raise AssertionError("a Legendre table was built")
+
+    monkeypatch.setattr(analysis, "legendre_norm_table", failing)
+    dm = density_from_state(dicke_state(1, 1), 1)
+    with pytest.raises(ResourceCapError, match="over the cap"):
+        wigner(dm, n_theta=n_theta, n_phi=n_phi)
+
+
 def test_wigner_dicke_top_concentrated_at_pole():
     dm = density_from_state(dicke_state(5, 5), 5)
     wg = wigner(dm, n_theta=41, n_phi=31)
@@ -178,7 +191,7 @@ def test_wigner_against_independent_construction():
         for M in range(-L, L + 1):
             c = rho_lm_oracle(dm.rho, 6, L, M)
             want += c * sph_harm_y(L, M, ths[:, None], phs[None, :])
-    got = wigner(dm, thetas=ths, phis=phs)
+    got = wigner(dm, n_theta=13, n_phi=17)
     assert np.max(np.abs(got.values - want.real)) < 1e-10
     assert np.max(np.abs(want.imag)) < 1e-10
 

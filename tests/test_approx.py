@@ -240,7 +240,7 @@ def test_project_multi_sector_parity_rounding():
     # integer and half-integer sectors collapse to their own lattice points
     a = np.zeros(5, dtype=complex); a[3] = 1.0      # two_j=4, m=1
     b = np.zeros(6, dtype=complex); b[3] = 1.0      # two_j=5, m=1/2
-    stt = normalize(CollectiveState((Sector(4, a), Sector(5, b)), norm_hint=1.0))
+    stt = normalize(CollectiveState((Sector(4, a), Sector(5, b))))
     _, out = project(P_REF, stt, 25.0, 0.7)
     # m0 = 0.7 rounds to m=1 in the integer sector, m=1/2 in the half-integer
     assert abs(out.sector(2.0).amps[3]) > 0
@@ -257,7 +257,7 @@ def test_projector_weights_reproduce_unity():
     rng = np.random.default_rng(8)
     a = rng.normal(size=5) + 1j * rng.normal(size=5)
     b = rng.normal(size=6) + 1j * rng.normal(size=6)
-    state = normalize(CollectiveState((Sector(4, a), Sector(5, b)), norm_hint=1.0))
+    state = normalize(CollectiveState((Sector(4, a), Sector(5, b))))
 
     u0 = s_mean / 2.0
     su = math.sqrt(s_mean) / 2.0

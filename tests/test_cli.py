@@ -11,15 +11,15 @@ import sys
 import numpy as np
 import pytest
 
-from qnd_povm import cli
+from qnd_povm import analysis, cli
 from qnd_povm.analysis import density_from_state, wigner
 from qnd_povm.approx import gaussian_model
 from qnd_povm.cli import main
 from qnd_povm.config import ExperimentConfig, build_params, parse_angle
 from qnd_povm.errors import ConfigError, DomainError
 from qnd_povm.numerics import HalfInt
-from qnd_povm.povm import (PhotonOutcome, amplitude, condition, outcome_distribution,
-                           sample_outcome)
+from qnd_povm.povm import (PhotonOutcome, amplitude, condition, log_amplitude,
+                           outcome_distribution, sample_outcome)
 from qnd_povm.spin_state import moments
 
 
@@ -220,25 +220,37 @@ def test_amp_scan_gauss_column_when_defined(tmp_path):
     assert all(r["A_gauss"] == "" for r in rows_n)
 
 
-def test_amp_scan_underflowed_envelope_is_a_domain_error(tmp_path, capsys):
+def test_amp_scan_underflowed_envelope_is_normalized_in_log_space(tmp_path):
     # at 1800 detected photons every envelope value underflows to 0.0; the
-    # normalized column would be all zeros, so the case must raise instead
-    cases = [{"label": "dark", "params": {"gamma": [30.0, 0.0], "chi": [30.0, 0.0],
-                                          "gt": "pi/N"},
-              "N": 100, "outcome": {"n_c": 900, "n_d": 900}}]
+    # normalized column is formed in log space and the footer keeps the scale
+    cases = [{"label": label, "params": {"gamma": [30.0, 0.0], "chi": [30.0, 0.0],
+                                         "gt": "pi/N"},
+              "N": n, "outcome": {"n_c": nc, "n_d": nd}}
+             for label, n, nc, nd in (("dark", 100, 900, 900), ("n200", 200, 880, 920))]
     path = write_config(tmp_path, "amp.json", {"cases": cases})
     outdir = tmp_path / "scan"
-    assert run_cli("amp-scan", "--config", path, "--out", str(outdir)) == 4
-    assert "underflows" in capsys.readouterr().err
-    assert not (outdir / "dark.csv").exists()
+    assert run_cli("amp-scan", "--config", path, "--out", str(outdir)) == 0
+    for case in cases:
+        _, _, rows, comments = read_csv_rows(outdir / f"{case['label']}.csv")
+        footer = {c.split("=")[0].strip("# ").strip(): float(c.split("=")[1])
+                  for c in comments}
+        assert all(float(r["A_exact"]) == 0.0 for r in rows)
+        assert max(float(r["A_exact_normalized"]) for r in rows) == 1.0
+        params = build_params(case["params"], case["N"])
+        outcome = PhotonOutcome(case["outcome"]["n_c"], case["outcome"]["n_d"])
+        want = max(log_amplitude(params, outcome, HalfInt(t))
+                   for t in range(-case["N"], case["N"] + 1, 2))
+        assert math.isfinite(footer["log_A_peak"])
+        assert footer["log_A_peak"] == want
+        assert footer["log_prefactor"] == gaussian_model(params, outcome).log_prefactor
 
 
 def test_amp_scan_failing_case_writes_no_file(tmp_path):
-    # the first case is fine; the second underflows, so the run writes nothing
+    # the first case is fine; the second has a dark beam, so the run writes nothing
     cases = [{"label": "ok", "params": {"gamma": [5.1, 0.0], "chi": [5.0, 0.0],
                                         "gt": "pi/N"},
               "N": 20, "outcome": {"n_c": 25, "n_d": 25}},
-             {"label": "dark", "params": {"gamma": [30.0, 0.0], "chi": [30.0, 0.0],
+             {"label": "dark", "params": {"gamma": 0.0, "chi": [30.0, 0.0],
                                           "gt": "pi/N"},
               "N": 100, "outcome": {"n_c": 900, "n_d": 900}}]
     path = write_config(tmp_path, "amp.json", {"cases": cases})
@@ -350,6 +362,26 @@ def test_wigner_posterior_requires_outcome(tmp_path):
     assert run_cli("wigner", "--config", path) == 2
 
 
+def test_wigner_oversized_grid_is_capped_before_allocation(tmp_path, capsys,
+                                                           monkeypatch):
+    # the cap is checked before any Legendre table, so none may be built
+    def failing(*args, **kwargs):
+        raise AssertionError("a Legendre table was built")
+
+    monkeypatch.setattr(analysis, "legendre_norm_table", failing)
+    cfg = {
+        "params": {"gamma": [5.0, 0.0], "chi": [5.0, 0.0], "gt": "pi/2"},
+        "N": 20,
+        "initial": {"type": "coherent", "theta": "pi/2"},
+        "grid": {"n_theta": 200000, "n_phi": 200000},
+    }
+    path = write_config(tmp_path, "w.json", cfg)
+    out = tmp_path / "w.csv"
+    assert run_cli("wigner", "--config", path, "--out", str(out)) == 3
+    assert "Wigner grid" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["w.json"]
+
+
 # ---------------------------------------------------------------------- project
 
 def test_project_payload(tmp_path):
@@ -386,6 +418,24 @@ def test_module_entrypoint_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert out.read_text().startswith("# qnd-povm v0.1.0, schema v1")
+
+
+def test_runs_without_test_dependencies(tmp_path):
+    # the package declares only numpy and jsonschema; a run-time import of a
+    # test dependency must fail here instead of passing where CI installs it
+    path = write_config(tmp_path, "pd.json", PD_SMALL)
+    code = (
+        "import sys\n"
+        "sys.modules.update(dict.fromkeys("
+        "['scipy', 'sympy', 'mpmath', 'hypothesis', 'pytest'], None))\n"
+        "from qnd_povm.cli import main\n"
+        f"status = main(['validate', '--out', {str(tmp_path / 'v.txt')!r}])\n"
+        f"sys.exit(status or main(['photon-dist', '--config', {path!r},"
+        f" '--out', {str(tmp_path / 'pd.csv')!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "pd.csv").stat().st_size > 0
 
 
 def test_measure_recovers_dicke_projection(tmp_path):
@@ -581,9 +631,12 @@ def test_amp_scan_bytes_pinned(tmp_path):
         outcome = PhotonOutcome(case["outcome"]["n_c"], case["outcome"]["n_d"])
         ms = [HalfInt(t) for t in range(-case["N"], case["N"] + 1, 2)]
         exact = np.array([amplitude(params, outcome, m) for m in ms])
-        normed = exact / float(exact.max())
+        log_a = np.array([log_amplitude(params, outcome, m) for m in ms])
+        normed = np.exp(log_a - log_a.max())
+        footer = [f"log_A_peak = {float(log_a.max())!r}"]
         try:
             model = gaussian_model(params, outcome)
+            footer.append(f"log_prefactor = {model.log_prefactor!r}")
         except DomainError:
             model = None
         rows = []
@@ -593,7 +646,7 @@ def test_amp_scan_bytes_pinned(tmp_path):
                 - (float(m) - model.m0) ** 2 / (2.0 * model.sigma2)))
             rows.append([repr(float(m)), repr(float(a)), repr(float(an)), g])
         want = csv_writer_text(["m_z", "A_exact", "A_exact_normalized", "A_gauss"],
-                               rows)
+                               rows, footer)
         assert (model is None) == (case["label"] == "nog")
         assert (outdir / f"{case['label']}.csv").read_bytes() == want.encode("utf-8")
 

@@ -81,7 +81,7 @@ def _two_sector_state():
     rng = np.random.default_rng(13)
     a = rng.normal(size=5) + 1j * rng.normal(size=5)
     b = rng.normal(size=10) + 1j * rng.normal(size=10)
-    return normalize(CollectiveState((Sector(4, a), Sector(9, b)), norm_hint=1.0))
+    return normalize(CollectiveState((Sector(4, a), Sector(9, b))))
 
 
 CASES = {

@@ -25,7 +25,7 @@ P_SYM = QndParams(gamma=5.0, chi=5.0, gt=math.pi / 2.0)
 
 def random_state(rng, two_j):
     a = rng.normal(size=two_j + 1) + 1j * rng.normal(size=two_j + 1)
-    return normalize(CollectiveState((Sector(two_j, a),), norm_hint=1.0))
+    return normalize(CollectiveState((Sector(two_j, a),)))
 
 
 def poisson_pmf(lam, n):
@@ -258,14 +258,13 @@ def test_apply_norm_matches_probability():
         out = PhotonOutcome(nc, nd)
         p = outcome_probability(P_REF, out, st)
         ap = apply(P_REF, out, st)
-        assert ap.norm_hint == pytest.approx(ap.squared_norm(), rel=1e-12)
         if p > 1e-280:
             assert abs(p - ap.squared_norm()) <= 1e-12 * p
 
 
 def test_apply_preserves_zeros():
     a = np.array([0.0, 1.0, 0.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-    st = CollectiveState((Sector(4, a),), norm_hint=1.0)
+    st = CollectiveState((Sector(4, a),))
     out = apply(P_REF, PhotonOutcome(30, 21), st)
     assert np.all(out.sectors[0].amps[[0, 2, 4]] == 0.0)
 
@@ -273,7 +272,7 @@ def test_apply_preserves_zeros():
 def test_apply_multi_sector_diagonal():
     s1 = Sector(2, np.array([0.5, 0.5, 0.0], dtype=complex))
     s2 = Sector(4, np.array([0.0, 0.5, 0.0, 0.5, 0.0], dtype=complex))
-    st = CollectiveState((s1, s2), norm_hint=1.0)
+    st = CollectiveState((s1, s2))
     out = apply(P_REF, PhotonOutcome(25, 25), st)
     assert out.sectors[0].two_j == 2 and out.sectors[1].two_j == 4
     assert out.sectors[1].amps[0] == 0.0
@@ -289,7 +288,7 @@ def test_probability_poisson_product_at_gt_zero():
     lam_c = abs(gamma + 1j * chi) ** 2 / 2.0
     lam_d = abs(1j * gamma + chi) ** 2 / 2.0
     st = normalize(CollectiveState(
-        (Sector(3, np.array([0.6, 0.2j, -0.4, 0.1])),), norm_hint=1.0))
+        (Sector(3, np.array([0.6, 0.2j, -0.4, 0.1])),)))
     for nc in (0, 1, 3):
         for nd in (0, 2, 4):
             got = outcome_probability(p, PhotonOutcome(nc, nd), st)
@@ -298,7 +297,7 @@ def test_probability_poisson_product_at_gt_zero():
 
 
 def test_probability_requires_normalized():
-    bad = CollectiveState((Sector(2, np.array([1.0, 1.0, 1.0])),), norm_hint=3.0)
+    bad = CollectiveState((Sector(2, np.array([1.0, 1.0, 1.0])),))
     with pytest.raises(PreconditionError):
         outcome_probability(P_REF, PhotonOutcome(1, 1), bad)
 
@@ -413,7 +412,7 @@ def test_unity_decomposition_multi_sector():
     rng = np.random.default_rng(13)
     a = rng.normal(size=5) + 1j * rng.normal(size=5)
     b = rng.normal(size=10) + 1j * rng.normal(size=10)
-    st = normalize(CollectiveState((Sector(4, a), Sector(9, b)), norm_hint=1.0))
+    st = normalize(CollectiveState((Sector(4, a), Sector(9, b))))
     dist = outcome_distribution(P_REF, st, 1e-9)
     assert dist.captured_mass >= 1.0 - 1e-8
 
@@ -466,7 +465,7 @@ def test_posterior_dicke_mixture_weights():
     # diagonal weights of an incoherent Dicke mixture are reweighted by the
     # envelope only; repeated identical measurements keep the support
     st = normalize(CollectiveState(
-        (Sector(8, np.array([0, 0.6, 0, 0.8, 0, 0, 0, 0, 0])),), norm_hint=1.0))
+        (Sector(8, np.array([0, 0.6, 0, 0.8, 0, 0, 0, 0, 0])),)))
     out = PhotonOutcome(26, 25)
     p1 = posterior(P_REF, out, st)
     p2 = posterior(P_REF, out, p1)
@@ -517,7 +516,7 @@ def _two_sector_state():
     rng = np.random.default_rng(11)
     secs = [Sector(tj, rng.normal(size=tj + 1) + 1j * rng.normal(size=tj + 1))
             for tj in (4, 9)]
-    return normalize(CollectiveState(tuple(secs), norm_hint=1.0))
+    return normalize(CollectiveState(tuple(secs)))
 
 
 @pytest.mark.parametrize("params, state", [
@@ -622,7 +621,7 @@ def two_sector_state():
     rng = np.random.default_rng(11)
     secs = tuple(Sector(tj, rng.normal(size=tj + 1) + 1j * rng.normal(size=tj + 1))
                  for tj in (4, 9))
-    return normalize(CollectiveState(secs, norm_hint=1.0))
+    return normalize(CollectiveState(secs))
 
 
 def direct_log_eigenvalues(params, outcome, m_values):

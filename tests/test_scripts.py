@@ -13,7 +13,7 @@ SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
 @pytest.mark.parametrize("script,expected", [
-    ("amp_scan_panels.py", ["ratio_rp0.0.csv", "total_50.csv",
+    ("amp_scan_panels.py", ["ratio_rp0.0.csv", "total_50.csv", "total_1800.csv",
                             "time_4piN.csv", "size_N200.csv"]),
     ("dicke_photon_maps.py", ["dist_m_minusJ.csv", "dist_m_zero.csv",
                               "dist_m_halfJ.csv", "count_to_spin_map.csv"]),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qnd_povm.errors import DomainError, PreconditionError
 from qnd_povm.spin_state import (CollectiveState, Sector, coherent_state,
-                                 dicke_state, make_state, moments, normalize,
+                                 dicke_state, moments, normalize,
                                  overlap, state_from_json, state_to_json)
 
 
@@ -95,7 +95,7 @@ def test_moments_dicke():
 
 
 def test_moments_requires_normalized():
-    bad = CollectiveState((Sector(2, np.array([1.0, 1.0, 0.0])),), norm_hint=2.0)
+    bad = CollectiveState((Sector(2, np.array([1.0, 1.0, 0.0])),))
     with pytest.raises(PreconditionError):
         moments(bad)
 
@@ -126,18 +126,18 @@ def test_overlap_disjoint_sectors():
 def test_multi_sector_state():
     s1 = Sector(2, np.array([0.5, 0.0, 0.5]))
     s2 = Sector(5, np.zeros(6, dtype=complex))
-    st = make_state((s1, s2))
-    assert abs(st.norm_hint - 0.5) < 1e-15
+    st = CollectiveState((s1, s2))
+    assert abs(st.squared_norm() - 0.5) < 1e-15
     nst = normalize(st)
     assert abs(nst.squared_norm() - 1.0) < 1e-15
     with pytest.raises(DomainError):
-        make_state((s1, Sector(2, np.array([1.0, 0, 0]))))  # duplicate sector
+        CollectiveState((s1, Sector(2, np.array([1.0, 0, 0]))))  # duplicate sector
 
 
 def test_serialization_roundtrip():
     rng = np.random.default_rng(0)
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-    st = normalize(make_state((Sector(3, amps),)))
+    st = normalize(CollectiveState((Sector(3, amps),)))
     data = state_to_json(st)
     assert data["sectors"][0]["twoJ"] == 3
     back = state_from_json(data)
