@@ -1,4 +1,4 @@
-"""Experiment configuration: JSON loading, schema validation, angle parsing.
+"""Experiment configuration: JSON loading, schema checking, angle parsing.
 
 Interaction phases and tilt angles are accepted symbolically ("pi/2",
 "pi/N", "3pi/4", "-pi/100") so that special points hold to machine precision
@@ -14,8 +14,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Any
 
-import jsonschema
-
 from .errors import ConfigError
 from .povm import QndParams, params_from_json
 from .spin_state import CollectiveState, coherent_state, dicke_state
@@ -28,17 +26,8 @@ _ANGLE_RE = re.compile(
 
 _NUMBER = {"type": "number"}
 _ANGLE = {"type": ["number", "string"]}
-_COMPLEX = {
-    "oneOf": [
-        {"type": "number"},
-        {
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-    ]
-}
+# a real number or a [re, im] pair: the array keywords pass any non-array
+_COMPLEX = {"type": ["number", "array"], "items": _NUMBER, "minItems": 2, "maxItems": 2}
 
 _PARAMS_SCHEMA = {
     "type": "object",
@@ -157,6 +146,65 @@ SCHEMAS: dict[str, dict] = {
 }
 
 
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    # a JSON integer: 5.0 is a number, which range() and shapes cannot take
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
+
+# keyword, the comparison that breaks it, and how the message states the bound
+_BOUNDS = (("minimum", lambda v, b: v < b, "at least"),
+           ("exclusiveMinimum", lambda v, b: v <= b, "above"),
+           ("exclusiveMaximum", lambda v, b: v >= b, "below"))
+
+
+def _reject(path: str, problem: str):
+    raise ConfigError(f"config rejected: {path} {problem}")
+
+
+def _check(value, schema: dict, path: str) -> None:
+    """Raise ConfigError naming the first key path at which `value` breaks `schema`.
+
+    Implements the JSON-Schema keywords SCHEMAS uses, with their meaning in
+    the standard (a keyword for one type passes values of any other type),
+    except that an integer is a JSON integer, never a float such as 5.0.
+    """
+    types = schema.get("type", ())
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_IS_TYPE[t](value) for t in types):
+        _reject(path, f"is not of type {' or '.join(types)}")
+    if "enum" in schema and value not in schema["enum"]:
+        _reject(path, f"is not one of {', '.join(map(str, schema['enum']))}")
+    if _IS_TYPE["number"](value):
+        for key, breaks, text in _BOUNDS:
+            if key in schema and breaks(value, schema[key]):
+                _reject(path, f"must be {text} {schema[key]}")
+    if isinstance(value, str) and "pattern" in schema:
+        if re.search(schema["pattern"], value) is None:
+            _reject(path, f"does not match {schema['pattern']}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            _reject(path, f"has fewer than {schema['minItems']} items")
+        if len(value) > schema.get("maxItems", len(value)):
+            _reject(path, f"has more than {schema['maxItems']} items")
+        for i, item in enumerate(value):
+            _check(item, schema.get("items", {}), f"{path}[{i}]")
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                _reject(f"{path}.{key}", "is required")
+        for key, item in value.items():
+            if key in props:
+                _check(item, props[key], f"{path}.{key}")
+            elif schema.get("additionalProperties", True) is False:
+                _reject(f"{path}.{key}", "is not allowed")
+
+
 def parse_angle(value, N: int | None = None) -> float:
     """Resolve a numeric or symbolic angle to a float.
 
@@ -234,10 +282,7 @@ class ExperimentConfig:
         schema = SCHEMAS.get(command)
         if schema is None:
             raise ConfigError(f"unknown command {command!r}")
-        try:
-            jsonschema.validate(raw, schema)
-        except jsonschema.ValidationError as exc:
-            raise ConfigError(f"config rejected: {exc.message}") from exc
+        _check(raw, schema, "config")
         if command == "amp-scan":
             labels = [case["label"] for case in raw["cases"]]
             dup = sorted({label for label in labels if labels.count(label) > 1})

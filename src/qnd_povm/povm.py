@@ -448,9 +448,10 @@ def outcome_distribution(params: QndParams, state: CollectiveState,
     k sqrt(s) around s, grows over k = 4, 5, ... until it holds
     1 - mass_tolerance; each total's row (by ascending n_c) is then one
     contraction over m of two per-port Poisson tables.  A window past
-    max_total (carrying the marginal mass up to it) or over _MAX_ROWS entries
-    raises ResourceCapError before any table is built; a total whose rows
-    miss its Pois(s) mass by _TOTAL_RTOL raises DomainError.
+    max_total (carrying the marginal mass up to it), over _MAX_ROWS entries
+    or with per-port tables over _MAX_ROWS entries raises ResourceCapError
+    before any table is built; a total whose rows miss its Pois(s) mass by
+    _TOTAL_RTOL raises DomainError.
     """
     if not state.is_normalized():
         raise PreconditionError("outcome_distribution needs a normalized state")
@@ -471,6 +472,9 @@ def outcome_distribution(params: QndParams, state: CollectiveState,
         if n_rows > _MAX_ROWS:
             raise ResourceCapError(f"the photon window {lo}..{top} holds {n_rows} "
                                    f"outcomes, over the cap of {_MAX_ROWS}")
+        if 2 * weights.size * (hi + 1) > _MAX_ROWS:
+            raise ResourceCapError(f"the per-port Poisson tables (2 x {weights.size} x "
+                                   f"{hi + 1}) are over the cap of {_MAX_ROWS} entries")
         lf = log_factorial_array(top)
         marginal = weights.sum() * np.exp(np.arange(lo, top + 1) * math.log(s) - s - lf[lo:])
         mass = float(marginal.sum())

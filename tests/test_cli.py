@@ -421,13 +421,13 @@ def test_module_entrypoint_subprocess(tmp_path):
 
 
 def test_runs_without_test_dependencies(tmp_path):
-    # the package declares only numpy and jsonschema; a run-time import of a
-    # test dependency must fail here instead of passing where CI installs it
+    # the package declares only numpy; a run-time import of a test dependency
+    # must fail here instead of passing where CI installs it
     path = write_config(tmp_path, "pd.json", PD_SMALL)
     code = (
         "import sys\n"
         "sys.modules.update(dict.fromkeys("
-        "['scipy', 'sympy', 'mpmath', 'hypothesis', 'pytest'], None))\n"
+        "['scipy', 'sympy', 'mpmath', 'hypothesis', 'pytest', 'jsonschema'], None))\n"
         "from qnd_povm.cli import main\n"
         f"status = main(['validate', '--out', {str(tmp_path / 'v.txt')!r}])\n"
         f"sys.exit(status or main(['photon-dist', '--config', {path!r},"
@@ -809,6 +809,18 @@ def test_photon_window_over_the_row_cap_exits_3(tmp_path, capsys):
     out = tmp_path / "big.csv"
     assert run_cli("photon-dist", "--config", path, "--out", str(out)) == 3
     assert "over the cap of 16777216" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["big.json"]
+
+
+@pytest.mark.parametrize("command", ["photon-dist", "measure"])
+def test_poisson_tables_over_the_cap_exit_3(tmp_path, capsys, command):
+    # 2 x 5001 x 1970 table entries: refused before any table is allocated
+    cfg = dict(BASE, N=5000, params={"gamma": [30, 0], "chi": [30, 0], "gt": "pi/N"})
+    if command == "measure":
+        cfg["shots"] = 3
+    path = write_config(tmp_path, "big.json", cfg)
+    assert run_cli(command, "--config", path, "--out", str(tmp_path / "big.out")) == 3
+    assert "per-port Poisson tables (2 x 5001 x 1970)" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["big.json"]
 
 

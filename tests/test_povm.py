@@ -375,6 +375,15 @@ def test_distribution_row_cap_before_any_table(monkeypatch):
         outcome_distribution(bright, coherent_state(4, 1.0), 1e-9)
 
 
+def test_distribution_table_cap_before_any_table(monkeypatch):
+    # 610539 rows pass the row cap; the 2 x 5001 x 1970 table entries do not
+    monkeypatch.setattr(povm, "_log_bases", _no_tables)
+    monkeypatch.setattr(povm, "log_factorial_array", _no_tables)
+    bright = QndParams(gamma=30.0, chi=30.0, gt=0.01)
+    with pytest.raises(ResourceCapError, match="over the cap of 16777216 entries"):
+        outcome_distribution(bright, coherent_state(5000, 1.0), 1e-9)
+
+
 def test_distribution_rows_guard_rejects_corrupt_bases(monkeypatch):
     real = povm._log_bases
 
