@@ -97,17 +97,22 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-_CHUNK_ROWS = 4096
+# rows per formatted chunk: bounds memory, and keeps each of the formatter's
+# uint64 scratch arrays at 64 KB, under glibc's 128 KB mmap threshold, so
+# they reuse heap memory instead of faulting in fresh pages
+_CHUNK_ROWS = 8192
 
 
 def write_table(path, columns, arrays, meta=None, fmt="csv"):
     """Write equal-length columns as one table, in CSV or stamped JSON.
 
     CSV: the versioned header, the column line and one row per line (ints
-    with str, floats with repr, CRLF endings), then a `# key = value` footer
-    line per `meta` item (LF endings), formatted in fixed-size chunks so
-    memory is bounded by the chunk.  JSON: `{columns, rows, **meta}`.  A
-    column after the first may be None: empty CSV fields, JSON nulls.
+    as `str` and floats as `repr` write them, CRLF endings), then a
+    `# key = value` footer line per `meta` item (LF endings).  Rows are
+    formatted in numpy in fixed-size chunks, so memory is bounded by the
+    chunk; columns must be int, uint or float arrays (TypeError otherwise).
+    JSON: `{columns, rows, **meta}`.  A column after the first may be None:
+    empty CSV fields, JSON nulls.
     """
     meta = meta or {}
     n = len(arrays[0])
@@ -115,14 +120,17 @@ def write_table(path, columns, arrays, meta=None, fmt="csv"):
         rows = zip(*([None] * n if a is None else np.asarray(a).tolist() for a in arrays))
         _write_json(path, {"columns": columns, "rows": list(rows), **meta})
         return
-    arrays = [np.asarray([""] * n if a is None else a) for a in arrays]
-    line = ",".join("{!r}" if a.dtype.kind == "f" else "{}" for a in arrays) + "\r\n"
+    # imported here: measure and project write no table
+    from . import _csvrows
+
+    arrays = [None if a is None else np.asarray(a) for a in arrays]
+    _csvrows.check_columns(columns, arrays)
     with _artifact(path) as fh:
         fh.write(HEADER + "\n")
         fh.write(",".join(columns) + "\r\n")
         for lo in range(0, n, _CHUNK_ROWS):
-            chunk = [a[lo:lo + _CHUNK_ROWS].tolist() for a in arrays]
-            fh.write("".join(map(line.format, *chunk)))
+            fh.write(_csvrows.format_rows(
+                [None if a is None else a[lo:lo + _CHUNK_ROWS] for a in arrays]))
         for key, value in meta.items():
             fh.write(f"# {key} = {value!r}\n")
 
@@ -130,6 +138,19 @@ def write_table(path, columns, arrays, meta=None, fmt="csv"):
 # ---------------------------------------------------------------------------
 # subcommands: (validated config, output path, table format) -> exit status
 # ---------------------------------------------------------------------------
+
+# the largest spin dimension N + 1 any command builds a state or m grid for,
+# and the most posterior amplitudes (shots x dimension) a measure dump writes
+_MAX_ENTRIES = 1 << 24
+
+
+def _check_spin_dimensions(raw):
+    """Refuse, before any state or m grid exists, an N over the cap."""
+    for n in [case["N"] for case in raw.get("cases", [])] + [raw.get("N", 0)]:
+        if n + 1 > _MAX_ENTRIES:
+            raise ResourceCapError(f"N = {n} gives a spin dimension of {n + 1}, over "
+                                   f"the cap of {_MAX_ENTRIES}")
+
 
 def cmd_amp_scan(cfg: ExperimentConfig, out, fmt) -> int:
     if out is None or out == "-":
@@ -185,6 +206,10 @@ def cmd_measure(cfg: ExperimentConfig, out, fmt) -> int:
     dump = cfg.raw.get("dump_posteriors", False)
     if dump and (out is None or out == "-"):
         raise ConfigError("dump_posteriors needs --out FILE to anchor the dump dir")
+    if dump and cfg.raw["shots"] * (cfg.n_atoms + 1) > _MAX_ENTRIES:
+        raise ResourceCapError(
+            f"dumping {cfg.raw['shots']} posteriors of dimension {cfg.n_atoms + 1} "
+            f"writes over the cap of {_MAX_ENTRIES} amplitudes")
     dump_dir = f"{out}.posteriors"
     dist = outcome_distribution(params, state, cfg.raw.get("mass_tolerance", 1e-9),
                                 max_total=cfg.raw.get("max_total"))
@@ -307,6 +332,7 @@ def run(command: str, raw: dict, out=None, fmt: str = "csv") -> int:
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown table format {fmt!r}")
     cfg = ExperimentConfig.from_dict(command, raw)
+    _check_spin_dimensions(cfg.raw)
     return _COMMANDS[command][0](cfg, out, fmt)
 
 

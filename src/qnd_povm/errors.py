@@ -22,7 +22,8 @@ class ZeroProjectionError(DomainError):
 
 
 class ResourceCapError(QndError):
-    """An enumeration window hit its hard cap before converging.
+    """A computation would exceed a hard size cap, or an enumeration window
+    hit its cap before converging.
 
     Carries the mass captured so far so callers can report partial results;
     None when the cap was hit before any mass was measured.

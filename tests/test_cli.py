@@ -16,7 +16,7 @@ from qnd_povm.analysis import density_from_state, wigner
 from qnd_povm.approx import gaussian_model
 from qnd_povm.cli import main
 from qnd_povm.config import ExperimentConfig, build_params, parse_angle
-from qnd_povm.errors import ConfigError, DomainError
+from qnd_povm.errors import ConfigError, DomainError, ResourceCapError
 from qnd_povm.numerics import HalfInt
 from qnd_povm.povm import (PhotonOutcome, amplitude, condition, log_amplitude,
                            outcome_distribution, sample_outcome)
@@ -822,6 +822,55 @@ def test_poisson_tables_over_the_cap_exit_3(tmp_path, capsys, command):
     assert run_cli(command, "--config", path, "--out", str(tmp_path / "big.out")) == 3
     assert "per-port Poisson tables (2 x 5001 x 1970)" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["big.json"]
+
+
+HUGE_N = 10 ** 8
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("project", dict(BASE, N=HUGE_N, outcome={"n_c": 3, "n_d": 4})),
+    ("amp-scan", {"cases": [AMP_CASE, dict(AMP_CASE, label="huge", N=HUGE_N)]}),
+    ("wigner", dict(BASE, N=HUGE_N)),
+    ("photon-dist", dict(BASE, N=HUGE_N)),
+])
+def test_spin_dimension_over_the_cap_exits_3(tmp_path, capsys, command, cfg):
+    # refused before a state or m grid of 1e8 entries is built
+    path = write_config(tmp_path, "big.json", cfg)
+    assert run_cli(command, "--config", path, "--out", str(tmp_path / "big.out")) == 3
+    assert capsys.readouterr().err == (
+        f"resource cap: N = {HUGE_N} gives a spin dimension of {HUGE_N + 1}, "
+        f"over the cap of {1 << 24}\n")
+    assert os.listdir(tmp_path) == ["big.json"]
+
+
+def test_spin_dimension_cap_is_the_largest_dimension_allowed():
+    cli._check_spin_dimensions({"N": (1 << 24) - 1})
+    cli._check_spin_dimensions({"cases": [{"N": (1 << 24) - 1}]})
+    with pytest.raises(ResourceCapError):
+        cli._check_spin_dimensions({"N": 1 << 24})
+    with pytest.raises(ResourceCapError):
+        cli._check_spin_dimensions({"cases": [{"N": 3}, {"N": 1 << 24}]})
+
+
+def test_posterior_dump_over_the_cap_exits_3(tmp_path, capsys):
+    # 1e6 shots x dimension 101: refused before the output or the dump exists
+    path = write_config(tmp_path, "m.json", dict(BASE, shots=10 ** 6, dump_posteriors=True))
+    assert run_cli("measure", "--config", path, "--out", str(tmp_path / "m.jsonl")) == 3
+    assert capsys.readouterr().err == (
+        "resource cap: dumping 1000000 posteriors of dimension 101 writes over the "
+        f"cap of {1 << 24} amplitudes\n")
+    assert os.listdir(tmp_path) == ["m.json"]
+
+
+def test_posterior_dump_cap_is_the_most_amplitudes_allowed(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_ENTRIES", 3 * 11)
+    cfg = dict(BASE, N=10, shots=3, dump_posteriors=True, mass_tolerance=1e-6)
+    out = str(tmp_path / "m.jsonl")
+    assert run_cli("measure", "--config", write_config(tmp_path, "m.json", cfg),
+                   "--out", out) == 0
+    cfg["shots"] = 4
+    assert run_cli("measure", "--config", write_config(tmp_path, "m.json", cfg),
+                   "--out", out) == 3
 
 
 def test_resource_cap_message_reports_only_a_measured_mass(tmp_path, capsys):

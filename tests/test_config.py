@@ -106,11 +106,13 @@ _KEYS = sorted({key for schema in SCHEMAS.values() for _, sub in _subschemas(sch
 _PROBES = [None, True, False, -1, 0, 1, 2, 5, -0.5, 0.0, 0.5, 1.0, 5.0, float("nan"),
            "", "a", "a b", "pi/2", "coherent", "dicke", "prior", "posterior",
            [], [1.0], [1.0, 2], [1.0, 2.0, 3.0], [1.0, "a"], {}, {"n_c": 1, "n_d": 2}]
+# each draw is a copy: the test edits drawn lists and dicts in place, and an
+# edited probe would change what later examples draw
 _VALUES = st.recursive(
     st.sampled_from(_PROBES) | st.integers(-3, 300) | st.floats(-3.0, 300.0),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3),
-    max_leaves=6)
+    max_leaves=6).map(copy.deepcopy)
 
 
 def _containers(value):
