@@ -22,7 +22,8 @@ from .povm import (OutcomeDistribution, PhotonOutcome, QndParams, amplitude,
                    apply, condition, detector_phases, eigen, log_amplitude,
                    log_matrix_element, log_matrix_element_direct,
                    outcome_distribution, outcome_probability, params_from_json,
-                   params_to_json, phase_phi, posterior, sample_outcome)
+                   params_to_json, phase_phi, posterior, sample_outcome,
+                   sample_outcomes)
 from .spin_state import (CollectiveState, Sector, SpinMoments, coherent_state,
                          dicke_state, moments, normalize, overlap, scale_amplitudes,
                          state_from_json, state_to_json)

@@ -35,7 +35,7 @@ from .config import ExperimentConfig, build_params, read_config
 from .errors import (ConfigError, DomainError, PreconditionError,
                      QndError, ResourceCapError)
 from .povm import (PhotonOutcome, condition, condition_many, eigen,
-                   outcome_distribution, posterior, sample_outcome)
+                   outcome_distribution, posterior, sample_outcomes)
 from .spin_state import moments, state_to_json
 
 HEADER = f"# qnd-povm v{__version__}, schema v1"
@@ -197,12 +197,16 @@ def cmd_photon_dist(cfg: ExperimentConfig, out, fmt) -> int:
 
 # shots conditioned per `condition_many` call; bounds its B x dim scratch
 _SHOT_BLOCK = 128
+# one measure record, as json.dumps(record, sort_keys=True) writes it: ints,
+# finite floats by repr, and the nullable fields given as JSON text
+_RECORD = ('{{"log_prob": {!r}, "mean_jz": {!r}, "n_c": {}, "n_d": {}, "posterior_ref": {}, '
+           '"r": {}, "seed": {}, "squeezing_ratio": {}, "var_jz": {!r}}}\n')
 
 
 def cmd_measure(cfg: ExperimentConfig, out, fmt) -> int:
     params = cfg.params()
     state = cfg.initial_state()
-    seed = int(cfg.raw.get("seed", 0))
+    seed = int(cfg.raw.get("seed", 0)) % (1 << 64)
     dump = cfg.raw.get("dump_posteriors", False)
     if dump and (out is None or out == "-"):
         raise ConfigError("dump_posteriors needs --out FILE to anchor the dump dir")
@@ -218,41 +222,30 @@ def cmd_measure(cfg: ExperimentConfig, out, fmt) -> int:
     staged = _staged_dir(dump_dir) if dump else contextlib.nullcontext()
     with _artifact(out) as fh, staged as stage:
         for lo in range(0, shots, _SHOT_BLOCK):
-            block = range(lo, min(lo + _SHOT_BLOCK, shots))
-            seeds = [(seed + shot) % (1 << 64) for shot in block]
-            outcomes = [sample_outcome(dist, s) for s in seeds]
-            log_p, mean_jz, var_jz = condition_many(
-                params, [o.n_c for o in outcomes], [o.n_d for o in outcomes], state)
+            # shot seeds are seed + shot mod 2^64, as uint64 arithmetic wraps
+            seeds = np.arange(lo, min(lo + _SHOT_BLOCK, shots), dtype=np.uint64) + np.uint64(seed)
+            n_c, n_d = sample_outcomes(dist, seeds)
+            log_p, mean_jz, var_jz = condition_many(params, n_c, n_d, state)
             dead = np.flatnonzero(log_p == -math.inf)
             if dead.size:
                 i = int(dead[0])
-                raise QndError(
-                    f"sampled outcome ({outcomes[i].n_c}, {outcomes[i].n_d}) has zero "
-                    f"probability (shot {block[i]}, seed {seeds[i]})"
-                )
-            columns = zip(block, seeds, outcomes, log_p.tolist(), mean_jz.tolist(),
-                          var_jz.tolist())
-            for shot, shot_seed, outcome, lp, mean, var in columns:
-                ref = None
-                if dump:
+                raise QndError(f"sampled outcome ({n_c[i]}, {n_d[i]}) has zero "
+                               f"probability (shot {lo + i}, seed {seeds[i]})")
+            n_c, n_d = n_c.tolist(), n_d.tolist()
+            refs = ["null"] * len(n_c)
+            if dump:
+                for i, (c, d) in enumerate(zip(n_c, n_d)):
                     # only the dump needs the posterior's per-m_z phases
-                    post = condition(params, outcome, state)[1]
-                    name = f"shot_{shot:06d}.json"
-                    ref = os.path.join(dump_dir, name)
+                    post = condition(params, PhotonOutcome(c, d), state)[1]
+                    name = f"shot_{lo + i:06d}.json"
                     with open(os.path.join(stage, name), "w", encoding="utf-8") as pf:
                         json.dump(state_to_json(post), pf, sort_keys=True)
-                record = {
-                    "seed": shot_seed,
-                    "n_c": outcome.n_c,
-                    "n_d": outcome.n_d,
-                    "r": outcome.r if outcome.total > 0 else None,
-                    "log_prob": lp,
-                    "mean_jz": mean,
-                    "var_jz": var,
-                    "squeezing_ratio": var / prior_var if prior_var > 0 else None,
-                    "posterior_ref": ref,
-                }
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+                    refs[i] = json.dumps(os.path.join(dump_dir, name))
+            r = [repr((d - c) / (c + d)) if c + d else "null" for c, d in zip(n_c, n_d)]
+            ratio = (list(map(repr, (var_jz / prior_var).tolist())) if prior_var > 0
+                     else ["null"] * len(n_c))
+            fh.write("".join(map(_RECORD.format, log_p.tolist(), mean_jz.tolist(), n_c, n_d,
+                                 refs, r, seeds.tolist(), ratio, var_jz.tolist())))
     return 0
 
 

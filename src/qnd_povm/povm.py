@@ -166,6 +166,11 @@ class OutcomeDistribution:
     def _cumulative(self) -> np.ndarray:
         return np.cumsum(self.p)
 
+    @cached_property
+    def _last_nonzero(self) -> np.ndarray:
+        """Index of the last entry at or below each i with p != 0, else -1."""
+        return np.maximum.accumulate(np.where(self.p != 0.0, np.arange(self.p.size), -1))
+
     def mean_total(self) -> float:
         """Mean of n_c + n_d under the (renormalized) captured mass."""
         tot = (self.n_c + self.n_d).astype(float)
@@ -508,26 +513,46 @@ def outcome_distribution(params: QndParams, state: CollectiveState,
                                captured_mass=float(by_total.sum()))
 
 
-def sample_outcome(dist: OutcomeDistribution, seed: int) -> PhotonOutcome:
-    """Inverse-CDF draw from the captured entries, renormalized.
+def _seed_array(seeds) -> np.ndarray:
+    """The seeds as a uint64 array; DomainError for any outside [0, 2^64)."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype.kind == "u":
+        return seeds.astype(np.uint64, copy=False)
+    seeds = [int(s) for s in seeds]
+    bad = [s for s in seeds if not 0 <= s < 1 << 64]
+    if bad:
+        raise DomainError(f"seed {bad[0]} is outside [0, 2^64)")
+    return np.array(seeds, dtype=np.uint64)
 
-    Uses numpy's PCG64 generator keyed by the seed, so a given
-    (distribution, seed) pair yields the same outcome on every platform.
+
+def sample_outcomes(dist: OutcomeDistribution, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF draws from the captured entries, renormalized: (n_c, n_d).
+
+    Draw i uses the first uniform of numpy's PCG64 stream keyed by seeds[i]
+    (`Generator(PCG64(seed)).random()`, computed in-package for the whole
+    block), so a given (distribution, seed) pair yields the same outcome on
+    every platform and numpy version.  A seed outside [0, 2^64) raises
+    DomainError.
     """
-    p = dist.p
-    if dist.captured_mass <= 0.0 or p.size == 0:
+    # imported here, so that importing the package does not load it
+    from ._pcg64 import first_uniforms
+
+    seeds = _seed_array(seeds)
+    if dist.captured_mass <= 0.0 or dist.p.size == 0:
         raise DomainError("cannot sample from an empty distribution")
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
-    target = rng.random() * dist.captured_mass
-    idx = int(np.searchsorted(dist._cumulative, target, side="right"))
-    idx = min(idx, p.size - 1)
+    target = first_uniforms(seeds) * dist.captured_mass
+    idx = np.searchsorted(dist._cumulative, target, side="right")
     # a draw landing exactly on a CDF boundary could select a zero-mass
-    # entry; step to the nearest entry that actually carries probability
-    while idx > 0 and p[idx] == 0.0:
-        idx -= 1
-    if p[idx] == 0.0:
+    # entry; take the nearest entry at or below it that carries probability
+    idx = dist._last_nonzero[np.minimum(idx, dist.p.size - 1)]
+    if (idx < 0).any():
         raise DomainError("distribution carries no probability mass")
-    return PhotonOutcome(int(dist.n_c[idx]), int(dist.n_d[idx]))
+    return dist.n_c[idx], dist.n_d[idx]
+
+
+def sample_outcome(dist: OutcomeDistribution, seed: int) -> PhotonOutcome:
+    """One draw of `sample_outcomes`, keyed by `seed`."""
+    n_c, n_d = sample_outcomes(dist, [seed])
+    return PhotonOutcome(int(n_c[0]), int(n_d[0]))
 
 
 def params_to_json(params: QndParams) -> dict:

@@ -424,18 +424,30 @@ def test_runs_without_test_dependencies(tmp_path):
     # the package declares only numpy; a run-time import of a test dependency
     # must fail here instead of passing where CI installs it
     path = write_config(tmp_path, "pd.json", PD_SMALL)
+    measure = write_config(tmp_path, "m.json", dict(PD_SMALL, shots=130, seed=3))
     code = (
         "import sys\n"
+        "import numpy\n"
         "sys.modules.update(dict.fromkeys("
         "['scipy', 'sympy', 'mpmath', 'hypothesis', 'pytest', 'jsonschema'], None))\n"
+        # measure draws its shots without numpy.random, which numpy 2 loads
+        # on first use only (numpy 1 loads it with numpy); validate needs it
+        "blocked = 'numpy.random' not in sys.modules\n"
+        "if blocked:\n"
+        "    sys.modules['numpy.random'] = None\n"
         "from qnd_povm.cli import main\n"
-        f"status = main(['validate', '--out', {str(tmp_path / 'v.txt')!r}])\n"
+        f"status = main(['measure', '--config', {measure!r},"
+        f" '--out', {str(tmp_path / 'm.jsonl')!r}])\n"
+        "if blocked:\n"
+        "    del sys.modules['numpy.random']\n"
+        f"status = status or main(['validate', '--out', {str(tmp_path / 'v.txt')!r}])\n"
         f"sys.exit(status or main(['photon-dist', '--config', {path!r},"
         f" '--out', {str(tmp_path / 'pd.csv')!r}]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "pd.csv").stat().st_size > 0
+    assert len((tmp_path / "m.jsonl").read_text().splitlines()) == 130
 
 
 def test_measure_recovers_dicke_projection(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qnd_povm import povm
+from qnd_povm import _pcg64, povm
 from qnd_povm.approx import approx_apply
 from qnd_povm.errors import DomainError, PreconditionError, ResourceCapError
 from qnd_povm.povm import (OutcomeDistribution, PhotonOutcome, QndParams,
@@ -15,7 +15,7 @@ from qnd_povm.povm import (OutcomeDistribution, PhotonOutcome, QndParams,
                            log_matrix_element_direct,
                            outcome_distribution, outcome_probability,
                            params_from_json, params_to_json, phase_phi,
-                           posterior, sample_outcome)
+                           posterior, sample_outcome, sample_outcomes)
 from qnd_povm.spin_state import (CollectiveState, Sector, coherent_state,
                                  dicke_state, moments, normalize, overlap)
 
@@ -441,7 +441,7 @@ def test_sample_two_equal_entries_frequencies():
         n_c=np.array([0, 1]), n_d=np.array([1, 0]), p=np.array([0.5, 0.5]),
         cutoff_total=1, captured_mass=1.0)
     n = 100_000
-    hits = sum(sample_outcome(dist, seed).n_c for seed in range(n))
+    hits = int(sample_outcomes(dist, np.arange(n, dtype=np.uint64))[0].sum())
     # 6-sigma band around one half at this sample size is about +-0.01
     assert abs(hits / n - 0.5) < 0.01
 
@@ -460,6 +460,65 @@ def test_sample_empty_distribution():
                                p=np.array([]), cutoff_total=0, captured_mass=0.0)
     with pytest.raises(DomainError):
         sample_outcome(dist, 1)
+
+
+def numpy_first_uniform(seed):
+    return np.random.Generator(np.random.PCG64(int(seed))).random()
+
+
+@pytest.mark.parametrize("block", [1, 128])
+def test_first_uniforms_equal_numpy_pcg64(block):
+    rng = np.random.default_rng(20261018)
+    seeds = np.concatenate([
+        np.array([0, 1, 2**32 - 1, 2**32, 2**48, 2**63, 2**64 - 1], dtype=np.uint64),
+        rng.integers(0, 2**64, 10_000, dtype=np.uint64, endpoint=False),
+        rng.integers(0, 2**32, 10_000, dtype=np.uint64, endpoint=False),
+    ])
+    got = np.concatenate([_pcg64.first_uniforms(seeds[lo:lo + block])
+                          for lo in range(0, seeds.size, block)])
+    want = np.array([numpy_first_uniform(s) for s in seeds.tolist()])
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**64), 2**64, 2**70])
+def test_sample_rejects_seeds_outside_uint64(seed):
+    dist = OutcomeDistribution(n_c=np.array([3]), n_d=np.array([4]),
+                               p=np.array([1.0]), cutoff_total=7,
+                               captured_mass=1.0)
+    with pytest.raises(DomainError, match="outside"):
+        sample_outcome(dist, seed)
+    with pytest.raises(DomainError, match="outside"):
+        sample_outcomes(dist, np.array([5, seed], dtype=object))
+    with pytest.raises(DomainError, match="outside"):
+        sample_outcomes(dist, [2**64 - 1, seed])
+
+
+def test_sample_outcomes_is_the_per_seed_draw():
+    dist = outcome_distribution(P_REF, coherent_state(30, math.pi / 2.0), 1e-9)
+    seeds = np.arange(2**64 - 150, 2**64, dtype=np.uint64)
+    n_c, n_d = sample_outcomes(dist, seeds)
+    assert n_c.dtype == n_d.dtype == np.int64
+    assert [PhotonOutcome(c, d) for c, d in zip(n_c.tolist(), n_d.tolist())] == [
+        sample_outcome(dist, s) for s in seeds.tolist()]
+    # signed arrays and Python ints draw as the same seeds do as uint64
+    low = seeds >> np.uint64(2)
+    for same in (low.astype(np.int64), low.tolist()):
+        assert np.array_equal(sample_outcomes(dist, same)[0], sample_outcomes(dist, low)[0])
+
+
+def test_sample_steps_off_trailing_zero_mass():
+    # a captured mass past the cumulative sum sends draws past the last entry;
+    # they land on the last entry that carries probability, never a zero
+    dist = OutcomeDistribution(n_c=np.arange(5), n_d=np.zeros(5, dtype=np.int64),
+                               p=np.array([0.0, 0.5, 0.0, 0.5, 0.0]), cutoff_total=4,
+                               captured_mass=2.0)
+    n_c, _ = sample_outcomes(dist, np.arange(4000, dtype=np.uint64))
+    assert set(n_c.tolist()) == {1, 3}
+    assert abs(np.mean(n_c == 3) - 0.75) < 0.05
+    dead = OutcomeDistribution(n_c=np.arange(2), n_d=np.zeros(2, dtype=np.int64),
+                               p=np.zeros(2), cutoff_total=1, captured_mass=1.0)
+    with pytest.raises(DomainError, match="no probability mass"):
+        sample_outcome(dead, 0)
 
 
 # ------------------------------------------------------------------- posterior
