@@ -16,8 +16,8 @@ from .approx import (GaussianModel, ProjectiveParams, approx_apply,
                      project, projective_params)
 from .errors import (ConfigError, DomainError, PreconditionError, QndError,
                      ResourceCapError, ZeroProjectionError)
-from .numerics import (HalfInt, clebsch_gordan, log_binomial, log_factorial,
-                       spherical_harmonic)
+from .numerics import (clebsch_gordan, log_binomial, log_factorial,
+                       spherical_harmonic, twice)
 from .povm import (OutcomeDistribution, PhotonOutcome, QndParams, amplitude,
                    apply, condition, detector_phases, eigen, log_amplitude,
                    log_matrix_element, log_matrix_element_direct,

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, ResourceCapError
+from .errors import MAX_ENTRIES, DomainError, PreconditionError, ResourceCapError
 from .numerics import cg_blocks, legendre_norm_table
 from .povm import PhotonOutcome, QndParams, eigen
 from .spin_state import (CollectiveState, Sector, coherent_state, moments,
@@ -19,9 +19,6 @@ from .spin_state import (CollectiveState, Sector, coherent_state, moments,
 
 _RESIDUE_TOL = 1e-10
 _PARSEVAL_TOL = 1e-10
-# cap on the entries of the largest array `wigner` builds, the same as the
-# row cap of outcome_distribution
-_MAX_GRID = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -162,10 +159,10 @@ def wigner(rho: DensityMatrix, n_theta: int = 181, n_phi: int = 361) -> WignerGr
     two_j = rho.two_j
     n_m = 2 * two_j + 1
     largest = max(n_theta * n_m, n_m * n_phi, n_theta * n_phi)
-    if largest > _MAX_GRID:
+    if largest > MAX_ENTRIES:
         raise ResourceCapError(f"a {n_theta}x{n_phi} Wigner grid at 2J={two_j} needs "
                                f"an array of {largest} entries, over the cap of "
-                               f"{_MAX_GRID}")
+                               f"{MAX_ENTRIES}")
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi)
     table = _multipoles(rho)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ZeroProjectionError
-from .numerics import HalfInt
+from .numerics import twice
 from .povm import PhotonOutcome, QndParams, eigen, phase_phi
 from .spin_state import CollectiveState, Sector, normalize, scale_amplitudes
 
@@ -91,7 +91,7 @@ def peak_solutions(params: QndParams, outcome: PhotonOutcome, J) -> list[float]:
     """
     if outcome.total == 0:
         raise PreconditionError("peak location needs at least one photon")
-    jv = float(HalfInt.coerce(J))
+    jv = twice(J) / 2.0
     c2e = params.cos_2eta
     r = outcome.r
     if abs(r) > c2e:

@@ -32,7 +32,7 @@ from .analysis import density_from_state, wigner
 from .approx import (gaussian_amplitude, gaussian_model, project,
                      projective_params)
 from .config import ExperimentConfig, build_params, read_config
-from .errors import (ConfigError, DomainError, PreconditionError,
+from .errors import (MAX_ENTRIES, ConfigError, DomainError, PreconditionError,
                      QndError, ResourceCapError)
 from .povm import (PhotonOutcome, condition, condition_many, eigen,
                    outcome_distribution, posterior, sample_outcomes)
@@ -139,17 +139,12 @@ def write_table(path, columns, arrays, meta=None, fmt="csv"):
 # subcommands: (validated config, output path, table format) -> exit status
 # ---------------------------------------------------------------------------
 
-# the largest spin dimension N + 1 any command builds a state or m grid for,
-# and the most posterior amplitudes (shots x dimension) a measure dump writes
-_MAX_ENTRIES = 1 << 24
-
-
 def _check_spin_dimensions(raw):
     """Refuse, before any state or m grid exists, an N over the cap."""
     for n in [case["N"] for case in raw.get("cases", [])] + [raw.get("N", 0)]:
-        if n + 1 > _MAX_ENTRIES:
+        if n + 1 > MAX_ENTRIES:
             raise ResourceCapError(f"N = {n} gives a spin dimension of {n + 1}, over "
-                                   f"the cap of {_MAX_ENTRIES}")
+                                   f"the cap of {MAX_ENTRIES}")
 
 
 def cmd_amp_scan(cfg: ExperimentConfig, out, fmt) -> int:
@@ -210,10 +205,10 @@ def cmd_measure(cfg: ExperimentConfig, out, fmt) -> int:
     dump = cfg.raw.get("dump_posteriors", False)
     if dump and (out is None or out == "-"):
         raise ConfigError("dump_posteriors needs --out FILE to anchor the dump dir")
-    if dump and cfg.raw["shots"] * (cfg.n_atoms + 1) > _MAX_ENTRIES:
+    if dump and cfg.raw["shots"] * (cfg.n_atoms + 1) > MAX_ENTRIES:
         raise ResourceCapError(
             f"dumping {cfg.raw['shots']} posteriors of dimension {cfg.n_atoms + 1} "
-            f"writes over the cap of {_MAX_ENTRIES} amplitudes")
+            f"writes over the cap of {MAX_ENTRIES} amplitudes")
     dump_dir = f"{out}.posteriors"
     dist = outcome_distribution(params, state, cfg.raw.get("mass_tolerance", 1e-9),
                                 max_total=cfg.raw.get("max_total"))
@@ -255,9 +250,8 @@ def cmd_wigner(cfg: ExperimentConfig, out, fmt) -> int:
     if cfg.raw.get("state", "prior") == "posterior":
         oc = cfg.raw["outcome"]
         state = posterior(params, PhotonOutcome(oc["n_c"], oc["n_d"]), state)
-    grid = cfg.raw.get("grid", {})
     rho = density_from_state(state, cfg.n_atoms / 2.0)
-    wg = wigner(rho, n_theta=grid.get("n_theta", 181), n_phi=grid.get("n_phi", 361))
+    wg = wigner(rho, **cfg.raw.get("grid", {}))
     # row-major over the grid: theta outer, phi inner
     write_table(out, ["theta", "phi", "w"],
                 [np.repeat(wg.thetas, wg.phis.size), np.tile(wg.phis, wg.thetas.size),
@@ -285,7 +279,8 @@ def cmd_project(cfg: ExperimentConfig, out, fmt) -> int:
 def cmd_validate(cfg: ExperimentConfig, out, fmt) -> int:
     from .validate import run_all
 
-    results = run_all(seed=int(cfg.raw.get("seed", 20260810)))
+    # the schema admits only `seed`, which run_all defaults when it is absent
+    results = run_all(**cfg.raw)
     ok = True
     with _artifact(out) as fh:
         for name, passed, detail in results:

@@ -57,17 +57,37 @@ _OUTCOME_SCHEMA = {
     "additionalProperties": False,
 }
 
+_ATOMS = {"type": "integer", "minimum": 1}
+
 _CASE_SCHEMA = {
     "type": "object",
     "required": ["label", "params", "N", "outcome"],
     "properties": {
         "label": {"type": "string", "pattern": r"^[A-Za-z0-9._-]+$"},
         "params": _PARAMS_SCHEMA,
-        "N": {"type": "integer", "minimum": 1},
+        "N": _ATOMS,
         "outcome": _OUTCOME_SCHEMA,
     },
     "additionalProperties": False,
 }
+
+_TOLERANCE = {
+    "mass_tolerance": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+    "max_total": {"type": "integer", "minimum": 0},
+}
+_SEED = {"type": "integer", "minimum": 0}
+
+
+def _experiment(*required, **props) -> dict:
+    """Schema of a config on one light setting, atom number and initial state."""
+    return {
+        "type": "object",
+        "required": ["params", "N", "initial", *required],
+        "properties": {"params": _PARAMS_SCHEMA, "N": _ATOMS, "initial": _INITIAL_SCHEMA,
+                       **props},
+        "additionalProperties": False,
+    }
+
 
 SCHEMAS: dict[str, dict] = {
     "amp-scan": {
@@ -78,69 +98,22 @@ SCHEMAS: dict[str, dict] = {
         },
         "additionalProperties": False,
     },
-    "photon-dist": {
-        "type": "object",
-        "required": ["params", "N", "initial"],
-        "properties": {
-            "params": _PARAMS_SCHEMA,
-            "N": {"type": "integer", "minimum": 1},
-            "initial": _INITIAL_SCHEMA,
-            "mass_tolerance": {"type": "number",
-                               "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            "max_total": {"type": "integer", "minimum": 0},
-        },
-        "additionalProperties": False,
-    },
-    "measure": {
-        "type": "object",
-        "required": ["params", "N", "initial", "shots"],
-        "properties": {
-            "params": _PARAMS_SCHEMA,
-            "N": {"type": "integer", "minimum": 1},
-            "initial": _INITIAL_SCHEMA,
-            "shots": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer", "minimum": 0},
-            "mass_tolerance": {"type": "number",
-                               "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            "max_total": {"type": "integer", "minimum": 0},
-            "dump_posteriors": {"type": "boolean"},
-        },
-        "additionalProperties": False,
-    },
-    "wigner": {
-        "type": "object",
-        "required": ["params", "N", "initial"],
-        "properties": {
-            "params": _PARAMS_SCHEMA,
-            "N": {"type": "integer", "minimum": 1},
-            "initial": _INITIAL_SCHEMA,
-            "state": {"enum": ["prior", "posterior"]},
-            "outcome": _OUTCOME_SCHEMA,
-            "grid": {
-                "type": "object",
-                "properties": {
-                    "n_theta": {"type": "integer", "minimum": 2},
-                    "n_phi": {"type": "integer", "minimum": 2},
-                },
-                "additionalProperties": False,
-            },
-        },
-        "additionalProperties": False,
-    },
-    "project": {
-        "type": "object",
-        "required": ["params", "N", "initial", "outcome"],
-        "properties": {
-            "params": _PARAMS_SCHEMA,
-            "N": {"type": "integer", "minimum": 1},
-            "initial": _INITIAL_SCHEMA,
-            "outcome": _OUTCOME_SCHEMA,
-        },
-        "additionalProperties": False,
-    },
+    "photon-dist": _experiment(**_TOLERANCE),
+    "measure": _experiment("shots", shots={"type": "integer", "minimum": 1}, seed=_SEED,
+                           dump_posteriors={"type": "boolean"}, **_TOLERANCE),
+    "wigner": _experiment(state={"enum": ["prior", "posterior"]}, outcome=_OUTCOME_SCHEMA,
+                          grid={
+                              "type": "object",
+                              "properties": {
+                                  "n_theta": {"type": "integer", "minimum": 2},
+                                  "n_phi": {"type": "integer", "minimum": 2},
+                              },
+                              "additionalProperties": False,
+                          }),
+    "project": _experiment("outcome", outcome=_OUTCOME_SCHEMA),
     "validate": {
         "type": "object",
-        "properties": {"seed": {"type": "integer", "minimum": 0}},
+        "properties": {"seed": _SEED},
         "additionalProperties": False,
     },
 }
@@ -209,33 +182,36 @@ def parse_angle(value, N: int | None = None) -> float:
     """Resolve a numeric or symbolic angle to a float.
 
     Symbolic strings have the form ``[sign][coef][*]pi[/den]`` with ``den``
-    either a number or the literal N; plain numeric strings also pass.
+    either a number or the literal N; plain numeric strings also pass.  An
+    angle that is not a finite float raises ConfigError.
     """
-    if isinstance(value, (int, float)):
-        return float(value)
-    if not isinstance(value, str):
-        raise ConfigError(f"cannot parse angle {value!r}")
-    m = _ANGLE_RE.match(value)
+    m = _ANGLE_RE.match(value) if isinstance(value, str) else None
     if m is None:
+        if not isinstance(value, (int, float, str)):
+            raise ConfigError(f"cannot parse angle {value!r}")
         try:
-            return float(value)
-        except ValueError:
+            angle = float(value)
+        except (ValueError, OverflowError):
             raise ConfigError(f"cannot parse angle {value!r}") from None
-    coef = float(m.group("coef")) if m.group("coef") else 1.0
-    if m.group("sign") == "-":
-        coef = -coef
-    den = m.group("den")
-    if den is None:
-        d = 1.0
-    elif den.upper() == "N":
-        if N is None:
-            raise ConfigError("angle uses N but no atom number is configured")
-        d = float(N)
     else:
-        d = float(den)
-        if d == 0.0:
-            raise ConfigError("zero denominator in angle")
-    return coef * math.pi / d
+        coef = float(m.group("coef")) if m.group("coef") else 1.0
+        if m.group("sign") == "-":
+            coef = -coef
+        den = m.group("den")
+        if den is None:
+            d = 1.0
+        elif den.upper() == "N":
+            if N is None:
+                raise ConfigError("angle uses N but no atom number is configured")
+            d = float(N)
+        else:
+            d = float(den)
+            if d == 0.0:
+                raise ConfigError("zero denominator in angle")
+        angle = coef * math.pi / d
+    if not math.isfinite(angle):
+        raise ConfigError(f"angle {value!r} is not finite")
+    return angle
 
 
 def build_params(raw: dict, N: int | None) -> QndParams:
@@ -253,13 +229,24 @@ def build_initial(raw: dict, N: int) -> CollectiveState:
 
 
 def read_config(path: str) -> dict:
-    """The JSON object in the config file at `path`, not yet validated."""
+    """The JSON object in the config file at `path`, not yet validated.
+
+    NaN, Infinity and a number whose double overflows (1e400) are refused:
+    Python's json reads them, but no config value may be non-finite.
+    """
+    def finite(text: str) -> float:
+        x = float(text)
+        if not math.isfinite(x):
+            raise ConfigError(f"config {path} holds the non-finite number {text}")
+        return x
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=finite, parse_constant=finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, undecodable UTF-8, or an integer over Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} is not a JSON object")

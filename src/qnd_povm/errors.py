@@ -21,6 +21,11 @@ class ZeroProjectionError(DomainError):
     """Projective collapse annihilated the entire state."""
 
 
+# the one size cap: the most entries any array, photon window, spin
+# dimension or posterior dump may hold
+MAX_ENTRIES = 1 << 24
+
+
 class ResourceCapError(QndError):
     """A computation would exceed a hard size cap, or an enumeration window
     hit its cap before converging.

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,43 +28,23 @@ for _n in range(_LOGFACT_EXACT_MAX + 1):
 del _f, _n
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """Exact half-integer quantum number, stored as twice its value.
+def twice(x) -> int:
+    """Twice the half-integer x, as an exact int.
 
-    J, m_z, L, M live on a half-integer lattice; storing ``twice`` keeps
-    selection rules (parity, triangle conditions) free of float equality.
+    J, m_z, L and M live on a half-integer lattice; carrying twice their
+    value keeps selection rules (parity, triangle conditions) free of float
+    equality.  Ints pass; a float passes when twice it is within 1e-9 of an
+    integer.  Anything else raises DomainError, as do NaN, +-inf and a float
+    whose double overflows.
     """
-
-    twice: int
-
-    @staticmethod
-    def coerce(x) -> "HalfInt":
-        if isinstance(x, HalfInt):
-            return x
-        if isinstance(x, (int, np.integer)):
-            return HalfInt(2 * int(x))
-        if isinstance(x, (float, np.floating)):
-            t = round(2.0 * float(x))
-            if abs(2.0 * float(x) - t) > 1e-9:
-                raise DomainError(f"{x!r} is not a half-integer")
-            return HalfInt(int(t))
-        raise DomainError(f"cannot interpret {x!r} as a half-integer")
-
-    @property
-    def value(self) -> float:
-        return self.twice / 2.0
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
-    def __str__(self) -> str:
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
+    if isinstance(x, (int, np.integer)):
+        return 2 * int(x)
+    if isinstance(x, (float, np.floating)):
+        d = 2.0 * float(x)
+        if math.isfinite(d) and abs(d - round(d)) <= 1e-9:
+            return round(d)
+        raise DomainError(f"{x!r} is not a half-integer")
+    raise DomainError(f"cannot interpret {x!r} as a half-integer")
 
 
 def log_factorial(n: int) -> float:
@@ -174,9 +153,7 @@ def clebsch_gordan(j1, m1, j2, m2, L, M) -> float:
     M != m1 + m2 or the triangle rule fails; raises when the quantum numbers
     are not a valid set.
     """
-    tj1, tm1 = HalfInt.coerce(j1).twice, HalfInt.coerce(m1).twice
-    tj2, tm2 = HalfInt.coerce(j2).twice, HalfInt.coerce(m2).twice
-    tL, tM = HalfInt.coerce(L).twice, HalfInt.coerce(M).twice
+    tj1, tm1, tj2, tm2, tL, tM = map(twice, (j1, m1, j2, m2, L, M))
     for tj, tm, name in ((tj1, tm1, "j1"), (tj2, tm2, "j2"), (tL, tM, "L")):
         if tj < 0:
             raise DomainError(f"negative angular momentum {name}")

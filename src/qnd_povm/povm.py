@@ -25,14 +25,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, ResourceCapError
-from .numerics import HalfInt, log_factorial, log_factorial_array
+from .errors import MAX_ENTRIES, DomainError, PreconditionError, ResourceCapError
+from .numerics import log_factorial, log_factorial_array
 from .spin_state import CollectiveState, normalize, scale_amplitudes
 
 _TWO_PI = 2.0 * math.pi
 # sentinel for log(0) that survives multiplication by small integer counts
 _LOG_ZERO = -1e9
-_MAX_ROWS = 1 << 24
 _TOTAL_RTOL = 1e-10
 
 
@@ -108,6 +107,9 @@ class PhotonOutcome:
     def __post_init__(self):
         if self.n_c < 0 or self.n_d < 0:
             raise DomainError("photon counts must be non-negative")
+        # float64 holds every integer only up to 2^53
+        if self.n_c >= 1 << 53 or self.n_d >= 1 << 53:
+            raise DomainError("photon counts must be below 2^53")
         object.__setattr__(self, "n_c", int(self.n_c))
         object.__setattr__(self, "n_d", int(self.n_d))
 
@@ -166,11 +168,6 @@ class OutcomeDistribution:
     def _cumulative(self) -> np.ndarray:
         return np.cumsum(self.p)
 
-    @cached_property
-    def _last_nonzero(self) -> np.ndarray:
-        """Index of the last entry at or below each i with p != 0, else -1."""
-        return np.maximum.accumulate(np.where(self.p != 0.0, np.arange(self.p.size), -1))
-
     def mean_total(self) -> float:
         """Mean of n_c + n_d under the (renormalized) captured mass."""
         tot = (self.n_c + self.n_d).astype(float)
@@ -182,13 +179,11 @@ class OutcomeDistribution:
 # ---------------------------------------------------------------------------
 
 def _as_m(m_z) -> float:
-    """Spin projection as a float; HalfInt, int and real values all pass.
+    """Spin projection as a float; int and real values all pass.
 
     The envelope and phase formulas are smooth functions of m, evaluated off
     the physical lattice too (peak positions, finite differences).
     """
-    if isinstance(m_z, HalfInt):
-        return m_z.value
     try:
         return float(m_z)
     except (TypeError, ValueError) as exc:
@@ -453,8 +448,8 @@ def outcome_distribution(params: QndParams, state: CollectiveState,
     k sqrt(s) around s, grows over k = 4, 5, ... until it holds
     1 - mass_tolerance; each total's row (by ascending n_c) is then one
     contraction over m of two per-port Poisson tables.  A window past
-    max_total (carrying the marginal mass up to it), over _MAX_ROWS entries
-    or with per-port tables over _MAX_ROWS entries raises ResourceCapError
+    max_total (carrying the marginal mass up to it), over MAX_ENTRIES entries
+    or with per-port tables over MAX_ENTRIES entries raises ResourceCapError
     before any table is built; a total whose rows miss its Pois(s) mass by
     _TOTAL_RTOL raises DomainError.
     """
@@ -474,12 +469,12 @@ def outcome_distribution(params: QndParams, state: CollectiveState,
         hi = math.floor(s + k * math.sqrt(s))
         top = min(hi, cap)
         n_rows = (top - lo + 1) * (lo + top + 2) // 2
-        if n_rows > _MAX_ROWS:
+        if n_rows > MAX_ENTRIES:
             raise ResourceCapError(f"the photon window {lo}..{top} holds {n_rows} "
-                                   f"outcomes, over the cap of {_MAX_ROWS}")
-        if 2 * weights.size * (hi + 1) > _MAX_ROWS:
+                                   f"outcomes, over the cap of {MAX_ENTRIES}")
+        if 2 * weights.size * (hi + 1) > MAX_ENTRIES:
             raise ResourceCapError(f"the per-port Poisson tables (2 x {weights.size} x "
-                                   f"{hi + 1}) are over the cap of {_MAX_ROWS} entries")
+                                   f"{hi + 1}) are over the cap of {MAX_ENTRIES} entries")
         lf = log_factorial_array(top)
         marginal = weights.sum() * np.exp(np.arange(lo, top + 1) * math.log(s) - s - lf[lo:])
         mass = float(marginal.sum())
@@ -541,11 +536,14 @@ def sample_outcomes(dist: OutcomeDistribution, seeds) -> tuple[np.ndarray, np.nd
         raise DomainError("cannot sample from an empty distribution")
     target = first_uniforms(seeds) * dist.captured_mass
     idx = np.searchsorted(dist._cumulative, target, side="right")
-    # a draw landing exactly on a CDF boundary could select a zero-mass
-    # entry; take the nearest entry at or below it that carries probability
-    idx = dist._last_nonzero[np.minimum(idx, dist.p.size - 1)]
-    if (idx < 0).any():
-        raise DomainError("distribution carries no probability mass")
+    # side="right" never selects a zero-mass entry (its cumulative sum equals
+    # its predecessor's); a draw past the end takes the last entry with mass
+    past = idx == dist.p.size
+    if past.any():
+        live = np.flatnonzero(dist.p)
+        if live.size == 0:
+            raise DomainError("distribution carries no probability mass")
+        idx[past] = live[-1]
     return dist.n_c[idx], dist.n_d[idx]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .numerics import HalfInt, log_binomial
+from .numerics import log_binomial, twice
 
 _NORM_TOL = 1e-9
 
@@ -44,7 +44,7 @@ class Sector:
         return self.two_m_values() / 2.0
 
     def index_of(self, m_z) -> int:
-        tm = HalfInt.coerce(m_z).twice
+        tm = twice(m_z)
         if (tm - self.two_j) % 2 != 0 or abs(tm) > self.two_j:
             raise DomainError(f"m_z={m_z} not in sector 2J={self.two_j}")
         return (tm + self.two_j) // 2
@@ -63,7 +63,7 @@ class CollectiveState:
             seen.add(s.two_j)
 
     def sector(self, J) -> Sector | None:
-        tj = HalfInt.coerce(J).twice
+        tj = twice(J)
         for s in self.sectors:
             if s.two_j == tj:
                 return s
@@ -90,12 +90,11 @@ class SpinMoments:
 
 def dicke_state(J, m_z) -> CollectiveState:
     """Basis ket |J, m_z> as a single-sector state."""
-    tj = HalfInt.coerce(J).twice
-    sec = Sector(tj, np.zeros(tj + 1, dtype=complex))
-    i = sec.index_of(m_z)  # raises if out of range
-    a = np.zeros(tj + 1, dtype=complex)
-    a[i] = 1.0
-    return CollectiveState((Sector(tj, a),))
+    tj = twice(J)
+    ket = np.arange(-tj, tj + 1, 2) == twice(m_z)
+    if not ket.any():
+        raise DomainError(f"m_z={m_z} not in sector 2J={tj}")
+    return CollectiveState((Sector(tj, ket),))
 
 
 def coherent_state(N: int, theta: float) -> CollectiveState:
@@ -187,7 +186,7 @@ def overlap(a: CollectiveState, b: CollectiveState) -> complex:
     """<a|b> summed over shared sectors; disjoint sectors contribute 0."""
     total = 0.0 + 0.0j
     for sa in a.sectors:
-        sb = b.sector(HalfInt(sa.two_j))
+        sb = b.sector(sa.two_j / 2)
         if sb is not None:
             total += complex(np.sum(np.conj(sa.amps) * sb.amps))
     return total

@@ -17,7 +17,6 @@ from qnd_povm.approx import gaussian_model
 from qnd_povm.cli import main
 from qnd_povm.config import ExperimentConfig, build_params, parse_angle
 from qnd_povm.errors import ConfigError, DomainError, ResourceCapError
-from qnd_povm.numerics import HalfInt
 from qnd_povm.povm import (PhotonOutcome, amplitude, condition, log_amplitude,
                            outcome_distribution, sample_outcome)
 from qnd_povm.spin_state import moments
@@ -80,6 +79,41 @@ def test_exit_code_config_error(tmp_path):
     assert run_cli("photon-dist", "--config", str(notjson)) == 2
     notobject = write_config(tmp_path, "list.json", [])
     assert run_cli("photon-dist", "--config", notobject, "--mass-tol", "1e-3") == 2
+    # an integer past Python's digit limit, and bytes that are not UTF-8
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"N": 1%s}' % ("0" * 5000))
+    assert run_cli("photon-dist", "--config", str(huge)) == 2
+    undecodable = tmp_path / "bytes.json"
+    undecodable.write_bytes(b'{"N": \xff}')
+    assert run_cli("photon-dist", "--config", str(undecodable)) == 2
+
+
+@pytest.mark.parametrize("initial, code", [
+    ('{"type": "dicke", "m": NaN}', 2),
+    ('{"type": "dicke", "m": Infinity}', 2),
+    ('{"type": "dicke", "m": -Infinity}', 2),
+    ('{"type": "dicke", "m": 1e400}', 2),
+    ('{"type": "dicke", "m": 1e308}', 4),
+    ('{"type": "coherent", "theta": Infinity}', 2),
+    ('{"type": "coherent", "theta": NaN}', 2),
+    ('{"type": "coherent", "theta": "1e400"}', 2),
+    ('{"type": "coherent", "theta": "nan"}', 2),
+    ('{"type": "coherent", "theta": "%spi"}' % ("9" * 400), 2),
+    ('{"type": "coherent", "theta": 1%s}' % ("0" * 400), 2),
+], ids=["dicke-NaN", "dicke-Infinity", "dicke--Infinity", "dicke-1e400", "dicke-1e308",
+        "coherent-Infinity", "coherent-NaN", "coherent-str-1e400", "coherent-str-nan",
+        "coherent-str-9e399pi", "coherent-int-1e400"])
+def test_non_finite_config_numbers_exit_cleanly(tmp_path, capsys, initial, code):
+    # Python's json reads NaN, Infinity and 1e400 (as inf); none may reach the maths
+    path = tmp_path / "c.json"
+    path.write_text('{"params": {"gamma": [3, 0], "chi": [3, 0], "gt": "pi/N"}, '
+                    f'"N": 10, "initial": {initial}}}')
+    assert run_cli("photon-dist", "--config", str(path),
+                   "--out", str(tmp_path / "p.csv")) == code
+    err = capsys.readouterr().err
+    assert err.startswith({2: "config error: ", 4: "domain error: "}[code])
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["c.json"]
 
 
 def test_exit_code_resource_cap(tmp_path, capsys):
@@ -238,7 +272,7 @@ def test_amp_scan_underflowed_envelope_is_normalized_in_log_space(tmp_path):
         assert max(float(r["A_exact_normalized"]) for r in rows) == 1.0
         params = build_params(case["params"], case["N"])
         outcome = PhotonOutcome(case["outcome"]["n_c"], case["outcome"]["n_d"])
-        want = max(log_amplitude(params, outcome, HalfInt(t))
+        want = max(log_amplitude(params, outcome, t / 2)
                    for t in range(-case["N"], case["N"] + 1, 2))
         assert math.isfinite(footer["log_A_peak"])
         assert footer["log_A_peak"] == want
@@ -641,7 +675,7 @@ def test_amp_scan_bytes_pinned(tmp_path):
     for case in cases:
         params = build_params(case["params"], case["N"])
         outcome = PhotonOutcome(case["outcome"]["n_c"], case["outcome"]["n_d"])
-        ms = [HalfInt(t) for t in range(-case["N"], case["N"] + 1, 2)]
+        ms = [t / 2 for t in range(-case["N"], case["N"] + 1, 2)]
         exact = np.array([amplitude(params, outcome, m) for m in ms])
         log_a = np.array([log_amplitude(params, outcome, m) for m in ms])
         normed = np.exp(log_a - log_a.max())
@@ -789,6 +823,18 @@ AMP_CASE = {"label": "a", "params": BASE["params"], "N": 10,
 
 
 @pytest.mark.parametrize("command, cfg", [
+    ("amp-scan", {"cases": [dict(AMP_CASE, outcome={"n_c": 10 ** 29, "n_d": 3})]}),
+    ("wigner", dict(BASE, N=10, state="posterior", outcome={"n_c": 10 ** 29, "n_d": 3})),
+])
+def test_photon_counts_from_2_53_exit_4(tmp_path, capsys, command, cfg):
+    # past 2^53 float64 no longer holds every count; int64 overflows at 2^63
+    path = write_config(tmp_path, "c.json", cfg)
+    assert run_cli(command, "--config", path, "--out", str(tmp_path / "o")) == 4
+    assert capsys.readouterr().err == "domain error: photon counts must be below 2^53\n"
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+@pytest.mark.parametrize("command, cfg", [
     ("photon-dist", PD_SMALL),
     ("measure", dict(PD_SMALL, shots=3, dump_posteriors=True)),
     ("amp-scan", {"cases": [AMP_CASE]}),
@@ -875,7 +921,7 @@ def test_posterior_dump_over_the_cap_exits_3(tmp_path, capsys):
 
 
 def test_posterior_dump_cap_is_the_most_amplitudes_allowed(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_MAX_ENTRIES", 3 * 11)
+    monkeypatch.setattr(cli, "MAX_ENTRIES", 3 * 11)
     cfg = dict(BASE, N=10, shots=3, dump_posteriors=True, mass_tolerance=1e-6)
     out = str(tmp_path / "m.jsonl")
     assert run_cli("measure", "--config", write_config(tmp_path, "m.json", cfg),

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnd_povm.errors import DomainError
-from qnd_povm.numerics import (HalfInt, cg_blocks, clebsch_gordan,
-                               legendre_norm_table, log_binomial,
-                               log_factorial, spherical_harmonic)
+from qnd_povm.numerics import (cg_blocks, clebsch_gordan, legendre_norm_table,
+                               log_binomial, log_factorial, spherical_harmonic,
+                               twice)
 
 
 # ---------------------------------------------------------------------- helpers
@@ -57,24 +57,23 @@ def cg_ladder_oracle():
     return state[(1, -1)]
 
 
-# ---------------------------------------------------------------------- HalfInt
+# ------------------------------------------------------------------------ twice
 
-def test_halfint_coercion():
-    assert HalfInt.coerce(3).twice == 6
-    assert HalfInt.coerce(2.5).twice == 5
-    assert HalfInt.coerce(HalfInt(-7)).twice == -7
-    assert float(HalfInt(5)) == 2.5
-    assert str(HalfInt(5)) == "5/2"
-    assert str(HalfInt(4)) == "2"
-    with pytest.raises(DomainError):
-        HalfInt.coerce(0.3)
+def test_twice_coercion():
+    assert twice(3) == 6
+    assert twice(np.int64(3)) == 6
+    assert twice(2.5) == 5
+    assert twice(np.float32(-3.5)) == -7
+    assert twice(1e300) == int(2e300)
+    for bad in (0.3, math.nan, math.inf, -math.inf, 1e308, "1", None):
+        with pytest.raises(DomainError):
+            twice(bad)
 
 
 @given(st.integers(min_value=-200, max_value=200))
-def test_halfint_roundtrip(t):
-    h = HalfInt(t)
-    assert HalfInt.coerce(h.value).twice == t
-    assert (-h).twice == -t
+def test_twice_roundtrip(t):
+    assert twice(t / 2) == t
+    assert twice(-t / 2) == -t
 
 
 # ---------------------------------------------------------------- log factorial

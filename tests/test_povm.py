@@ -73,6 +73,13 @@ def test_outcome_r_zero_total():
         PhotonOutcome(0, 0).r
 
 
+def test_outcome_counts_below_2_53():
+    assert PhotonOutcome((1 << 53) - 1, (1 << 53) - 1).total == (1 << 54) - 2
+    for counts in ((1 << 53, 0), (0, 1 << 53), (10 ** 29, 3)):
+        with pytest.raises(DomainError, match="below 2\\^53"):
+            PhotonOutcome(*counts)
+
+
 # ---------------------------------------------------------------------- phases
 
 def test_phase_phi_affine():
