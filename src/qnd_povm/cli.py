@@ -283,7 +283,7 @@ def cmd_validate(cfg: ExperimentConfig, out, fmt) -> int:
     results = run_all(**cfg.raw)
     ok = True
     with _artifact(out) as fh:
-        for name, passed, detail in results:
+        for name, passed, detail, _ in results:
             ok &= passed
             fh.write(f"{'PASS' if passed else 'FAIL'}  {name}  {detail}\n")
     return 0 if ok else 1

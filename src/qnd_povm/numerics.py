@@ -47,28 +47,22 @@ def twice(x) -> int:
     raise DomainError(f"cannot interpret {x!r} as a half-integer")
 
 
-def log_factorial(n: int) -> float:
-    """Natural log of n!.
+def log_factorial(n):
+    """Natural log of n!, for an int or elementwise over a numpy int array.
 
     Exact (table of big-integer factorials) up to n=256, log-gamma beyond.
     Total on n >= 0.
     """
-    if n < 0:
+    if not (isinstance(n, np.ndarray) and n.ndim):
+        if n < 0:
+            raise DomainError("factorial of a negative integer")
+        n = int(n)
+        return float(_LOGFACT_TABLE[n]) if n <= _LOGFACT_EXACT_MAX else math.lgamma(n + 1.0)
+    if n.size and n.min() < 0:
         raise DomainError("factorial of a negative integer")
-    n = int(n)
-    if n <= _LOGFACT_EXACT_MAX:
-        return float(_LOGFACT_TABLE[n])
-    return math.lgamma(n + 1.0)
-
-
-def log_factorial_array(nmax: int) -> np.ndarray:
-    """log(k!) for k = 0..nmax as a float array."""
-    if nmax <= _LOGFACT_EXACT_MAX:
-        return _LOGFACT_TABLE[: nmax + 1].copy()
-    out = np.empty(nmax + 1)
-    out[: _LOGFACT_EXACT_MAX + 1] = _LOGFACT_TABLE
-    for k in range(_LOGFACT_EXACT_MAX + 1, nmax + 1):
-        out[k] = math.lgamma(k + 1.0)
+    out = _LOGFACT_TABLE[np.minimum(n, _LOGFACT_EXACT_MAX)]
+    big = n > _LOGFACT_EXACT_MAX
+    out[big] = [math.lgamma(k + 1.0) for k in n[big].tolist()]
     return out
 
 

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MAX_ENTRIES, DomainError, PreconditionError, ResourceCapError
-from .numerics import log_factorial, log_factorial_array
+from .numerics import log_factorial
 from .spin_state import CollectiveState, normalize, scale_amplitudes
 
 _TWO_PI = 2.0 * math.pi
@@ -58,15 +58,19 @@ class QndParams:
     def __post_init__(self):
         g = complex(self.gamma)
         c = complex(self.chi)
-        if not (math.isfinite(g.real) and math.isfinite(g.imag)
-                and math.isfinite(c.real) and math.isfinite(c.imag)
-                and math.isfinite(self.gt)):
+        if not all(map(math.isfinite, (g.real, g.imag, c.real, c.imag, self.gt))):
             raise DomainError("non-finite measurement parameters")
-        if abs(g) == 0.0 or abs(c) == 0.0:
+        if g == 0 or c == 0:
             raise DomainError("both light amplitudes must be nonzero")
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "chi", c)
         object.__setattr__(self, "gt", float(self.gt))
+        try:
+            mean = self.photon_mean  # inf when the sum overflows
+        except OverflowError:  # raised by abs() or ** on an overflowing term
+            mean = math.inf
+        if mean == math.inf:
+            raise DomainError("|gamma|^2 + |chi|^2 overflows a double")
 
     @property
     def abs_gamma(self) -> float:
@@ -260,9 +264,8 @@ def _envelope(params: QndParams, n_c, n_d, m: np.ndarray):
     s = params.photon_mean
     log_c = -s / 2.0 + 0.5 * (n_c + n_d) * math.log(s / 2.0)
     lc, ld = _log_bases(params, m)
-    log_f = np.array([log_factorial(a) + log_factorial(b)
-                      for a, b in zip(n_c.tolist(), n_d.tolist())])
-    log_e = 0.5 * n_c[:, None] * lc + 0.5 * n_d[:, None] * ld - 0.5 * log_f.reshape(-1, 1)
+    log_f = log_factorial(n_c) + log_factorial(n_d)
+    log_e = 0.5 * n_c[:, None] * lc + 0.5 * n_d[:, None] * ld - 0.5 * log_f[:, None]
     log_e[log_e < _LOG_ZERO / 4] = -math.inf
     return log_c, log_e
 
@@ -475,7 +478,7 @@ def outcome_distribution(params: QndParams, state: CollectiveState,
         if 2 * weights.size * (hi + 1) > MAX_ENTRIES:
             raise ResourceCapError(f"the per-port Poisson tables (2 x {weights.size} x "
                                    f"{hi + 1}) are over the cap of {MAX_ENTRIES} entries")
-        lf = log_factorial_array(top)
+        lf = log_factorial(np.arange(top + 1))
         marginal = weights.sum() * np.exp(np.arange(lo, top + 1) * math.log(s) - s - lf[lo:])
         mass = float(marginal.sum())
         if hi > cap:
@@ -568,5 +571,5 @@ def params_from_json(data: dict) -> QndParams:
         gamma = complex(g[0], g[1]) if isinstance(g, (list, tuple)) else complex(g)
         chi = complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
         return QndParams(gamma=gamma, chi=chi, gt=float(data["gt"]))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise DomainError(f"malformed params record: {exc}") from exc

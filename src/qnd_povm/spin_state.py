@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .numerics import log_binomial, twice
+from .numerics import log_factorial, twice
 
 _NORM_TOL = 1e-9
 
@@ -111,7 +111,7 @@ def coherent_state(N: int, theta: float) -> CollectiveState:
     k = np.arange(N + 1)  # k = N/2 + m_z
     log_c = math.log(abs(c)) if c != 0.0 else -math.inf
     log_s = math.log(abs(s)) if s != 0.0 else -math.inf
-    logmag = 0.5 * np.array([log_binomial(N, int(kk)) for kk in k])
+    logmag = 0.5 * (log_factorial(N) - log_factorial(k) - log_factorial(N - k))
     pos = k > 0
     logmag[pos] += k[pos] * log_c
     pos = N - k > 0

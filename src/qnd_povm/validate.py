@@ -1,11 +1,13 @@
-"""Self-contained invariant suite behind the ``validate`` subcommand.
+"""Invariants behind the ``validate`` subcommand and the acceptance tests.
 
-Each check returns (name, passed, detail).  Deterministic for a given seed.
+Each check takes the sizes it runs at as arguments and returns a `Check`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -19,108 +21,112 @@ from .spin_state import (CollectiveState, Sector, dicke_state, normalize,
                          overlap)
 
 
-def _random_state(rng, two_j: int) -> CollectiveState:
+# one invariant's verdict; `value` is the figure its detail reports
+Check = namedtuple("Check", "name passed detail value")
+
+
+def random_state(rng, two_j: int) -> CollectiveState:
+    """A normalized single-sector state with complex Gaussian amplitudes."""
     a = rng.normal(size=two_j + 1) + 1j * rng.normal(size=two_j + 1)
     return normalize(CollectiveState((Sector(two_j, a),)))
 
 
-def check_dual_form(seed: int):
-    rng = np.random.default_rng(seed)
+def check_dual_form(rng, draws=200, total_cap=60, two_m_cap=40) -> Check:
+    """The spectral and direct forms agree to 1e-10 over `draws` random draws.
+
+    A draw whose envelope bases come within 1e-3 of a structural zero, where
+    the phase of an almost-vanishing eigenvalue is ill-conditioned for any
+    evaluator, is excluded; both routes must still find it negligible.
+    """
+    checked = skipped = unsettled = 0
     worst = 0.0
-    draws = 0
-    while draws < 200:
+    while checked < draws and skipped <= draws:  # FAIL, not a hang, if all skip
         g = rng.uniform(0.3, 6.0) * np.exp(1j * rng.uniform(-math.pi, math.pi))
         c = rng.uniform(0.3, 6.0) * np.exp(1j * rng.uniform(-math.pi, math.pi))
-        params = QndParams(gamma=complex(g), chi=complex(c),
-                           gt=rng.uniform(0.01, 3.0))
-        m = rng.integers(-40, 41) / 2.0
-        nc = int(rng.integers(0, 31))
-        nd = int(rng.integers(0, 31))
+        params = QndParams(gamma=complex(g), chi=complex(c), gt=rng.uniform(0.005, 3.2))
+        m = float(rng.integers(-two_m_cap, two_m_cap + 1)) / 2.0
+        nc = int(rng.integers(0, total_cap + 1))
+        nd = int(rng.integers(0, total_cap + 1 - nc))
         out = PhotonOutcome(nc, nd)
-        la = log_amplitude(params, out, m)
-        # skip draws pinned to a structural zero where phases are undefined
-        if la < -200.0 + 0.5 * out.total * math.log(2.0):
-            continue
-        draws += 1
         lm_s, ph_s = log_matrix_element(params, out, m)
         lm_d, ph_d = log_matrix_element_direct(params, out, m)
-        dphi = abs((ph_s - ph_d + math.pi) % (2.0 * math.pi) - math.pi)
-        worst = max(worst, abs(lm_s - lm_d), dphi)
-    return "dual-form agreement", worst < 1e-9, f"worst deviation {worst:.2e}"
+        floor = log_amplitude(params, out, m) + 0.5 * (
+            math.lgamma(nc + 1.0) + math.lgamma(nd + 1.0)
+        ) - 0.5 * out.total * math.log(2.0)
+        if floor < 0.5 * out.total * math.log(1e-3):
+            skipped += 1
+            unsettled += not (lm_s < -20.0 or
+                              abs(lm_s - lm_d) < 1e-6 * max(1.0, abs(lm_d)))
+            continue
+        checked += 1
+        dph = abs((ph_s - ph_d + math.pi) % (2.0 * math.pi) - math.pi)
+        worst = max(worst, abs(lm_s - lm_d), dph)
+    detail = (f"worst deviation {worst:.2e} over {checked} draws "
+              f"({skipped} near-zero draws excluded)")
+    if unsettled:
+        detail += f", {unsettled} of them not negligible on both routes"
+    ok = worst < 1e-10 and skipped < checked and not unsettled
+    return Check("dual-form agreement", ok, detail, worst)
 
 
-def check_unity(seed: int):
-    rng = np.random.default_rng(seed + 1)
-    params = QndParams(gamma=5.1, chi=5.0, gt=math.pi / 12.0)
+def check_unity(rng, params: QndParams, two_js) -> Check:
+    """The outcome probabilities of a random state of each 2J sum to one."""
     worst = 1.0
-    for _ in range(3):
-        state = _random_state(rng, 12)
-        dist = outcome_distribution(params, state, 1e-9)
+    for two_j in two_js:
+        dist = outcome_distribution(params, random_state(rng, two_j), 1e-9)
         worst = min(worst, dist.captured_mass)
-    return "unity decomposition", worst >= 1.0 - 1e-8, f"min mass {worst!r}"
+    return Check("unity decomposition", worst >= 1.0 - 1e-8, f"min mass {worst!r}", worst)
 
 
-def check_photon_conservation(seed: int):
-    rng = np.random.default_rng(seed + 2)
-    params = QndParams(gamma=5.1, chi=5.0, gt=math.pi / 20.0)
+def check_photon_conservation(rng, params: QndParams, two_js) -> Check:
+    """The mean detected photon number of each random state is |gamma|^2 + |chi|^2."""
     worst = 0.0
-    for _ in range(2):
-        state = _random_state(rng, 16)
-        dist = outcome_distribution(params, state, 1e-10)
+    for two_j in two_js:
+        dist = outcome_distribution(params, random_state(rng, two_j), 1e-10)
         rel = abs(dist.mean_total() - params.photon_mean) / params.photon_mean
         worst = max(worst, rel)
-    return "photon conservation", worst < 1e-6, f"worst rel err {worst:.2e}"
+    return Check("photon conservation", worst < 1e-6, f"worst rel err {worst:.2e}", worst)
 
 
-def check_dicke_invariance(seed: int):
-    params = QndParams(gamma=5.1, chi=5.0, gt=math.pi / 40.0)
+def check_dicke_invariance(params: QndParams, J, ms) -> Check:
+    """Outcome (26, 25) leaves each |J, m> unchanged; a point with no
+    posterior (zero probability) or a nan one counts as fidelity 0."""
     out = PhotonOutcome(26, 25)
     worst = 1.0
-    for m in (-20, -7, 0, 13, 20):
-        st = dicke_state(20, m)
+    for m in ms:
+        st = dicke_state(J, m)
         post = condition(params, out, st)[1]
-        if post is None:
-            continue
-        fid = abs(overlap(st, post)) ** 2
-        worst = min(worst, fid)
-    return "Dicke invariance", worst >= 1.0 - 1e-12, f"min fidelity {worst!r}"
+        fid = 0.0 if post is None else abs(overlap(st, post)) ** 2
+        worst = min(worst, 0.0 if math.isnan(fid) else fid)
+    return Check("Dicke invariance", worst >= 1.0 - 1e-12, f"min fidelity {worst!r}", worst)
 
 
-def check_cg_orthogonality(seed: int):
+def check_cg_orthogonality() -> Check:
+    # sum over m1 of <j1 m1; j2 M-m1|L M><j1 m1; j2 M-m1|L' M> = [L == L']
     worst = 0.0
     for tj1, tj2 in ((2, 2), (3, 2), (4, 4)):
-        for tL in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-            for tLp in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-                for tM in range(-tL, tL + 1, 2):
-                    if abs(tM) > tLp:
-                        continue
-                    acc = 0.0
-                    for tm1 in range(-tj1, tj1 + 1, 2):
-                        tm2 = tM - tm1
-                        if abs(tm2) > tj2:
-                            continue
-                        a = clebsch_gordan(tj1 / 2, tm1 / 2, tj2 / 2, tm2 / 2,
-                                           tL / 2, tM / 2)
-                        b = clebsch_gordan(tj1 / 2, tm1 / 2, tj2 / 2, tm2 / 2,
-                                           tLp / 2, tM / 2)
-                        acc += a * b
-                    want = 1.0 if tL == tLp else 0.0
-                    worst = max(worst, abs(acc - want))
-    return "CG orthogonality", worst < 1e-10, f"worst deviation {worst:.2e}"
+        ls = range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+        for tL, tLp in itertools.product(ls, ls):
+            for tM in range(-min(tL, tLp), min(tL, tLp) + 1, 2):
+                acc = 0.0
+                for tm1 in range(max(-tj1, tM - tj2), min(tj1, tM + tj2) + 1, 2):
+                    a, b = (clebsch_gordan(tj1 / 2, tm1 / 2, tj2 / 2, (tM - tm1) / 2,
+                                           t / 2, tM / 2) for t in (tL, tLp))
+                    acc += a * b
+                worst = max(worst, abs(acc - (tL == tLp)))
+    return Check("CG orthogonality", worst < 1e-10, f"worst deviation {worst:.2e}", worst)
 
 
-def check_multipole_parseval(seed: int):
+def check_multipole_parseval(rng) -> Check:
     # a random full-rank density matrix at the largest J the Wigner map
     # claims; an exact multipole table satisfies sum |rho_LM|^2 = Tr rho^2
-    rng = np.random.default_rng(seed + 3)
     a = rng.normal(size=(101, 101)) + 1j * rng.normal(size=(101, 101))
     h = a @ a.conj().T
     dev = DensityMatrix(two_j=100, rho=h / np.trace(h).real).parseval_residual()
-    return "multipole Parseval at 2J=100", dev <= 1e-10, \
-        f"rel deviation {dev:.2e}"
+    return Check("multipole Parseval at 2J=100", dev <= 1e-10, f"rel deviation {dev:.2e}", dev)
 
 
-def check_harmonic_orthonormality(seed: int):
+def check_harmonic_orthonormality() -> Check:
     lmax = 6
     x, wq = np.polynomial.legendre.leggauss(2 * lmax + 2)
     worst = 0.0
@@ -129,32 +135,29 @@ def check_harmonic_orthonormality(seed: int):
         gram = (rows * wq) @ rows.T * (2.0 * math.pi)
         want = np.eye(rows.shape[0])
         worst = max(worst, float(np.max(np.abs(gram - want))))
-    return "spherical-harmonic orthonormality", worst < 1e-8, \
-        f"worst deviation {worst:.2e}"
+    return Check("spherical-harmonic orthonormality", worst < 1e-8,
+                 f"worst deviation {worst:.2e}", worst)
 
 
-def check_gaussian_width(seed: int):
-    params = QndParams(gamma=5.1, chi=5.0, gt=math.pi / 100.0)
-    out = PhotonOutcome(25, 25)
-    model = gaussian_model(params, out)
-    m0 = model.m0
-    h = 1.0
-    f = lambda m: log_amplitude(params, out, m)
-    curv = (f(m0 + h) - 2.0 * f(m0) + f(m0 - h)) / h**2
-    sigma2_fd = -1.0 / curv
-    rel = abs(sigma2_fd - model.sigma2) / model.sigma2
-    return "Gaussian width vs log-curvature", rel < 0.05, f"rel err {rel:.3f}"
+def check_gaussian_width(params: QndParams, outcome: PhotonOutcome) -> Check:
+    """The Gaussian model's variance is -1 / (d^2/dm^2 ln A) at its centre, to 5%."""
+    model = gaussian_model(params, outcome)
+    f = lambda m: log_amplitude(params, outcome, m)
+    curv = f(model.m0 + 1.0) - 2.0 * f(model.m0) + f(model.m0 - 1.0)
+    rel = abs(-1.0 / curv - model.sigma2) / model.sigma2
+    return Check("Gaussian width vs log-curvature", rel < 0.05, f"rel err {rel:.3f}", rel)
 
 
-def run_all(seed: int = 20260810):
-    checks = (
-        check_dual_form,
-        check_unity,
-        check_photon_conservation,
-        check_dicke_invariance,
-        check_cg_orthogonality,
-        check_multipole_parseval,
-        check_harmonic_orthonormality,
-        check_gaussian_width,
-    )
-    return [c(seed) for c in checks]
+def run_all(seed: int = 20260810) -> list[Check]:
+    rng = lambda k: np.random.default_rng(seed + k)
+    light = lambda n: QndParams(gamma=5.1, chi=5.0, gt=math.pi / n)
+    return [
+        check_dual_form(rng(0)),
+        check_unity(rng(1), light(12), (12,) * 3),
+        check_photon_conservation(rng(2), light(20), (16,) * 2),
+        check_dicke_invariance(light(40), 20, (-20, -7, 0, 13, 20)),
+        check_cg_orthogonality(),
+        check_multipole_parseval(rng(3)),
+        check_harmonic_orthonormality(),
+        check_gaussian_width(light(100), PhotonOutcome(25, 25)),
+    ]

@@ -11,9 +11,10 @@ from qnd_povm.approx import (approx_apply, gaussian_amplitude,
                              projective_params, round_to_sector_parity)
 from qnd_povm.errors import (DomainError, PreconditionError,
                              ZeroProjectionError)
-from qnd_povm.povm import PhotonOutcome, QndParams, amplitude, log_amplitude, posterior
+from qnd_povm.povm import PhotonOutcome, QndParams, amplitude, posterior
 from qnd_povm.spin_state import (CollectiveState, Sector, coherent_state,
                                  dicke_state, normalize, overlap)
+from qnd_povm.validate import check_gaussian_width
 
 P_REF = QndParams(gamma=5.1, chi=5.0, gt=math.pi / 100.0)
 
@@ -84,11 +85,8 @@ def test_gaussian_amplitude_tracks_exact_envelope():
 
 
 def test_model_width_matches_log_curvature():
-    o = PhotonOutcome(25, 25)
-    model = gaussian_model(P_REF, o)
-    f = lambda m: log_amplitude(P_REF, o, m)
-    curv = f(model.m0 + 1.0) - 2.0 * f(model.m0) + f(model.m0 - 1.0)
-    assert -1.0 / curv == pytest.approx(model.sigma2, rel=0.05)
+    check = check_gaussian_width(P_REF, PhotonOutcome(25, 25))
+    assert check.passed, check.detail
 
 
 # -------------------------------------------------------------- peak solutions

@@ -88,26 +88,31 @@ def test_exit_code_config_error(tmp_path):
     assert run_cli("photon-dist", "--config", str(undecodable)) == 2
 
 
-@pytest.mark.parametrize("initial, code", [
-    ('{"type": "dicke", "m": NaN}', 2),
-    ('{"type": "dicke", "m": Infinity}', 2),
-    ('{"type": "dicke", "m": -Infinity}', 2),
-    ('{"type": "dicke", "m": 1e400}', 2),
-    ('{"type": "dicke", "m": 1e308}', 4),
-    ('{"type": "coherent", "theta": Infinity}', 2),
-    ('{"type": "coherent", "theta": NaN}', 2),
-    ('{"type": "coherent", "theta": "1e400"}', 2),
-    ('{"type": "coherent", "theta": "nan"}', 2),
-    ('{"type": "coherent", "theta": "%spi"}' % ("9" * 400), 2),
-    ('{"type": "coherent", "theta": 1%s}' % ("0" * 400), 2),
+LIGHT = '"gamma": [3, 0], "chi": [3, 0]'
+
+
+@pytest.mark.parametrize("light, initial, code", [
+    (LIGHT, '{"type": "dicke", "m": NaN}', 2),
+    (LIGHT, '{"type": "dicke", "m": Infinity}', 2),
+    (LIGHT, '{"type": "dicke", "m": -Infinity}', 2),
+    (LIGHT, '{"type": "dicke", "m": 1e400}', 2),
+    (LIGHT, '{"type": "dicke", "m": 1e308}', 4),
+    (LIGHT, '{"type": "coherent", "theta": Infinity}', 2),
+    (LIGHT, '{"type": "coherent", "theta": NaN}', 2),
+    (LIGHT, '{"type": "coherent", "theta": "1e400"}', 2),
+    (LIGHT, '{"type": "coherent", "theta": "nan"}', 2),
+    (LIGHT, '{"type": "coherent", "theta": "%spi"}' % ("9" * 400), 2),
+    (LIGHT, '{"type": "coherent", "theta": 1%s}' % ("0" * 400), 2),
+    # |gamma|^2 overflows a double; a 400-digit int does not fit one at all
+    ('"gamma": [1e308, 0], "chi": [3, 0]', '{"type": "coherent", "theta": "pi/2"}', 4),
+    ('"gamma": 1%s, "chi": [3, 0]' % ("0" * 400), '{"type": "coherent", "theta": "pi/2"}', 4),
 ], ids=["dicke-NaN", "dicke-Infinity", "dicke--Infinity", "dicke-1e400", "dicke-1e308",
         "coherent-Infinity", "coherent-NaN", "coherent-str-1e400", "coherent-str-nan",
-        "coherent-str-9e399pi", "coherent-int-1e400"])
-def test_non_finite_config_numbers_exit_cleanly(tmp_path, capsys, initial, code):
+        "coherent-str-9e399pi", "coherent-int-1e400", "gamma-1e308", "gamma-int-1e400"])
+def test_non_finite_config_numbers_exit_cleanly(tmp_path, capsys, light, initial, code):
     # Python's json reads NaN, Infinity and 1e400 (as inf); none may reach the maths
     path = tmp_path / "c.json"
-    path.write_text('{"params": {"gamma": [3, 0], "chi": [3, 0], "gt": "pi/N"}, '
-                    f'"N": 10, "initial": {initial}}}')
+    path.write_text(f'{{"params": {{{light}, "gt": "pi/N"}}, "N": 10, "initial": {initial}}}')
     assert run_cli("photon-dist", "--config", str(path),
                    "--out", str(tmp_path / "p.csv")) == code
     err = capsys.readouterr().err

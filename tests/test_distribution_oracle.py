@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from qnd_povm.numerics import log_factorial_array
+from qnd_povm.numerics import log_factorial
 from qnd_povm.povm import (PhotonOutcome, QndParams, _log_bases,
                            outcome_distribution, sample_outcome)
 from qnd_povm.spin_state import (CollectiveState, Sector, coherent_state,
@@ -32,7 +32,7 @@ def reference_distribution(params, state, mass_tolerance):
     m_all = np.concatenate([sec.m_values() for sec in state.sectors])
     weights = np.concatenate([np.abs(sec.amps) ** 2 for sec in state.sectors])
     lc, ld = _log_bases(params, m_all)
-    lf = log_factorial_array(cap + 1)
+    lf = log_factorial(np.arange(cap + 2))
     rows = {}
 
     def row(total):

@@ -101,6 +101,10 @@ def test_log_factorial_monotone_and_large():
         prev = v
     with pytest.raises(DomainError):
         log_factorial(-1)
+    # an array gives the scalar values bit for bit, past the exact table too
+    assert np.array_equal(log_factorial(np.arange(400)), [log_factorial(n) for n in range(400)])
+    with pytest.raises(DomainError):
+        log_factorial(np.array([3, -1]))
 
 
 def test_log_binomial_examples():

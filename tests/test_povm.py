@@ -6,26 +6,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qnd_povm import _pcg64, povm
+from qnd_povm import _pcg64, povm, validate
 from qnd_povm.approx import approx_apply
 from qnd_povm.errors import DomainError, PreconditionError, ResourceCapError
 from qnd_povm.povm import (OutcomeDistribution, PhotonOutcome, QndParams,
                            amplitude, apply, condition, detector_phases,
-                           log_amplitude, log_matrix_element,
-                           log_matrix_element_direct,
+                           log_matrix_element, log_matrix_element_direct,
                            outcome_distribution, outcome_probability,
                            params_from_json, params_to_json, phase_phi,
                            posterior, sample_outcome, sample_outcomes)
 from qnd_povm.spin_state import (CollectiveState, Sector, coherent_state,
                                  dicke_state, moments, normalize, overlap)
+from qnd_povm.validate import (check_dicke_invariance, check_dual_form,
+                               check_photon_conservation, check_unity, random_state)
 
 P_REF = QndParams(gamma=5.1, chi=5.0, gt=math.pi / 100.0)
 P_SYM = QndParams(gamma=5.0, chi=5.0, gt=math.pi / 2.0)
-
-
-def random_state(rng, two_j):
-    a = rng.normal(size=two_j + 1) + 1j * rng.normal(size=two_j + 1)
-    return normalize(CollectiveState((Sector(two_j, a),)))
 
 
 def poisson_pmf(lam, n):
@@ -172,38 +168,18 @@ def test_amplitude_swap_symmetry():
 
 # ------------------------------------------------------------ dual-form oracle
 
-def _dual_form_draws(n_draws, total_cap, seed):
-    rng = np.random.default_rng(seed)
-    checked = 0
-    worst = 0.0
-    while checked < n_draws:
-        g = rng.uniform(0.3, 6.0) * np.exp(1j * rng.uniform(-math.pi, math.pi))
-        c = rng.uniform(0.3, 6.0) * np.exp(1j * rng.uniform(-math.pi, math.pi))
-        gt = rng.uniform(0.005, 3.2)
-        params = QndParams(gamma=complex(g), chi=complex(c), gt=gt)
-        m = float(rng.integers(-100, 101)) / 2.0
-        nc = int(rng.integers(0, total_cap + 1))
-        nd = int(rng.integers(0, total_cap + 1 - nc))
-        out = PhotonOutcome(nc, nd)
-        lm_d, ph_d = log_matrix_element_direct(params, out, m)
-        lm_s, ph_s = log_matrix_element(params, out, m)
-        # where the envelope sits within ~1e-3 of a structural zero, the
-        # relative phase of an almost-vanishing eigenvalue is ill-conditioned
-        # for any evaluator; both routes must still agree it is negligible
-        floor = log_amplitude(params, out, m) + 0.5 * (
-            math.lgamma(nc + 1) + math.lgamma(nd + 1)
-        ) - 0.5 * out.total * math.log(2.0)
-        if floor < 0.5 * out.total * math.log(1e-3):
-            assert lm_s < -20.0 or abs(lm_s - lm_d) < 1e-6 * max(1.0, abs(lm_d))
-            continue
-        checked += 1
-        worst = max(worst, abs(lm_s - lm_d), abs(wrapped(ph_s - ph_d)))
-    return worst
-
-
 def test_dual_form_random_draws():
-    worst = _dual_form_draws(400, 40, seed=101)
-    assert worst < 1e-10
+    check = check_dual_form(np.random.default_rng(101), draws=400, total_cap=40, two_m_cap=100)
+    assert check.passed, check.detail
+
+
+@pytest.mark.parametrize("name, fake", [
+    ("log_matrix_element", lambda real: lambda *a: (real(*a)[0] + 5e-10, real(*a)[1])),
+    ("log_amplitude", lambda real: lambda *a: -math.inf),  # every draw excluded: no hang
+], ids=["shift-5e-10", "all-excluded"])
+def test_dual_form_check_can_fail(monkeypatch, name, fake):
+    monkeypatch.setattr(validate, name, fake(getattr(validate, name)))
+    assert not check_dual_form(np.random.default_rng(1)).passed
 
 
 def test_dual_form_special_points():
@@ -343,12 +319,8 @@ def test_distribution_contract():
 
 
 def test_distribution_mean_total():
-    rng = np.random.default_rng(4)
-    for _ in range(3):
-        st = random_state(rng, 11)
-        dist = outcome_distribution(P_REF, st, 1e-10)
-        rel = abs(dist.mean_total() - P_REF.photon_mean) / P_REF.photon_mean
-        assert rel < 1e-6
+    check = check_photon_conservation(np.random.default_rng(4), P_REF, (11,) * 3)
+    assert check.passed, check.detail
 
 
 def test_distribution_resource_cap():
@@ -385,7 +357,7 @@ def test_distribution_row_cap_before_any_table(monkeypatch):
 def test_distribution_table_cap_before_any_table(monkeypatch):
     # 610539 rows pass the row cap; the 2 x 5001 x 1970 table entries do not
     monkeypatch.setattr(povm, "_log_bases", _no_tables)
-    monkeypatch.setattr(povm, "log_factorial_array", _no_tables)
+    monkeypatch.setattr(povm, "log_factorial", _no_tables)
     bright = QndParams(gamma=30.0, chi=30.0, gt=0.01)
     with pytest.raises(ResourceCapError, match="over the cap of 16777216 entries"):
         outcome_distribution(bright, coherent_state(5000, 1.0), 1e-9)
@@ -418,10 +390,8 @@ def test_distribution_mass_tolerance_domain():
 def test_unity_decomposition_random_states():
     rng = np.random.default_rng(12)
     for two_j, gt in ((8, math.pi / 8.0), (24, math.pi / 24.0)):
-        st = random_state(rng, two_j)
         params = QndParams(gamma=5.1, chi=5.0, gt=gt)
-        dist = outcome_distribution(params, st, 1e-9)
-        assert dist.captured_mass >= 1.0 - 1e-8
+        assert check_unity(rng, params, (two_j,)).passed
 
 
 def test_unity_decomposition_multi_sector():
@@ -534,6 +504,15 @@ def test_posterior_dicke_invariance():
     st = dicke_state(50, 14)
     post = posterior(P_REF, PhotonOutcome(24, 27), st)
     assert abs(overlap(st, post)) ** 2 == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("light", [5.0, 1e-150])
+def test_dicke_check_fails_at_a_structural_zero(light):
+    # at gt = pi/2 with symmetric light, outcome (26, 25) is impossible on an
+    # odd m: faint light finds no posterior there, bright light a nan one
+    params = QndParams(gamma=light, chi=light, gt=math.pi / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not check_dicke_invariance(params, 20, (-7, 0, 13)).passed
 
 
 def test_posterior_dicke_mixture_weights():
@@ -692,13 +671,6 @@ def test_distribution_three_lobes_long_time():
 # amplitudes built from the direct form and against the Poisson mixture
 # P(n_c, n_d) = sum_m |psi_m|^2 Pois(n_c; lam_c(m)) Pois(n_d; lam_d(m)).
 
-def two_sector_state():
-    rng = np.random.default_rng(11)
-    secs = tuple(Sector(tj, rng.normal(size=tj + 1) + 1j * rng.normal(size=tj + 1))
-                 for tj in (4, 9))
-    return normalize(CollectiveState(secs))
-
-
 def direct_log_eigenvalues(params, outcome, m_values):
     pairs = [log_matrix_element_direct(params, outcome, m) for m in m_values]
     return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
@@ -728,7 +700,7 @@ ORACLE_OUTCOMES = (PhotonOutcome(25, 26), PhotonOutcome(30, 18),
 @pytest.mark.parametrize("params", ORACLE_PARAMS)
 @pytest.mark.parametrize("out", ORACLE_OUTCOMES)
 def test_state_operator_against_direct_form(params, out):
-    st = two_sector_state()
+    st = _two_sector_state()
     psi = np.concatenate([sec.amps for sec in st.sectors])
     logmag, phase = direct_log_eigenvalues(params, out, st.m_values())
 
@@ -753,7 +725,7 @@ def test_state_operator_against_direct_form(params, out):
 @pytest.mark.parametrize("params", ORACLE_PARAMS)
 @pytest.mark.parametrize("out", ORACLE_OUTCOMES)
 def test_probability_against_poisson_mixture(params, out):
-    st = two_sector_state()
+    st = _two_sector_state()
     want = log_poisson_mixture(params, out, st)
     log_prob, post = condition(params, out, st)
     assert post is not None
