@@ -19,8 +19,8 @@ from .errors import (ConfigError, DomainError, PreconditionError, QndError,
 from .numerics import (clebsch_gordan, log_binomial, log_factorial,
                        spherical_harmonic, twice)
 from .povm import (OutcomeDistribution, PhotonOutcome, QndParams, amplitude,
-                   apply, condition, detector_phases, eigen, log_amplitude,
-                   log_matrix_element, log_matrix_element_direct,
+                   apply, condition, condition_many, detector_phases, eigen,
+                   log_amplitude, log_matrix_element, log_matrix_element_direct,
                    outcome_distribution, outcome_probability, params_from_json,
                    params_to_json, phase_phi, posterior, sample_outcome,
                    sample_outcomes)

@@ -33,6 +33,9 @@ class DensityMatrix:
         r = np.array(self.rho, dtype=complex)
         if r.shape != (d, d):
             raise DomainError(f"density matrix for 2J={self.two_j} must be {d}x{d}")
+        # nan passes every `> tol` guard here and downstream
+        if not np.isfinite(r).all():
+            raise DomainError("density matrix has non-finite entries")
         if np.max(np.abs(r - r.conj().T)) > 1e-12:
             raise DomainError("density matrix is not Hermitian")
         if abs(np.trace(r).real - 1.0) > 1e-12 or abs(np.trace(r).imag) > 1e-12:
@@ -209,30 +212,19 @@ def parity_pattern_check(params: QndParams, outcome: PhotonOutcome,
         )
     if outcome.total == 0:
         raise PreconditionError("needs at least one detected photon")
-    if outcome.n_c > 0 and outcome.n_d > 0:
-        case = ParityCase.BOTH_PORTS
-        members = [m for m in range(-N // 2, N // 2 + 1) if m % 2 == 0]
-    elif outcome.n_c == 0:
-        case = ParityCase.C_DARK
-        members = [m for m in range(-N // 2, N // 2 + 1) if m % 4 == 1]
-    else:
-        case = ParityCase.D_DARK
-        members = [m for m in range(-N // 2, N // 2 + 1) if m % 4 == 3]
-    support = tuple(sorted(members))
     grid = np.arange(-N // 2, N // 2 + 1)
-    logs = dict(zip(grid.tolist(), eigen(params, outcome, grid)[1].tolist()))
-    on = [logs[m] for m in support]
-    off = [logs[m] for m in logs if m not in support]
-    peak = max(on)
-    worst = max((lo - peak for lo in off), default=-math.inf)
+    if outcome.n_c > 0 and outcome.n_d > 0:
+        case, on = ParityCase.BOTH_PORTS, grid % 2 == 0
+    elif outcome.n_c == 0:
+        case, on = ParityCase.C_DARK, grid % 4 == 1
+    else:
+        case, on = ParityCase.D_DARK, grid % 4 == 3
+    log_e = eigen(params, outcome, grid)[1]
+    peak = float(log_e[on].max())
+    worst = float(np.max(log_e[~on] - peak, initial=-math.inf))
     ratio = 0.0 if worst == -math.inf else math.exp(worst)
-    return ParityPattern(
-        case=case,
-        support=support,
-        log_on_support=peak,
-        max_off_support_ratio=ratio,
-        strict=ratio < 1e-12,
-    )
+    return ParityPattern(case=case, support=tuple(grid[on].tolist()), log_on_support=peak,
+                         max_off_support_ratio=ratio, strict=ratio < 1e-12)
 
 
 def cat_state(N: int, relative_phase: float = 0.0) -> CollectiveState:

@@ -126,7 +126,7 @@ def approx_apply(params: QndParams, outcome: PhotonOutcome,
     envelope alone.
     """
     model = gaussian_model(params, outcome)
-    m = state.m_values()
+    m = state.support()[0]
     log_c, _, phase = eigen(params, outcome, m)
     return scale_amplitudes(state, log_c + _log_gaussian(model, m), phase)
 

@@ -35,10 +35,18 @@ _LOG_ZERO = -1e9
 _TOTAL_RTOL = 1e-10
 
 
-def _wrap_pi(x: float) -> float:
-    """Reduce an angle to (-pi, pi]."""
-    y = (-x + math.pi) % _TWO_PI - math.pi
-    return -y
+def _wrap_pi(x):
+    """Reduce an angle, or an array of them, to (-pi, pi]."""
+    return math.pi - (math.pi - x) % _TWO_PI
+
+
+def _check_counts(least, most):
+    """Raise DomainError unless photon counts from `least` to `most` are valid."""
+    if not least >= 0:  # written so that nan fails too
+        raise DomainError("photon counts must be non-negative")
+    # float64 holds every integer only up to 2^53
+    if not most < 1 << 53:
+        raise DomainError("photon counts must be below 2^53")
 
 
 @dataclass(frozen=True)
@@ -109,11 +117,7 @@ class PhotonOutcome:
     n_d: int
 
     def __post_init__(self):
-        if self.n_c < 0 or self.n_d < 0:
-            raise DomainError("photon counts must be non-negative")
-        # float64 holds every integer only up to 2^53
-        if self.n_c >= 1 << 53 or self.n_d >= 1 << 53:
-            raise DomainError("photon counts must be below 2^53")
+        _check_counts(min(self.n_c, self.n_d), max(self.n_c, self.n_d))
         object.__setattr__(self, "n_c", int(self.n_c))
         object.__setattr__(self, "n_d", int(self.n_d))
 
@@ -224,9 +228,8 @@ def _phase_arrays(params: QndParams, m: np.ndarray):
     phi_d = np.arctan2(-(ag + ac) * sp, (ag - ac) * cp) - math.pi / 2.0
     if params.eta > 0.0:
         phi_d = phi_d + math.pi
-    # reduce to (-pi, pi]; only e^{i n phi} with integer n is ever used
-    phi_d = math.pi - np.mod(math.pi - phi_d, _TWO_PI)
-    return phi_c, phi_d
+    # only e^{i n phi} with integer n is ever used
+    return phi_c, _wrap_pi(phi_d)
 
 
 def _log_bases(params: QndParams, m: np.ndarray):
@@ -257,10 +260,12 @@ def _envelope(params: QndParams, n_c, n_d, m: np.ndarray):
     zero raised to a positive count) is the only way below _LOG_ZERO / 4, and
     it is cut to -inf here.
     """
-    n_c = np.asarray(n_c, dtype=np.int64)
-    n_d = np.asarray(n_d, dtype=np.int64)
+    n_c, n_d = np.asarray(n_c), np.asarray(n_d)
     if not (n_c.ndim == 1 and n_c.shape == n_d.shape):
         raise DomainError("n_c and n_d must be 1-d arrays of one length")
+    if n_c.size:
+        _check_counts(min(n_c.min(), n_d.min()), max(n_c.max(), n_d.max()))
+    n_c, n_d = n_c.astype(np.int64), n_d.astype(np.int64)
     s = params.photon_mean
     log_c = -s / 2.0 + 0.5 * (n_c + n_d) * math.log(s / 2.0)
     lc, ld = _log_bases(params, m)
@@ -354,12 +359,12 @@ def apply(params: QndParams, outcome: PhotonOutcome,
     eigenvalue including the absolute prefactor, so the squared norm of the
     result is exactly the outcome probability of a normalized input.
     """
-    log_c, log_e, phase = eigen(params, outcome, state.m_values())
+    log_c, log_e, phase = eigen(params, outcome, state.support()[0])
     return scale_amplitudes(state, log_c + log_e, phase)
 
 
 def _log_prob(log_c: np.ndarray, log_e: np.ndarray, w: np.ndarray):
-    """ln P of each outcome row, from C[B] and E[B, k] over k occupied m_z.
+    """ln P of each outcome row, from C[B] and E[B, k] over the k support m_z.
 
     w[k] = |psi_m|^2.  Each row of E is shifted by its peak before it is
     exponentiated, so outcomes deep in the tail still normalize cleanly; with
@@ -379,13 +384,6 @@ def _log_prob(log_c: np.ndarray, log_e: np.ndarray, w: np.ndarray):
     return log_p, shift, q
 
 
-def _occupied(state: CollectiveState):
-    """(m_z, |psi_m|^2) of the nonzero amplitudes, and their mask."""
-    amps = np.concatenate([sec.amps for sec in state.sectors])
-    occupied = amps != 0.0
-    return state.m_values()[occupied], np.abs(amps[occupied]) ** 2, occupied
-
-
 def condition(params: QndParams, outcome: PhotonOutcome,
               state: CollectiveState) -> tuple[float, CollectiveState | None]:
     """ln P(outcome) and the normalized posterior, from one kernel evaluation.
@@ -396,9 +394,9 @@ def condition(params: QndParams, outcome: PhotonOutcome,
     """
     if not state.is_normalized():
         raise PreconditionError("conditioning on an outcome needs a normalized state")
-    log_c, log_e, phase = eigen(params, outcome, state.m_values())
-    _, w, occupied = _occupied(state)
-    log_p, shift, _ = _log_prob(np.array([log_c]), log_e[None, occupied], w)
+    m, w = state.support()
+    log_c, log_e, phase = eigen(params, outcome, m)
+    log_p, shift, _ = _log_prob(np.array([log_c]), log_e[None], w)
     if log_p[0] == -math.inf:
         return -math.inf, None
     return float(log_p[0]), normalize(scale_amplitudes(state, log_e - shift[0], phase))
@@ -408,14 +406,14 @@ def condition_many(params: QndParams, n_c, n_d, state: CollectiveState):
     """ln P, posterior <J_z> and posterior Var J_z of each outcome (n_c[b], n_d[b]).
 
     The batched form of `condition` followed by `moments`: the bases are
-    read once over the occupied m_z, every outcome's envelope row is shifted
+    read once over the support, every outcome's envelope row is shifted
     by its own peak, and the normalized weights reduce to <J_z> and
     Var J_z = max(0, <m^2> - <m>^2).  A zero-probability outcome has
     ln P = -inf and nan moments.
     """
     if not state.is_normalized():
         raise PreconditionError("conditioning on an outcome needs a normalized state")
-    m, w, _ = _occupied(state)
+    m, w = state.support()
     log_c, log_e = _envelope(params, n_c, n_d, m)
     log_p, _, q = _log_prob(log_c, log_e, w)
     mean = q @ m
@@ -464,7 +462,7 @@ def outcome_distribution(params: QndParams, state: CollectiveState,
         raise DomainError("max_total must be non-negative")
     s = params.photon_mean
     cap = int(max_total) if max_total is not None else int(4.0 * s + 100.0)
-    weights = np.concatenate([np.abs(sec.amps) ** 2 for sec in state.sectors])
+    m, weights = state.support()
 
     k = 4.0
     while True:
@@ -489,7 +487,7 @@ def outcome_distribution(params: QndParams, state: CollectiveState,
         k += 1.0
 
     # Pois(n; lam) = exp(n ln lam - lam - ln n!); exactly [n == 0] at lam = 0
-    log_lam = math.log(s / 2.0) + np.stack(_log_bases(params, state.m_values()))
+    log_lam = math.log(s / 2.0) + np.stack(_log_bases(params, m))
     with np.errstate(under="ignore"):
         table = np.exp(log_lam[..., None] * np.arange(hi + 1) - lf
                        - np.exp(log_lam)[..., None])

@@ -73,6 +73,17 @@ class CollectiveState:
         """m_z of every amplitude, sectors in order, each by increasing m_z."""
         return np.concatenate([s.m_values() for s in self.sectors])
 
+    def _live(self):
+        """Every amplitude, flat in `m_values()` order, and the nonzero ones' mask."""
+        amps = np.concatenate([s.amps for s in self.sectors])
+        return amps, amps != 0.0
+
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """(m_z, |psi_m|^2) of the nonzero amplitudes, in `m_values()` order:
+        the only m_z a diagonal operator acts on."""
+        amps, live = self._live()
+        return self.m_values()[live], np.abs(amps[live]) ** 2
+
     def squared_norm(self) -> float:
         return float(sum(np.sum(np.abs(s.amps) ** 2) for s in self.sectors))
 
@@ -138,18 +149,15 @@ def scale_amplitudes(state: CollectiveState, log_factor: np.ndarray,
                      phase: np.ndarray) -> CollectiveState:
     """Act with a diagonal operator, given in log-polar form.
 
-    Amplitude i is multiplied by exp(log_factor[i] + i phase[i]), both arrays
-    running over `state.m_values()`.
+    Nonzero amplitude k is multiplied by exp(log_factor[k] + i phase[k]), both
+    arrays running over `state.support()`; a zero amplitude stays as it is.
     """
+    amps, live = state._live()
     with np.errstate(under="ignore"):
-        factor = np.exp(log_factor) * np.exp(1j * phase)
-    secs = []
-    lo = 0
-    for s in state.sectors:
-        hi = lo + s.two_j + 1
-        secs.append(Sector(s.two_j, s.amps * factor[lo:hi]))
-        lo = hi
-    return CollectiveState(tuple(secs))
+        amps[live] *= np.exp(log_factor) * np.exp(1j * phase)
+    ends = np.cumsum([s.two_j + 1 for s in state.sectors])[:-1]
+    return CollectiveState(tuple(Sector(s.two_j, a)
+                                 for s, a in zip(state.sectors, np.split(amps, ends))))
 
 
 def moments(state: CollectiveState) -> SpinMoments:

@@ -72,6 +72,19 @@ def test_density_validation():
         DensityMatrix(two_j=2, rho=np.eye(3))  # trace 3
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    # nan passes every `> tol` guard, so without this check an all-nan
+    # matrix reached `wigner` and came back as an all-nan grid
+    rho = np.eye(3) / 3.0
+    with pytest.raises(DomainError, match="non-finite"):
+        DensityMatrix(two_j=2, rho=np.full((3, 3), bad))
+    rho = rho.astype(complex)
+    rho[0, 2] = rho[2, 0] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        DensityMatrix(two_j=2, rho=rho)
+
+
 # ------------------------------------------------------------------ multipoles
 
 def test_rho_lm_maximally_mixed():

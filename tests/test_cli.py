@@ -373,6 +373,26 @@ def test_wigner_grid_size_and_negativity(tmp_path):
     assert min(float(r["w"]) for r in rows) < -0.05
 
 
+def test_wigner_posterior_of_a_dicke_ket_off_the_envelope_peak(tmp_path):
+    # outcome (26, 25) at gt = pi/2 is nearly impossible on odd m, so the
+    # envelope on the one occupied m_z sits ~1900 e-folds below the empty
+    # even m_z; the posterior is still the ket, and its map is finite
+    cfg = {
+        "params": {"gamma": [5.0, 0.0], "chi": [5.0, 0.0], "gt": "pi/2"},
+        "N": 10,
+        "initial": {"type": "dicke", "m": 1},
+        "state": "posterior",
+        "outcome": {"n_c": 26, "n_d": 25},
+        "grid": {"n_theta": 7, "n_phi": 9},
+    }
+    path = write_config(tmp_path, "w.json", cfg)
+    out = tmp_path / "w.csv"
+    assert run_cli("wigner", "--config", path, "--out", str(out)) == 0
+    _, _, rows, _ = read_csv_rows(out)
+    vals = np.array([float(r["w"]) for r in rows])
+    assert vals.size == 7 * 9 and np.isfinite(vals).all()
+
+
 def test_wigner_prior_positive_lobe(tmp_path):
     cfg = {
         "params": {"gamma": [5.0, 0.0], "chi": [5.0, 0.0], "gt": "pi/2"},
@@ -877,13 +897,14 @@ def test_photon_window_over_the_row_cap_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["photon-dist", "measure"])
 def test_poisson_tables_over_the_cap_exit_3(tmp_path, capsys, command):
-    # 2 x 5001 x 1970 table entries: refused before any table is allocated
-    cfg = dict(BASE, N=5000, params={"gamma": [30, 0], "chi": [30, 0], "gt": "pi/N"})
+    # 2 x 7611 x 1970 table entries, one row per nonzero amplitude of the
+    # N=20000 coherent state: refused before any table is allocated
+    cfg = dict(BASE, N=20000, params={"gamma": [30, 0], "chi": [30, 0], "gt": "pi/N"})
     if command == "measure":
         cfg["shots"] = 3
     path = write_config(tmp_path, "big.json", cfg)
     assert run_cli(command, "--config", path, "--out", str(tmp_path / "big.out")) == 3
-    assert "per-port Poisson tables (2 x 5001 x 1970)" in capsys.readouterr().err
+    assert "per-port Poisson tables (2 x 7611 x 1970)" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["big.json"]
 
 

@@ -76,6 +76,29 @@ def test_outcome_counts_below_2_53():
             PhotonOutcome(*counts)
 
 
+def test_batched_counts_meet_the_same_bounds():
+    # condition_many checks its counts with PhotonOutcome's helper, so a
+    # count of 2^53 raises instead of reading as an impossible outcome
+    from qnd_povm import condition_many
+
+    st = coherent_state(10, 1.0)
+    for n_c, n_d in (([1 << 53], [3]), ([3, 4], [5, 10 ** 29])):
+        with pytest.raises(DomainError, match="below 2\\^53"):
+            condition_many(P_REF, n_c, n_d, st)
+    with pytest.raises(DomainError, match="non-negative"):
+        condition_many(P_REF, [3], [-1], st)
+    assert condition_many(P_REF, np.array([(1 << 53) - 1]), [0], st)[0].shape == (1,)
+
+
+def test_wrap_pi_on_scalars_and_arrays():
+    x = np.array([-7.0, -math.pi, -1e-300, 0.0, 1.0, math.pi, 3.5, 2e3])
+    got = povm._wrap_pi(x)
+    assert got.tolist() == [povm._wrap_pi(float(v)) for v in x]
+    assert ((got > -math.pi) & (got <= math.pi)).all()
+    assert got[[1, 5]].tolist() == [math.pi, math.pi]
+    assert math.copysign(1.0, povm._wrap_pi(0.0)) == 1.0  # +0.0, not -0.0
+
+
 # ---------------------------------------------------------------------- phases
 
 def test_phase_phi_affine():
@@ -355,12 +378,13 @@ def test_distribution_row_cap_before_any_table(monkeypatch):
 
 
 def test_distribution_table_cap_before_any_table(monkeypatch):
-    # 610539 rows pass the row cap; the 2 x 5001 x 1970 table entries do not
+    # 610539 rows pass the row cap; the 2 x 6380 x 1970 table entries (one
+    # row per nonzero amplitude) do not
     monkeypatch.setattr(povm, "_log_bases", _no_tables)
     monkeypatch.setattr(povm, "log_factorial", _no_tables)
     bright = QndParams(gamma=30.0, chi=30.0, gt=0.01)
     with pytest.raises(ResourceCapError, match="over the cap of 16777216 entries"):
-        outcome_distribution(bright, coherent_state(5000, 1.0), 1e-9)
+        outcome_distribution(bright, coherent_state(20000, 1.0), 1e-9)
 
 
 def test_distribution_rows_guard_rejects_corrupt_bases(monkeypatch):
@@ -506,13 +530,41 @@ def test_posterior_dicke_invariance():
     assert abs(overlap(st, post)) ** 2 == pytest.approx(1.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("light", [5.0, 1e-150])
+@pytest.mark.parametrize("light", [1e-150])
 def test_dicke_check_fails_at_a_structural_zero(light):
     # at gt = pi/2 with symmetric light, outcome (26, 25) is impossible on an
-    # odd m: faint light finds no posterior there, bright light a nan one
+    # odd m: faint light, whose base underflows to an exact zero there, finds
+    # no posterior
     params = QndParams(gamma=light, chi=light, gt=math.pi / 2.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert not check_dicke_invariance(params, 20, (-7, 0, 13)).passed
+    assert not check_dicke_invariance(params, 20, (-7, 0, 13)).passed
+
+
+def test_posterior_at_a_structural_zero_is_the_dicke_ket():
+    # with bright light the same outcome keeps a float residue on odd m
+    # (cos(pi/2) is 6e-17, so ln P ~ -1900): the posterior is the ket itself,
+    # not 0 * inf from the empty m_z where the envelope peaks
+    assert check_dicke_invariance(P_SYM, 20, (-7, 0, 13)).passed
+    for m in (-7, 13):
+        st = dicke_state(20, m)
+        log_p, post = condition(P_SYM, PhotonOutcome(26, 25), st)
+        assert -2500.0 < log_p < -1000.0
+        amps = post.sectors[0].amps
+        assert np.isfinite(amps).all()
+        assert np.abs(amps) == pytest.approx(np.abs(st.sectors[0].amps), abs=1e-15)
+
+
+def test_operator_is_finite_off_the_envelope_peak():
+    # the occupied odd m_z = 1, 3 sit ~1900 e-folds below the unoccupied even
+    # ones; no factor is ever evaluated on a zero amplitude, so none meets an
+    # overflowing one
+    st = normalize(CollectiveState((Sector(10, np.eye(11)[6] + np.eye(11)[8]),)))
+    out = PhotonOutcome(26, 25)
+    post = posterior(P_SYM, out, st)
+    assert abs(post.squared_norm() - 1.0) < 1e-12
+    for state in (post, apply(P_SYM, out, st)):
+        amps = state.sectors[0].amps
+        assert np.isfinite(amps).all()
+        assert amps[[0, 1, 2, 3, 4, 5, 7, 9, 10]].tolist() == [0j] * 9
 
 
 def test_posterior_dicke_mixture_weights():

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from qnd_povm.errors import DomainError, PreconditionError
 from qnd_povm.spin_state import (CollectiveState, Sector, coherent_state,
-                                 dicke_state, moments, normalize,
-                                 overlap, state_from_json, state_to_json)
+                                 dicke_state, moments, normalize, overlap,
+                                 scale_amplitudes, state_from_json, state_to_json)
 
 
 def kron_chain(vecs):
@@ -132,6 +132,33 @@ def test_multi_sector_state():
     assert abs(nst.squared_norm() - 1.0) < 1e-15
     with pytest.raises(DomainError):
         CollectiveState((s1, Sector(2, np.array([1.0, 0, 0]))))  # duplicate sector
+
+
+def test_support_lists_the_nonzero_amplitudes():
+    st = CollectiveState((Sector(2, np.array([0.6, 0.0, 0.0])),
+                          Sector(3, np.array([0.0, 0.0, 0.8j, 0.0]))))
+    m, w = st.support()
+    assert m.tolist() == [-1.0, 0.5]
+    assert w == pytest.approx([0.36, 0.64], abs=1e-15)
+    # the tails of a large coherent state underflow to exact zeros and drop out
+    big = coherent_state(5000, math.pi / 2.0)
+    m, w = big.support()
+    assert m.size == w.size == 3649
+    assert m.tolist() == big.m_values()[big.sectors[0].amps != 0.0].tolist()
+
+
+def test_scale_amplitudes_runs_over_the_support():
+    st = CollectiveState((Sector(2, np.array([0.0, 0.6, 0.0])),
+                          Sector(1, np.array([0.8, 0.0]))))
+    out = scale_amplitudes(st, np.array([math.log(2.0), 0.0]), np.array([0.0, math.pi]))
+    assert [s.two_j for s in out.sectors] == [2, 1]
+    assert out.sectors[0].amps[1] == 1.2
+    assert out.sectors[1].amps[0] == 0.8 * np.exp(1j * math.pi)
+    # the zeros are left as they are, +0.0, not 0 times a factor, which is
+    # -0.0 under the phase pi
+    zeros = np.concatenate([out.sectors[0].amps[[0, 2]], out.sectors[1].amps[1:]])
+    assert not np.signbit(zeros.real).any() and not np.signbit(zeros.imag).any()
+    assert (zeros == 0.0).all()
 
 
 def test_serialization_roundtrip():
