@@ -1,8 +1,8 @@
 """CSV row text for numeric columns, formatted with numpy.
 
-`format_rows` gives, for a block of rows, the text of the per-row loop
-`"{},{},{!r}\\r\\n".format(...)`: ints as `str`, floats as `repr`, fields
-joined by commas, CRLF line ends.  Byte for byte, at numpy speed.
+`format_rows` gives, for a block of rows, the ASCII bytes of the per-row
+loop `"{},{},{!r}\\r\\n".format(...)`: ints as `str`, floats as `repr`,
+fields joined by commas, CRLF line ends.  Byte for byte, at numpy speed.
 
 Float digits come from a vectorised Schubfach conversion (R. Giulietti,
 "The Schubfach way to render doubles", 2020; cf. U. Adams, "Ryu: fast
@@ -75,21 +75,30 @@ def _mulhi(a0, a1, b0, b1):
     """High 64 bits of a * b from the 32-bit limbs a = a1 2^32 + a0, b alike.
 
     For a < 2^63 and b < 2^61 the middle sum stays below 2^64.  Here a is
-    g1 or g0 and b is cp = cbr 2^h at most, below 2^(55 + 5) + 2^6.
+    g1 or g0 and b is cp = 4 c 2^h, below 2^(55 + 5).
     """
     mid = ((a0 * b0) >> _U(32)) + a0 * b1 + a1 * b0
     return a1 * b1 + (mid >> _U(32))
 
 
-def _rop(g1, g0, cp):
-    """Round-to-odd of cp g 2^-127, for g = g1 2^63 + g0 given as
-    (g1, its low and high 32-bit limbs) and (g0's limbs)."""
-    c0, c1 = cp & _M32, cp >> _U(32)
-    x1 = _mulhi(*g0, c0, c1)
-    y1 = _mulhi(*g1[1:], c0, c1)
-    y0 = g1[0] * cp    # the low word, wrapping
+def _rop(y1, y0, x1):
+    """Round-to-odd of cp g 2^-127, for g = g1 2^63 + g0, from the words of
+    g1 cp = y1 2^64 + y0 and g0 cp = x1 2^64 + x0 (Schubfach's rop)."""
     z = (y0 >> _U(1)) + x1
     return (y1 + (z >> _U(63))) | (((z & _M63) + _M63) >> _U(63))
+
+
+def _moved(words, g1, g0, e, up):
+    """The words of `_rop` for cp + 2^e if up, else cp - 2^e, from
+    (y1, y0, x1, x0) of cp: g1 2^e and g0 2^e are exact in two words, so
+    each product moves by one wrapping add or subtract and its carry."""
+    y1, y0, x1, x0 = words
+    shift = _U(64) - e
+    if up:
+        y, x = y0 + (g1 << e), x0 + (g0 << e)
+        return y1 + (g1 >> shift) + (y < y0), y, x1 + (g0 >> shift) + (x < x0)
+    y, x = y0 - (g1 << e), x0 - (g0 << e)
+    return y1 - (g1 >> shift) - (y > y0), y, x1 - (g0 >> shift) - (x > x0)
 
 
 def _shortest(bits):
@@ -105,14 +114,18 @@ def _shortest(bits):
     k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
     h = (q + ((-k * 913_124_641_741) >> 38) + 2).astype(np.uint64)
     g1, g0 = (table[k - _K_MIN] for table in _g_table())
-    g1 = (g1, g1 & _M32, g1 >> _U(32))
-    g0 = (g0 & _M32, g0 >> _U(32))
-    cb = c << _U(2)
-    # the rounding interval is closed when c is even, open when odd
+    # one exact product g cp, cp = 4 c 2^h, as the words of g1 cp and g0 cp
+    cp = (c << _U(2)) << h
+    c0, c1 = cp & _M32, cp >> _U(32)
+    words = (_mulhi(g1 & _M32, g1 >> _U(32), c0, c1), g1 * cp,
+             _mulhi(g0 & _M32, g0 >> _U(32), c0, c1), g0 * cp)
+    vb = _rop(*words[:3])
+    # the interval ends are cp -+ 2^(h+1), or cp - 2^h below a power of two;
+    # it is closed when c is even, open when odd
+    e = h + _U(1)
     odd = c & _U(1)
-    vb = _rop(g1, g0, cb << h)
-    vbl = _rop(g1, g0, (cb - _U(2) + irregular) << h) + odd
-    vbr = _rop(g1, g0, (cb + _U(2)) << h) - odd
+    vbl = _rop(*_moved(words, g1, g0, e - irregular, False)) + odd
+    vbr = _rop(*_moved(words, g1, g0, e, True)) - odd
     s = vb >> _U(2)
     # one digit fewer: the one multiple of 10^(k+1) that may be in range
     sp10 = s // _U(10) * _U(10)
@@ -227,10 +240,11 @@ def check_columns(columns, arrays):
 
 
 def format_rows(arrays):
-    """CSV text of equal-length 1-D int/uint/float arrays; None is an empty field."""
+    """CSV bytes (ASCII) of equal-length 1-D int/uint/float arrays; None is an
+    empty field."""
     n = len(next(a for a in arrays if a is not None))
     if n == 0:
-        return ""
+        return b""
     planes = []
     for i, a in enumerate(arrays):
         if i:
@@ -241,4 +255,4 @@ def format_rows(arrays):
     rows = np.concatenate([np.broadcast_to(p, (len(p), n)) for p in planes])
     # slots no row uses cost nothing to drop here and a pass each below
     rows = rows[rows.any(axis=1)]
-    return rows.T.tobytes().translate(None, b"\0").decode("ascii")
+    return rows.T.tobytes().translate(None, b"\0")

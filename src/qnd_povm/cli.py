@@ -128,8 +128,11 @@ def write_table(path, columns, arrays, meta=None, fmt="csv"):
     with _artifact(path) as fh:
         fh.write(HEADER + "\n")
         fh.write(",".join(columns) + "\r\n")
+        # the rows are ASCII bytes: they go to the handle's binary buffer
+        # (sys.stdout.buffer for stdout), after the text written so far
+        fh.flush()
         for lo in range(0, n, _CHUNK_ROWS):
-            fh.write(_csvrows.format_rows(
+            fh.buffer.write(_csvrows.format_rows(
                 [None if a is None else a[lo:lo + _CHUNK_ROWS] for a in arrays]))
         for key, value in meta.items():
             fh.write(f"# {key} = {value!r}\n")

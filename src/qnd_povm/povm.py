@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import MAX_ENTRIES, DomainError, PreconditionError, ResourceCapError
 from .numerics import log_factorial
@@ -33,6 +34,9 @@ _TWO_PI = 2.0 * math.pi
 # sentinel for log(0) that survives multiplication by small integer counts
 _LOG_ZERO = -1e9
 _TOTAL_RTOL = 1e-10
+# the outcome engine's block of consecutive totals, and its GEMM tile of n_c
+_BLOCK = 128
+_TILE = 32
 
 
 def _wrap_pi(x):
@@ -256,9 +260,9 @@ def _log_bases(params: QndParams, m: np.ndarray):
 def _envelope(params: QndParams, n_c, n_d, m: np.ndarray):
     """C[B] and E[B, len(m)] of the outcomes (n_c[b], n_d[b]); see `eigen`.
 
-    The bases are read once for the whole batch.  A sentinel base (an exact
-    zero raised to a positive count) is the only way below _LOG_ZERO / 4, and
-    it is cut to -inf here.
+    The bases are read once for the whole batch.  An exact zero base (the
+    _LOG_ZERO sentinel) raised to a positive count is cut to -inf here, and
+    nothing else is: a finite envelope stays finite however large the counts.
     """
     n_c, n_d = np.asarray(n_c), np.asarray(n_d)
     if not (n_c.ndim == 1 and n_c.shape == n_d.shape):
@@ -271,7 +275,8 @@ def _envelope(params: QndParams, n_c, n_d, m: np.ndarray):
     lc, ld = _log_bases(params, m)
     log_f = log_factorial(n_c) + log_factorial(n_d)
     log_e = 0.5 * n_c[:, None] * lc + 0.5 * n_d[:, None] * ld - 0.5 * log_f[:, None]
-    log_e[log_e < _LOG_ZERO / 4] = -math.inf
+    log_e[((n_c[:, None] > 0) & (lc == _LOG_ZERO))
+          | ((n_d[:, None] > 0) & (ld == _LOG_ZERO))] = -math.inf
     return log_c, log_e
 
 
@@ -447,12 +452,14 @@ def outcome_distribution(params: QndParams, state: CollectiveState,
     lam = (s/2) e^{log base} and lam_c + lam_d = s, so n_c + n_d ~ Pois(s)
     whatever the state.  On that marginal alone the window, half-width
     k sqrt(s) around s, grows over k = 4, 5, ... until it holds
-    1 - mass_tolerance; each total's row (by ascending n_c) is then one
-    contraction over m of two per-port Poisson tables.  A window past
-    max_total (carrying the marginal mass up to it), over MAX_ENTRIES entries
-    or with per-port tables over MAX_ENTRIES entries raises ResourceCapError
-    before any table is built; a total whose rows miss its Pois(s) mass by
-    _TOTAL_RTOL raises DomainError.
+    1 - mass_tolerance.  The rows, by total and then ascending n_c, are sums
+    over m of products of two per-port Poisson tables, computed as blocked
+    BLAS matrix products (`_mixture_rows`); the row set and order are those
+    of one contraction per total, and the last bit of p may differ between
+    BLAS builds.  A window past max_total (carrying the marginal mass up to
+    it), over MAX_ENTRIES entries or with per-port tables over MAX_ENTRIES
+    entries raises ResourceCapError before any table is built; a total whose
+    rows miss its Pois(s) mass by _TOTAL_RTOL raises DomainError.
     """
     if not state.is_normalized():
         raise PreconditionError("outcome_distribution needs a normalized state")
@@ -491,22 +498,65 @@ def outcome_distribution(params: QndParams, state: CollectiveState,
     with np.errstate(under="ignore"):
         table = np.exp(log_lam[..., None] * np.arange(hi + 1) - lf
                        - np.exp(log_lam)[..., None])
-    a = weights[:, None] * table[0]
-    b = table[1, :, ::-1].copy()  # n_d descending: total t is a[:, :t+1] . b[:, hi-t:]
+    p = _mixture_rows((weights[:, None] * table[0]).T, table[1], lo)
+    del table
 
-    window = range(lo, hi + 1)
-    n_c = np.concatenate([np.arange(t + 1) for t in window])
-    n_d = np.repeat(window, [t + 1 for t in window]) - n_c
-    p = np.empty(n_c.size)
-    starts = np.flatnonzero(n_c == 0)
-    for t, start in zip(window, starts.tolist()):
-        np.einsum("mi,mi->i", a[:, :t + 1], b[:, hi - t:], out=p[start:start + t + 1])
+    totals = np.arange(lo, hi + 1, dtype=np.int64)
+    starts = (totals - lo) * (totals + lo + 1) // 2
     by_total = np.add.reduceat(p, starts)
     bad = np.flatnonzero(np.abs(by_total - marginal) > _TOTAL_RTOL * marginal)
     if bad.size:
         raise DomainError(f"the rows of total {lo + bad[0]} miss its Poisson mass")
+    # running sums of +-1 steps that restart at each total's first row
+    n_c = np.ones(p.size, dtype=np.int64)
+    n_c[starts] = 1 - totals
+    n_c[0] = 0
+    np.cumsum(n_c, out=n_c)
+    n_d = np.full(p.size, -1, dtype=np.int64)
+    n_d[starts] = totals
+    np.cumsum(n_d, out=n_d)
     return OutcomeDistribution(n_c=n_c, n_d=n_d, p=p, cutoff_total=hi,
                                captured_mass=float(by_total.sum()))
+
+
+def _mixture_rows(a: np.ndarray, b: np.ndarray, lo: int) -> np.ndarray:
+    """The rows of totals lo..hi, by total and then ascending n_c, of
+    P(n_c, t - n_c) = sum_m a[n_c, m] b[m, t - n_c]; a is (hi + 1, k), b (k, hi + 1).
+
+    For each block of _BLOCK consecutive totals [t0, t1) and each tile of
+    _TILE values of n_c below t1, one GEMM of a's tile rows with the n_d
+    columns the block reaches gives every (n_c, n_d) pair of the tile.  The
+    block's totals are the anti-diagonals of that product: a sheared view
+    copies them into a block buffer with one row per total, and the prefix
+    n_c <= t of each row is that total's slice of p.  Where n_c > t, the
+    tile reads n_d < 0 from the _BLOCK - 1 zero columns padded in front of b.
+    """
+    hi = a.shape[0] - 1
+    pad = _BLOCK - 1
+    b_pad = np.zeros((b.shape[0], pad + hi + 1))
+    b_pad[:, pad:] = b
+    block = np.empty((_BLOCK, hi + 1))
+    scratch = np.empty(_TILE * (_BLOCK + _TILE - 1))
+    p = np.empty((hi - lo + 1) * (lo + hi + 2) // 2)
+    start = 0
+    for t0 in range(lo, hi + 1, _BLOCK):
+        t1 = min(t0 + _BLOCK, hi + 1)
+        for i0 in range(0, t1, _TILE):
+            i1 = min(i0 + _TILE, t1)
+            rows, width = i1 - i0, t1 - t0 + i1 - i0 - 1
+            # column c of the product is n_d = t0 - (i1 - 1) + c
+            j0 = pad + t0 - (i1 - 1)
+            prod = scratch[:rows * width].reshape(rows, width)
+            np.matmul(a[i0:i1], b_pad[:, j0:j0 + width], out=prod)
+            # diagonal[r, u] = prod[r, rows - 1 - r + u]: n_c = i0 + r, total t0 + u
+            step = prod.strides[1]
+            diagonal = as_strided(prod[:, rows - 1:], shape=(rows, t1 - t0),
+                                  strides=(prod.strides[0] - step, step))
+            block[:t1 - t0, i0:i1] = diagonal.T
+        for t in range(t0, t1):
+            p[start:start + t + 1] = block[t - t0, :t + 1]
+            start += t + 1
+    return p
 
 
 def _seed_array(seeds) -> np.ndarray:

@@ -393,6 +393,25 @@ def test_wigner_posterior_of_a_dicke_ket_off_the_envelope_peak(tmp_path):
     assert vals.size == 7 * 9 and np.isfinite(vals).all()
 
 
+def test_wigner_posterior_after_1e8_photons_per_port(tmp_path):
+    # an envelope under _LOG_ZERO / 4 with no zero base is not a zero: the
+    # outcome has a posterior, not "zero-probability outcome" (exit 4)
+    cfg = {
+        "params": {"gamma": [1e4, 0.0], "chi": [1e4, 0.0], "gt": 0.001},
+        "N": 10,
+        "initial": {"type": "coherent", "theta": "pi/2"},
+        "state": "posterior",
+        "outcome": {"n_c": 10 ** 8, "n_d": 10 ** 8},
+        "grid": {"n_theta": 7, "n_phi": 9},
+    }
+    path = write_config(tmp_path, "w.json", cfg)
+    out = tmp_path / "w.csv"
+    assert run_cli("wigner", "--config", path, "--out", str(out)) == 0
+    _, _, rows, _ = read_csv_rows(out)
+    vals = np.array([float(r["w"]) for r in rows])
+    assert vals.size == 7 * 9 and np.isfinite(vals).all()
+
+
 def test_wigner_prior_positive_lobe(tmp_path):
     cfg = {
         "params": {"gamma": [5.0, 0.0], "chi": [5.0, 0.0], "gt": "pi/2"},
@@ -646,6 +665,18 @@ def test_photon_dist_csv_bytes_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("photon-dist", "--config", path, "--out", "-") == 0
     assert capsys.readouterr().out == want
+
+
+def test_photon_dist_stdout_bytes_equal_the_file_in_a_subprocess(tmp_path):
+    # the rows go to sys.stdout.buffer between the header and the footer,
+    # which go through the text stream
+    path = write_config(tmp_path, "pd.json", PD_SMALL)
+    out = tmp_path / "pd.csv"
+    assert run_cli("photon-dist", "--config", path, "--out", str(out)) == 0
+    proc = subprocess.run([sys.executable, "-m", "qnd_povm", "photon-dist", "--config",
+                           path, "--out", "-"], capture_output=True)
+    assert proc.returncode == 0
+    assert proc.stdout == out.read_bytes()
 
 
 def test_photon_dist_json_bytes_pinned(tmp_path):

@@ -7,13 +7,21 @@ by the out-of-place log-space expression, then walked entry by entry into
 the cutoff and the entries that are exactly zero.  The two kernels round
 differently, so p is compared at 1e-11 relative; accuracy itself is pinned
 against a 60-digit sum in test_mpmath_oracle.py, not against this kernel.
+
+`reference_rows` is the per-total contraction the blocked GEMM engine
+(`povm._mixture_rows`) replaced: one einsum over m per total.  The engine
+must give the same rows to 1e-14 relative (the sums run in another order),
+bit-identical from call to call, without a matrix of all totals or of all
+(n_c, n_d) pairs.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qnd_povm import povm
 from qnd_povm.numerics import log_factorial
 from qnd_povm.povm import (PhotonOutcome, QndParams, _log_bases,
                            outcome_distribution, sample_outcome)
@@ -133,3 +141,112 @@ def test_columns_are_read_only(case):
     for col in (dist.n_c, dist.n_d, dist.p):
         with pytest.raises(ValueError):
             col[0] = 0
+
+
+# ------------------------------------------------------------ the GEMM engine
+
+def reference_rows(a, b, lo):
+    """p of totals lo..hi by one contraction per total: entry n_c of total t
+    is sum_m a[n_c, m] b[m, t - n_c]."""
+    hi = a.shape[0] - 1
+    return np.concatenate([np.einsum("im,mi->i", a[:t + 1], b[:, t::-1])
+                           for t in range(lo, hi + 1)])
+
+
+def reference_columns(lo, hi):
+    """(n_c, n_d) of the window in row order, as concatenated ranges."""
+    n_c = np.concatenate([np.arange(t + 1) for t in range(lo, hi + 1)])
+    return n_c, np.repeat(np.arange(lo, hi + 1), np.arange(lo, hi + 1) + 1) - n_c
+
+
+def assert_rows_close(p, want):
+    assert p.dtype == np.float64 and p.shape == want.shape
+    assert np.array_equal(p == 0.0, want == 0.0)
+    np.testing.assert_allclose(p, want, rtol=1e-14, atol=0.0)
+
+
+B = povm._BLOCK
+WINDOWS = [(0, 0), (0, 40), (0, 2 * B - 2), (0, 2 * B - 1), (0, 2 * B),
+           # narrower than one block, away from n_c = 0
+           (300, 340),
+           # hi + 1 - lo one short of, at and one past a block multiple
+           (37, 37 + 2 * B - 2), (37, 37 + 2 * B - 1), (37, 37 + 2 * B)]
+
+
+@pytest.mark.parametrize("lo, hi", WINDOWS)
+def test_engine_matches_per_total_contraction(lo, hi):
+    rng = np.random.default_rng(hi)
+    k = 1 + hi % 9
+    a, b = rng.random((hi + 1, k)), rng.random((k, hi + 1))
+    p = povm._mixture_rows(a, b, lo)
+    assert_rows_close(p, reference_rows(a, b, lo))
+    assert povm._mixture_rows(a, b, lo).tobytes() == p.tobytes()
+
+
+def _captured(monkeypatch, params, state, tol):
+    """The distribution and the engine's (a, b, lo) for it."""
+    seen = []
+    real = povm._mixture_rows
+
+    def spy(a, b, lo):
+        seen.append((a.copy(), b.copy(), lo))
+        return real(a, b, lo)
+
+    monkeypatch.setattr(povm, "_mixture_rows", spy)
+    dist = outcome_distribution(params, state, tol)
+    assert len(seen) == 1
+    return dist, seen[0]
+
+
+BRIGHT = (QndParams(gamma=30.0, chi=30.0 * complex(math.cos(0.7), math.sin(0.7)),
+                    gt=math.pi / 100.0), lambda: coherent_state(100, 1.2))
+
+
+@pytest.mark.parametrize("params, make_state", [
+    # support of one m_z
+    (P_SYM, lambda: dicke_state(8, 1)),
+    (P_REF, lambda: dicke_state(20, 0)),
+    # the bright benchmark's size: N = 100, s = 1800, 1.07M rows
+    BRIGHT,
+], ids=["dicke_odd", "dicke_zero", "bright"])
+def test_distribution_rows_match_per_total_contraction(monkeypatch, params, make_state):
+    state = make_state()
+    dist, (a, b, lo) = _captured(monkeypatch, params, state, 1e-9)
+    hi = dist.cutoff_total
+    assert a.shape == (hi + 1, state.support()[0].size) and b.shape == a.shape[::-1]
+    n_c, n_d = reference_columns(lo, hi)
+    assert np.array_equal(dist.n_c, n_c) and np.array_equal(dist.n_d, n_d)
+    assert_rows_close(dist.p, reference_rows(a, b, lo))
+    again = outcome_distribution(params, state, 1e-9)
+    assert again.p.tobytes() == dist.p.tobytes()
+    assert again.captured_mass == dist.captured_mass
+
+
+def test_engine_builds_no_matrix_of_all_totals():
+    # the bright window: 593 totals over n = 0..2096, 101 m_z; a matrix of
+    # every total by every n_c, or of every (n_c, n_d), beside p breaks this
+    lo, hi, k = 1504, 2096, 101
+    rng = np.random.default_rng(5)
+    a, b = rng.random((hi + 1, k)), rng.random((k, hi + 1))
+    matrix = 8 * (hi - lo + 1) * (hi + 1)
+    tracemalloc.start()
+    try:
+        p = povm._mixture_rows(a, b, lo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - p.nbytes < 0.6 * matrix < 8 * (hi + 1) ** 2
+
+
+def test_distribution_peak_is_its_three_columns():
+    # n_c and n_d are built in place after the tables and the engine's
+    # scratch are freed: no list of ranges, concatenation or repeat beside them
+    params, make_state = BRIGHT
+    state = make_state()
+    tracemalloc.start()
+    try:
+        dist = outcome_distribution(params, state, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * dist.p.nbytes + (1 << 20)

@@ -670,6 +670,43 @@ def test_condition_many_domain():
     assert all(a.shape == (0,) for a in empty)
 
 
+def test_envelope_is_minus_inf_only_at_exact_zero_bases(monkeypatch):
+    # a sentinel base meets a positive count: -inf; at count 0 it is 0^0 = 1
+    m = np.array([-1.0, 0.0, 1.0])
+    real = povm._log_bases
+
+    def zero_bases(params, m):
+        lc, ld = real(params, m)
+        lc[0] = ld[2] = povm._LOG_ZERO
+        return lc, ld
+
+    monkeypatch.setattr(povm, "_log_bases", zero_bases)
+    _, log_e = povm._envelope(P_REF, [0, 3, 0, 3], [0, 0, 4, 4], m)
+    assert np.array_equal(np.isinf(log_e), [[False, False, False], [True, False, False],
+                                            [False, False, True], [True, False, True]])
+    assert (log_e[np.isinf(log_e)] < 0).all()
+
+
+def test_condition_finite_at_1e8_photons_per_port():
+    # the envelope at the mean outcome lies about 1.7e9 below zero before its
+    # constant, under _LOG_ZERO / 4, yet no base is zero.  The reference is
+    # the Poisson mixture sum_m |psi_m|^2 Pois(n_c; lam_c) Pois(n_d; lam_d)
+    params = QndParams(gamma=1e4, chi=1e4, gt=0.001)
+    state = coherent_state(10, math.pi / 2.0)
+    n = 10 ** 8
+    log_p, post = condition(params, PhotonOutcome(n, n), state)
+    m, w = state.support()
+    s = params.photon_mean
+    terms = [math.log(wi) + sum(n * (math.log(s / 2.0) + lb) - s / 2.0 * math.exp(lb)
+                                - math.lgamma(n + 1) for lb in (lc, ld))
+             for wi, lc, ld in zip(w.tolist(), *(b.tolist() for b in povm._log_bases(params, m)))]
+    peak = max(terms)
+    want = peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
+    assert log_p == pytest.approx(want, abs=1e-6)
+    assert post is not None and post.is_normalized()
+    assert povm.condition_many(params, [n], [n], state)[0][0] == pytest.approx(want, abs=1e-6)
+
+
 def test_eigen_unchanged_on_a_grid():
     # the envelope as it was assembled inline, before the batch helper
     m = np.arange(-50, 51) / 2.0

@@ -26,9 +26,9 @@ def reference_csv(columns, arrays, meta=None):
 def fields(column):
     """The formatter's text of one column, value by value."""
     column = np.asarray(column)
-    text = "".join(_csvrows.format_rows([column[lo:lo + cli._CHUNK_ROWS]])
-                   for lo in range(0, column.size, cli._CHUNK_ROWS))
-    return text.split("\r\n")[:-1]
+    text = b"".join(_csvrows.format_rows([column[lo:lo + cli._CHUNK_ROWS]])
+                    for lo in range(0, column.size, cli._CHUNK_ROWS))
+    return text.decode("ascii").split("\r\n")[:-1]
 
 
 def test_floats_match_repr_on_random_bit_patterns():
@@ -57,6 +57,16 @@ def test_floats_match_repr_at_the_edges():
         [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
          1.7976931348623157e308, -1.7976931348623157e308],
     ])
+    assert fields(values) == [repr(v) for v in values.tolist()]
+
+
+def test_floats_match_repr_within_3_ulp_of_every_power_of_two():
+    # at a power of two the gap below is half the gap above (the irregular
+    # interval); its neighbours take the regular one
+    powers = np.ldexp(1.0, np.arange(-1074, 1024)).view(np.int64)
+    bits = (powers[:, None] + np.arange(-3, 4)).ravel()
+    values = bits[(bits > 0) & (bits < 0x7FF0000000000000)].view(np.float64)
+    values = np.concatenate([values, -values])
     assert fields(values) == [repr(v) for v in values.tolist()]
 
 
