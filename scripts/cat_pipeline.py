@@ -45,14 +45,14 @@ def main():
     envelopes = [[amplitude(params, PhotonOutcome(nc, nd), m) for m in m_z]
                  for nc, nd in ((26, 26), (0, 51), (51, 0))]
     write_table(os.path.join(args.out, "parity_envelopes.csv"),
-                ["m_z", "A_both_ports", "A_c_dark", "A_d_dark"], [m_z, *envelopes])
+                ["m_z", "A_both_ports", "A_c_dark", "A_d_dark"], [[m_z, *envelopes]])
 
     prior = coherent_state(N_ATOMS, math.pi / 2.0)
     post = posterior(params, PhotonOutcome(**OUTCOME), prior)
     write_table(os.path.join(args.out, "wavefunction_before_after.csv"),
                 ["m_z", "prior_re", "post_re", "post_im"],
-                [m_z, prior.sectors[0].amps.real, post.sectors[0].amps.real,
-                 post.sectors[0].amps.imag])
+                [[m_z, prior.sectors[0].amps.real, post.sectors[0].amps.real,
+                  post.sectors[0].amps.imag]])
 
     fid = cat_fidelity(post, N_ATOMS)
     with open(os.path.join(args.out, "summary.json"), "w") as fh:

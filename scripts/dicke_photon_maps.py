@@ -39,7 +39,7 @@ def main():
     rs = [-params.cos_2eta + 2.0 * params.cos_2eta * i / steps for i in range(steps + 1)]
     m0s = [math.asin(r / params.cos_2eta) / params.gt for r in rs]
     path = os.path.join(args.out, "count_to_spin_map.csv")
-    write_table(path, ["r", "m0"], [rs, m0s])
+    write_table(path, ["r", "m0"], [[rs, m0s]])
     print(f"count-to-spin map -> {path}")
 
 

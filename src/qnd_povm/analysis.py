@@ -144,6 +144,16 @@ def rho_lm(rho: DensityMatrix, L: int, M: int) -> complex:
     return c if M >= 0 else (-1) ** M * c.conjugate()
 
 
+def _flush_subnormals(a: np.ndarray) -> np.ndarray:
+    """`a` with every real or imaginary part below the smallest normal double
+    set to 0, in place.  A posterior's multipoles leave such parts in G, and
+    a GEMM over subnormal operands runs tens of times slower; together they
+    carry less than 1e-304 into any entry of W."""
+    parts = a.view(float)
+    parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
+    return a
+
+
 def wigner(rho: DensityMatrix, n_theta: int = 181, n_phi: int = 361) -> WignerGrid:
     """Spin Wigner function W(theta, phi) = sum_{L,M} rho_LM Y_LM.
 
@@ -175,7 +185,7 @@ def wigner(rho: DensityMatrix, n_theta: int = 181, n_phi: int = 361) -> WignerGr
         g[:, two_j + M] = table[M:, M] @ legendre_norm_table(two_j, M, x)
     # rho_{L,-M} Y_{L,-M} = conj(rho_LM Y_LM): columns M = -2J..-1 mirror 2J..1
     g[:, :two_j] = np.conj(g[:, :two_j:-1])
-    w = g @ np.exp(1j * np.outer(np.arange(-two_j, two_j + 1), phis))
+    w = _flush_subnormals(g) @ np.exp(1j * np.outer(np.arange(-two_j, two_j + 1), phis))
     residue = float(np.max(np.abs(w.imag))) if w.size else 0.0
     if residue > _RESIDUE_TOL:
         raise DomainError(f"Wigner reconstruction has imaginary residue {residue:.2e}")

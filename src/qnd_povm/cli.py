@@ -34,7 +34,7 @@ from .approx import (gaussian_amplitude, gaussian_model, project,
 from .config import ExperimentConfig, build_params, read_config
 from .errors import (MAX_ENTRIES, ConfigError, DomainError, PreconditionError,
                      QndError, ResourceCapError)
-from .povm import (PhotonOutcome, condition, condition_many, eigen,
+from .povm import (PhotonOutcome, _OutcomeTable, condition, condition_many, eigen,
                    outcome_distribution, posterior, sample_outcomes)
 from .spin_state import moments, state_to_json
 
@@ -103,38 +103,45 @@ def _write_json(path, payload):
 _CHUNK_ROWS = 8192
 
 
-def write_table(path, columns, arrays, meta=None, fmt="csv"):
-    """Write equal-length columns as one table, in CSV or stamped JSON.
+def write_table(path, columns, blocks, meta=None, fmt="csv"):
+    """Write a table, given as an iterable of column blocks, in CSV or stamped JSON.
 
+    Each block is a list of equal-length columns, one per name, and the
+    table is the blocks' rows in order; a block is read before the next is
+    taken, so a generator may reuse its arrays.  `meta` is a dict, or a
+    function called after the last block that returns one.
     CSV: the versioned header, the column line and one row per line (ints
     as `str` and floats as `repr` write them, CRLF endings), then a
     `# key = value` footer line per `meta` item (LF endings).  Rows are
     formatted in numpy in fixed-size chunks, so memory is bounded by the
-    chunk; columns must be int, uint or float arrays (TypeError otherwise).
-    JSON: `{columns, rows, **meta}`.  A column after the first may be None:
-    empty CSV fields, JSON nulls.
+    chunk and the block; columns must be int, uint or float arrays
+    (TypeError otherwise).  JSON: `{columns, rows, **meta}`.  A column after
+    the first may be None: empty CSV fields, JSON nulls.
     """
-    meta = meta or {}
-    n = len(arrays[0])
+    def footer():
+        return (meta() if callable(meta) else meta) or {}
+
     if fmt == "json":
-        rows = zip(*([None] * n if a is None else np.asarray(a).tolist() for a in arrays))
-        _write_json(path, {"columns": columns, "rows": list(rows), **meta})
+        rows = [row for block in blocks for row in zip(*(
+            [None] * len(block[0]) if a is None else np.asarray(a).tolist() for a in block))]
+        _write_json(path, {"columns": columns, "rows": rows, **footer()})
         return
     # imported here: measure and project write no table
     from . import _csvrows
 
-    arrays = [None if a is None else np.asarray(a) for a in arrays]
-    _csvrows.check_columns(columns, arrays)
     with _artifact(path) as fh:
         fh.write(HEADER + "\n")
         fh.write(",".join(columns) + "\r\n")
         # the rows are ASCII bytes: they go to the handle's binary buffer
         # (sys.stdout.buffer for stdout), after the text written so far
         fh.flush()
-        for lo in range(0, n, _CHUNK_ROWS):
-            fh.buffer.write(_csvrows.format_rows(
-                [None if a is None else a[lo:lo + _CHUNK_ROWS] for a in arrays]))
-        for key, value in meta.items():
+        for block in blocks:
+            arrays = [None if a is None else np.asarray(a) for a in block]
+            _csvrows.check_columns(columns, arrays)
+            for lo in range(0, len(arrays[0]), _CHUNK_ROWS):
+                fh.buffer.write(_csvrows.format_rows(
+                    [None if a is None else a[lo:lo + _CHUNK_ROWS] for a in arrays]))
+        for key, value in footer().items():
             fh.write(f"# {key} = {value!r}\n")
 
 
@@ -173,23 +180,27 @@ def cmd_amp_scan(cfg: ExperimentConfig, out, fmt) -> int:
         # math.exp, as `amplitude` uses, so the column equals its values; at
         # large counts it underflows to 0, and the footer keeps the scale
         exact = [math.exp(x) for x in log_a.tolist()]
-        tables.append((case["label"], [m_z, exact, np.exp(log_a - log_peak), gauss], meta))
+        tables.append((case["label"], [[m_z, exact, np.exp(log_a - log_peak), gauss]], meta))
     with _writing(out):
         os.makedirs(out, exist_ok=True)
-    for label, arrays, meta in tables:
+    for label, blocks, meta in tables:
         write_table(os.path.join(out, f"{label}.{fmt}"),
-                    ["m_z", "A_exact", "A_exact_normalized", "A_gauss"], arrays, meta,
+                    ["m_z", "A_exact", "A_exact_normalized", "A_gauss"], blocks, meta,
                     fmt=fmt)
     return 0
 
 
 def cmd_photon_dist(cfg: ExperimentConfig, out, fmt) -> int:
-    dist = outcome_distribution(cfg.params(), cfg.initial_state(),
-                                cfg.raw.get("mass_tolerance", 1e-6),
-                                max_total=cfg.raw.get("max_total"))
-    write_table(out, ["n_c", "n_d", "p"], [dist.n_c, dist.n_d, dist.p],
-                {"captured_mass": dist.captured_mass,
-                 "cutoff_total": dist.cutoff_total}, fmt)
+    # the caps act here, before anything is written; the rows are then
+    # enumerated, checked and written one block of totals at a time, with
+    # the counts built per writer chunk
+    table = _OutcomeTable(cfg.params(), cfg.initial_state(),
+                          cfg.raw.get("mass_tolerance", 1e-6),
+                          max_total=cfg.raw.get("max_total"))
+    blocks = ((*table.counts(start, p.size), p) for start, p in table.pieces(_CHUNK_ROWS))
+    write_table(out, ["n_c", "n_d", "p"], blocks,
+                lambda: {"captured_mass": table.captured_mass,
+                         "cutoff_total": table.cutoff_total}, fmt)
     return 0
 
 
@@ -257,8 +268,8 @@ def cmd_wigner(cfg: ExperimentConfig, out, fmt) -> int:
     wg = wigner(rho, **cfg.raw.get("grid", {}))
     # row-major over the grid: theta outer, phi inner
     write_table(out, ["theta", "phi", "w"],
-                [np.repeat(wg.thetas, wg.phis.size), np.tile(wg.phis, wg.thetas.size),
-                 wg.values.ravel()], fmt=fmt)
+                [[np.repeat(wg.thetas, wg.phis.size), np.tile(wg.phis, wg.thetas.size),
+                  wg.values.ravel()]], fmt=fmt)
     return 0
 
 

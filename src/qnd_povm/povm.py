@@ -368,23 +368,29 @@ def apply(params: QndParams, outcome: PhotonOutcome,
     return scale_amplitudes(state, log_c + log_e, phase)
 
 
-def _log_prob(log_c: np.ndarray, log_e: np.ndarray, w: np.ndarray):
+def _log_prob(log_c: np.ndarray, log_e: np.ndarray, log_w: np.ndarray):
     """ln P of each outcome row, from C[B] and E[B, k] over the k support m_z.
 
-    w[k] = |psi_m|^2.  Each row of E is shifted by its peak before it is
-    exponentiated, so outcomes deep in the tail still normalize cleanly; with
-    n2 = sum_m w e^{2 (E - shift)}, ln P = 2 (C + shift) + ln n2.  Returns
-    (ln P[B], shift[B], q[B, k]), q the posterior weights, normalized per
-    row; a zero-probability row has ln P = -inf and all-zero weights.
+    log_w[k] = ln |psi_m|^2.  Each row's terms x = 2 E + ln w are shifted by
+    their peak before they are exponentiated, so outcomes deep in the tail
+    still normalize cleanly, and a weight too small for a double still
+    counts where its envelope is large; with n2 = sum_m e^{x - shift},
+    ln P = 2 C + shift + ln n2.  Returns (ln P[B], shift[B], q[B, k]), q the
+    posterior weights, normalized per row; a zero-probability row has
+    ln P = -inf and all-zero weights.
     """
-    shift = np.max(log_e, axis=1, initial=-math.inf)
+    # x, shifted and exponentiated in place: one B x k array
+    q = 2.0 * log_e
+    q += log_w
+    shift = np.max(q, axis=1, initial=-math.inf)
     live = shift > -math.inf
+    q -= np.where(live, shift, 0.0)[:, None]
     with np.errstate(under="ignore"):
-        q = w * np.exp(2.0 * (log_e - np.where(live, shift, 0.0)[:, None]))
+        np.exp(q, out=q)
+    # each live row holds its peak term, e^0 = 1
     n2 = q.sum(axis=1)
-    live &= n2 > 0.0
     log_p = np.full(shift.shape, -math.inf)
-    log_p[live] = 2.0 * (log_c[live] + shift[live]) + np.log(n2[live])
+    log_p[live] = 2.0 * log_c[live] + shift[live] + np.log(n2[live])
     q[live] /= n2[live, None]
     return log_p, shift, q
 
@@ -394,33 +400,34 @@ def condition(params: QndParams, outcome: PhotonOutcome,
     """ln P(outcome) and the normalized posterior, from one kernel evaluation.
 
     ln P is formed as in `condition_many`; the posterior is the state scaled
-    by the envelope shifted by the same peak, with the per-m_z detector
+    by the envelope shifted by half the same peak, with the per-m_z detector
     phases kept.  A zero-probability outcome gives (-inf, None).
     """
     if not state.is_normalized():
         raise PreconditionError("conditioning on an outcome needs a normalized state")
-    m, w = state.support()
+    m, log_w = state.support(log=True)
     log_c, log_e, phase = eigen(params, outcome, m)
-    log_p, shift, _ = _log_prob(np.array([log_c]), log_e[None], w)
+    log_p, shift, _ = _log_prob(np.array([log_c]), log_e[None], log_w)
     if log_p[0] == -math.inf:
         return -math.inf, None
-    return float(log_p[0]), normalize(scale_amplitudes(state, log_e - shift[0], phase))
+    # |psi_m| e^{E - shift / 2} <= 1, with equality at the peak term
+    return float(log_p[0]), normalize(scale_amplitudes(state, log_e - shift[0] / 2.0, phase))
 
 
 def condition_many(params: QndParams, n_c, n_d, state: CollectiveState):
     """ln P, posterior <J_z> and posterior Var J_z of each outcome (n_c[b], n_d[b]).
 
     The batched form of `condition` followed by `moments`: the bases are
-    read once over the support, every outcome's envelope row is shifted
-    by its own peak, and the normalized weights reduce to <J_z> and
-    Var J_z = max(0, <m^2> - <m>^2).  A zero-probability outcome has
-    ln P = -inf and nan moments.
+    read once over the support, every outcome's row of terms
+    2 E + ln |psi_m|^2 is shifted by its own peak, and the normalized
+    weights reduce to <J_z> and Var J_z = max(0, <m^2> - <m>^2).  A
+    zero-probability outcome has ln P = -inf and nan moments.
     """
     if not state.is_normalized():
         raise PreconditionError("conditioning on an outcome needs a normalized state")
-    m, w = state.support()
+    m, log_w = state.support(log=True)
     log_c, log_e = _envelope(params, n_c, n_d, m)
-    log_p, _, q = _log_prob(log_c, log_e, w)
+    log_p, _, q = _log_prob(log_c, log_e, log_w)
     mean = q @ m
     var = np.maximum(0.0, q @ (m * m) - mean ** 2)
     dead = log_p == -math.inf
@@ -459,86 +466,153 @@ def outcome_distribution(params: QndParams, state: CollectiveState,
     BLAS builds.  A window past max_total (carrying the marginal mass up to
     it), over MAX_ENTRIES entries or with per-port tables over MAX_ENTRIES
     entries raises ResourceCapError before any table is built; a total whose
-    rows miss its Pois(s) mass by _TOTAL_RTOL raises DomainError.
+    rows miss its Pois(s) mass by _TOTAL_RTOL raises DomainError.  The rows
+    are enumerated by `_OutcomeTable`, which `photon-dist` streams instead.
     """
-    if not state.is_normalized():
-        raise PreconditionError("outcome_distribution needs a normalized state")
-    if not (0.0 < mass_tolerance < 1.0):
-        raise DomainError("mass_tolerance must lie strictly between 0 and 1")
-    if max_total is not None and max_total < 0:
-        raise DomainError("max_total must be non-negative")
-    s = params.photon_mean
-    cap = int(max_total) if max_total is not None else int(4.0 * s + 100.0)
-    m, weights = state.support()
-
-    k = 4.0
-    while True:
-        lo = max(0, math.ceil(s - k * math.sqrt(s)))
-        hi = math.floor(s + k * math.sqrt(s))
-        top = min(hi, cap)
-        n_rows = (top - lo + 1) * (lo + top + 2) // 2
-        if n_rows > MAX_ENTRIES:
-            raise ResourceCapError(f"the photon window {lo}..{top} holds {n_rows} "
-                                   f"outcomes, over the cap of {MAX_ENTRIES}")
-        if 2 * weights.size * (hi + 1) > MAX_ENTRIES:
-            raise ResourceCapError(f"the per-port Poisson tables (2 x {weights.size} x "
-                                   f"{hi + 1}) are over the cap of {MAX_ENTRIES} entries")
-        lf = log_factorial(np.arange(top + 1))
-        marginal = weights.sum() * np.exp(np.arange(lo, top + 1) * math.log(s) - s - lf[lo:])
-        mass = float(marginal.sum())
-        if hi > cap:
-            raise ResourceCapError(f"photon window exceeded the cap of {cap} total "
-                                   "photons", captured_mass=mass)
-        if mass >= 1.0 - mass_tolerance:
-            break
-        k += 1.0
-
-    # Pois(n; lam) = exp(n ln lam - lam - ln n!); exactly [n == 0] at lam = 0
-    log_lam = math.log(s / 2.0) + np.stack(_log_bases(params, m))
-    with np.errstate(under="ignore"):
-        table = np.exp(log_lam[..., None] * np.arange(hi + 1) - lf
-                       - np.exp(log_lam)[..., None])
-    p = _mixture_rows((weights[:, None] * table[0]).T, table[1], lo)
-    del table
-
-    totals = np.arange(lo, hi + 1, dtype=np.int64)
-    starts = (totals - lo) * (totals + lo + 1) // 2
-    by_total = np.add.reduceat(p, starts)
-    bad = np.flatnonzero(np.abs(by_total - marginal) > _TOTAL_RTOL * marginal)
-    if bad.size:
-        raise DomainError(f"the rows of total {lo + bad[0]} miss its Poisson mass")
-    # running sums of +-1 steps that restart at each total's first row
-    n_c = np.ones(p.size, dtype=np.int64)
-    n_c[starts] = 1 - totals
-    n_c[0] = 0
-    np.cumsum(n_c, out=n_c)
-    n_d = np.full(p.size, -1, dtype=np.int64)
-    n_d[starts] = totals
-    np.cumsum(n_d, out=n_d)
-    return OutcomeDistribution(n_c=n_c, n_d=n_d, p=p, cutoff_total=hi,
-                               captured_mass=float(by_total.sum()))
+    table = _OutcomeTable(params, state, mass_tolerance, max_total)
+    p = np.empty(table.size)
+    for start, piece in table.pieces(table.size):
+        p[start:start + piece.size] = piece
+    # the counts are built once the per-port tables and, with this last view
+    # of it, the engine's block buffer are freed
+    del piece
+    n_c, n_d = table.counts(0, p.size)
+    return OutcomeDistribution(n_c=n_c, n_d=n_d, p=p, cutoff_total=table.cutoff_total,
+                               captured_mass=table.captured_mass)
 
 
-def _mixture_rows(a: np.ndarray, b: np.ndarray, lo: int) -> np.ndarray:
-    """The rows of totals lo..hi, by total and then ascending n_c, of
+class _OutcomeTable:
+    """The rows of `outcome_distribution`, enumerated one block of totals at a time.
+
+    Construction grows the window and applies every cap; no table exists
+    yet.  `pieces` builds the per-port tables and yields the rows' p in row
+    order; `counts` gives the (n_c, n_d) of any run of rows from the window
+    alone.  Once the last piece is out, `captured_mass` holds the sum of the
+    window's per-total masses.
+    """
+
+    def __init__(self, params: QndParams, state: CollectiveState,
+                 mass_tolerance: float, max_total: int | None = None):
+        if not state.is_normalized():
+            raise PreconditionError("outcome_distribution needs a normalized state")
+        if not (0.0 < mass_tolerance < 1.0):
+            raise DomainError("mass_tolerance must lie strictly between 0 and 1")
+        if max_total is not None and max_total < 0:
+            raise DomainError("max_total must be non-negative")
+        s = params.photon_mean
+        cap = int(max_total) if max_total is not None else int(4.0 * s + 100.0)
+        m, weights = state.support()
+        # ln n! for n = 0..top, extended by the rows each wider window adds
+        lf = np.empty(0)
+        k = 4.0
+        while True:
+            lo = max(0, math.ceil(s - k * math.sqrt(s)))
+            hi = math.floor(s + k * math.sqrt(s))
+            top = min(hi, cap)
+            n_rows = (top - lo + 1) * (lo + top + 2) // 2
+            if n_rows > MAX_ENTRIES:
+                raise ResourceCapError(f"the photon window {lo}..{top} holds {n_rows} "
+                                       f"outcomes, over the cap of {MAX_ENTRIES}")
+            if 2 * weights.size * (hi + 1) > MAX_ENTRIES:
+                raise ResourceCapError(f"the per-port Poisson tables (2 x {weights.size} x "
+                                       f"{hi + 1}) are over the cap of {MAX_ENTRIES} entries")
+            lf = np.concatenate([lf, log_factorial(np.arange(lf.size, top + 1))])
+            marginal = weights.sum() * np.exp(np.arange(lo, top + 1) * math.log(s) - s
+                                              - lf[lo:])
+            mass = float(marginal.sum())
+            if hi > cap:
+                raise ResourceCapError(f"photon window exceeded the cap of {cap} total "
+                                       "photons", captured_mass=mass)
+            if mass >= 1.0 - mass_tolerance:
+                break
+            k += 1.0
+        self._params, self._m, self._weights = params, m, weights
+        self._lf, self._marginal = lf, marginal
+        self.lo, self.cutoff_total = lo, hi
+        self._totals = np.arange(lo, hi + 1, dtype=np.int64)
+        # row index of each total's first row (n_c = 0)
+        self._starts = (self._totals - lo) * (self._totals + lo + 1) // 2
+        self.size = n_rows
+        self.captured_mass = None
+
+    def pieces(self, rows: int):
+        """Yield (start, p) for runs of at most `rows` rows in row order.
+
+        p views a buffer that the next block of _BLOCK totals overwrites, and
+        a block is yielded only once its rows sum to each total's Poisson mass.
+        """
+        lo, hi = self.lo, self.cutoff_total
+        # Pois(n; lam) = exp(n ln lam - lam - ln n!); exactly [n == 0] at lam = 0
+        log_lam = math.log(self._params.photon_mean / 2.0) + np.stack(
+            _log_bases(self._params, self._m))
+        table = np.multiply.outer(log_lam, np.arange(hi + 1))
+        with np.errstate(under="ignore"):
+            table -= self._lf
+            table -= np.exp(log_lam)[..., None]
+            # out of place: freeing the argument, as large as the table, lets
+            # glibc's malloc keep the CSV writer's per-chunk scratch in its
+            # heap instead of faulting fresh pages in for every chunk (60k
+            # page faults, 0.15 s, on a table of 1.07M rows on a 2-core host)
+            table = np.exp(table)
+        table[0] *= self._weights[:, None]
+        by_total = np.empty(hi - lo + 1)
+        start = 0
+        for i, p in enumerate(_mixture_rows(table[0].T, table[1], lo)):
+            # the totals lo + i0 .. lo + i1 - 1 of this block
+            i0 = i * _BLOCK
+            i1 = min(i0 + _BLOCK, hi - lo + 1)
+            mass = np.add.reduceat(p, self._starts[i0:i1] - self._starts[i0])
+            marginal = self._marginal[i0:i1]
+            bad = np.flatnonzero(np.abs(mass - marginal) > _TOTAL_RTOL * marginal)
+            if bad.size:
+                raise DomainError(f"the rows of total {lo + i0 + bad[0]} miss its "
+                                  "Poisson mass")
+            by_total[i0:i1] = mass
+            for j in range(0, p.size, rows):
+                yield start + j, p[j:j + rows]
+            start += p.size
+        self.captured_mass = float(by_total.sum())
+
+    def counts(self, start: int, n: int):
+        """(n_c, n_d) of rows start .. start + n - 1 (n >= 1): running sums of
+        +-1 steps that restart at each total's first row."""
+        first = int(np.searchsorted(self._starts, start, side="right")) - 1
+        end = int(np.searchsorted(self._starts, start + n))
+        at = self._starts[first + 1:end] - start
+        totals = self._totals[first + 1:end]
+        n_c = np.ones(n, dtype=np.int64)
+        n_c[at] = 1 - totals
+        n_c[0] = start - self._starts[first]
+        np.cumsum(n_c, out=n_c)
+        n_d = np.full(n, -1, dtype=np.int64)
+        n_d[at] = totals
+        n_d[0] = self._totals[first] - n_c[0]
+        np.cumsum(n_d, out=n_d)
+        return n_c, n_d
+
+
+def _mixture_rows(a: np.ndarray, b: np.ndarray, lo: int):
+    """Yield, for each block of _BLOCK consecutive totals from lo up to hi,
+    the block's rows by total and then ascending n_c, of
     P(n_c, t - n_c) = sum_m a[n_c, m] b[m, t - n_c]; a is (hi + 1, k), b (k, hi + 1).
 
-    For each block of _BLOCK consecutive totals [t0, t1) and each tile of
-    _TILE values of n_c below t1, one GEMM of a's tile rows with the n_d
-    columns the block reaches gives every (n_c, n_d) pair of the tile.  The
-    block's totals are the anti-diagonals of that product: a sheared view
-    copies them into a block buffer with one row per total, and the prefix
-    n_c <= t of each row is that total's slice of p.  Where n_c > t, the
-    tile reads n_d < 0 from the _BLOCK - 1 zero columns padded in front of b.
+    For each block [t0, t1) and each tile of _TILE values of n_c below t1,
+    one GEMM of a's tile rows with the n_d columns the block reaches gives
+    every (n_c, n_d) pair of the tile.  The block's totals are the
+    anti-diagonals of that product: a sheared view copies them into a block
+    buffer with one row per total, and the prefix n_c <= t of each row is
+    that total's run of rows.  Where n_c > t, the tile reads n_d < 0 from the
+    _BLOCK - 1 zero columns padded in front of b.  The runs are then packed
+    to the front of the same buffer, in place, and yielded as a view that the
+    next block overwrites.
     """
     hi = a.shape[0] - 1
     pad = _BLOCK - 1
     b_pad = np.zeros((b.shape[0], pad + hi + 1))
     b_pad[:, pad:] = b
-    block = np.empty((_BLOCK, hi + 1))
+    buffer = np.empty(_BLOCK * (hi + 1))
+    block = buffer.reshape(_BLOCK, hi + 1)
     scratch = np.empty(_TILE * (_BLOCK + _TILE - 1))
-    p = np.empty((hi - lo + 1) * (lo + hi + 2) // 2)
-    start = 0
     for t0 in range(lo, hi + 1, _BLOCK):
         t1 = min(t0 + _BLOCK, hi + 1)
         for i0 in range(0, t1, _TILE):
@@ -553,10 +627,13 @@ def _mixture_rows(a: np.ndarray, b: np.ndarray, lo: int) -> np.ndarray:
             diagonal = as_strided(prod[:, rows - 1:], shape=(rows, t1 - t0),
                                   strides=(prod.strides[0] - step, step))
             block[:t1 - t0, i0:i1] = diagonal.T
+        # run t moves down from row t - t0 of the block, never over a run
+        # still to move: each run is at most hi + 1 long
+        start = 0
         for t in range(t0, t1):
-            p[start:start + t + 1] = block[t - t0, :t + 1]
+            buffer[start:start + t + 1] = block[t - t0, :t + 1]
             start += t + 1
-    return p
+        yield buffer[:start]
 
 
 def _seed_array(seeds) -> np.ndarray:

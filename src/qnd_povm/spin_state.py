@@ -78,11 +78,13 @@ class CollectiveState:
         amps = np.concatenate([s.amps for s in self.sectors])
         return amps, amps != 0.0
 
-    def support(self) -> tuple[np.ndarray, np.ndarray]:
+    def support(self, log: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """(m_z, |psi_m|^2) of the nonzero amplitudes, in `m_values()` order:
-        the only m_z a diagonal operator acts on."""
+        the only m_z a diagonal operator acts on.  With `log`, the weights
+        come as ln |psi_m|^2, finite where |psi_m|^2 underflows to 0."""
         amps, live = self._live()
-        return self.m_values()[live], np.abs(amps[live]) ** 2
+        mag = np.abs(amps[live])
+        return self.m_values()[live], 2.0 * np.log(mag) if log else mag ** 2
 
     def squared_norm(self) -> float:
         return float(sum(np.sum(np.abs(s.amps) ** 2) for s in self.sectors))

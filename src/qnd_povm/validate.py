@@ -75,7 +75,7 @@ def check_unity(rng, params: QndParams, two_js) -> Check:
     for two_j in two_js:
         dist = outcome_distribution(params, random_state(rng, two_j), 1e-9)
         worst = min(worst, dist.captured_mass)
-    return Check("unity decomposition", worst >= 1.0 - 1e-8, f"min mass {worst!r}", worst)
+    return Check("unity decomposition", worst >= 1.0 - 1e-8, f"min mass {worst:.10f}", worst)
 
 
 def check_photon_conservation(rng, params: QndParams, two_js) -> Check:

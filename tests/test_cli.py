@@ -7,11 +7,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qnd_povm import analysis, cli
+from qnd_povm import analysis, cli, povm
 from qnd_povm.analysis import density_from_state, wigner
 from qnd_povm.approx import gaussian_model
 from qnd_povm.cli import main
@@ -695,6 +696,77 @@ def test_photon_dist_json_bytes_pinned(tmp_path):
     assert out.read_bytes() == want.encode("utf-8")
 
 
+# N = 20 windows of 127, 128 and 257 totals: inside one block of the
+# engine, exactly one, and one past two
+BLOCK_WINDOWS = {127: 6.4, 128: 6.5, 257: 13.0}
+
+
+def _window_config(a):
+    return {"params": {"gamma": a, "chi": [a * math.cos(0.3), a * math.sin(0.3)],
+                       "gt": "pi/N"},
+            "N": 20, "initial": {"type": "coherent", "theta": 1.0}, "mass_tolerance": 1e-9}
+
+
+@pytest.mark.parametrize("totals", sorted(BLOCK_WINDOWS))
+def test_photon_dist_streamed_rows_equal_the_distribution(tmp_path, totals):
+    # photon-dist writes the rows block by block; outcome_distribution
+    # collects the same enumeration into columns
+    raw = _window_config(BLOCK_WINDOWS[totals])
+    cfg = ExperimentConfig.from_dict("photon-dist", raw)
+    dist = outcome_distribution(cfg.params(), cfg.initial_state(), 1e-9)
+    assert dist.cutoff_total - (dist.n_c[0] + dist.n_d[0]) + 1 == totals
+    want = tmp_path / "want.csv"
+    cli.write_table(str(want), ["n_c", "n_d", "p"], [[dist.n_c, dist.n_d, dist.p]],
+                    {"captured_mass": dist.captured_mass,
+                     "cutoff_total": dist.cutoff_total})
+    out = tmp_path / "pd.csv"
+    assert cli.run("photon-dist", raw, str(out)) == 0
+    assert out.read_bytes() == want.read_bytes()
+
+
+def test_photon_dist_guard_failure_in_a_later_block(tmp_path, monkeypatch, capsys):
+    # the window starts at total 210, so the second block starts at 338
+    real = povm._mixture_rows
+
+    def corrupt(a, b, lo):
+        for i, block in enumerate(real(a, b, lo)):
+            if i == 1:
+                block[0] += 1.0
+            yield block
+
+    monkeypatch.setattr(povm, "_mixture_rows", corrupt)
+    path = write_config(tmp_path, "pd.json", _window_config(BLOCK_WINDOWS[257]))
+    out = tmp_path / "pd.csv"
+    assert run_cli("photon-dist", "--config", path, "--out", str(out)) == 4
+    assert "the rows of total 338 miss its Poisson mass" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["pd.json"]
+    # on stdout, the first block's rows are out before the second is checked
+    assert run_cli("photon-dist", "--config", path, "--out", "-") == 4
+    text = capsys.readouterr().out
+    assert "captured_mass" not in text
+    lines = text.split("\r\n")
+    # the header and column line, the rows of totals 210..337, and ""
+    assert len(lines) == 1 + sum(t + 1 for t in range(210, 338)) + 1
+    assert lines[-2].startswith("337,0,") and lines[-1] == ""
+
+
+def test_photon_dist_peak_memory_is_bounded_by_a_block(tmp_path):
+    # the bright benchmark's table: N = 100, a mean of 1800 photons, 1.07M
+    # rows, whose three columns alone take 25.6 MB
+    raw = {"params": {"gamma": 30.0, "chi": [30.0 * math.cos(0.7), 30.0 * math.sin(0.7)],
+                      "gt": "pi/N"},
+           "N": 100, "initial": {"type": "coherent", "theta": 1.2}, "mass_tolerance": 1e-9}
+    out = tmp_path / "pd.csv"
+    tracemalloc.start()
+    try:
+        assert cli.run("photon-dist", raw, str(out)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_bytes().count(b"\r\n") == 1067993 + 1
+    assert peak < 16e6
+
+
 def test_wigner_bytes_pinned(tmp_path):
     raw = {"params": {"gamma": [5.0, 0.0], "chi": [5.0, 0.0], "gt": "pi/2"},
            "N": 6, "initial": {"type": "coherent", "theta": "pi/3"},
@@ -757,7 +829,7 @@ def test_amp_scan_bytes_pinned(tmp_path):
 
 def test_table_writer_failure_leaves_no_file(tmp_path):
     out = tmp_path / "t.csv"
-    cli.write_table(str(out), ["a", "b"], [np.arange(3), np.ones(3)], {"k": 1})
+    cli.write_table(str(out), ["a", "b"], [[np.arange(3), np.ones(3)]], {"k": 1})
     assert os.listdir(tmp_path) == ["t.csv"]
     out.unlink()
 
@@ -766,7 +838,7 @@ def test_table_writer_failure_leaves_no_file(tmp_path):
             raise RuntimeError("interrupted")
 
     with pytest.raises(RuntimeError):
-        cli.write_table(str(out), ["a", "b"], [np.arange(3), np.ones(3)],
+        cli.write_table(str(out), ["a", "b"], [[np.arange(3), np.ones(3)]],
                         {"k": 1, "late": Interrupted()})
     assert os.listdir(tmp_path) == []
 

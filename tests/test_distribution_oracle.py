@@ -11,8 +11,8 @@ against a 60-digit sum in test_mpmath_oracle.py, not against this kernel.
 `reference_rows` is the per-total contraction the blocked GEMM engine
 (`povm._mixture_rows`) replaced: one einsum over m per total.  The engine
 must give the same rows to 1e-14 relative (the sums run in another order),
-bit-identical from call to call, without a matrix of all totals or of all
-(n_c, n_d) pairs.
+bit-identical from call to call, one block of totals at a time, without a
+matrix of all totals or of all (n_c, n_d) pairs.
 """
 
 import math
@@ -159,6 +159,11 @@ def reference_columns(lo, hi):
     return n_c, np.repeat(np.arange(lo, hi + 1), np.arange(lo, hi + 1) + 1) - n_c
 
 
+def engine_rows(a, b, lo):
+    """The engine's rows, each block copied out before the next overwrites it."""
+    return np.concatenate([block.copy() for block in povm._mixture_rows(a, b, lo)])
+
+
 def assert_rows_close(p, want):
     assert p.dtype == np.float64 and p.shape == want.shape
     assert np.array_equal(p == 0.0, want == 0.0)
@@ -178,9 +183,9 @@ def test_engine_matches_per_total_contraction(lo, hi):
     rng = np.random.default_rng(hi)
     k = 1 + hi % 9
     a, b = rng.random((hi + 1, k)), rng.random((k, hi + 1))
-    p = povm._mixture_rows(a, b, lo)
+    p = engine_rows(a, b, lo)
     assert_rows_close(p, reference_rows(a, b, lo))
-    assert povm._mixture_rows(a, b, lo).tobytes() == p.tobytes()
+    assert engine_rows(a, b, lo).tobytes() == p.tobytes()
 
 
 def _captured(monkeypatch, params, state, tol):
@@ -222,6 +227,22 @@ def test_distribution_rows_match_per_total_contraction(monkeypatch, params, make
     assert again.captured_mass == dist.captured_mass
 
 
+def test_counts_of_any_run_of_rows():
+    # photon-dist asks for the counts of writer chunks, which start and end
+    # inside totals and span several
+    table = povm._OutcomeTable(P_REF, coherent_state(20, math.pi / 3.0), 1e-9)
+    n_c, n_d = reference_columns(table.lo, table.cutoff_total)
+    assert n_c.size == table.size
+    rng = np.random.default_rng(3)
+    for start in [0, 1, table.size - 1, *rng.integers(0, table.size, 40).tolist()]:
+        for n in {1, 2, 97, 1000, table.size - start}:
+            n = min(n, table.size - start)
+            got_c, got_d = table.counts(start, n)
+            assert got_c.dtype == got_d.dtype == np.int64
+            assert np.array_equal(got_c, n_c[start:start + n])
+            assert np.array_equal(got_d, n_d[start:start + n])
+
+
 def test_engine_builds_no_matrix_of_all_totals():
     # the bright window: 593 totals over n = 0..2096, 101 m_z; a matrix of
     # every total by every n_c, or of every (n_c, n_d), beside p breaks this
@@ -231,11 +252,13 @@ def test_engine_builds_no_matrix_of_all_totals():
     matrix = 8 * (hi - lo + 1) * (hi + 1)
     tracemalloc.start()
     try:
-        p = povm._mixture_rows(a, b, lo)
+        rows = sum(block.size for block in povm._mixture_rows(a, b, lo))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - p.nbytes < 0.6 * matrix < 8 * (hi + 1) ** 2
+    assert rows == (hi - lo + 1) * (lo + hi + 2) // 2
+    # the engine yields one block at a time, so it holds no p of all rows either
+    assert peak < 0.6 * matrix < 8 * (hi + 1) ** 2
 
 
 def test_distribution_peak_is_its_three_columns():

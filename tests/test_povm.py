@@ -418,6 +418,14 @@ def test_unity_decomposition_random_states():
         assert check_unity(rng, params, (two_j,)).passed
 
 
+def test_unity_detail_prints_the_mass_to_ten_decimals():
+    # the last digits of the mass depend on the BLAS build; its check stands
+    # on 1e-8, and the line prints it to 1e-10
+    check = check_unity(np.random.default_rng(12), P_REF, (8,))
+    assert check.detail == f"min mass {check.value:.10f}"
+    assert len(check.detail.split()[-1]) == 12
+
+
 def test_unity_decomposition_multi_sector():
     rng = np.random.default_rng(13)
     a = rng.normal(size=5) + 1j * rng.normal(size=5)
@@ -705,6 +713,30 @@ def test_condition_finite_at_1e8_photons_per_port():
     assert log_p == pytest.approx(want, abs=1e-6)
     assert post is not None and post.is_normalized()
     assert povm.condition_many(params, [n], [n], state)[0][0] == pytest.approx(want, abs=1e-6)
+
+
+def test_condition_keeps_a_weight_too_small_for_a_double():
+    # |psi|^2 = 1e-340 at m = 0 underflows to 0, but the envelope there lies
+    # e^971 above the one at m = 1, so m = 0 carries the outcome: each term
+    # is shifted by the peak of 2 E + ln w, not of E alone
+    amps = np.zeros(11, dtype=complex)
+    amps[6], amps[5] = 1.0, 1e-170        # m = 1 and m = 0 of 2J = 10
+    state = CollectiveState((Sector(10, amps),))
+    outcome = PhotonOutcome(26, 25)
+    log_c, log_e, _ = povm.eigen(P_SYM, outcome, [0.0, 1.0])
+    alone = 2.0 * (log_c + log_e[1])
+    assert alone == pytest.approx(-1947.05, abs=0.01)
+    tiny = 2.0 * (log_c + log_e[0]) + 2.0 * math.log(1e-170)
+    want = tiny + math.log1p(math.exp(alone - tiny))
+    assert want == pytest.approx(-787.98, abs=0.01)
+    log_p, post = condition(P_SYM, outcome, state)
+    assert log_p == pytest.approx(want, rel=1e-14)
+    assert abs(post.sectors[0].amps[5]) == pytest.approx(1.0, rel=1e-14)
+    many = povm.condition_many(P_SYM, [26], [25], state)
+    assert many[0][0] == pytest.approx(want, rel=1e-14)
+    assert abs(many[1][0]) < 1e-300 and abs(many[2][0]) < 1e-300
+    # the state without the tiny amplitude gives the m = 1 term alone
+    assert condition(P_SYM, outcome, dicke_state(5, 1))[0] == pytest.approx(alone, rel=1e-14)
 
 
 def test_eigen_unchanged_on_a_grid():

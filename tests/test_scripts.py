@@ -40,8 +40,8 @@ def test_experiment_script_runs(tmp_path, script, expected):
 
 @pytest.mark.parametrize("script,step", [
     ("amp_scan_panels.py", "eigen"),
-    ("dicke_photon_maps.py", "outcome_distribution"),
-    ("cat_pipeline.py", "outcome_distribution"),
+    ("dicke_photon_maps.py", "_OutcomeTable"),
+    ("cat_pipeline.py", "_OutcomeTable"),
 ])
 def test_script_fails_when_a_step_fails(tmp_path, monkeypatch, script, step):
     def failing(*args, **kwargs):

@@ -105,7 +105,7 @@ def test_write_table_matches_the_per_row_writer(tmp_path, n):
     columns = ["i", "u", "empty", "f", "f32", "negzero"]
     meta = {"captured_mass": 0.1 + 0.2, "cutoff_total": n}
     out = tmp_path / "t.csv"
-    cli.write_table(str(out), columns, arrays, meta)
+    cli.write_table(str(out), columns, [arrays], meta)
     assert out.read_bytes() == reference_csv(columns, arrays, meta).encode("ascii")
 
 
@@ -113,7 +113,7 @@ def test_write_table_accepts_python_lists(tmp_path):
     # as the scripts pass them: ints stay ints, floats stay floats
     arrays = [list(range(-5, 6)), [0.1 * k for k in range(11)]]
     out = tmp_path / "t.csv"
-    cli.write_table(str(out), ["m", "x"], arrays)
+    cli.write_table(str(out), ["m", "x"], [arrays])
     assert out.read_bytes() == reference_csv(["m", "x"], arrays).encode("ascii")
 
 
@@ -122,5 +122,5 @@ def test_write_table_accepts_python_lists(tmp_path):
 def test_unsupported_column_dtype_raises_before_writing(tmp_path, column):
     out = tmp_path / "t.csv"
     with pytest.raises(TypeError, match=f"column 'bad' has dtype {column.dtype}"):
-        cli.write_table(str(out), ["ok", "bad"], [np.arange(2), column])
+        cli.write_table(str(out), ["ok", "bad"], [[np.arange(2), column]])
     assert list(tmp_path.iterdir()) == []
