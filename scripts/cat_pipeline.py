@@ -51,8 +51,7 @@ def main():
     post = posterior(params, PhotonOutcome(**OUTCOME), prior)
     write_table(os.path.join(args.out, "wavefunction_before_after.csv"),
                 ["m_z", "prior_re", "post_re", "post_im"],
-                [[m_z, prior.sectors[0].amps.real, post.sectors[0].amps.real,
-                  post.sectors[0].amps.imag]])
+                [[m_z, prior.amps.real, post.amps.real, post.amps.imag]])
 
     fid = cat_fidelity(post, N_ATOMS)
     with open(os.path.join(args.out, "summary.json"), "w") as fh:

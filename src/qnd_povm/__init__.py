@@ -24,8 +24,8 @@ from .povm import (OutcomeDistribution, PhotonOutcome, QndParams, amplitude,
                    outcome_distribution, outcome_probability, params_from_json,
                    params_to_json, phase_phi, posterior, sample_outcome,
                    sample_outcomes)
-from .spin_state import (CollectiveState, Sector, SpinMoments, coherent_state,
-                         dicke_state, moments, normalize, overlap, scale_amplitudes,
-                         state_from_json, state_to_json)
+from .spin_state import (CollectiveState, SpinMoments, coherent_state, dicke_state,
+                         moments, normalize, overlap, scale_amplitudes, state_from_json,
+                         state_to_json)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -14,8 +14,7 @@ import numpy as np
 from .errors import MAX_ENTRIES, DomainError, PreconditionError, ResourceCapError
 from .numerics import cg_blocks, legendre_norm_table
 from .povm import PhotonOutcome, QndParams, eigen
-from .spin_state import (CollectiveState, Sector, coherent_state, moments,
-                         normalize, overlap)
+from .spin_state import CollectiveState, coherent_state, moments, normalize, overlap
 
 _RESIDUE_TOL = 1e-10
 _PARSEVAL_TOL = 1e-10
@@ -23,7 +22,7 @@ _PARSEVAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Single-sector density matrix indexed by (m_z, m_z')."""
+    """Density matrix of one total spin, indexed by (m_z, m_z')."""
 
     two_j: int
     rho: np.ndarray
@@ -106,17 +105,14 @@ class ParityPattern:
     strict: bool
 
 
-def density_from_state(state: CollectiveState, J) -> DensityMatrix:
-    """Pure-state density matrix of one sector, normalized within it."""
-    sec = state.sector(J)
-    if sec is None:
-        raise DomainError(f"state has no sector J={J}")
-    psi = sec.amps
+def density_from_state(state: CollectiveState) -> DensityMatrix:
+    """Pure-state density matrix of `state`, normalized."""
+    psi = state.amps
     n2 = float(np.sum(np.abs(psi) ** 2))
     if n2 == 0.0:
-        raise DomainError("sector carries no amplitude")
+        raise DomainError("state carries no amplitude")
     rho = np.outer(psi, psi.conj()) / n2
-    return DensityMatrix(two_j=sec.two_j, rho=rho)
+    return DensityMatrix(two_j=state.two_j, rho=rho)
 
 
 def _multipoles(rho: DensityMatrix) -> np.ndarray:
@@ -245,8 +241,8 @@ def cat_state(N: int, relative_phase: float = 0.0) -> CollectiveState:
     """
     plus = coherent_state(N, math.pi / 2.0)
     minus = coherent_state(N, -math.pi / 2.0)
-    amps = plus.sectors[0].amps + np.exp(1j * relative_phase) * minus.sectors[0].amps
-    return normalize(CollectiveState((Sector(N, amps),)))
+    amps = plus.amps + np.exp(1j * relative_phase) * minus.amps
+    return normalize(CollectiveState(N, amps))
 
 
 def cat_fidelity(state: CollectiveState, N: int) -> float:
@@ -257,9 +253,8 @@ def cat_fidelity(state: CollectiveState, N: int) -> float:
     Gives 1 for any equal-weight cat regardless of its fringe phase, 1/2 for
     a single coherent state.
     """
-    sec = state.sector(N / 2.0)
-    if sec is None or sec.two_j != N:
-        raise DomainError(f"state must live in the single sector J = {N}/2")
+    if state.two_j != N:
+        raise DomainError(f"state must have J = {N}/2, not {state.two_j}/2")
     a = overlap(coherent_state(N, math.pi / 2.0), state)
     b = overlap(coherent_state(N, -math.pi / 2.0), state)
     return (abs(a) + abs(b)) ** 2 / 2.0

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError, ZeroProjectionError
 from .numerics import twice
 from .povm import PhotonOutcome, QndParams, eigen, phase_phi
-from .spin_state import CollectiveState, Sector, normalize, scale_amplitudes
+from .spin_state import CollectiveState, normalize, scale_amplitudes
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,8 @@ def gaussian_model(params: QndParams, outcome: PhotonOutcome) -> GaussianModel:
     sigma2 is the inverse of (g t)^2/8 * (n_c+n_d)/(n_c n_d) *
     [(n_c+n_d)^2 cos^2(2 eta) - (n_c-n_d)^2]; m0 takes the principal arcsine
     branch; the prefactor uses Stirling's approximation for both factorials.
+    A curvature, sigma2 or m0 that leaves the finite doubles, as at
+    extreme gt, is a DomainError.
     """
     nc, nd = outcome.n_c, outcome.n_d
     if nc < 1 or nd < 1:
@@ -62,20 +64,26 @@ def gaussian_model(params: QndParams, outcome: PhotonOutcome) -> GaussianModel:
     if abs(r) >= c2e:
         raise DomainError("count asymmetry exceeds cos(2 eta): no Gaussian peak")
     total = outcome.total
+    gt = params.gt
+    # products, not **: a float ** raises OverflowError where * gives inf
     curv = (
-        params.gt**2 / 8.0
+        gt * gt / 8.0
         * (total / (nc * nd))
-        * (total**2 * c2e**2 - (nc - nd) ** 2)
+        * (total * total * (c2e * c2e) - (nc - nd) * (nc - nd))
     )
-    m0 = (math.asin(r / c2e) - params.phi_chigamma) / params.gt
+    m0 = (math.asin(r / c2e) - params.phi_chigamma) / gt
+    sigma2 = 1.0 / curv if curv > 0.0 else math.inf
+    if not (math.isfinite(curv) and math.isfinite(sigma2) and math.isfinite(m0)):
+        raise DomainError(f"the Gaussian model leaves the doubles at gt = {gt!r}")
     log_pref = 0.5 * total * (math.log(2.0) + 1.0 - math.log(total)) - 0.25 * math.log(
         4.0 * math.pi**2 * nc * nd
     )
-    return GaussianModel(m0=m0, sigma2=1.0 / curv, log_prefactor=log_pref)
+    return GaussianModel(m0=m0, sigma2=sigma2, log_prefactor=log_pref)
 
 
 def _log_gaussian(model: GaussianModel, m):
-    return model.log_prefactor - (m - model.m0) ** 2 / (2.0 * model.sigma2)
+    d = m - model.m0  # d * d gives inf where d ** 2 raises
+    return model.log_prefactor - d * d / (2.0 * model.sigma2)
 
 
 def gaussian_amplitude(model: GaussianModel, m_z) -> float:
@@ -157,9 +165,9 @@ def projective_params(params: QndParams, outcome: PhotonOutcome) -> ProjectivePa
 
 
 def round_to_sector_parity(m0: float, two_j: int) -> int:
-    """Doubled m_z nearest to m0 on the sector's half-integer lattice.
+    """Doubled m_z nearest to m0 on the m_z lattice of a spin 2J = `two_j`.
 
-    Integer-spin sectors round to integers, half-integer sectors to
+    An integer spin rounds to integers, a half-integer spin to
     half-integers; exact ties break toward zero.
     """
     t = 2.0 * m0
@@ -180,7 +188,7 @@ def project(params: QndParams, state: CollectiveState, u: float,
 
     Returns the classical amplitude exp(-(u - P/2)^2 / P) / (pi u)^(1/4)
     with P the mean total photon number, together with the renormalized state
-    supported on m_z = int(m0) in every sector large enough to contain it.
+    supported on the m_z of the state's lattice nearest m0.
     This is an analysis tool for the narrow-width limit; outcome sampling
     always uses the exact distribution.
     """
@@ -190,15 +198,13 @@ def project(params: QndParams, state: CollectiveState, u: float,
         raise DomainError("u must be positive")
     s = params.photon_mean
     amp = math.exp(-((u - s / 2.0) ** 2) / s) / (math.pi * u) ** 0.25
-    secs = []
-    for sec in state.sectors:
-        tm = round_to_sector_parity(m0, sec.two_j)
-        a = np.zeros(sec.two_j + 1, dtype=complex)
-        if abs(tm) <= sec.two_j:
-            i = (tm + sec.two_j) // 2
-            a[i] = sec.amps[i]
-        secs.append(Sector(sec.two_j, a))
-    collapsed = CollectiveState(tuple(secs))
+    tj = state.two_j
+    tm = round_to_sector_parity(m0, tj)
+    a = np.zeros(tj + 1, dtype=complex)
+    if abs(tm) <= tj:
+        i = (tm + tj) // 2
+        a[i] = state.amps[i]
+    collapsed = CollectiveState(tj, a)
     if collapsed.squared_norm() == 0.0:
         raise ZeroProjectionError("state has no support at the collapse point")
     return amp, normalize(collapsed)

@@ -264,7 +264,7 @@ def cmd_wigner(cfg: ExperimentConfig, out, fmt) -> int:
     if cfg.raw.get("state", "prior") == "posterior":
         oc = cfg.raw["outcome"]
         state = posterior(params, PhotonOutcome(oc["n_c"], oc["n_d"]), state)
-    rho = density_from_state(state, cfg.n_atoms / 2.0)
+    rho = density_from_state(state)
     wg = wigner(rho, **cfg.raw.get("grid", {}))
     # row-major over the grid: theta outer, phi inner
     write_table(out, ["theta", "phi", "w"],

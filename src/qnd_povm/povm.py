@@ -83,6 +83,10 @@ class QndParams:
             mean = math.inf
         if mean == math.inf:
             raise DomainError("|gamma|^2 + |chi|^2 overflows a double")
+        # below the smallest normal double, ln s is -inf at 0 and cos(2 eta)
+        # rests on a subnormal with a few digits left
+        if mean < np.finfo(float).tiny:
+            raise DomainError("|gamma|^2 + |chi|^2 underflows a double")
 
     @property
     def abs_gamma(self) -> float:

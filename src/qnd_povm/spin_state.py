@@ -1,9 +1,8 @@
 """Collective spin states: Dicke basis vectors, spin coherent states, moments.
 
-A state is a superposition over |J, m_z> kets, possibly spread over several
-total-spin sectors.  The measurement machinery is diagonal in both J and m_z,
-so sectors never mix; they are stored side by side as (2J, amplitude-vector)
-pairs with amplitudes ordered by increasing m_z.
+A state is a superposition over the |J, m_z> kets of one total spin J, with
+amplitudes ordered by increasing m_z.  The measurement machinery is diagonal
+in m_z, so the state keeps its J under every operation here.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ _NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class Sector:
+class CollectiveState:
     """One total-spin block: amps[i] is the amplitude of m_z = -J + i."""
 
     two_j: int
@@ -28,66 +27,52 @@ class Sector:
 
     def __post_init__(self):
         if self.two_j < 0:
-            raise DomainError("negative spin sector")
+            raise DomainError("negative total spin")
         a = np.array(self.amps, dtype=complex)
         if a.shape != (self.two_j + 1,):
             raise DomainError(
-                f"sector 2J={self.two_j} needs {self.two_j + 1} amplitudes"
+                f"a state of 2J={self.two_j} needs {self.two_j + 1} amplitudes"
             )
+        # nan and inf pass every norm and tolerance guard downstream
+        if not np.isfinite(a).all():
+            raise DomainError("state has non-finite amplitudes")
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)
+
+    @property
+    def sectors(self) -> tuple[CollectiveState]:
+        # read only by the benchmark's trace hook, perfbench/spans.py
+        # (`_distribution_counts` sums `two_j + 1` over it); the benchmark
+        # change of ROADMAP item 1 reads `two_j` there and retires this
+        return (self,)
 
     def two_m_values(self) -> np.ndarray:
         return np.arange(-self.two_j, self.two_j + 1, 2)
 
     def m_values(self) -> np.ndarray:
+        """m_z of every amplitude, by increasing m_z."""
         return self.two_m_values() / 2.0
 
     def index_of(self, m_z) -> int:
         tm = twice(m_z)
         if (tm - self.two_j) % 2 != 0 or abs(tm) > self.two_j:
-            raise DomainError(f"m_z={m_z} not in sector 2J={self.two_j}")
+            raise DomainError(f"m_z={m_z} not in 2J={self.two_j}")
         return (tm + self.two_j) // 2
 
-
-@dataclass(frozen=True)
-class CollectiveState:
-    sectors: tuple[Sector, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "sectors", tuple(self.sectors))
-        seen = set()
-        for s in self.sectors:
-            if s.two_j in seen:
-                raise DomainError("duplicate spin sector")
-            seen.add(s.two_j)
-
-    def sector(self, J) -> Sector | None:
-        tj = twice(J)
-        for s in self.sectors:
-            if s.two_j == tj:
-                return s
-        return None
-
-    def m_values(self) -> np.ndarray:
-        """m_z of every amplitude, sectors in order, each by increasing m_z."""
-        return np.concatenate([s.m_values() for s in self.sectors])
-
-    def _live(self):
-        """Every amplitude, flat in `m_values()` order, and the nonzero ones' mask."""
-        amps = np.concatenate([s.amps for s in self.sectors])
-        return amps, amps != 0.0
+    def _live(self) -> np.ndarray:
+        """Mask of the nonzero amplitudes, in `m_values()` order."""
+        return self.amps != 0.0
 
     def support(self, log: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """(m_z, |psi_m|^2) of the nonzero amplitudes, in `m_values()` order:
         the only m_z a diagonal operator acts on.  With `log`, the weights
         come as ln |psi_m|^2, finite where |psi_m|^2 underflows to 0."""
-        amps, live = self._live()
-        mag = np.abs(amps[live])
+        live = self._live()
+        mag = np.abs(self.amps[live])
         return self.m_values()[live], 2.0 * np.log(mag) if log else mag ** 2
 
     def squared_norm(self) -> float:
-        return float(sum(np.sum(np.abs(s.amps) ** 2) for s in self.sectors))
+        return float(np.sum(np.abs(self.amps) ** 2))
 
     def is_normalized(self) -> bool:
         return abs(self.squared_norm() - 1.0) <= _NORM_TOL
@@ -102,12 +87,12 @@ class SpinMoments:
 
 
 def dicke_state(J, m_z) -> CollectiveState:
-    """Basis ket |J, m_z> as a single-sector state."""
+    """Basis ket |J, m_z>."""
     tj = twice(J)
     ket = np.arange(-tj, tj + 1, 2) == twice(m_z)
     if not ket.any():
-        raise DomainError(f"m_z={m_z} not in sector 2J={tj}")
-    return CollectiveState((Sector(tj, ket),))
+        raise DomainError(f"m_z={m_z} not in 2J={tj}")
+    return CollectiveState(tj, ket)
 
 
 def coherent_state(N: int, theta: float) -> CollectiveState:
@@ -135,16 +120,14 @@ def coherent_state(N: int, theta: float) -> CollectiveState:
     with np.errstate(under="ignore"):
         amps = sign * np.exp(logmag)
     amps = amps / math.sqrt(float(np.sum(amps**2)))
-    return CollectiveState((Sector(N, amps.astype(complex)),))
+    return CollectiveState(N, amps.astype(complex))
 
 
 def normalize(state: CollectiveState) -> CollectiveState:
     n2 = state.squared_norm()
     if n2 == 0.0:
         raise DomainError("cannot normalize the zero state")
-    scale = 1.0 / math.sqrt(n2)
-    secs = tuple(Sector(s.two_j, s.amps * scale) for s in state.sectors)
-    return CollectiveState(secs)
+    return CollectiveState(state.two_j, state.amps * (1.0 / math.sqrt(n2)))
 
 
 def scale_amplitudes(state: CollectiveState, log_factor: np.ndarray,
@@ -154,72 +137,61 @@ def scale_amplitudes(state: CollectiveState, log_factor: np.ndarray,
     Nonzero amplitude k is multiplied by exp(log_factor[k] + i phase[k]), both
     arrays running over `state.support()`; a zero amplitude stays as it is.
     """
-    amps, live = state._live()
+    amps, live = state.amps.copy(), state._live()
     with np.errstate(under="ignore"):
         amps[live] *= np.exp(log_factor) * np.exp(1j * phase)
-    ends = np.cumsum([s.two_j + 1 for s in state.sectors])[:-1]
-    return CollectiveState(tuple(Sector(s.two_j, a)
-                                 for s, a in zip(state.sectors, np.split(amps, ends))))
+    return CollectiveState(state.two_j, amps)
 
 
 def moments(state: CollectiveState) -> SpinMoments:
     """<J_x>, <J_z>, Var(J_z) and the variance normalized by N^2.
 
     J_z is diagonal; J_x couples neighboring m through the ladder matrix
-    elements <J, m+1|J_x|J, m> = sqrt(J(J+1) - m(m+1))/2.  N is taken as
-    2J of the largest sector present.
+    elements <J, m+1|J_x|J, m> = sqrt(J(J+1) - m(m+1))/2.  N is 2J.
     """
     if not state.is_normalized():
         raise PreconditionError("moments requires a normalized state")
-    mean_z = 0.0
-    mean_z2 = 0.0
-    mean_x = 0.0
-    for s in state.sectors:
-        w = np.abs(s.amps) ** 2
-        m = s.m_values()
-        mean_z += float(np.dot(w, m))
-        mean_z2 += float(np.dot(w, m * m))
-        j = s.two_j / 2.0
-        if s.two_j > 0:
-            lad = 0.5 * np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
-            mean_x += float(
-                2.0 * np.real(np.sum(np.conj(s.amps[1:]) * lad * s.amps[:-1]))
-            )
+    a = state.amps
+    w = np.abs(a) ** 2
+    m = state.m_values()
+    mean_z = float(np.dot(w, m))
+    mean_z2 = float(np.dot(w, m * m))
+    j = state.two_j / 2.0
+    lad = 0.5 * np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
+    mean_x = float(2.0 * np.real(np.sum(np.conj(a[1:]) * lad * a[:-1])))
     var_z = max(0.0, mean_z2 - mean_z**2)
-    n_big = max(s.two_j for s in state.sectors)
-    nv = var_z / float(n_big) ** 2 if n_big > 0 else 0.0
+    nv = var_z / float(state.two_j) ** 2 if state.two_j > 0 else 0.0
     return SpinMoments(mean_jx=mean_x, mean_jz=mean_z, var_jz=var_z,
                        normalized_var=nv)
 
 
 def overlap(a: CollectiveState, b: CollectiveState) -> complex:
-    """<a|b> summed over shared sectors; disjoint sectors contribute 0."""
-    total = 0.0 + 0.0j
-    for sa in a.sectors:
-        sb = b.sector(sa.two_j / 2)
-        if sb is not None:
-            total += complex(np.sum(np.conj(sa.amps) * sb.amps))
-    return total
+    """<a|b>; states of different total spin are orthogonal."""
+    if a.two_j != b.two_j:
+        return 0j
+    return complex(np.sum(np.conj(a.amps) * b.amps))
 
 
+# a state record is {"sectors": [{"twoJ": 2J, "amps": [[re, im], ...]}]}: a
+# list that always holds one spin block
 def state_to_json(state: CollectiveState) -> dict:
     return {
         "sectors": [
             {
-                "twoJ": s.two_j,
-                "amps": [[float(z.real), float(z.imag)] for z in s.amps],
+                "twoJ": state.two_j,
+                "amps": [[float(z.real), float(z.imag)] for z in state.amps],
             }
-            for s in state.sectors
         ]
     }
 
 
 def state_from_json(data: dict) -> CollectiveState:
     try:
-        secs = tuple(
-            Sector(int(d["twoJ"]), np.array([complex(re, im) for re, im in d["amps"]]))
-            for d in data["sectors"]
-        )
+        records = data["sectors"]
+        if len(records) != 1:
+            raise DomainError(f"a state record holds one spin block, not {len(records)}")
+        two_j = int(records[0]["twoJ"])
+        amps = np.array([complex(re, im) for re, im in records[0]["amps"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed state record: {exc}") from exc
-    return CollectiveState(secs)
+    return CollectiveState(two_j, amps)

@@ -17,8 +17,7 @@ from .numerics import clebsch_gordan, legendre_norm_table
 from .povm import (PhotonOutcome, QndParams, condition, log_amplitude,
                    log_matrix_element, log_matrix_element_direct,
                    outcome_distribution)
-from .spin_state import (CollectiveState, Sector, dicke_state, normalize,
-                         overlap)
+from .spin_state import CollectiveState, dicke_state, normalize, overlap
 
 
 # one invariant's verdict; `value` is the figure its detail reports
@@ -26,9 +25,9 @@ Check = namedtuple("Check", "name passed detail value")
 
 
 def random_state(rng, two_j: int) -> CollectiveState:
-    """A normalized single-sector state with complex Gaussian amplitudes."""
+    """A normalized state of 2J = `two_j` with complex Gaussian amplitudes."""
     a = rng.normal(size=two_j + 1) + 1j * rng.normal(size=two_j + 1)
-    return normalize(CollectiveState((Sector(two_j, a),)))
+    return normalize(CollectiveState(two_j, a))
 
 
 def check_dual_form(rng, draws=200, total_cap=60, two_m_cap=40) -> Check:

@@ -122,7 +122,7 @@ def test_criterion_08_cat_state():
     state = coherent_state(10, math.pi / 2.0)
     post = posterior(params, PhotonOutcome(26, 26), state)
     fid = cat_fidelity(post, 10)
-    wg = wigner(density_from_state(post, 5), n_theta=61, n_phi=121)
+    wg = wigner(density_from_state(post), n_theta=61, n_phi=121)
     elapsed = time.monotonic() - t0
     ok = abs(fid - 1.0) <= 1e-10 and wg.values.min() < 0.0 and elapsed < 10.0
     _report(8, "cat-state generation", ok,

@@ -10,7 +10,7 @@ from qnd_povm.analysis import (DensityMatrix, ParityCase, cat_fidelity,
                                wigner)
 from qnd_povm.errors import DomainError, PreconditionError, ResourceCapError
 from qnd_povm.povm import PhotonOutcome, QndParams, posterior
-from qnd_povm.spin_state import (CollectiveState, Sector, coherent_state,
+from qnd_povm.spin_state import (CollectiveState, coherent_state,
                                  dicke_state, normalize, overlap)
 
 P_SYM = QndParams(gamma=5.0, chi=5.0, gt=math.pi / 2.0)
@@ -51,18 +51,13 @@ def random_density(rng, two_j):
 # ------------------------------------------------------------- density matrix
 
 def test_density_from_dicke():
-    dm = density_from_state(dicke_state(4, -1), 4)
-    i = dicke_state(4, -1).sectors[0].index_of(-1)
+    dm = density_from_state(dicke_state(4, -1))
+    i = dicke_state(4, -1).index_of(-1)
     want = np.zeros((9, 9))
     want[i, i] = 1.0
     assert np.allclose(dm.rho, want)
     assert abs(np.trace(dm.rho) - 1.0) < 1e-14
     assert abs(np.trace(dm.rho @ dm.rho) - 1.0) < 1e-13  # pure state
-
-
-def test_density_missing_sector():
-    with pytest.raises(DomainError):
-        density_from_state(dicke_state(4, 0), 3)
 
 
 def test_density_validation():
@@ -99,11 +94,9 @@ def test_rho_lm_maximally_mixed():
 
 
 def test_rho_lm_phase_invariant_monopole():
-    a = normalize(CollectiveState(
-        (Sector(4, np.array([0.5, 0.1j, 0.2, -0.3, 0.6])),)))
-    b = normalize(CollectiveState(
-        (Sector(4, np.exp(1j * 0.83) * a.sectors[0].amps),)))
-    da, db = density_from_state(a, 2), density_from_state(b, 2)
+    a = normalize(CollectiveState(4, np.array([0.5, 0.1j, 0.2, -0.3, 0.6])))
+    b = normalize(CollectiveState(4, np.exp(1j * 0.83) * a.amps))
+    da, db = density_from_state(a), density_from_state(b)
     assert rho_lm(da, 0, 0) == pytest.approx(rho_lm(db, 0, 0), rel=1e-12)
 
 
@@ -178,7 +171,7 @@ def test_wigner_grid_cap(n_theta, n_phi, monkeypatch):
         raise AssertionError("a Legendre table was built")
 
     monkeypatch.setattr(analysis, "legendre_norm_table", failing)
-    dm = density_from_state(dicke_state(1, 1), 1)
+    dm = density_from_state(dicke_state(1, 1))
     with pytest.raises(ResourceCapError, match="over the cap"):
         wigner(dm, n_theta=n_theta, n_phi=n_phi)
 
@@ -188,7 +181,7 @@ def test_wigner_flush_of_subnormals_keeps_every_bit(monkeypatch):
     # subnormal parts in G, which slow the complex GEMM about 40-fold;
     # zeroing them must not move a bit of W
     state = posterior(P_SYM, PhotonOutcome(28, 22), coherent_state(100, math.pi / 2.0))
-    rho = density_from_state(state, 50.0)
+    rho = density_from_state(state)
     real = analysis._flush_subnormals
     seen = []
 
@@ -211,7 +204,7 @@ def test_wigner_flush_of_subnormals_keeps_every_bit(monkeypatch):
 
 
 def test_wigner_dicke_top_concentrated_at_pole():
-    dm = density_from_state(dicke_state(5, 5), 5)
+    dm = density_from_state(dicke_state(5, 5))
     wg = wigner(dm, n_theta=41, n_phi=31)
     # azimuthally symmetric: every row is constant
     assert np.max(np.std(wg.values, axis=1)) < 1e-12
@@ -223,7 +216,7 @@ def test_wigner_against_independent_construction():
     from scipy.special import sph_harm_y
 
     st = coherent_state(6, math.pi / 2.0)
-    dm = density_from_state(st, 3)
+    dm = density_from_state(st)
     ths = np.linspace(0.0, math.pi, 13)
     phs = np.linspace(0.0, 2.0 * math.pi, 17)
     want = np.zeros((13, 17), dtype=complex)
@@ -238,7 +231,7 @@ def test_wigner_against_independent_construction():
 
 def test_wigner_cat_fringes():
     post = posterior(P_SYM, PhotonOutcome(26, 26), coherent_state(10, math.pi / 2.0))
-    wg = wigner(density_from_state(post, 5), n_theta=61, n_phi=121)
+    wg = wigner(density_from_state(post), n_theta=61, n_phi=121)
     assert wg.values.min() < -0.05
     # dominant positive lobes near the equator
     eq = np.argmin(np.abs(wg.thetas - math.pi / 2.0))
@@ -248,7 +241,7 @@ def test_wigner_cat_fringes():
 def test_wigner_coherent_prior_floor():
     # frozen from an independent multipole construction: the equatorial
     # coherent state dips no lower than about -1.33e-4 at N = 10
-    wg = wigner(density_from_state(coherent_state(10, math.pi / 2.0), 5),
+    wg = wigner(density_from_state(coherent_state(10, math.pi / 2.0)),
                 n_theta=61, n_phi=121)
     assert wg.values.min() > -2e-4
     assert wg.values.max() > 1.0
@@ -256,7 +249,7 @@ def test_wigner_coherent_prior_floor():
 
 def _cat_posterior_density(n):
     post = posterior(P_SYM, PhotonOutcome(26, 26), coherent_state(n, math.pi / 2.0))
-    return density_from_state(post, n / 2.0)
+    return density_from_state(post)
 
 
 def test_wigner_large_j_cat():
@@ -285,7 +278,7 @@ def test_parseval_guard_rejects_corrupt_table(monkeypatch):
             yield tM, (1.0 + 1e-6 * (tM == 2)) * block
 
     monkeypatch.setattr(analysis, "cg_blocks", corrupt)
-    dm = density_from_state(coherent_state(8, 1.0), 4)
+    dm = density_from_state(coherent_state(8, 1.0))
     assert dm.parseval_residual() > 1e-10
     with pytest.raises(DomainError, match="Parseval"):
         wigner(dm, n_theta=9, n_phi=9)
@@ -391,8 +384,10 @@ def test_cat_fidelity_of_measurement_posterior():
 
 
 def test_cat_fidelity_sector_mismatch():
-    with pytest.raises(DomainError):
-        cat_fidelity(coherent_state(8, math.pi / 2.0), 10)
+    # the cat of N atoms lives in 2J = N; a state of another N is refused
+    for n in (8, 11):
+        with pytest.raises(DomainError):
+            cat_fidelity(coherent_state(n, math.pi / 2.0), 10)
 
 
 def test_cat_survives_asymmetric_amplitudes():

@@ -12,7 +12,7 @@ from qnd_povm.approx import (approx_apply, gaussian_amplitude,
 from qnd_povm.errors import (DomainError, PreconditionError,
                              ZeroProjectionError)
 from qnd_povm.povm import PhotonOutcome, QndParams, amplitude, posterior
-from qnd_povm.spin_state import (CollectiveState, Sector, coherent_state,
+from qnd_povm.spin_state import (CollectiveState, coherent_state,
                                  dicke_state, normalize, overlap)
 from qnd_povm.validate import check_gaussian_width
 
@@ -132,8 +132,8 @@ def test_approx_apply_high_fidelity_at_short_time():
 def test_approx_apply_dicke_stays_dicke():
     st = dicke_state(20, 4)
     out = approx_apply(P_REF, PhotonOutcome(25, 25), st)
-    nz = np.flatnonzero(np.abs(out.sectors[0].amps))
-    assert list(nz) == [st.sectors[0].index_of(4)]
+    nz = np.flatnonzero(np.abs(out.amps))
+    assert list(nz) == [st.index_of(4)]
 
 
 def test_approx_apply_degrades_monotonically():
@@ -234,16 +234,14 @@ def test_project_zero_support():
         project(P_REF, st, 0.0, 2.0)
 
 
-def test_project_multi_sector_parity_rounding():
-    # integer and half-integer sectors collapse to their own lattice points
-    a = np.zeros(5, dtype=complex); a[3] = 1.0      # two_j=4, m=1
-    b = np.zeros(6, dtype=complex); b[3] = 1.0      # two_j=5, m=1/2
-    stt = normalize(CollectiveState((Sector(4, a), Sector(5, b))))
-    _, out = project(P_REF, stt, 25.0, 0.7)
-    # m0 = 0.7 rounds to m=1 in the integer sector, m=1/2 in the half-integer
-    assert abs(out.sector(2.0).amps[3]) > 0
-    assert abs(out.sector(2.5).amps[3]) > 0
-    assert abs(out.squared_norm() - 1.0) < 1e-12
+def test_project_half_integer_parity_rounding():
+    # integer and half-integer spins collapse to their own lattice points:
+    # m0 = 0.7 rounds to m = 1 at 2J = 4 and to m = 1/2 at 2J = 5
+    for two_j, m in ((4, 1), (5, 0.5)):
+        stt = normalize(CollectiveState(two_j, np.ones(two_j + 1)))
+        _, out = project(P_REF, stt, 25.0, 0.7)
+        assert np.flatnonzero(out.amps).tolist() == [stt.index_of(m)]
+        assert abs(out.squared_norm() - 1.0) < 1e-12
 
 
 def test_projector_weights_reproduce_unity():
@@ -253,9 +251,8 @@ def test_projector_weights_reproduce_unity():
     p = QndParams(gamma=math.sqrt(s_mean / 2.0), chi=math.sqrt(s_mean / 2.0),
                   gt=1e-3)
     rng = np.random.default_rng(8)
-    a = rng.normal(size=5) + 1j * rng.normal(size=5)
-    b = rng.normal(size=6) + 1j * rng.normal(size=6)
-    state = normalize(CollectiveState((Sector(4, a), Sector(5, b))))
+    # a half-integer spin: the collapse cells sit at m = +-1/2, +-3/2, +-5/2
+    state = normalize(CollectiveState(5, rng.normal(size=6) + 1j * rng.normal(size=6)))
 
     u0 = s_mean / 2.0
     su = math.sqrt(s_mean) / 2.0
@@ -272,12 +269,9 @@ def test_projector_weights_reproduce_unity():
     m0s = np.arange(-3.0 + h / 2.0, 3.0, h)
     m_quad = 0.0
     for m0 in m0s:
-        w = 0.0
-        for sec in state.sectors:
-            t = round_to_sector_parity(float(m0), sec.two_j)
-            if abs(t) <= sec.two_j:
-                w += abs(sec.amps[(t + sec.two_j) // 2]) ** 2
-        m_quad += w * h
+        t = round_to_sector_parity(float(m0), state.two_j)
+        if abs(t) <= state.two_j:
+            m_quad += abs(state.amps[(t + state.two_j) // 2]) ** 2 * h
     total = u_quad * m_quad
     assert abs(m_quad - 1.0) < 1e-12
     assert abs(total - 1.0) < 1e-6

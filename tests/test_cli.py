@@ -139,6 +139,58 @@ def test_exit_code_domain_error(tmp_path):
                    "--out", str(tmp_path / "p.json")) == 4
 
 
+def _five_commands(light, gt):
+    """A config per command that builds params, at N=4 with outcome (3, 2)."""
+    params = {"gamma": [light, 0.0], "chi": [light, 0.0], "gt": gt}
+    base = {"params": params, "N": 4, "initial": {"type": "coherent", "theta": 1.0}}
+    outcome = {"n_c": 3, "n_d": 2}
+    return {
+        "photon-dist": base,
+        "measure": dict(base, shots=5, seed=1),
+        "amp-scan": {"cases": [{"label": "a", "params": params, "N": 4, "outcome": outcome}]},
+        "wigner": dict(base, state="posterior", outcome=outcome),
+        "project": dict(base, outcome=outcome),
+    }
+
+
+@pytest.mark.parametrize("light, code", [(1e-200, 4), (1e-155, 4), (1e-150, 0)])
+@pytest.mark.parametrize("command", ["photon-dist", "measure", "amp-scan", "wigner",
+                                     "project"])
+def test_underflowing_light_amplitudes_exit_4(tmp_path, capsys, light, code, command):
+    # |gamma|^2 + |chi|^2 is 0 at 1e-200 (ln s fails) and subnormal at 1e-155
+    # (cos 2 eta keeps a few digits); at 1e-150 it is a normal 2e-300
+    path = write_config(tmp_path, "c.json", _five_commands(light, 1.0)[command])
+    assert run_cli(command, "--config", path, "--out", str(tmp_path / "o")) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == "domain error: |gamma|^2 + |chi|^2 underflows a double\n"
+        assert os.listdir(tmp_path) == ["c.json"]
+    else:
+        assert err == ""
+        assert sorted(os.listdir(tmp_path)) == ["c.json", "o"]
+
+
+@pytest.mark.parametrize("gt", [1e-200, 1e-160, 1e160, 1e200])
+def test_gaussian_model_at_extreme_gt_is_a_domain_error(tmp_path, capsys, gt):
+    # the curvature underflows to 0, or sigma2 or gt**2 overflow
+    with pytest.raises(DomainError, match="leaves the doubles"):
+        gaussian_model(build_params({"gamma": [5, 0], "chi": [5, 0], "gt": gt}, 4),
+                       PhotonOutcome(3, 2))
+    configs = _five_commands(5.0, gt)
+    path = write_config(tmp_path, "p.json", configs["project"])
+    assert run_cli("project", "--config", path, "--out", str(tmp_path / "p.out")) == 4
+    assert capsys.readouterr().err.startswith("domain error: the Gaussian model")
+    assert os.listdir(tmp_path) == ["p.json"]
+    # amp-scan leaves its Gaussian column empty, as for any case without a model
+    path = write_config(tmp_path, "a.json", configs["amp-scan"])
+    assert run_cli("amp-scan", "--config", path, "--out", str(tmp_path / "scan")) == 0
+    assert capsys.readouterr().err == ""
+    _, _, rows, comments = read_csv_rows(tmp_path / "scan" / "a.csv")
+    assert len(rows) == 5 and all(r["A_gauss"] == "" for r in rows)
+    assert all(math.isfinite(float(r["A_exact_normalized"])) for r in rows)
+    assert not any("log_prefactor" in c for c in comments)
+
+
 # ----------------------------------------------------------------- photon-dist
 
 def test_photon_dist_output(tmp_path):
@@ -772,7 +824,7 @@ def test_wigner_bytes_pinned(tmp_path):
            "N": 6, "initial": {"type": "coherent", "theta": "pi/3"},
            "grid": {"n_theta": 5, "n_phi": 7}}
     cfg = ExperimentConfig.from_dict("wigner", raw)
-    wg = wigner(density_from_state(cfg.initial_state(), cfg.n_atoms / 2.0),
+    wg = wigner(density_from_state(cfg.initial_state()),
                 n_theta=5, n_phi=7)
     grid = [(float(t), float(p), float(wg.values[i, j]))
             for i, t in enumerate(wg.thetas) for j, p in enumerate(wg.phis)]

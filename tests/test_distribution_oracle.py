@@ -25,8 +25,8 @@ from qnd_povm import povm
 from qnd_povm.numerics import log_factorial
 from qnd_povm.povm import (PhotonOutcome, QndParams, _log_bases,
                            outcome_distribution, sample_outcome)
-from qnd_povm.spin_state import (CollectiveState, Sector, coherent_state,
-                                 dicke_state, normalize)
+from qnd_povm.spin_state import coherent_state, dicke_state
+from qnd_povm.validate import random_state
 
 P_REF = QndParams(gamma=5.1, chi=5.0, gt=math.pi / 100.0)
 P_SYM = QndParams(gamma=5.0, chi=5.0, gt=math.pi / 2.0)
@@ -37,8 +37,8 @@ def reference_distribution(params, state, mass_tolerance):
     s = params.photon_mean
     cap = int(4.0 * s + 100.0)
     sigma_p = math.sqrt(s)
-    m_all = np.concatenate([sec.m_values() for sec in state.sectors])
-    weights = np.concatenate([np.abs(sec.amps) ** 2 for sec in state.sectors])
+    m_all = state.m_values()
+    weights = np.abs(state.amps) ** 2
     lc, ld = _log_bases(params, m_all)
     lf = log_factorial(np.arange(cap + 2))
     rows = {}
@@ -85,16 +85,10 @@ def reference_sample(entries, captured_mass, cumulative, seed):
     return entries[idx][0]
 
 
-def _two_sector_state():
-    rng = np.random.default_rng(13)
-    a = rng.normal(size=5) + 1j * rng.normal(size=5)
-    b = rng.normal(size=10) + 1j * rng.normal(size=10)
-    return normalize(CollectiveState((Sector(4, a), Sector(9, b))))
-
-
 CASES = {
     "coherent": (P_REF, lambda: coherent_state(20, math.pi / 3.0), 1e-9),
-    "two_sector": (P_REF, _two_sector_state, 1e-9),
+    # half-integer m_z, every amplitude nonzero
+    "half_spin": (P_REF, lambda: random_state(np.random.default_rng(13), 9), 1e-9),
     # at gt = pi/2 an odd m nearly closes one port, so most rows underflow to 0
     "dicke_zero_rows": (P_SYM, lambda: dicke_state(8, 1), 1e-9),
 }

@@ -34,8 +34,7 @@ def oracle(params, state, n_c, n_d):
         pref = mpmath.exp(-(abs(g) ** 2 + abs(c) ** 2)) / (
             mpmath.factorial(n_c) * mpmath.factorial(n_d))
         p = mz = mz2 = mpmath.mpf(0)
-        amps = np.concatenate([sec.amps for sec in state.sectors])
-        for m, amp in zip(state.m_values().tolist(), amps.tolist()):
+        for m, amp in zip(state.m_values().tolist(), state.amps.tolist()):
             rot = mpmath.expj(-half_gt * m)
             a_c = (g * rot + 1j * c / rot) / root2
             a_d = (1j * g * rot + c / rot) / root2

@@ -15,7 +15,7 @@ from qnd_povm.povm import (OutcomeDistribution, PhotonOutcome, QndParams,
                            outcome_distribution, outcome_probability,
                            params_from_json, params_to_json, phase_phi,
                            posterior, sample_outcome, sample_outcomes)
-from qnd_povm.spin_state import (CollectiveState, Sector, coherent_state,
+from qnd_povm.spin_state import (CollectiveState, coherent_state,
                                  dicke_state, moments, normalize, overlap)
 from qnd_povm.validate import (check_dicke_invariance, check_dual_form,
                                check_photon_conservation, check_unity, random_state)
@@ -241,8 +241,8 @@ def test_matrix_element_magnitude_phase_invariance():
 def test_apply_dicke_proportional():
     st = dicke_state(20, 6)
     out = apply(P_REF, PhotonOutcome(26, 25), st)
-    nz = np.flatnonzero(np.abs(out.sectors[0].amps))
-    assert list(nz) == [st.sectors[0].index_of(6)]
+    nz = np.flatnonzero(np.abs(out.amps))
+    assert list(nz) == [st.index_of(6)]
     assert abs(overlap(st, normalize(out))) == pytest.approx(1.0, abs=1e-13)
 
 
@@ -250,7 +250,7 @@ def test_apply_gt_zero_uniform_scalar():
     p = QndParams(gamma=5.0, chi=5.0, gt=0.0)
     st = coherent_state(12, 1.1)
     out = apply(p, PhotonOutcome(20, 20), st)
-    ratio = out.sectors[0].amps / st.sectors[0].amps
+    ratio = out.amps / st.amps
     assert np.allclose(ratio, ratio[0], rtol=1e-12)
 
 
@@ -270,18 +270,10 @@ def test_apply_norm_matches_probability():
 
 def test_apply_preserves_zeros():
     a = np.array([0.0, 1.0, 0.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-    st = CollectiveState((Sector(4, a),))
+    st = CollectiveState(4, a)
     out = apply(P_REF, PhotonOutcome(30, 21), st)
-    assert np.all(out.sectors[0].amps[[0, 2, 4]] == 0.0)
+    assert np.all(out.amps[[0, 2, 4]] == 0.0)
 
-
-def test_apply_multi_sector_diagonal():
-    s1 = Sector(2, np.array([0.5, 0.5, 0.0], dtype=complex))
-    s2 = Sector(4, np.array([0.0, 0.5, 0.0, 0.5, 0.0], dtype=complex))
-    st = CollectiveState((s1, s2))
-    out = apply(P_REF, PhotonOutcome(25, 25), st)
-    assert out.sectors[0].two_j == 2 and out.sectors[1].two_j == 4
-    assert out.sectors[1].amps[0] == 0.0
 
 
 # ------------------------------------------------------- outcome probabilities
@@ -293,8 +285,7 @@ def test_probability_poisson_product_at_gt_zero():
     p = QndParams(gamma=gamma, chi=chi, gt=0.0)
     lam_c = abs(gamma + 1j * chi) ** 2 / 2.0
     lam_d = abs(1j * gamma + chi) ** 2 / 2.0
-    st = normalize(CollectiveState(
-        (Sector(3, np.array([0.6, 0.2j, -0.4, 0.1])),)))
+    st = normalize(CollectiveState(3, np.array([0.6, 0.2j, -0.4, 0.1])))
     for nc in (0, 1, 3):
         for nd in (0, 2, 4):
             got = outcome_probability(p, PhotonOutcome(nc, nd), st)
@@ -303,7 +294,7 @@ def test_probability_poisson_product_at_gt_zero():
 
 
 def test_probability_requires_normalized():
-    bad = CollectiveState((Sector(2, np.array([1.0, 1.0, 1.0])),))
+    bad = CollectiveState(2, np.array([1.0, 1.0, 1.0]))
     with pytest.raises(PreconditionError):
         outcome_probability(P_REF, PhotonOutcome(1, 1), bad)
 
@@ -425,14 +416,6 @@ def test_unity_detail_prints_the_mass_to_ten_decimals():
     assert check.detail == f"min mass {check.value:.10f}"
     assert len(check.detail.split()[-1]) == 12
 
-
-def test_unity_decomposition_multi_sector():
-    rng = np.random.default_rng(13)
-    a = rng.normal(size=5) + 1j * rng.normal(size=5)
-    b = rng.normal(size=10) + 1j * rng.normal(size=10)
-    st = normalize(CollectiveState((Sector(4, a), Sector(9, b))))
-    dist = outcome_distribution(P_REF, st, 1e-9)
-    assert dist.captured_mass >= 1.0 - 1e-8
 
 
 # -------------------------------------------------------------------- sampling
@@ -556,21 +539,21 @@ def test_posterior_at_a_structural_zero_is_the_dicke_ket():
         st = dicke_state(20, m)
         log_p, post = condition(P_SYM, PhotonOutcome(26, 25), st)
         assert -2500.0 < log_p < -1000.0
-        amps = post.sectors[0].amps
+        amps = post.amps
         assert np.isfinite(amps).all()
-        assert np.abs(amps) == pytest.approx(np.abs(st.sectors[0].amps), abs=1e-15)
+        assert np.abs(amps) == pytest.approx(np.abs(st.amps), abs=1e-15)
 
 
 def test_operator_is_finite_off_the_envelope_peak():
     # the occupied odd m_z = 1, 3 sit ~1900 e-folds below the unoccupied even
     # ones; no factor is ever evaluated on a zero amplitude, so none meets an
     # overflowing one
-    st = normalize(CollectiveState((Sector(10, np.eye(11)[6] + np.eye(11)[8]),)))
+    st = normalize(CollectiveState(10, np.eye(11)[6] + np.eye(11)[8]))
     out = PhotonOutcome(26, 25)
     post = posterior(P_SYM, out, st)
     assert abs(post.squared_norm() - 1.0) < 1e-12
     for state in (post, apply(P_SYM, out, st)):
-        amps = state.sectors[0].amps
+        amps = state.amps
         assert np.isfinite(amps).all()
         assert amps[[0, 1, 2, 3, 4, 5, 7, 9, 10]].tolist() == [0j] * 9
 
@@ -578,15 +561,12 @@ def test_operator_is_finite_off_the_envelope_peak():
 def test_posterior_dicke_mixture_weights():
     # diagonal weights of an incoherent Dicke mixture are reweighted by the
     # envelope only; repeated identical measurements keep the support
-    st = normalize(CollectiveState(
-        (Sector(8, np.array([0, 0.6, 0, 0.8, 0, 0, 0, 0, 0])),)))
+    st = normalize(CollectiveState(8, np.array([0, 0.6, 0, 0.8, 0, 0, 0, 0, 0])))
     out = PhotonOutcome(26, 25)
     p1 = posterior(P_REF, out, st)
     p2 = posterior(P_REF, out, p1)
-    assert np.all((np.abs(p1.sectors[0].amps) > 0) ==
-                  (np.abs(st.sectors[0].amps) > 0))
-    assert np.all((np.abs(p2.sectors[0].amps) > 0) ==
-                  (np.abs(st.sectors[0].amps) > 0))
+    assert np.all((np.abs(p1.amps) > 0) == (np.abs(st.amps) > 0))
+    assert np.all((np.abs(p2.amps) > 0) == (np.abs(st.amps) > 0))
 
 
 def test_posterior_survives_deep_tail_outcome():
@@ -611,8 +591,7 @@ def test_posterior_pulled_toward_count_asymmetry():
     st = coherent_state(100, math.pi / 2.0)
     o = PhotonOutcome(15, 36)
     post = posterior(P_REF, o, st)
-    m_peak = float(post.sectors[0].m_values()[
-        int(np.argmax(np.abs(post.sectors[0].amps)))])
+    m_peak = float(post.m_values()[int(np.argmax(np.abs(post.amps)))])
     m0 = math.asin(o.r / P_REF.cos_2eta) / P_REF.gt
     assert 0.0 < m_peak < m0
     assert moments(post).mean_jz > 1.0
@@ -626,15 +605,13 @@ BATCH = [(25, 26), (0, 0), (60, 20), (5, 100), (140, 0), (0, 160), (161, 0),
          (26, 25), (1, 0)]
 
 
-def _two_sector_state():
-    rng = np.random.default_rng(11)
-    secs = [Sector(tj, rng.normal(size=tj + 1) + 1j * rng.normal(size=tj + 1))
-            for tj in (4, 9)]
-    return normalize(CollectiveState(tuple(secs)))
+def _half_spin_state():
+    """A random state of spin J = 9/2, so half-integer m_z are covered."""
+    return random_state(np.random.default_rng(11), 9)
 
 
 @pytest.mark.parametrize("params, state", [
-    (P_REF, _two_sector_state()),
+    (P_REF, _half_spin_state()),
     (P_REF, dicke_state(8, 1)),           # zero amplitudes drop out
     (P_N200, coherent_state(200, 1.2)),
 ])
@@ -648,7 +625,7 @@ def test_condition_many_matches_condition_and_moments(params, state):
         assert abs(log_p[i] - want_p) <= 1e-12 * max(1.0, abs(want_p))
         assert abs(mean_jz[i] - want.mean_jz) <= 1e-12 * max(1.0, abs(want.mean_jz))
         assert abs(var_jz[i] - want.var_jz) <= 1e-12 * max(1.0, want.var_jz)
-    if state.sectors[0].two_j == 200:
+    if state.two_j == 200:
         assert log_p.min() < -175.0 and log_p.max() > -11.0
 
 
@@ -669,7 +646,7 @@ def test_condition_many_domain():
     st = coherent_state(10, 1.0)
     with pytest.raises(PreconditionError):
         povm.condition_many(P_REF, [1], [1],
-                            CollectiveState((Sector(10, 2.0 * st.sectors[0].amps),)))
+                            CollectiveState(10, 2.0 * st.amps))
     with pytest.raises(DomainError):
         povm.condition_many(P_REF, [1, 2], [1], st)
     with pytest.raises(DomainError):
@@ -721,7 +698,7 @@ def test_condition_keeps_a_weight_too_small_for_a_double():
     # is shifted by the peak of 2 E + ln w, not of E alone
     amps = np.zeros(11, dtype=complex)
     amps[6], amps[5] = 1.0, 1e-170        # m = 1 and m = 0 of 2J = 10
-    state = CollectiveState((Sector(10, amps),))
+    state = CollectiveState(10, amps)
     outcome = PhotonOutcome(26, 25)
     log_c, log_e, _ = povm.eigen(P_SYM, outcome, [0.0, 1.0])
     alone = 2.0 * (log_c + log_e[1])
@@ -731,7 +708,7 @@ def test_condition_keeps_a_weight_too_small_for_a_double():
     assert want == pytest.approx(-787.98, abs=0.01)
     log_p, post = condition(P_SYM, outcome, state)
     assert log_p == pytest.approx(want, rel=1e-14)
-    assert abs(post.sectors[0].amps[5]) == pytest.approx(1.0, rel=1e-14)
+    assert abs(post.amps[5]) == pytest.approx(1.0, rel=1e-14)
     many = povm.condition_many(P_SYM, [26], [25], state)
     assert many[0][0] == pytest.approx(want, rel=1e-14)
     assert abs(many[1][0]) < 1e-300 and abs(many[2][0]) < 1e-300
@@ -803,8 +780,7 @@ def log_poisson_mixture(params, outcome, state):
     rot = np.exp(-0.5j * params.gt * m)
     lam_c = np.abs(params.gamma * rot + 1j * params.chi / rot) ** 2 / 2.0
     lam_d = np.abs(1j * params.gamma * rot + params.chi / rot) ** 2 / 2.0
-    w = np.concatenate([np.abs(sec.amps) ** 2 for sec in state.sectors])
-    terms = np.log(w)
+    terms = np.log(np.abs(state.amps) ** 2)
     for n, lam in ((outcome.n_c, lam_c), (outcome.n_d, lam_d)):
         terms = terms - lam - math.lgamma(n + 1) + (n * np.log(lam) if n else 0.0)
     top = float(np.max(terms))
@@ -821,22 +797,21 @@ ORACLE_OUTCOMES = (PhotonOutcome(25, 26), PhotonOutcome(30, 18),
 @pytest.mark.parametrize("params", ORACLE_PARAMS)
 @pytest.mark.parametrize("out", ORACLE_OUTCOMES)
 def test_state_operator_against_direct_form(params, out):
-    st = _two_sector_state()
-    psi = np.concatenate([sec.amps for sec in st.sectors])
+    st = _half_spin_state()
+    psi = st.amps
     logmag, phase = direct_log_eigenvalues(params, out, st.m_values())
 
-    got = np.concatenate([sec.amps for sec in apply(params, out, st).sectors])
+    got = apply(params, out, st).amps
     want = psi * np.exp(logmag + 1j * phase)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    got = np.concatenate([sec.amps for sec in posterior(params, out, st).sectors])
+    got = posterior(params, out, st).amps
     want = psi * np.exp(logmag - np.max(logmag) + 1j * phase)
     want /= np.linalg.norm(want)
     assert np.max(np.abs(got - want)) <= 1e-12
 
     if out.n_c >= 1 and out.n_d >= 1 and abs(out.r) < params.cos_2eta:
-        approx = np.concatenate(
-            [sec.amps for sec in approx_apply(params, out, st).sectors])
+        approx = approx_apply(params, out, st).amps
         seen = np.abs(approx) > 0.0
         assert np.count_nonzero(seen) >= 5
         dphi = np.angle(approx[seen] / psi[seen]) - phase[seen]
@@ -846,7 +821,7 @@ def test_state_operator_against_direct_form(params, out):
 @pytest.mark.parametrize("params", ORACLE_PARAMS)
 @pytest.mark.parametrize("out", ORACLE_OUTCOMES)
 def test_probability_against_poisson_mixture(params, out):
-    st = _two_sector_state()
+    st = _half_spin_state()
     want = log_poisson_mixture(params, out, st)
     log_prob, post = condition(params, out, st)
     assert post is not None

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnd_povm.errors import DomainError, PreconditionError
-from qnd_povm.spin_state import (CollectiveState, Sector, coherent_state,
+from qnd_povm.spin_state import (CollectiveState, coherent_state,
                                  dicke_state, moments, normalize, overlap,
                                  scale_amplitudes, state_from_json, state_to_json)
 
@@ -31,9 +31,9 @@ def product_state_moments_oracle(N, theta):
 
 def test_dicke_basics():
     st5 = dicke_state(5, 5)
-    assert np.argmax(np.abs(st5.sectors[0].amps)) == 10
+    assert np.argmax(np.abs(st5.amps)) == 10
     st5m = dicke_state(5, -5)
-    assert np.argmax(np.abs(st5m.sectors[0].amps)) == 0
+    assert np.argmax(np.abs(st5m.amps)) == 0
     assert st5.squared_norm() == 1.0
     with pytest.raises(DomainError):
         dicke_state(5, 6)
@@ -44,15 +44,15 @@ def test_dicke_basics():
 def test_coherent_small_example():
     st2 = coherent_state(2, math.pi / 2.0)
     want = np.array([0.5, 1.0 / math.sqrt(2.0), 0.5])
-    assert np.allclose(st2.sectors[0].amps.real, want, atol=1e-15)
-    assert np.allclose(st2.sectors[0].amps.imag, 0.0)
+    assert np.allclose(st2.amps.real, want, atol=1e-15)
+    assert np.allclose(st2.amps.imag, 0.0)
 
 
 def test_coherent_polar_limits():
     up = coherent_state(12, 0.0)
-    assert abs(abs(up.sectors[0].amps[-1]) - 1.0) < 1e-15
+    assert abs(abs(up.amps[-1]) - 1.0) < 1e-15
     down = coherent_state(12, math.pi)
-    assert abs(abs(down.sectors[0].amps[0]) - 1.0) < 1e-15
+    assert abs(abs(down.amps[0]) - 1.0) < 1e-15
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 7, 20, 100, 511, 1000])
@@ -95,7 +95,7 @@ def test_moments_dicke():
 
 
 def test_moments_requires_normalized():
-    bad = CollectiveState((Sector(2, np.array([1.0, 1.0, 0.0])),))
+    bad = CollectiveState(2, np.array([1.0, 1.0, 0.0]))
     with pytest.raises(PreconditionError):
         moments(bad)
 
@@ -110,7 +110,7 @@ def test_overlap_examples():
     assert abs(overlap(a, b)) < 1e-15
     # ...with the odd-m partial products summing to one half
     odd = sum(
-        (np.conj(a.sectors[0].amps[i]) * b.sectors[0].amps[i]).real
+        (np.conj(a.amps[i]) * b.amps[i]).real
         for i, tm in enumerate(range(-2, 3, 2))
         if (tm // 2) % 2 != 0
     )
@@ -118,45 +118,58 @@ def test_overlap_examples():
 
 
 def test_overlap_disjoint_sectors():
+    # states of different total spin are orthogonal, whatever their m_z
     a = dicke_state(3, 0)
     b = dicke_state(4, 0)
     assert overlap(a, b) == 0.0
 
 
-def test_multi_sector_state():
-    s1 = Sector(2, np.array([0.5, 0.0, 0.5]))
-    s2 = Sector(5, np.zeros(6, dtype=complex))
-    st = CollectiveState((s1, s2))
-    assert abs(st.squared_norm() - 0.5) < 1e-15
-    nst = normalize(st)
-    assert abs(nst.squared_norm() - 1.0) < 1e-15
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_state_refuses_non_finite_amplitudes(bad):
+    amps = np.array([0.6, bad, 0.8], dtype=complex)
+    with pytest.raises(DomainError, match="non-finite"):
+        CollectiveState(2, amps)
+    record = {"sectors": [{"twoJ": 2, "amps": [[z.real, z.imag] for z in amps]}]}
+    with pytest.raises(DomainError, match="non-finite"):
+        state_from_json(record)
+
+
+def test_state_checks_its_shape():
     with pytest.raises(DomainError):
-        CollectiveState((s1, Sector(2, np.array([1.0, 0, 0]))))  # duplicate sector
+        CollectiveState(-1, np.zeros(0))
+    with pytest.raises(DomainError):
+        CollectiveState(2, np.ones(4))
+    st = CollectiveState(3, [1, 0, 0, 0])
+    assert st.amps.dtype == complex and not st.amps.flags.writeable
+    assert st.m_values().tolist() == [-1.5, -0.5, 0.5, 1.5]
+    assert st.index_of(0.5) == 2
+    with pytest.raises(DomainError):
+        st.index_of(1)  # parity mismatch
 
 
 def test_support_lists_the_nonzero_amplitudes():
-    st = CollectiveState((Sector(2, np.array([0.6, 0.0, 0.0])),
-                          Sector(3, np.array([0.0, 0.0, 0.8j, 0.0]))))
+    st = CollectiveState(5, np.array([0.6, 0.0, 0.0, 0.8j, 0.0, 0.0]))
     m, w = st.support()
-    assert m.tolist() == [-1.0, 0.5]
+    assert m.tolist() == [-2.5, 0.5]
     assert w == pytest.approx([0.36, 0.64], abs=1e-15)
     # the tails of a large coherent state underflow to exact zeros and drop out
     big = coherent_state(5000, math.pi / 2.0)
     m, w = big.support()
     assert m.size == w.size == 3649
-    assert m.tolist() == big.m_values()[big.sectors[0].amps != 0.0].tolist()
+    assert m.tolist() == big.m_values()[big.amps != 0.0].tolist()
 
 
 def test_scale_amplitudes_runs_over_the_support():
-    st = CollectiveState((Sector(2, np.array([0.0, 0.6, 0.0])),
-                          Sector(1, np.array([0.8, 0.0]))))
+    st = CollectiveState(4, np.array([0.0, 0.6, 0.0, 0.8, 0.0]))
     out = scale_amplitudes(st, np.array([math.log(2.0), 0.0]), np.array([0.0, math.pi]))
-    assert [s.two_j for s in out.sectors] == [2, 1]
-    assert out.sectors[0].amps[1] == 1.2
-    assert out.sectors[1].amps[0] == 0.8 * np.exp(1j * math.pi)
+    assert out.two_j == 4
+    assert out.amps[1] == 1.2
+    assert out.amps[3] == 0.8 * np.exp(1j * math.pi)
+    # the input is left as it was
+    assert st.amps[1] == 0.6 and st.amps[3] == 0.8
     # the zeros are left as they are, +0.0, not 0 times a factor, which is
     # -0.0 under the phase pi
-    zeros = np.concatenate([out.sectors[0].amps[[0, 2]], out.sectors[1].amps[1:]])
+    zeros = out.amps[[0, 2, 4]]
     assert not np.signbit(zeros.real).any() and not np.signbit(zeros.imag).any()
     assert (zeros == 0.0).all()
 
@@ -164,13 +177,17 @@ def test_scale_amplitudes_runs_over_the_support():
 def test_serialization_roundtrip():
     rng = np.random.default_rng(0)
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-    st = normalize(CollectiveState((Sector(3, amps),)))
+    st = normalize(CollectiveState(3, amps))
     data = state_to_json(st)
     assert data["sectors"][0]["twoJ"] == 3
     back = state_from_json(data)
     assert abs(overlap(st, back) - 1.0) < 1e-12
     with pytest.raises(DomainError):
         state_from_json({"sectors": [{"twoJ": 2}]})
+    # a record holds exactly one spin block
+    for blocks in ([], [data["sectors"][0]] * 2):
+        with pytest.raises(DomainError, match="one spin block"):
+            state_from_json({"sectors": blocks})
 
 
 @settings(max_examples=40)
