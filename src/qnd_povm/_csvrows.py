@@ -256,9 +256,9 @@ def _float_text(a):
 def check_columns(columns, arrays):
     """Raise TypeError naming the first column `format_rows` cannot write."""
     for name, a in zip(columns, arrays):
-        if a is not None and a.dtype.kind not in "iuf":
+        if a is not None and a.dtype.kind not in "iufS":
             raise TypeError(f"column {name!r} has dtype {a.dtype}; "
-                            "CSV columns must be int, uint or float")
+                            "CSV columns must be int, uint, float or bytes")
 
 
 @functools.cache

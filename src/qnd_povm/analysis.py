@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MAX_ENTRIES, DomainError, PreconditionError, ResourceCapError
-from .numerics import cg_blocks, legendre_norm_table
+from .numerics import cg_blocks, legendre_sum
 from .povm import PhotonOutcome, QndParams, eigen
 from .spin_state import CollectiveState, coherent_state, moments, normalize, overlap
 
@@ -154,16 +154,16 @@ def wigner(rho: DensityMatrix, n_theta: int = 181, n_phi: int = 361) -> WignerGr
     """Spin Wigner function W(theta, phi) = sum_{L,M} rho_LM Y_LM.
 
     Sampled on the equiangular grid of n_theta polar angles over [0, pi] and
-    n_phi azimuths over [0, 2 pi].  The multipole sum runs L = 0..2J as two
-    products: G[theta, M] = sum_L rho_LM Y~_L^M(cos theta), with Y~ the
-    normalized associated Legendre function, then W = G @ E with
-    E[M, phi] = e^{iM phi}.  Raises ResourceCapError before building any
-    array when G, E or W would hold more than 2^24 entries.  Raises
-    DomainError when the multipole table breaks Parseval
-    (sum |rho_LM|^2 = Tr rho^2) by more than 1e-10 relative, or when the
-    imaginary residue of W exceeds 1e-10; the residue is otherwise
-    discarded.  Checked against sympy multipoles at 2J = 100 and against
-    Parseval up to 2J = 200.
+    n_phi azimuths over [0, 2 pi].  The multipole sum runs L = 0..2J in two
+    steps: G[theta, M] = sum_L rho_LM Y~_L^M(cos theta), with Y~ the
+    normalized associated Legendre function, in one recurrence over L for
+    all M (`legendre_sum`), then W = G @ E with E[M, phi] = e^{iM phi}.
+    Raises ResourceCapError before building any array when G, E or W would
+    hold more than 2^24 entries.  Raises DomainError when the multipole
+    table breaks Parseval (sum |rho_LM|^2 = Tr rho^2) by more than 1e-10
+    relative, or when the imaginary residue of W exceeds 1e-10; the residue
+    is otherwise discarded.  Checked against sympy multipoles at 2J = 100
+    and against Parseval up to 2J = 200.
     """
     two_j = rho.two_j
     n_m = 2 * two_j + 1
@@ -175,10 +175,8 @@ def wigner(rho: DensityMatrix, n_theta: int = 181, n_phi: int = 361) -> WignerGr
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi)
     table = _multipoles(rho)
-    x = np.cos(thetas)
     g = np.empty((n_theta, n_m), dtype=complex)
-    for M in range(two_j + 1):
-        g[:, two_j + M] = table[M:, M] @ legendre_norm_table(two_j, M, x)
+    g[:, two_j:] = legendre_sum(table, np.cos(thetas))
     # rho_{L,-M} Y_{L,-M} = conj(rho_LM Y_LM): columns M = -2J..-1 mirror 2J..1
     g[:, :two_j] = np.conj(g[:, :two_j:-1])
     w = _flush_subnormals(g) @ np.exp(1j * np.outer(np.arange(-two_j, two_j + 1), phis))

@@ -131,9 +131,10 @@ def write_table(path, columns, blocks, meta=None, fmt="csv"):
     as `str` and floats as `repr` write them, CRLF endings), then a
     `# key = value` footer line per `meta` item (LF endings).  Rows are
     formatted in numpy in fixed-size chunks, so memory is bounded by the
-    chunk and the block; columns must be int, uint or float arrays
-    (TypeError otherwise).  JSON: `{columns, rows, **meta}`.  A column after
-    the first may be None: empty CSV fields, JSON nulls.
+    chunk and the block; columns must be int, uint or float arrays, or
+    bytes arrays of text written as it is (TypeError otherwise).  JSON:
+    `{columns, rows, **meta}`.  A column after the first may be None: empty
+    CSV fields, JSON nulls.
     """
     def footer():
         return (meta() if callable(meta) else meta) or {}
@@ -301,10 +302,19 @@ def cmd_wigner(cfg: ExperimentConfig, out, fmt) -> int:
         state = posterior(params, PhotonOutcome(oc["n_c"], oc["n_d"]), state)
     rho = density_from_state(state)
     wg = wigner(rho, **cfg.raw.get("grid", {}))
-    # row-major over the grid: theta outer, phi inner
+    thetas, phis = wg.thetas, wg.phis
+    if fmt == "csv":
+        # every coordinate repeats on a row or column of the grid: its text
+        # is formed once, as the writer would form it, and repeated
+        thetas, phis = (np.array([repr(v) for v in a.tolist()], dtype="S")
+                        for a in (thetas, phis))
+    # row-major over the grid, theta outer and phi inner, a few theta at a
+    # time
+    step = max(1, _CHUNK_ROWS // phis.size)
     write_table(out, ["theta", "phi", "w"],
-                [[np.repeat(wg.thetas, wg.phis.size), np.tile(wg.phis, wg.thetas.size),
-                  wg.values.ravel()]], fmt=fmt)
+                ([np.repeat(thetas[i:i + step], phis.size),
+                  np.tile(phis, thetas[i:i + step].size), wg.values[i:i + step].ravel()]
+                 for i in range(0, thetas.size, step)), fmt=fmt)
     return 0
 
 

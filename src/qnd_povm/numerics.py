@@ -3,9 +3,14 @@
 Everything factorial-shaped is handled in log space: photon counts of order
 10^2..10^4 overflow direct factorials long before the physically meaningful
 combinations do.  Clebsch-Gordan coefficients need no factorials at all:
-they are the eigenvectors of J^2 in each fixed-M product block, which stay
-accurate to ~1e-14 for spins out to j = 200.  Quantum numbers are carried as
-doubled integers so half-integer spins and their selection rules stay exact.
+they are the eigenvectors of J^2 in each fixed-M product block, a
+tridiagonal matrix with the known eigenvalues L(L+1), so each is the null
+vector of a shifted tridiagonal, solved by twisted factorization (module
+`_clebsch`).  Their Condon-Shortley signs follow a closed-form rule, so
+every block is solved on its own, without a walk down from M = j1 + j2;
+they stay accurate to ~1e-14 for spins out to j = 200.  Quantum numbers
+are carried as doubled integers so half-integer spins and their selection
+rules stay exact.
 """
 
 from __future__ import annotations
@@ -88,51 +93,26 @@ def cg_blocks(tj1: int, tj2: int):
 
     C[a, b] = <j1 m1; j2 M - m1 | L M>, rows m1 ascending from
     max(-j1, M - j2), columns L ascending from max(|j1 - j2|, M); the
-    arguments are doubled integers.  The columns are the eigenvectors of J^2
-    in the |m1, M - m1> basis, a symmetric tridiagonal matrix whose
-    eigenvalues L(L + 1) come out of eigh in ascending order, so no
-    factorial or alternating sum appears.  Condon-Shortley signs: the new
-    highest-weight column L = M has the sign (-1)^(j1 - m1), read at its
-    largest component, and every other column is the positive multiple of
-    J- applied to the same-L column of block M + 1.  Edge components fall to
-    ~1e-30 at large L, below the eigensolver's noise, so no sign is read off
-    them.  Only the block above is kept while the next is built.
+    arguments are doubled integers.  Each column is the null vector of
+    J^2 - L(L + 1), a tridiagonal matrix in the |m1, M - m1> basis, found
+    by twisted factorization (`_clebsch`) in O(rows) from the known
+    eigenvalue, with no eigensolver and no factorial or alternating sum; its
+    Condon-Shortley sign follows a closed-form rule.
+    Blocks are independent: none is derived from another, and consecutive
+    ones are solved together in bounded memory.
     """
-    c1 = tj1 * (tj1 + 2) / 4.0
-    c2 = tj2 * (tj2 + 2) / 4.0
-    prev_m1, prev = np.zeros(0), np.zeros((0, 0))
-    for tM in range(tj1 + tj2, -1, -2):
-        lo = max(-tj1, tM - tj2)
-        m1 = np.arange(lo, min(tj1, tM + tj2) + 1, 2) / 2.0
-        m2 = tM / 2.0 - m1
-        h = np.diag(c1 + c2 + 2.0 * m1 * m2)
-        h += np.diag(np.sqrt((c1 - m1[:-1] * (m1[:-1] + 1.0))
-                             * (c2 - m2[:-1] * (m2[:-1] - 1.0))), -1)
-        block = np.linalg.eigh(h)[1]
-        new = block.shape[1] - prev.shape[1]
-        if new:
-            top = int(np.argmax(np.abs(block[:, 0])))
-            want = 1.0 if round(tj1 / 2.0 - m1[top]) % 2 == 0 else -1.0
-            block[:, 0] *= want * np.sign(block[top, 0])
-        # J- = J1- + J2- carries block M + 1 into this one; the coefficient
-        # vanishes exactly where the lowered projection would leave its range
-        lowered = np.zeros((m1.size, prev.shape[1]))
-        prev_m2 = (tM + 2) / 2.0 - prev_m1
-        for dm1, coef in ((1.0, np.sqrt(c1 - prev_m1 * (prev_m1 - 1.0))),
-                          (0.0, np.sqrt(c2 - prev_m2 * (prev_m2 - 1.0)))):
-            keep = coef > 0.0
-            rows = np.rint(prev_m1[keep] - dm1 - lo / 2.0).astype(int)
-            lowered[rows] += coef[keep, None] * prev[keep]
-        overlap = np.einsum("ij,ij->j", lowered, block[:, new:])
-        block[:, new:] *= np.sign(overlap)
-        yield tM, block
-        prev_m1, prev = m1, block
+    # the solver is loaded with the first block: most commands need none
+    from . import _clebsch
+
+    yield from _clebsch.solve(tj1, tj2, range(tj1 + tj2, -1, -2))
 
 
 @functools.lru_cache(maxsize=32)
 def _cg_block(tj1: int, tj2: int, tM: int) -> np.ndarray:
-    """The read-only ``cg_blocks`` block at 2M = tM, kept for repeated reads."""
-    block = next(b for t, b in cg_blocks(tj1, tj2) if t == tM)
+    """The read-only ``cg_blocks`` block at 2M = tM, solved on its own."""
+    from . import _clebsch
+
+    ((_, block),) = _clebsch.solve(tj1, tj2, [tM])
     block.setflags(write=False)
     return block
 
@@ -140,12 +120,11 @@ def _cg_block(tj1: int, tj2: int, tM: int) -> np.ndarray:
 def clebsch_gordan(j1, m1, j2, m2, L, M) -> float:
     """Condon-Shortley Clebsch-Gordan coefficient <j1 m1; j2 m2 | L M>.
 
-    Read from the J^2 eigenvector block of ``cg_blocks``; recent blocks are
-    cached, so repeated calls at one (j1, j2, M) diagonalize once.  Agrees
-    with sympy to 1e-13 absolute (worst seen 1.6e-14) for j up to 200.
-    Returns 0 when
-    M != m1 + m2 or the triangle rule fails; raises when the quantum numbers
-    are not a valid set.
+    Read from the J^2 eigenvector block of ``cg_blocks`` at |M|, which is
+    solved on its own (no other block is needed) and cached, so repeated
+    calls at one (j1, j2, |M|) solve it once.  Agrees with sympy to 1e-13
+    absolute for j up to 200.  Returns 0 when M != m1 + m2 or the triangle
+    rule fails; raises when the quantum numbers are not a valid set.
     """
     tj1, tm1, tj2, tm2, tL, tM = map(twice, (j1, m1, j2, m2, L, M))
     for tj, tm, name in ((tj1, tm1, "j1"), (tj2, tm2, "j2"), (tL, tM, "L")):
@@ -206,6 +185,46 @@ def legendre_norm_table(lmax: int, m: int, x: np.ndarray) -> np.ndarray:
         )
         rows[L - m] = a * x * rows[L - m - 1] - b * rows[L - m - 2]
     return rows
+
+
+def legendre_sum(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """G[i, M] = sum_{L=M..lmax} coeffs[L, M] P~_L^M(x[i]), for M = 0..lmax.
+
+    coeffs is a complex (lmax + 1, lmax + 1) table read on and below its
+    diagonal, and P~ the normalized Legendre function of
+    `legendre_norm_table`.  One upward recurrence over L advances every
+    M <= L together, from the same sectoral seeds and with the same
+    coefficient arithmetic, so each P~_L^M is the same double; it is added
+    into G as it is formed, and only the rows L - 1 and L - 2 are kept.
+    """
+    lmax = coeffs.shape[0] - 1
+    x = np.asarray(x, dtype=float)
+    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    # real and imaginary parts, (L, M, 2), summed into (M, 2, x)
+    parts = np.ascontiguousarray(coeffs, dtype=complex).view(float).reshape(
+        lmax + 1, lmax + 1, 2)
+    acc = np.zeros((lmax + 1, 2, x.size))
+    rows = [np.empty((lmax + 1, x.size)) for _ in range(3)]
+    tmp = np.empty((lmax + 1, x.size))
+    for L in range(lmax + 1):
+        p, p1, p2 = rows[L % 3], rows[(L - 1) % 3], rows[(L - 2) % 3]
+        if L == 0:
+            p[0] = 1.0 / math.sqrt(4.0 * math.pi)
+        else:
+            m = np.arange(L - 1)
+            lm = L * L - m * m
+            a = np.sqrt((4.0 * L * L - 1.0) / lm)
+            b = np.sqrt((2.0 * L + 1.0) * (L - 1.0 + m) * (L - 1.0 - m)
+                        / ((2.0 * L - 3.0) * lm))
+            q = tmp[:L - 1]
+            np.multiply(a[:, None], x, out=p[:L - 1])
+            p[:L - 1] *= p1[:L - 1]
+            np.multiply(b[:, None], p2[:L - 1], out=q)
+            p[:L - 1] -= q
+            p[L - 1] = math.sqrt(2 * (L - 1) + 3.0) * x * p1[L - 1]
+            p[L] = -math.sqrt((2 * L + 1) / (2.0 * L)) * s * p1[L - 1]
+        acc[:L + 1] += parts[L, :L + 1, :, None] * p[:L + 1, None, :]
+    return (acc[:, 0] + 1j * acc[:, 1]).T
 
 
 def spherical_harmonic(L: int, M: int, theta, phi):

@@ -388,12 +388,19 @@ def amplitude(params: QndParams, outcome: PhotonOutcome, m_z) -> float:
     return math.exp(log_amplitude(params, outcome, m_z))
 
 
+def _eigen_point(params: QndParams, outcome: PhotonOutcome, m_z):
+    """`log_matrix_element` and `log_amplitude` at one m_z, from one `eigen`
+    call: (log magnitude, phase, ln A)."""
+    log_c, log_e, phase = eigen(params, outcome, [_as_m(m_z)])
+    log_a = float(log_e[0])
+    if log_a == -math.inf:
+        return -math.inf, 0.0, log_a
+    return float(log_c + log_e[0]), _wrap_pi(float(phase[0])), log_a
+
+
 def log_matrix_element(params: QndParams, outcome: PhotonOutcome, m_z):
     """(log magnitude, phase) of <J m_z|M|J m_z> via the spectral form."""
-    log_c, log_e, phase = eigen(params, outcome, [_as_m(m_z)])
-    if log_e[0] == -math.inf:
-        return -math.inf, 0.0
-    return float(log_c + log_e[0]), _wrap_pi(float(phase[0]))
+    return _eigen_point(params, outcome, m_z)[:2]
 
 
 def log_matrix_element_direct(params: QndParams, outcome: PhotonOutcome, m_z):
@@ -473,17 +480,23 @@ def _conditioner(params: QndParams, state: CollectiveState):
     """
     kernel = _support_kernel(params, state)
     m = kernel.m
-    m2 = m * m
+    # the variance is taken about the state's own <J_z>, so that a
+    # posterior near a Dicke state keeps it where <m^2> - <m>^2 cancels;
+    # <J_z> itself stays q @ m
+    w = np.exp(kernel._log_w)
+    dm = m - float(np.dot(w, m) / w.sum())
+    dm2 = dm * dm
 
     def conditioned(n_c, n_d):
         n_c, n_d = _counts(n_c, n_d)
-        log_p, mean, var = (np.empty(n_c.size) for _ in range(3))
+        log_p, mean, mean_d, var = (np.empty(n_c.size) for _ in range(4))
         for lo in range(0, n_c.size, _ROWS):
             rows = slice(lo, lo + _ROWS)
             log_p[rows], _, _, q = kernel.condition(n_c[rows], n_d[rows])
             mean[rows] = q @ m
-            var[rows] = q @ m2
-        var -= mean ** 2
+            mean_d[rows] = q @ dm
+            var[rows] = q @ dm2
+        var -= mean_d ** 2
         np.maximum(0.0, var, out=var)
         dead = log_p == -math.inf
         mean[dead] = var[dead] = math.nan
@@ -498,8 +511,9 @@ def condition_many(params: QndParams, n_c, n_d, state: CollectiveState):
     The batched form of `condition` followed by `moments`: the bases are
     read once over the support, every outcome's row of terms
     2 E + ln |psi_m|^2 is shifted by its own peak, and the normalized
-    weights reduce to <J_z> and Var J_z = max(0, <m^2> - <m>^2).  A
-    zero-probability outcome has ln P = -inf and nan moments.
+    weights reduce to <J_z> and Var J_z = max(0, <d^2> - <d>^2), with
+    d = m - c about the state's own <J_z> = c.  A zero-probability outcome
+    has ln P = -inf and nan moments.
     """
     return _conditioner(params, state)(n_c, n_d)
 

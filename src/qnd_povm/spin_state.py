@@ -160,18 +160,22 @@ def moments(state: CollectiveState) -> SpinMoments:
 
     J_z is diagonal; J_x couples neighboring m through the ladder matrix
     elements <J, m+1|J_x|J, m> = sqrt(J(J+1) - m(m+1))/2.  N is 2J.
+    Var(J_z) is the mean of (m - <J_z>)^2, which keeps a nearly-Dicke
+    state's variance where <m^2> - <m>^2 would cancel to 0; both means are
+    taken over the weights |psi_m|^2 / sum |psi_m|^2, so that a norm a few
+    ulp off 1 does not move <J_z> by more than the variance.
     """
     if not state.is_normalized():
         raise PreconditionError("moments requires a normalized state")
     a = state.amps
     w = np.abs(a) ** 2
+    w /= w.sum()
     m = state.m_values()
     mean_z = float(np.dot(w, m))
-    mean_z2 = float(np.dot(w, m * m))
     j = state.two_j / 2.0
     lad = 0.5 * np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
     mean_x = float(2.0 * np.real(np.sum(np.conj(a[1:]) * lad * a[:-1])))
-    var_z = max(0.0, mean_z2 - mean_z**2)
+    var_z = float(np.dot(w, (m - mean_z) ** 2))
     nv = var_z / float(state.two_j) ** 2 if state.two_j > 0 else 0.0
     return SpinMoments(mean_jx=mean_x, mean_jz=mean_z, var_jz=var_z,
                        normalized_var=nv)

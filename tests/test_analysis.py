@@ -170,10 +170,13 @@ def test_wigner_grid_cap(n_theta, n_phi, monkeypatch):
     def failing(*args, **kwargs):
         raise AssertionError("a Legendre table was built")
 
-    monkeypatch.setattr(analysis, "legendre_norm_table", failing)
+    monkeypatch.setattr(analysis, "legendre_sum", failing)
     dm = density_from_state(dicke_state(1, 1))
     with pytest.raises(ResourceCapError, match="over the cap"):
         wigner(dm, n_theta=n_theta, n_phi=n_phi)
+    # and a grid under the cap does reach the patched routine
+    with pytest.raises(AssertionError, match="Legendre"):
+        wigner(dm, n_theta=3, n_phi=3)
 
 
 def test_wigner_flush_of_subnormals_keeps_every_bit(monkeypatch):

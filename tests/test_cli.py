@@ -374,6 +374,21 @@ def test_measure_deterministic_and_schema(tmp_path):
     assert seeds == list(range(7, 7 + 64))
 
 
+def test_measure_squeezing_ratio_of_a_nearly_dicke_prior(tmp_path):
+    # the prior's Var J_z is about 2.5e-60 and each posterior's is of that
+    # order: both survive, so every ratio is a finite, nonzero number
+    cfg = dict(BASE, N=10, initial={"type": "coherent", "theta": 1e-30}, shots=20, seed=7)
+    path = write_config(tmp_path, "m.json", cfg)
+    out = tmp_path / "m.jsonl"
+    assert run_cli("measure", "--config", path, "--out", str(out)) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 20
+    for rec in records:
+        ratio = rec["squeezing_ratio"]
+        assert isinstance(ratio, float) and math.isfinite(ratio) and ratio > 0.0
+        assert 0.0 < rec["var_jz"] < 1e-55
+
+
 def test_measure_seed_flag_changes_stream(tmp_path):
     cfg = dict(BASE, shots=16, seed=7, mass_tolerance=1e-8)
     path = write_config(tmp_path, "m.json", cfg)
@@ -502,7 +517,7 @@ def test_wigner_oversized_grid_is_capped_before_allocation(tmp_path, capsys,
     def failing(*args, **kwargs):
         raise AssertionError("a Legendre table was built")
 
-    monkeypatch.setattr(analysis, "legendre_norm_table", failing)
+    monkeypatch.setattr(analysis, "legendre_sum", failing)
     cfg = {
         "params": {"gamma": [5.0, 0.0], "chi": [5.0, 0.0], "gt": "pi/2"},
         "N": 20,
@@ -514,6 +529,11 @@ def test_wigner_oversized_grid_is_capped_before_allocation(tmp_path, capsys,
     assert run_cli("wigner", "--config", path, "--out", str(out)) == 3
     assert "Wigner grid" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["w.json"]
+    # a grid under the cap does reach the patched routine
+    cfg["grid"] = {"n_theta": 3, "n_phi": 3}
+    path = write_config(tmp_path, "w.json", cfg)
+    with pytest.raises(AssertionError, match="Legendre"):
+        run_cli("wigner", "--config", path, "--out", str(out))
 
 
 # ---------------------------------------------------------------------- project
@@ -894,6 +914,22 @@ def test_wigner_bytes_pinned(tmp_path):
         "tool": "qnd-povm", "version": cli.__version__, "schema": "v1",
         "columns": ["theta", "phi", "w"], "rows": [list(r) for r in grid],
     }).encode("utf-8")
+
+
+def test_wigner_csv_of_a_grid_written_in_several_blocks(tmp_path):
+    # 50 x 361 points: the coordinates' text is repeated over three blocks
+    # of theta rows, the last one short
+    raw = {"params": {"gamma": [5.0, 0.0], "chi": [5.0, 0.0], "gt": "pi/2"},
+           "N": 6, "initial": {"type": "coherent", "theta": "pi/3"},
+           "grid": {"n_theta": 50, "n_phi": 361}}
+    wg = wigner(density_from_state(ExperimentConfig.from_dict("wigner", raw).initial_state()),
+                n_theta=50, n_phi=361)
+    rows = [[repr(float(t)), repr(float(p)), repr(float(wg.values[i, j]))]
+            for i, t in enumerate(wg.thetas) for j, p in enumerate(wg.phis)]
+    path = write_config(tmp_path, "w.json", raw)
+    out = tmp_path / "w.csv"
+    assert run_cli("wigner", "--config", path, "--out", str(out)) == 0
+    assert out.read_bytes() == csv_writer_text(["theta", "phi", "w"], rows).encode("utf-8")
 
 
 def test_amp_scan_bytes_pinned(tmp_path):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnd_povm import _clebsch, numerics
 from qnd_povm.errors import DomainError
 from qnd_povm.numerics import (cg_blocks, clebsch_gordan, legendre_norm_table,
-                               log_binomial, log_factorial, spherical_harmonic,
-                               twice)
+                               legendre_sum, log_binomial, log_factorial,
+                               spherical_harmonic, twice)
 
 
 # ---------------------------------------------------------------------- helpers
@@ -55,6 +56,42 @@ def cg_ladder_oracle():
         state = {k: v / norm for k, v in new.items()}
         jm -= 1
     return state[(1, -1)]
+
+
+def cg_blocks_eigh(tj1, tj2):
+    """(2M, C) as `cg_blocks` gives them, from a dense eigensolver.
+
+    Each fixed-M block of J^2 is diagonalized with eigh (eigenvalues L(L+1)
+    ascending); the signs come from the Condon-Shortley construction
+    itself: a new highest-weight column |L = M, M> has the sign
+    (-1)^(j1 - m1) at its largest component, and every other column is the
+    positive multiple of J- applied to the same-L column of block M + 1.
+    """
+    c1, c2 = tj1 * (tj1 + 2) / 4.0, tj2 * (tj2 + 2) / 4.0
+    prev_m1, prev = np.zeros(0), np.zeros((0, 0))
+    for tM in range(tj1 + tj2, -1, -2):
+        lo = max(-tj1, tM - tj2)
+        m1 = np.arange(lo, min(tj1, tM + tj2) + 1, 2) / 2.0
+        m2 = tM / 2.0 - m1
+        h = np.diag(c1 + c2 + 2.0 * m1 * m2)
+        h += np.diag(np.sqrt((c1 - m1[:-1] * (m1[:-1] + 1.0))
+                             * (c2 - m2[:-1] * (m2[:-1] - 1.0))), -1)
+        block = np.linalg.eigh(h)[1]
+        new = block.shape[1] - prev.shape[1]
+        if new:
+            top = int(np.argmax(np.abs(block[:, 0])))
+            want = 1.0 if round(tj1 / 2.0 - m1[top]) % 2 == 0 else -1.0
+            block[:, 0] *= want * np.sign(block[top, 0])
+        lowered = np.zeros((m1.size, prev.shape[1]))
+        prev_m2 = (tM + 2) / 2.0 - prev_m1
+        for dm1, coef in ((1.0, np.sqrt(c1 - prev_m1 * (prev_m1 - 1.0))),
+                          (0.0, np.sqrt(c2 - prev_m2 * (prev_m2 - 1.0)))):
+            keep = coef > 0.0
+            rows = np.rint(prev_m1[keep] - dm1 - lo / 2.0).astype(int)
+            lowered[rows] += coef[keep, None] * prev[keep]
+        block[:, new:] *= np.sign(np.einsum("ij,ij->j", lowered, block[:, new:]))
+        yield tM, block
+        prev_m1, prev = m1, block
 
 
 # ------------------------------------------------------------------------ twice
@@ -243,8 +280,9 @@ LARGE_J_CASES = [
 
 @pytest.fixture(scope="module")
 def cg_400_400_m0():
-    """The M = 0 block of j1 = j2 = 200, from one walk shared by its cases."""
-    return list(cg_blocks(400, 400))[-1][1]
+    """The M = 0 block of j1 = j2 = 200, solved on its own and shared by its
+    cases."""
+    return numerics._cg_block(400, 400, 0)
 
 
 @pytest.mark.parametrize("tj1,tm1,tj2,tL,tM", LARGE_J_CASES)
@@ -263,6 +301,55 @@ def test_cg_against_sympy_large_j(tj1, tm1, tj2, tL, tM, request):
     else:
         got = clebsch_gordan(tj1 / 2, tm1 / 2, tj2 / 2, tm2 / 2, tL / 2, tM / 2)
     assert abs(got - want) <= 1e-13
+
+
+# (2j1, 2j2): integer and half-integer, equal and unequal, and with j1 > j2
+# the blocks M < j1 - j2 that have no m1 = j1 row
+REFERENCE_PAIRS = ([(a, b) for a in range(7) for b in range(7)]
+                   + [(60, 60), (59, 59), (60, 59), (59, 60), (60, 13), (13, 60),
+                      (59, 2), (2, 59), (31, 8), (0, 60), (60, 1), (41, 40)])
+
+
+@pytest.mark.parametrize("tj1,tj2", REFERENCE_PAIRS)
+def test_cg_blocks_match_dense_reference(tj1, tj2):
+    got = list(cg_blocks(tj1, tj2))
+    want = list(cg_blocks_eigh(tj1, tj2))
+    assert [t for t, _ in got] == [t for t, _ in want]
+    for (tM, block), (_, ref) in zip(got, want):
+        assert block.shape == ref.shape
+        assert np.max(np.abs(block - ref)) <= 1e-13, tM
+
+
+def test_scalar_cg_solves_only_its_own_block(monkeypatch):
+    solved = []
+    real = _clebsch.blocks
+
+    def counting(tj1, tj2, tMs):
+        solved.append((tj1, tj2, list(tMs)))
+        return real(tj1, tj2, tMs)
+
+    monkeypatch.setattr(_clebsch, "blocks", counting)
+    numerics._cg_block.cache_clear()
+    clebsch_gordan(200, 3, 200, -3, 120, 0)
+    clebsch_gordan(200, 3, 200, -2, 120, 1)
+    assert solved == [(400, 400, [0]), (400, 400, [2])]
+
+
+def test_cg_signs_survive_underflowing_components():
+    # at j1 = j2 = 550 the M = 0 edge components of the stretched column
+    # L = 2j fall below the doubles; every gamma is exactly 0 there, and its
+    # components are C(2j, j + m) / sqrt(C(4j, 2j)), all positive
+    j = 550
+    block = numerics._cg_block(2 * j, 2 * j, 0)
+    assert np.isfinite(block).all()
+    col = block[:, -1]
+    assert np.count_nonzero(col == 0.0) > 0 and (col >= 0.0).all()
+    with mp.workdps(40):
+        den = mp.sqrt(math.comb(4 * j, 2 * j))
+        want = np.array([float(math.comb(2 * j, j + m) / den) for m in range(-j, j + 1)])
+    assert np.max(np.abs(col - want)) <= 1e-15
+    # the singlet column L = 0 has the sign (-1)^(j - m1), +1 at m1 = j
+    assert block[-1, 0] > 0.0 and block[-2, 0] < 0.0
 
 
 # ---------------------------------------------------------- spherical harmonics
@@ -325,3 +412,17 @@ def test_harmonic_orthonormality_gauss_legendre():
     wfull = (np.outer(w, np.full(nphi, 2.0 * math.pi / nphi))).ravel()
     gram = (flat * wfull) @ flat.conj().T
     assert np.max(np.abs(gram - np.eye(len(pairs)))) < 1e-8
+
+
+@pytest.mark.parametrize("two_j", [0, 1, 6, 100, 200])
+def test_legendre_sum_matches_per_m_tables(two_j):
+    rng = np.random.default_rng(two_j)
+    coeffs = np.tril(rng.normal(size=(two_j + 1,) * 2) + 1j * rng.normal(size=(two_j + 1,) * 2))
+    x = np.cos(np.linspace(0.0, math.pi, 181))
+    want = np.stack([coeffs[M:, M] @ legendre_norm_table(two_j, M, x)
+                     for M in range(two_j + 1)], axis=1)
+    got = legendre_sum(coeffs, x)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # entries above the diagonal are not read
+    assert np.array_equal(legendre_sum(coeffs + np.triu(np.ones_like(coeffs), 1), x), got)

@@ -196,12 +196,13 @@ def test_dual_form_random_draws():
     assert check.passed, check.detail
 
 
-@pytest.mark.parametrize("name, fake", [
-    ("log_matrix_element", lambda real: lambda *a: (real(*a)[0] + 5e-10, real(*a)[1])),
-    ("log_amplitude", lambda real: lambda *a: -math.inf),  # every draw excluded: no hang
+# the check reads the spectral (log magnitude, phase, ln A) from one call
+@pytest.mark.parametrize("fake", [
+    lambda real: lambda *a: (real(*a)[0] + 5e-10,) + real(*a)[1:],
+    lambda real: lambda *a: real(*a)[:2] + (-math.inf,),  # every draw excluded: no hang
 ], ids=["shift-5e-10", "all-excluded"])
-def test_dual_form_check_can_fail(monkeypatch, name, fake):
-    monkeypatch.setattr(validate, name, fake(getattr(validate, name)))
+def test_dual_form_check_can_fail(monkeypatch, fake):
+    monkeypatch.setattr(validate, "_eigen_point", fake(validate._eigen_point))
     assert not check_dual_form(np.random.default_rng(1)).passed
 
 
@@ -627,6 +628,18 @@ def test_condition_many_matches_condition_and_moments(params, state):
         assert abs(var_jz[i] - want.var_jz) <= 1e-12 * max(1.0, want.var_jz)
     if state.two_j == 200:
         assert log_p.min() < -175.0 and log_p.max() > -11.0
+
+
+def test_condition_many_variance_near_a_dicke_state():
+    # posterior variances far below ulp(<J_z>)^2 about <J_z> near 5, where
+    # <m^2> - <m>^2 cancels to 0
+    st = coherent_state(10, 1e-30)
+    n_c, n_d = zip(*BATCH)
+    _, _, var_jz = povm.condition_many(P_REF, n_c, n_d, st)
+    for i, out in enumerate(BATCH):
+        want = moments(condition(P_REF, PhotonOutcome(*out), st)[1]).var_jz
+        assert 0.0 < want < 1e-25
+        assert abs(var_jz[i] - want) <= 1e-9 * want
 
 
 def test_condition_many_zero_probability_row():

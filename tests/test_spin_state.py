@@ -94,6 +94,15 @@ def test_moments_dicke():
     assert abs(mom.mean_jx) < 1e-15
 
 
+def test_moments_variance_of_a_nearly_dicke_state():
+    # <m^2> - <m>^2 cancels to 0 here; the centred sum keeps N sin^2(theta) / 4
+    theta, N = 1e-30, 10
+    mom = moments(coherent_state(N, theta))
+    assert mom.mean_jz == 5.0
+    want = N * math.sin(theta) ** 2 / 4.0
+    assert abs(mom.var_jz - want) <= 1e-9 * want
+
+
 def test_moments_requires_normalized():
     bad = CollectiveState(2, np.array([1.0, 1.0, 0.0]))
     with pytest.raises(PreconditionError):
