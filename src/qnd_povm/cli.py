@@ -35,8 +35,8 @@ import numpy as np
 from . import __version__
 from .errors import (MAX_ENTRIES, ConfigError, DomainError, PreconditionError,
                      QndError, ResourceCapError)
-from .povm import (PhotonOutcome, _conditioner, _OutcomeTable, condition, eigen,
-                   outcome_distribution, posterior, sample_outcomes)
+from .povm import (PhotonOutcome, _conditioner, _OutcomeTable, _sampler, condition, eigen,
+                   posterior)
 from .spin_state import moments, state_to_json
 
 HEADER = f"# qnd-povm v{__version__}, schema v1"
@@ -222,9 +222,8 @@ def cmd_photon_dist(cfg: ExperimentConfig, out, fmt) -> int:
     return 0
 
 
-# shots drawn per `sample_outcomes` call, and conditioned and written per
-# `format_rows` call, which converts their float fields in one pass
-_DRAW_BLOCK = 1024
+# shots drawn, conditioned and written per `format_rows` call, which
+# converts their float fields in one pass
 _SHOT_BLOCK = 256
 # a measure record, as json.dumps(record, sort_keys=True) writes it: the keys
 # in order, each value followed by the text up to the next one
@@ -248,47 +247,42 @@ def cmd_measure(cfg: ExperimentConfig, out, fmt) -> int:
             f"dumping {cfg.raw['shots']} posteriors of dimension {cfg.n_atoms + 1} "
             f"writes over the cap of {MAX_ENTRIES} amplitudes")
     dump_dir = f"{out}.posteriors"
-    dist = outcome_distribution(params, state, cfg.raw.get("mass_tolerance", 1e-9),
-                                max_total=cfg.raw.get("max_total"))
+    draw = _sampler(params, state)
     conditioned = _conditioner(params, state)
     prior_var = moments(state).var_jz
     shots = cfg.raw["shots"]
     staged = _staged_dir(dump_dir) if dump else contextlib.nullcontext()
     with _artifact(out) as fh, staged as stage:
         write_rows = _ascii_writer(fh)
-        for first in range(0, shots, _DRAW_BLOCK):
+        for lo in range(0, shots, _SHOT_BLOCK):
             # shot seeds are seed + shot mod 2^64, as uint64 arithmetic wraps
-            drawn = np.arange(first, min(first + _DRAW_BLOCK, shots), dtype=np.uint64)
-            drawn += np.uint64(seed)
-            drawn_c, drawn_d = sample_outcomes(dist, drawn)
-            for i in range(0, drawn.size, _SHOT_BLOCK):
-                lo = first + i
-                block = slice(i, i + _SHOT_BLOCK)
-                seeds, n_c, n_d = drawn[block], drawn_c[block], drawn_d[block]
-                log_p, mean_jz, var_jz = conditioned(n_c, n_d)
-                dead = np.flatnonzero(log_p == -math.inf)
-                if dead.size:
-                    j = int(dead[0])
-                    raise QndError(f"sampled outcome ({n_c[j]}, {n_d[j]}) has zero "
-                                   f"probability (shot {lo + j}, seed {seeds[j]})")
-                refs = None
-                if dump:
-                    refs = []
-                    for j, (c, d) in enumerate(zip(n_c.tolist(), n_d.tolist())):
-                        # only the dump needs the posterior's per-m_z phases
-                        post = condition(params, PhotonOutcome(c, d), state)[1]
-                        name = f"shot_{lo + j:06d}.json"
-                        with open(os.path.join(stage, name), "w", encoding="utf-8") as pf:
-                            json.dump(state_to_json(post), pf, sort_keys=True)
-                        refs.append(json.dumps(os.path.join(dump_dir, name)).encode())
-                    refs = np.array(refs)
-                total = n_c + n_d
-                with np.errstate(invalid="ignore"):
-                    r = (n_d - n_c) / total
-                ratio = var_jz / prior_var if prior_var > 0 else None
-                write_rows(_csvrows.format_rows(
-                    [log_p, mean_jz, n_c, n_d, refs, (r, total == 0), seeds, ratio, var_jz],
-                    _RECORD_AFTER, _RECORD_BEFORE, "null"))
+            seeds = np.arange(lo, min(lo + _SHOT_BLOCK, shots), dtype=np.uint64)
+            seeds += np.uint64(seed)
+            n_c, n_d = draw(seeds)
+            log_p, mean_jz, var_jz = conditioned(n_c, n_d)
+            dead = np.flatnonzero(log_p == -math.inf)
+            if dead.size:
+                j = int(dead[0])
+                raise QndError(f"sampled outcome ({n_c[j]}, {n_d[j]}) has zero "
+                               f"probability (shot {lo + j}, seed {seeds[j]})")
+            refs = None
+            if dump:
+                refs = []
+                for j, (c, d) in enumerate(zip(n_c.tolist(), n_d.tolist())):
+                    # only the dump needs the posterior's per-m_z phases
+                    post = condition(params, PhotonOutcome(c, d), state)[1]
+                    name = f"shot_{lo + j:06d}.json"
+                    with open(os.path.join(stage, name), "w", encoding="utf-8") as pf:
+                        json.dump(state_to_json(post), pf, sort_keys=True)
+                    refs.append(json.dumps(os.path.join(dump_dir, name)).encode())
+                refs = np.array(refs)
+            total = n_c + n_d
+            with np.errstate(invalid="ignore"):
+                r = (n_d - n_c) / total
+            ratio = var_jz / prior_var if prior_var > 0 else None
+            write_rows(_csvrows.format_rows(
+                [log_p, mean_jz, n_c, n_d, refs, (r, total == 0), seeds, ratio, var_jz],
+                _RECORD_AFTER, _RECORD_BEFORE, "null"))
     return 0
 
 
@@ -354,7 +348,7 @@ def cmd_validate(cfg: ExperimentConfig, out, fmt) -> int:
 _COMMANDS = {
     "amp-scan": (cmd_amp_scan, ("--format",)),
     "photon-dist": (cmd_photon_dist, ("--mass-tol", "--format")),
-    "measure": (cmd_measure, ("--seed", "--mass-tol")),
+    "measure": (cmd_measure, ("--seed",)),
     "wigner": (cmd_wigner, ("--format",)),
     "project": (cmd_project, ()),
     "validate": (cmd_validate, ("--seed",)),

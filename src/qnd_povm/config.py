@@ -99,8 +99,10 @@ SCHEMAS: dict[str, dict] = {
         "additionalProperties": False,
     },
     "photon-dist": _experiment(**_TOLERANCE),
+    # mass_tolerance is accepted but unused: perfbench's shots config writes it
     "measure": _experiment("shots", shots={"type": "integer", "minimum": 1}, seed=_SEED,
-                           dump_posteriors={"type": "boolean"}, **_TOLERANCE),
+                           dump_posteriors={"type": "boolean"},
+                           mass_tolerance=_TOLERANCE["mass_tolerance"]),
     "wigner": _experiment(state={"enum": ["prior", "posterior"]}, outcome=_OUTCOME_SCHEMA,
                           grid={
                               "type": "object",

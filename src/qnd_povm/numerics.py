@@ -67,7 +67,8 @@ def log_factorial(n):
         raise DomainError("factorial of a negative integer")
     out = _LOGFACT_TABLE[np.minimum(n, _LOGFACT_EXACT_MAX)]
     big = n > _LOGFACT_EXACT_MAX
-    out[big] = [math.lgamma(k + 1.0) for k in n[big].tolist()]
+    # one double at a time, so a large table builds no list of Python floats
+    out[big] = np.fromiter(map(math.lgamma, n[big] + 1.0), float, np.count_nonzero(big))
     return out
 
 

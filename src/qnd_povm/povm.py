@@ -39,6 +39,8 @@ _BLOCK = 128
 _TILE = 32
 # outcomes per conditioning pass: bounds the kernel's two rows x support buffers
 _ROWS = 128
+# the sampler's window of Pois(lam) leaves at most e^-_TAIL in each tail
+_TAIL = 43.0
 
 
 def _wrap_pi(x):
@@ -181,10 +183,6 @@ class OutcomeDistribution:
             (PhotonOutcome(nc, nd), q)
             for nc, nd, q in zip(self.n_c.tolist(), self.n_d.tolist(), self.p.tolist())
         )
-
-    @cached_property
-    def _cumulative(self) -> np.ndarray:
-        return np.cumsum(self.p)
 
     def mean_total(self) -> float:
         """Mean of n_c + n_d under the (renormalized) captured mass."""
@@ -480,24 +478,20 @@ def _conditioner(params: QndParams, state: CollectiveState):
     """
     kernel = _support_kernel(params, state)
     m = kernel.m
-    # the variance is taken about the state's own <J_z>, so that a
-    # posterior near a Dicke state keeps it where <m^2> - <m>^2 cancels;
-    # <J_z> itself stays q @ m
-    w = np.exp(kernel._log_w)
-    dm = m - float(np.dot(w, m) / w.sum())
-    dm2 = dm * dm
 
     def conditioned(n_c, n_d):
         n_c, n_d = _counts(n_c, n_d)
-        log_p, mean, mean_d, var = (np.empty(n_c.size) for _ in range(4))
+        log_p, mean, var = (np.empty(n_c.size) for _ in range(3))
         for lo in range(0, n_c.size, _ROWS):
             rows = slice(lo, lo + _ROWS)
-            log_p[rows], _, _, q = kernel.condition(n_c[rows], n_d[rows])
+            log_p[rows], _, d, q = kernel.condition(n_c[rows], n_d[rows])
             mean[rows] = q @ m
-            mean_d[rows] = q @ dm
-            var[rows] = q @ dm2
-        var -= mean_d ** 2
-        np.maximum(0.0, var, out=var)
+            # a second pass, in E's buffer, about each row's own <J_z>: near a
+            # Dicke state <m^2> - <m>^2 would cancel
+            np.subtract(m, mean[rows, None], out=d)
+            d *= d
+            d *= q
+            var[rows] = d.sum(axis=1)
         dead = log_p == -math.inf
         mean[dead] = var[dead] = math.nan
         return log_p, mean, var
@@ -511,9 +505,9 @@ def condition_many(params: QndParams, n_c, n_d, state: CollectiveState):
     The batched form of `condition` followed by `moments`: the bases are
     read once over the support, every outcome's row of terms
     2 E + ln |psi_m|^2 is shifted by its own peak, and the normalized
-    weights reduce to <J_z> and Var J_z = max(0, <d^2> - <d>^2), with
-    d = m - c about the state's own <J_z> = c.  A zero-probability outcome
-    has ln P = -inf and nan moments.
+    weights reduce to <J_z> and to Var J_z, the mean of (m - <J_z>)^2 about
+    each posterior's own <J_z>, as `moments` takes it.  A zero-probability
+    outcome has ln P = -inf and nan moments.
     """
     return _conditioner(params, state)(n_c, n_d)
 
@@ -625,18 +619,9 @@ class _OutcomeTable:
         a block is yielded only once its rows sum to each total's Poisson mass.
         """
         lo, hi = self.lo, self.cutoff_total
-        # Pois(n; lam) = exp(n ln lam - lam - ln n!); exactly [n == 0] at lam = 0
         log_lam = math.log(self._params.photon_mean / 2.0) + np.stack(
             _log_bases(self._params, self._m))
-        table = np.multiply.outer(log_lam, np.arange(hi + 1))
-        with np.errstate(under="ignore"):
-            table -= self._lf
-            table -= np.exp(log_lam)[..., None]
-            # out of place: freeing the argument, as large as the table, lets
-            # glibc's malloc keep the CSV writer's per-chunk scratch in its
-            # heap instead of faulting fresh pages in for every chunk (60k
-            # page faults, 0.15 s, on a table of 1.07M rows on a 2-core host)
-            table = np.exp(table)
+        table = _poisson_rows(log_lam, np.arange(hi + 1), self._lf)
         table[0] *= self._weights[:, None]
         by_total = np.empty(hi - lo + 1)
         start = 0
@@ -719,6 +704,22 @@ def _mixture_rows(a: np.ndarray, b: np.ndarray, lo: int):
         yield buffer[:start]
 
 
+def _poisson_rows(log_lam: np.ndarray, n: np.ndarray, lf: np.ndarray) -> np.ndarray:
+    """Pois(n; lam) = exp(n ln lam - lam - ln n!) for ln lam = log_lam[..., None],
+    the counts n and their ln n! lf: the one builder of per-port Poisson
+    tables.  A dark port's ln lam holds the _LOG_ZERO sentinel: lam
+    underflows to 0 and the row is exactly [n == 0], however large n."""
+    table = log_lam[..., None] * n
+    with np.errstate(under="ignore"):
+        table -= lf
+        table -= np.exp(log_lam)[..., None]
+        # out of place: freeing the argument, as large as the table, lets
+        # glibc's malloc keep the CSV writer's per-chunk scratch in its
+        # heap instead of faulting fresh pages in for every chunk (60k
+        # page faults, 0.15 s, on a table of 1.07M rows on a 2-core host)
+        return np.exp(table)
+
+
 def _seed_array(seeds) -> np.ndarray:
     """The seeds as a uint64 array; DomainError for any outside [0, 2^64)."""
     if isinstance(seeds, np.ndarray) and seeds.dtype.kind == "u":
@@ -730,37 +731,98 @@ def _seed_array(seeds) -> np.ndarray:
     return np.array(seeds, dtype=np.uint64)
 
 
-def sample_outcomes(dist: OutcomeDistribution, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-CDF draws from the captured entries, renormalized: (n_c, n_d).
+def _uniforms(seeds: np.ndarray, k: int) -> np.ndarray:
+    """Uniform k of each uint64 seed x: the top 53 bits, times 2^-53, of
+    SplitMix64's (k+1)-th output from state x (Steele, Lea & Flood, OOPSLA
+    2014; Vigna's splitmix64.c).  uint64 array arithmetic wraps mod 2^64."""
+    z = seeds + np.uint64((k + 1) * 0x9E3779B97F4A7C15 % (1 << 64))
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-53
 
-    Draw i uses the first uniform of numpy's PCG64 stream keyed by seeds[i]
-    (`Generator(PCG64(seed)).random()`, computed in-package for the whole
-    block), so a given (distribution, seed) pair yields the same outcome on
-    every platform and numpy version.  A seed outside [0, 2^64) raises
-    DomainError.
+
+def _inverse_cdf(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per draw b, the least j with cdf[rows[b], j] > u[b] cdf[rows[b], -1],
+    as `searchsorted(side="right")` finds it, by one bisection of all rows."""
+    flat, width = cdf.ravel(), cdf.shape[1]
+    first = rows * width
+    target = u * flat[first + width - 1]
+    lo = np.zeros(rows.size, dtype=np.int64)
+    hi = np.full(rows.size, width - 1, dtype=np.int64)
+    for _ in range(width.bit_length()):
+        mid = (lo + hi) >> 1
+        above = flat[first + mid] > target
+        np.copyto(hi, mid, where=above)
+        np.copyto(lo, mid + 1, where=~above)
+    return lo
+
+
+def _sampler(params: QndParams, state: CollectiveState):
+    """`sample_outcomes` on one state, as a function of the seeds; the
+    tables are built once, here.
+
+    A shot is an exact draw from the mixture of `outcome_distribution` by
+    three uniforms of its seed: u0 picks m_z by inverse CDF over |psi_m|^2,
+    then u1 and u2 pick n_c ~ Pois(lam_c(m)) and n_d ~ Pois(lam_d(m)) by
+    inverse CDF over a window of counts.  Each CDF row is scaled by its own
+    total T, and u < 1 gives u T < T: no draw leaves its row or is clamped,
+    and none lands on an entry of zero mass.
+
+    The window of Pois(lam) covers lam +- t, t = a/3 + sqrt(a^2/9 + 2 a lam)
+    with a = _TAIL = 43.  Chernoff's bounds P(X >= lam + t) <=
+    exp(-t^2 / (2 (lam + t/3))) and P(X <= lam - t) <= exp(-t^2 / (2 lam))
+    leave at most e^-a in each tail: 2 e^-43 < 2^-60 outside.  Every row is
+    as wide as the widest window; the tables, 2 x support x width, are
+    refused over MAX_ENTRIES before any is built, which also keeps every
+    count below 2^53.
     """
-    # imported here, so that importing the package does not load it
-    from ._pcg64 import first_uniforms
+    if not state.is_normalized():
+        raise PreconditionError("sampling outcomes needs a normalized state")
+    m, weights = state.support()
+    cdf_m = np.cumsum(weights)
+    log_lam = math.log(params.photon_mean / 2.0) + np.stack(_log_bases(params, m))
+    lam = np.exp(log_lam)
+    # sqrt(a^2/9 + 2 a lam), in a form that stays finite at any finite lam
+    t = _TAIL / 3.0 + math.sqrt(2.0 * _TAIL) * np.sqrt(lam + _TAIL / 18.0)
+    width = int(2.0 * t.max()) + 3
+    if 2 * m.size * width > MAX_ENTRIES:
+        raise ResourceCapError(f"the sampler's per-port Poisson tables (2 x {m.size} x "
+                               f"{width}) are over the cap of {MAX_ENTRIES} entries")
+    lo = np.maximum(0.0, np.floor(lam - t)).astype(np.int64)
+    cdf = np.empty(lam.shape + (width,))
+    for port in range(2):
+        n = lo[port, :, None] + np.arange(width)
+        np.cumsum(_poisson_rows(log_lam[port], n, log_factorial(n)), axis=1,
+                  out=cdf[port])
+    # row i of port c, row size + i of port d
+    cdf, lo = cdf.reshape(2 * m.size, width), lo.ravel()
 
-    seeds = _seed_array(seeds)
-    if dist.captured_mass <= 0.0 or dist.p.size == 0:
-        raise DomainError("cannot sample from an empty distribution")
-    target = first_uniforms(seeds) * dist.captured_mass
-    idx = np.searchsorted(dist._cumulative, target, side="right")
-    # side="right" never selects a zero-mass entry (its cumulative sum equals
-    # its predecessor's); a draw past the end takes the last entry with mass
-    past = idx == dist.p.size
-    if past.any():
-        live = np.flatnonzero(dist.p)
-        if live.size == 0:
-            raise DomainError("distribution carries no probability mass")
-        idx[past] = live[-1]
-    return dist.n_c[idx], dist.n_d[idx]
+    def draw(seeds):
+        seeds = _seed_array(seeds)
+        i = np.searchsorted(cdf_m, _uniforms(seeds, 0) * cdf_m[-1], side="right")
+        rows = np.concatenate([i, i + m.size])
+        counts = lo[rows] + _inverse_cdf(cdf, rows, np.concatenate(
+            [_uniforms(seeds, 1), _uniforms(seeds, 2)]))
+        return counts[:seeds.size], counts[seeds.size:]
+
+    return draw
 
 
-def sample_outcome(dist: OutcomeDistribution, seed: int) -> PhotonOutcome:
-    """One draw of `sample_outcomes`, keyed by `seed`."""
-    n_c, n_d = sample_outcomes(dist, [seed])
+def sample_outcomes(params: QndParams, state: CollectiveState,
+                    seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Exact draws (n_c, n_d) on a normalized state, shot i keyed by seeds[i]
+    (see `_sampler`): the same on every platform, alone or in any block.
+    A seed outside [0, 2^64) raises DomainError."""
+    return _sampler(params, state)(seeds)
+
+
+def sample_outcome(params: QndParams, state: CollectiveState, seed: int) -> PhotonOutcome:
+    """One draw of `sample_outcomes`, keyed by `seed`; it builds the tables
+    afresh, so draw many shots with one `sample_outcomes` call."""
+    n_c, n_d = sample_outcomes(params, state, [seed])
     return PhotonOutcome(int(n_c[0]), int(n_d[0]))
 
 

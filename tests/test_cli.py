@@ -21,9 +21,11 @@ from qnd_povm.approx import gaussian_model
 from qnd_povm.cli import main
 from qnd_povm.config import ExperimentConfig, build_params, parse_angle
 from qnd_povm.errors import ConfigError, DomainError, ResourceCapError
-from qnd_povm.povm import (PhotonOutcome, amplitude, condition, log_amplitude,
-                           outcome_distribution, sample_outcome)
+from qnd_povm.povm import (PhotonOutcome, amplitude, condition, condition_many,
+                           log_amplitude, outcome_distribution)
 from qnd_povm.spin_state import moments
+
+import shot_oracle
 
 
 def run_cli(*argv):
@@ -422,6 +424,44 @@ def test_measure_squeezes_on_average(tmp_path):
     # r scatters around zero with the distribution's own shot width
     sigma_shot = np.std(rs) / math.sqrt(len(rs))
     assert abs(np.mean(rs)) < 5.0 * sigma_shot + 0.05
+
+
+def test_measure_at_20000_photons(tmp_path):
+    # far past any enumerable photon window: the sampler draws from windows
+    # of about 2660 counts per port and m_z
+    cfg = dict(BASE, N=200, params={"gamma": [100, 0], "chi": [100, 0], "gt": "pi/N"},
+               shots=200, seed=11)
+    out = tmp_path / "m.jsonl"
+    assert run_cli("measure", "--config", write_config(tmp_path, "m.json", cfg),
+                   "--out", str(out)) == 0
+    records = _records(out)
+    assert len(records) == 200
+    assert all(math.isfinite(rec["log_prob"]) for rec in records)
+    n_c = np.array([rec["n_c"] for rec in records])
+    n_d = np.array([rec["n_d"] for rec in records])
+    s = 20000.0
+    assert abs(np.mean(n_c + n_d) - s) < 6.0 * math.sqrt(s / 200)
+    run = ExperimentConfig.from_dict("measure", cfg)
+    log_p, mean_jz, var_jz = condition_many(run.params(), n_c, n_d, run.initial_state())
+    for key, want in (("log_prob", log_p), ("mean_jz", mean_jz), ("var_jz", var_jz)):
+        assert [rec[key] for rec in records] == want.tolist()
+
+
+def test_measure_ignores_mass_tolerance_and_refuses_max_total(tmp_path, capsys):
+    cfg = dict(BASE, N=10, shots=40, seed=3)
+    plain, tolerant = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    assert run_cli("measure", "--config", write_config(tmp_path, "a.json", cfg),
+                   "--out", str(plain)) == 0
+    assert run_cli("measure", "--config", write_config(
+        tmp_path, "b.json", dict(cfg, mass_tolerance=0.5)), "--out", str(tolerant)) == 0
+    assert plain.read_bytes() == tolerant.read_bytes()
+    capsys.readouterr()
+    out = tmp_path / "c.jsonl"
+    assert run_cli("measure", "--config", write_config(tmp_path, "c.json", dict(
+        cfg, max_total=200)), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: config rejected: config.max_total is not allowed\n"
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------- wigner
@@ -1059,9 +1099,8 @@ def test_measure_partial_last_block_writes_every_shot(tmp_path, shots):
     # each record is the per-shot draw, conditioned one outcome at a time
     run = ExperimentConfig.from_dict("measure", cfg)
     params, state = run.params(), run.initial_state()
-    dist = _small_distribution()
     for rec in records[::7] + records[-3:]:
-        o = sample_outcome(dist, rec["seed"])
+        o = PhotonOutcome(*shot_oracle.draw(params, state, rec["seed"]))
         assert (rec["n_c"], rec["n_d"]) == (o.n_c, o.n_d)
         log_p, post = condition(params, o, state)
         got = moments(post)
@@ -1167,14 +1206,19 @@ def test_photon_window_over_the_row_cap_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["photon-dist", "measure"])
 def test_poisson_tables_over_the_cap_exit_3(tmp_path, capsys, command):
-    # 2 x 7611 x 1970 table entries, one row per nonzero amplitude of the
-    # N=20000 coherent state: refused before any table is allocated
-    cfg = dict(BASE, N=20000, params={"gamma": [30, 0], "chi": [30, 0], "gt": "pi/N"})
+    # one row per nonzero amplitude of the N=20000 coherent state, over
+    # n = 0..hi for photon-dist at a mean of 1800 photons and over a window
+    # per m_z for measure's sampler at 7200: refused before any table is
+    # allocated
+    light, tables = {"photon-dist": (30, "per-port Poisson tables (2 x 7611 x 1970)"),
+                     "measure": (60, "sampler's per-port Poisson tables (2 x 7611 x 1423)")
+                     }[command]
+    cfg = dict(BASE, N=20000, params={"gamma": [light, 0], "chi": [light, 0], "gt": "pi/N"})
     if command == "measure":
         cfg["shots"] = 3
     path = write_config(tmp_path, "big.json", cfg)
     assert run_cli(command, "--config", path, "--out", str(tmp_path / "big.out")) == 3
-    assert "per-port Poisson tables (2 x 7611 x 1970)" in capsys.readouterr().err
+    assert tables in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["big.json"]
 
 
@@ -1254,18 +1298,20 @@ def test_parser_registers_only_the_flags_each_command_reads():
     assert flags == {
         "amp-scan": ["--config", "--format", "--out"],
         "photon-dist": ["--config", "--format", "--mass-tol", "--out"],
-        "measure": ["--config", "--mass-tol", "--out", "--seed"],
+        "measure": ["--config", "--out", "--seed"],
         "wigner": ["--config", "--format", "--out"],
         "project": ["--config", "--out"],
         "validate": ["--config", "--out", "--seed"],
     }
-    assert sum(map(len, flags.values())) == 19
+    assert sum(map(len, flags.values())) == 18
 
 
 @pytest.mark.parametrize("argv", [
     ["project", "--format", "csv"],
     ["wigner", "--seed", "3"],
     ["amp-scan", "--mass-tol", "1e-6"],
+    # measure draws exactly, with no photon window to hold a mass
+    ["measure", "--mass-tol", "1e-6"],
 ])
 def test_flag_a_command_does_not_read_is_rejected(tmp_path, argv, capsys):
     path = write_config(tmp_path, "c.json", {})
@@ -1279,7 +1325,7 @@ def test_flag_a_command_does_not_read_is_rejected(tmp_path, argv, capsys):
     ["validate", "--seed", "-1"],
     ["measure", "--seed", "-1"],
     ["photon-dist", "--mass-tol", "2"],
-    ["measure", "--mass-tol", "0"],
+    ["photon-dist", "--mass-tol", "0"],
 ])
 def test_override_flags_pass_the_config_schema(tmp_path, argv, capsys):
     cfg = dict(BASE, shots=2, mass_tolerance=1e-6)

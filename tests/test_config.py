@@ -21,8 +21,7 @@ VALID = json.loads(json.dumps({
     "amp-scan": {"cases": [{"label": "a", "params": PARAMS, "N": 10, "outcome": OUTCOME},
                            {"label": "b.2", "params": PARAMS, "N": 12, "outcome": OUTCOME}]},
     "photon-dist": dict(STATE, mass_tolerance=1e-6, max_total=200),
-    "measure": dict(STATE, shots=5, seed=3, mass_tolerance=1e-6, max_total=200,
-                    dump_posteriors=False),
+    "measure": dict(STATE, shots=5, seed=3, mass_tolerance=1e-6, dump_posteriors=False),
     "wigner": dict(STATE, state="posterior", outcome=OUTCOME,
                    grid={"n_theta": 5, "n_phi": 7}),
     "project": dict(STATE, initial={"type": "dicke", "m": 2}, outcome=OUTCOME),

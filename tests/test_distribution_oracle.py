@@ -20,13 +20,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from qnd_povm import povm
 from qnd_povm.numerics import log_factorial
 from qnd_povm.povm import (PhotonOutcome, QndParams, _log_bases,
-                           outcome_distribution, sample_outcome)
+                           outcome_distribution, sample_outcomes)
 from qnd_povm.spin_state import coherent_state, dicke_state
 from qnd_povm.validate import random_state
+
+import shot_oracle
 
 P_REF = QndParams(gamma=5.1, chi=5.0, gt=math.pi / 100.0)
 P_SYM = QndParams(gamma=5.0, chi=5.0, gt=math.pi / 2.0)
@@ -74,17 +77,6 @@ def reference_distribution(params, state, mass_tolerance):
     return tuple(entries), hi, mass
 
 
-def reference_sample(entries, captured_mass, cumulative, seed):
-    """Inverse-CDF draw over (outcome, p) pairs, stepping off zero-mass entries."""
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
-    target = rng.random() * captured_mass
-    idx = min(int(np.searchsorted(cumulative, target, side="right")),
-              len(entries) - 1)
-    while idx > 0 and entries[idx][1] == 0.0:
-        idx -= 1
-    return entries[idx][0]
-
-
 CASES = {
     "coherent": (P_REF, lambda: coherent_state(20, math.pi / 3.0), 1e-9),
     # half-integer m_z, every amplitude nonzero
@@ -122,12 +114,45 @@ def test_columns_equal_reference_enumeration(case):
         assert np.count_nonzero(dist.p == 0.0) > dist.p.size // 2
 
 
-def test_sample_matches_reference_inverse_cdf(case):
-    _, dist, (entries, _, mass) = case
-    cumulative = np.cumsum(np.array([p for _, p in entries]))
-    for seed in range(1000):
-        assert sample_outcome(dist, seed) == reference_sample(
-            entries, mass, cumulative, seed)
+# consecutive seeds that pass 2^64 - 1 halfway, as measure's seed + shot can
+SHOT_SEEDS = [(2**64 - 500 + i) % 2**64 for i in range(1000)]
+
+
+@pytest.mark.parametrize("name", [*sorted(CASES), "dim_light"])
+def test_sample_matches_reference_inverse_cdf(name):
+    if name == "dim_light":
+        # s = 0.45: about two shots in three count no photon
+        params = QndParams(gamma=complex(0.5, 0.2), chi=0.4, gt=math.pi / 40.0)
+        state = coherent_state(40, math.pi / 2.0)
+    else:
+        params, make_state, _ = CASES[name]
+        state = make_state()
+    n_c, n_d = sample_outcomes(params, state, SHOT_SEEDS)
+    got = list(zip(n_c.tolist(), n_d.tolist()))
+    assert got == [shot_oracle.draw(params, state, seed) for seed in SHOT_SEEDS]
+    zero = got.count((0, 0))
+    assert 550 < zero < 750 if name == "dim_light" else zero == 0
+
+
+def test_sample_chi_square_against_the_distribution():
+    # 200k shots at N = 10 and s = 10.0 against the enumerated law, in
+    # bins of at least 5 expected shots and one bin for the rest
+    params = QndParams(gamma=2.3, chi=2.17, gt=math.pi / 10.0)
+    state = coherent_state(10, 1.1)
+    dist = outcome_distribution(params, state, 1e-12)
+    shots = 200_000
+    n_c, n_d = sample_outcomes(params, state, np.arange(shots, dtype=np.uint64) + 77)
+    width = int(max(n_c.max(), n_d.max(), dist.n_c.max(), dist.n_d.max())) + 1
+    seen = np.bincount(n_c * width + n_d, minlength=width * width)
+    want = np.zeros(width * width)
+    want[dist.n_c * width + dist.n_d] = dist.p / dist.captured_mass * shots
+    assert not seen[want == 0.0].any()
+    big = want >= 5.0
+    observed = np.append(seen[big], seen[~big].sum())
+    expected = np.append(want[big], shots - want[big].sum())
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    assert big.sum() > 100
+    assert scipy.stats.chi2.sf(chi2, observed.size - 1) > 1e-3
 
 
 def test_columns_are_read_only(case):

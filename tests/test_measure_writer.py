@@ -1,8 +1,9 @@
 """`measure` records against the per-shot loop they replaced.
 
-The reference draws each shot with numpy's own `Generator(PCG64(seed))`
-and writes each record as `json.dumps(record, sort_keys=True)`; the CLI
-must write the same bytes, and the same posterior dump files.
+The reference draws each shot with the plain-Python oracle
+(`shot_oracle.draw`) and writes each record as
+`json.dumps(record, sort_keys=True)`; the CLI must write the same bytes,
+and the same posterior dump files.
 """
 
 import json
@@ -13,32 +14,23 @@ import pytest
 
 from qnd_povm import _csvrows, cli
 from qnd_povm.config import ExperimentConfig
-from qnd_povm.povm import PhotonOutcome, condition, condition_many, outcome_distribution
+from qnd_povm.povm import PhotonOutcome, condition, condition_many
 from qnd_povm.spin_state import moments, state_to_json
 
-
-def reference_sample(dist, seed):
-    """Inverse-CDF draw on numpy's first PCG64 uniform, stepping off zero mass."""
-    target = np.random.Generator(np.random.PCG64(seed)).random() * dist.captured_mass
-    idx = min(int(np.searchsorted(np.cumsum(dist.p), target, side="right")), dist.p.size - 1)
-    while idx > 0 and dist.p[idx] == 0.0:
-        idx -= 1
-    return PhotonOutcome(int(dist.n_c[idx]), int(dist.n_d[idx]))
+import shot_oracle
 
 
 def reference_measure(raw, out):
     """(JSONL text, {dump file name: text}) of the per-record writer."""
     cfg = ExperimentConfig.from_dict("measure", raw)
     params, state = cfg.params(), cfg.initial_state()
-    dist = outcome_distribution(params, state, raw.get("mass_tolerance", 1e-9),
-                                max_total=raw.get("max_total"))
     prior_var = moments(state).var_jz
     seed, shots = raw.get("seed", 0), raw["shots"]
     lines, dumps = [], {}
     for lo in range(0, shots, cli._SHOT_BLOCK):
         block = range(lo, min(lo + cli._SHOT_BLOCK, shots))
         seeds = [(seed + shot) % (1 << 64) for shot in block]
-        outcomes = [reference_sample(dist, s) for s in seeds]
+        outcomes = [PhotonOutcome(*shot_oracle.draw(params, state, s)) for s in seeds]
         log_p, mean_jz, var_jz = condition_many(
             params, [o.n_c for o in outcomes], [o.n_d for o in outcomes], state)
         for shot, shot_seed, outcome, lp, mean, var in zip(
@@ -159,8 +151,8 @@ def test_records_null_rows_and_edge_values():
 
 @pytest.mark.parametrize("shots", [1, 1023, 1025, 2100])
 def test_measure_records_across_draw_blocks(tmp_path, shots):
-    # shot counts around and past one block of draws, none a multiple of the
-    # record block, with seed + shot passing 2^64 - 1 inside the run
+    # shot counts from one shot to past eight blocks, none a multiple of the
+    # block, with seed + shot passing 2^64 - 1 inside the run
     raw = dict(BASE, N=10, shots=shots, seed=(1 << 64) - 1000)
     out = tmp_path / "m.jsonl"
     assert cli.run("measure", dict(raw), str(out)) == 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qnd_povm import _pcg64, povm, validate
+from qnd_povm import povm, validate
 from qnd_povm.approx import approx_apply
 from qnd_povm.errors import DomainError, PreconditionError, ResourceCapError
 from qnd_povm.povm import (OutcomeDistribution, PhotonOutcome, QndParams,
@@ -19,6 +19,8 @@ from qnd_povm.spin_state import (CollectiveState, coherent_state,
                                  dicke_state, moments, normalize, overlap)
 from qnd_povm.validate import (check_dicke_invariance, check_dual_form,
                                check_photon_conservation, check_unity, random_state)
+
+import shot_oracle
 
 P_REF = QndParams(gamma=5.1, chi=5.0, gt=math.pi / 100.0)
 P_SYM = QndParams(gamma=5.0, chi=5.0, gt=math.pi / 2.0)
@@ -422,96 +424,97 @@ def test_unity_detail_prints_the_mass_to_ten_decimals():
 # -------------------------------------------------------------------- sampling
 
 def test_sample_single_entry():
-    dist = OutcomeDistribution(n_c=np.array([3]), n_d=np.array([4]),
-                               p=np.array([1.0]), cutoff_total=7,
-                               captured_mass=1.0)
-    for seed in (0, 1, 99, 2**63):
-        assert sample_outcome(dist, seed) == PhotonOutcome(3, 4)
+    # light so faint that every count but (0, 0) has a probability below 1e-299
+    faint = QndParams(gamma=1e-150, chi=1e-150, gt=math.pi / 2.0)
+    for seed in (0, 1, 99, 2**63, 2**64 - 1):
+        assert sample_outcome(faint, coherent_state(10, 1.0), seed) == PhotonOutcome(0, 0)
 
 
 def test_sample_two_equal_entries_frequencies():
-    dist = OutcomeDistribution(
-        n_c=np.array([0, 1]), n_d=np.array([1, 0]), p=np.array([0.5, 0.5]),
-        cutoff_total=1, captured_mass=1.0)
+    # at gt = pi/2, m = 1 all but closes port c and m = -1 port d: an equal
+    # superposition sends each shot's photons to one port, each half the time
+    state = CollectiveState(8, (dicke_state(4, 1).amps + dicke_state(4, -1).amps)
+                            / math.sqrt(2.0))
     n = 100_000
-    hits = int(sample_outcomes(dist, np.arange(n, dtype=np.uint64))[0].sum())
+    n_c, n_d = sample_outcomes(P_SYM, state, np.arange(n, dtype=np.uint64))
+    assert np.array_equal(n_c == 0, n_d > 0)
     # 6-sigma band around one half at this sample size is about +-0.01
-    assert abs(hits / n - 0.5) < 0.01
+    assert abs(np.mean(n_c == 0) - 0.5) < 0.01
 
 
 def test_sample_deterministic():
     st = coherent_state(30, math.pi / 2.0)
-    dist = outcome_distribution(P_REF, st, 1e-6)
-    a = sample_outcome(dist, 123456789)
-    b = sample_outcome(dist, 123456789)
+    a = sample_outcome(P_REF, st, 123456789)
+    b = sample_outcome(P_REF, st, 123456789)
     assert a == b
 
 
 def test_sample_empty_distribution():
-    dist = OutcomeDistribution(n_c=np.array([], dtype=np.int64),
-                               n_d=np.array([], dtype=np.int64),
-                               p=np.array([]), cutoff_total=0, captured_mass=0.0)
-    with pytest.raises(DomainError):
-        sample_outcome(dist, 1)
+    # a state with no amplitude has no outcome law
+    with pytest.raises(PreconditionError):
+        sample_outcome(P_REF, CollectiveState(4, np.zeros(5)), 1)
 
 
-def numpy_first_uniform(seed):
-    return np.random.Generator(np.random.PCG64(int(seed))).random()
-
-
-@pytest.mark.parametrize("block", [1, 128])
-def test_first_uniforms_equal_numpy_pcg64(block):
-    rng = np.random.default_rng(20261018)
-    seeds = np.concatenate([
-        np.array([0, 1, 2**32 - 1, 2**32, 2**48, 2**63, 2**64 - 1], dtype=np.uint64),
-        rng.integers(0, 2**64, 10_000, dtype=np.uint64, endpoint=False),
-        rng.integers(0, 2**32, 10_000, dtype=np.uint64, endpoint=False),
-    ])
-    got = np.concatenate([_pcg64.first_uniforms(seeds[lo:lo + block])
-                          for lo in range(0, seeds.size, block)])
-    want = np.array([numpy_first_uniform(s) for s in seeds.tolist()])
-    assert np.array_equal(got, want)
+def test_uniforms_equal_splitmix64():
+    # the first outputs of splitmix64.c from state 0, then seeds across the
+    # whole range against the big-integer transcription
+    assert [shot_oracle.splitmix64(0)[1], shot_oracle.splitmix64(0x9E3779B97F4A7C15)[1],
+            shot_oracle.splitmix64(0x3C6EF372FE94F82A)[1]] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    rng = np.random.default_rng(20261019)
+    seeds = np.concatenate([np.array([0, 1, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64),
+                            rng.integers(0, 2**64, 1000, dtype=np.uint64, endpoint=False)])
+    got = np.stack([povm._uniforms(seeds, k) for k in range(3)], axis=1)
+    assert got.tolist() == [shot_oracle.uniforms(s) for s in seeds.tolist()]
+    assert got.min() >= 0.0 and got.max() < 1.0
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**64), 2**64, 2**70])
 def test_sample_rejects_seeds_outside_uint64(seed):
-    dist = OutcomeDistribution(n_c=np.array([3]), n_d=np.array([4]),
-                               p=np.array([1.0]), cutoff_total=7,
-                               captured_mass=1.0)
+    st = coherent_state(4, 1.0)
     with pytest.raises(DomainError, match="outside"):
-        sample_outcome(dist, seed)
+        sample_outcome(P_REF, st, seed)
     with pytest.raises(DomainError, match="outside"):
-        sample_outcomes(dist, np.array([5, seed], dtype=object))
+        sample_outcomes(P_REF, st, np.array([5, seed], dtype=object))
     with pytest.raises(DomainError, match="outside"):
-        sample_outcomes(dist, [2**64 - 1, seed])
+        sample_outcomes(P_REF, st, [2**64 - 1, seed])
 
 
 def test_sample_outcomes_is_the_per_seed_draw():
-    dist = outcome_distribution(P_REF, coherent_state(30, math.pi / 2.0), 1e-9)
+    st = coherent_state(30, math.pi / 2.0)
     seeds = np.arange(2**64 - 150, 2**64, dtype=np.uint64)
-    n_c, n_d = sample_outcomes(dist, seeds)
+    n_c, n_d = sample_outcomes(P_REF, st, seeds)
     assert n_c.dtype == n_d.dtype == np.int64
     assert [PhotonOutcome(c, d) for c, d in zip(n_c.tolist(), n_d.tolist())] == [
-        sample_outcome(dist, s) for s in seeds.tolist()]
+        sample_outcome(P_REF, st, s) for s in seeds.tolist()]
     # signed arrays and Python ints draw as the same seeds do as uint64
     low = seeds >> np.uint64(2)
     for same in (low.astype(np.int64), low.tolist()):
-        assert np.array_equal(sample_outcomes(dist, same)[0], sample_outcomes(dist, low)[0])
+        assert np.array_equal(sample_outcomes(P_REF, st, same)[0],
+                              sample_outcomes(P_REF, st, low)[0])
 
 
-def test_sample_steps_off_trailing_zero_mass():
-    # a captured mass past the cumulative sum sends draws past the last entry;
-    # they land on the last entry that carries probability, never a zero
-    dist = OutcomeDistribution(n_c=np.arange(5), n_d=np.zeros(5, dtype=np.int64),
-                               p=np.array([0.0, 0.5, 0.0, 0.5, 0.0]), cutoff_total=4,
-                               captured_mass=2.0)
-    n_c, _ = sample_outcomes(dist, np.arange(4000, dtype=np.uint64))
-    assert set(n_c.tolist()) == {1, 3}
-    assert abs(np.mean(n_c == 3) - 0.75) < 0.05
-    dead = OutcomeDistribution(n_c=np.arange(2), n_d=np.zeros(2, dtype=np.int64),
-                               p=np.zeros(2), cutoff_total=1, captured_mass=1.0)
-    with pytest.raises(DomainError, match="no probability mass"):
-        sample_outcome(dead, 0)
+def test_sample_steps_off_trailing_zero_mass(monkeypatch):
+    # port c is all but dark on m = 1, so its CDF row is flat at 1 past n = 0,
+    # and port d's flattens in the far tail of its window: the extreme
+    # uniforms stay inside each row, never on an entry that adds no mass
+    st = dicke_state(4, 1)
+    lam_d = P_SYM.photon_mean
+    for u in (0.0, 1.0 - 2.0**-53):
+        monkeypatch.setattr(povm, "_uniforms", lambda seeds, k: np.full(seeds.size, u))
+        n_c, n_d = sample_outcomes(P_SYM, st, [0, 1])
+        assert n_c.tolist() == [0, 0]
+        assert (n_d[0] < lam_d) if u == 0.0 else (n_d[0] > lam_d)
+        assert np.isfinite(povm.condition_many(P_SYM, n_c, n_d, st)[0]).all()
+
+
+def test_sampler_tables_capped_before_any_table(monkeypatch):
+    # 2 x 7611 x 1423 window entries, one row per nonzero amplitude
+    monkeypatch.setattr(povm, "_poisson_rows", _no_tables)
+    monkeypatch.setattr(povm, "log_factorial", _no_tables)
+    bright = QndParams(gamma=60.0, chi=60.0, gt=math.pi / 20000)
+    with pytest.raises(ResourceCapError, match=r"\(2 x 7611 x 1423\) are over the cap"):
+        sample_outcomes(bright, coherent_state(20000, math.pi / 2.0), [0])
 
 
 # ------------------------------------------------------------------- posterior
@@ -640,6 +643,14 @@ def test_condition_many_variance_near_a_dicke_state():
         want = moments(condition(P_REF, PhotonOutcome(*out), st)[1]).var_jz
         assert 0.0 < want < 1e-25
         assert abs(var_jz[i] - want) <= 1e-9 * want
+    # a posterior pinned near m = -2, off the prior's <J_z> = 0: the
+    # variance is taken about the posterior's own <J_z>
+    bright = QndParams(gamma=60.0, chi=61.2, gt=0.3)
+    st = coherent_state(40, math.pi / 2.0)
+    var = povm.condition_many(bright, [5876], [1469], st)[2][0]
+    want = moments(condition(bright, PhotonOutcome(5876, 1469), st)[1]).var_jz
+    assert 0.0 < want < 1e-9
+    assert abs(var - want) <= 1e-9 * want
 
 
 def test_condition_many_zero_probability_row():
