@@ -35,8 +35,7 @@ import numpy as np
 from . import __version__
 from .errors import (MAX_ENTRIES, ConfigError, DomainError, PreconditionError,
                      QndError, ResourceCapError)
-from .povm import (PhotonOutcome, _conditioner, _OutcomeTable, _sampler, condition, eigen,
-                   posterior)
+from .povm import PhotonOutcome, _Mixture, _OutcomeTable, condition, eigen, posterior
 from .spin_state import moments, state_to_json
 
 HEADER = f"# qnd-povm v{__version__}, schema v1"
@@ -247,8 +246,8 @@ def cmd_measure(cfg: ExperimentConfig, out, fmt) -> int:
             f"dumping {cfg.raw['shots']} posteriors of dimension {cfg.n_atoms + 1} "
             f"writes over the cap of {MAX_ENTRIES} amplitudes")
     dump_dir = f"{out}.posteriors"
-    draw = _sampler(params, state)
-    conditioned = _conditioner(params, state)
+    mixture = _Mixture(params, state)
+    draw = mixture.sampler()
     prior_var = moments(state).var_jz
     shots = cfg.raw["shots"]
     staged = _staged_dir(dump_dir) if dump else contextlib.nullcontext()
@@ -259,7 +258,7 @@ def cmd_measure(cfg: ExperimentConfig, out, fmt) -> int:
             seeds = np.arange(lo, min(lo + _SHOT_BLOCK, shots), dtype=np.uint64)
             seeds += np.uint64(seed)
             n_c, n_d = draw(seeds)
-            log_p, mean_jz, var_jz = conditioned(n_c, n_d)
+            log_p, mean_jz, var_jz = mixture.condition_many(n_c, n_d)
             dead = np.flatnonzero(log_p == -math.inf)
             if dead.size:
                 j = int(dead[0])

@@ -39,7 +39,7 @@ _BLOCK = 128
 _TILE = 32
 # outcomes per conditioning pass: bounds the kernel's two rows x support buffers
 _ROWS = 128
-# the sampler's window of Pois(lam) leaves at most e^-_TAIL in each tail
+# the sampler's `window` of Pois(lam) leaves at most e^-_TAIL in each tail
 _TAIL = 43.0
 
 
@@ -286,8 +286,8 @@ class _Kernel:
         self._log_w = log_w
         self._s = params.photon_mean
         self._log_half_s = math.log(self._s / 2.0)
-        self._bases = _log_bases(params, self.m)
-        zeros = tuple(base == _LOG_ZERO for base in self._bases)
+        self.bases = _log_bases(params, self.m)
+        zeros = tuple(base == _LOG_ZERO for base in self.bases)
         self._zeros = zeros if zeros[0].any() or zeros[1].any() else None
         self._buffers = (np.empty(0), np.empty(0))
 
@@ -304,7 +304,7 @@ class _Kernel:
         if self._buffers[0].size < size:
             self._buffers = (np.empty(size), np.empty(size))
         log_e, scratch = (b[:size].reshape(shape) for b in self._buffers)
-        lc, ld = self._bases
+        lc, ld = self.bases
         log_c = -self._s / 2.0 + 0.5 * (n_c + n_d) * self._log_half_s
         np.multiply.outer(0.5 * n_c, lc, out=log_e)
         log_e += np.multiply.outer(0.5 * n_d, ld, out=scratch)
@@ -444,11 +444,119 @@ def apply(params: QndParams, outcome: PhotonOutcome,
     return scale_amplitudes(state, log_c + log_e, phase)
 
 
-def _support_kernel(params: QndParams, state: CollectiveState) -> _Kernel:
-    """The kernel over the support of a normalized state, with its weights."""
-    if not state.is_normalized():
-        raise PreconditionError("conditioning on an outcome needs a normalized state")
-    return _Kernel(params, *state.support(log=True))
+class _Mixture:
+    """The outcome law sum_m |psi_m|^2 Pois(n_c; lam_c(m)) Pois(n_d; lam_d(m))
+    of a normalized state, lam = (s/2) e^{log base} with lam_c + lam_d = s,
+    that conditioning, enumeration and sampling read.  Its kernel, ln lam and
+    one ln n! table are built on first use, so a cap acts before they exist."""
+
+    def __init__(self, params: QndParams, state: CollectiveState):
+        if not state.is_normalized():
+            raise PreconditionError("outcome statistics need a normalized state")
+        self.params, self.state = params, state
+        self.m, self.weights = state.support()
+        self._lf = np.empty(0)  # ln n! for n = 0 .. size - 1
+
+    @staticmethod
+    def reserve(entries: int, message: str):
+        """Refuse, before it is allocated, an array of over MAX_ENTRIES entries."""
+        if entries > MAX_ENTRIES:
+            raise ResourceCapError(message)
+
+    def log_factorials(self, top: int) -> np.ndarray:
+        """ln n! for n = 0..top, a view of the one table, grown as needed."""
+        if self._lf.size <= top:
+            self.reserve(top + 1, f"ln n! to {top} is over the cap of {MAX_ENTRIES} entries")
+            self._lf = np.append(self._lf, log_factorial(np.arange(self._lf.size, top + 1)))
+        return self._lf[:top + 1]
+
+    @cached_property
+    def kernel(self) -> _Kernel:
+        return _Kernel(self.params, self.m, self.state.support(log=True)[1])
+
+    @cached_property
+    def log_lam(self) -> np.ndarray:
+        return math.log(self.params.photon_mean / 2.0) + np.stack(self.kernel.bases)
+
+    def condition_many(self, n_c, n_d):
+        """`condition_many`, _ROWS outcomes at a time in the kernel's buffers."""
+        n_c, n_d = _counts(n_c, n_d)
+        log_p, mean, var = (np.empty(n_c.size) for _ in range(3))
+        for lo in range(0, n_c.size, _ROWS):
+            rows = slice(lo, lo + _ROWS)
+            log_p[rows], _, d, q = self.kernel.condition(n_c[rows], n_d[rows])
+            mean[rows] = q @ self.m
+            # a second pass, in E's buffer, about each row's own <J_z>: near a
+            # Dicke state <m^2> - <m>^2 would cancel
+            np.subtract(self.m, mean[rows, None], out=d)
+            d *= d
+            d *= q
+            var[rows] = d.sum(axis=1)
+        dead = log_p == -math.inf
+        mean[dead] = var[dead] = math.nan
+        return log_p, mean, var
+
+    def pmf(self, n: np.ndarray) -> np.ndarray:
+        """Pois(n; lam) = exp(n ln lam - lam - ln n!) for ln lam = log_lam[..., None]
+        and the counts n: the one builder of per-port Poisson tables.  A dark
+        port's ln lam holds the _LOG_ZERO sentinel: lam underflows to 0 and
+        the row is exactly [n == 0], however large n."""
+        lf = self.log_factorials(int(n.max()))
+        table = self.log_lam[..., None] * n
+        with np.errstate(under="ignore"):
+            table -= lf[n]
+            table -= np.exp(self.log_lam)[..., None]
+            # out of place: freeing the argument, as large as the table, lets
+            # glibc's malloc keep the CSV writer's per-chunk scratch in its
+            # heap instead of faulting fresh pages in for every chunk (60k
+            # page faults, 0.15 s, on a table of 1.07M rows on a 2-core host)
+            return np.exp(table)
+
+    def window(self, a: float):
+        """(lo, width): the counts lo .. lo + width - 1 of each port and m_z,
+        outside which Pois(lam) leaves at most e^-a in each tail.
+
+        The window covers lam +- t, t = a/3 + sqrt(a^2/9 + 2 a lam), by
+        Chernoff's bounds P(X >= lam + t) <= exp(-t^2 / (2 (lam + t/3))) and
+        P(X <= lam - t) <= exp(-t^2 / (2 lam)).  Every window is as wide as
+        the widest, and lo stops at 2^53, past which t is over 2^29.
+        """
+        lam = np.exp(self.log_lam)
+        # sqrt(a^2/9 + 2 a lam), in a form that stays finite at any finite lam
+        t = a / 3.0 + math.sqrt(2.0 * a) * np.sqrt(lam + a / 18.0)
+        return np.clip(np.floor(lam - t), 0, 2**53).astype(np.int64), int(2.0 * t.max()) + 3
+
+    def sampler(self):
+        """`sample_outcomes` on the state, as a function of the seeds.
+
+        The tables are built once, here.  A shot is an exact draw by three
+        uniforms of its seed: u0 picks m_z by inverse CDF over |psi_m|^2, then
+        u1 and u2 pick n_c ~ Pois(lam_c(m)) and n_d ~ Pois(lam_d(m)) by inverse
+        CDF over the `window` of a = _TAIL = 43, 2 e^-43 < 2^-60 outside.  Each
+        CDF row is scaled by its own total T, and u < 1 gives u T < T: no draw
+        leaves its row or is clamped, and none lands on an entry of zero mass.
+        The tables, 2 x support x width, and the ln n! table up to the largest
+        count are refused over MAX_ENTRIES before any is built, which also
+        keeps every count below 2^53.
+        """
+        cdf_m = np.cumsum(self.weights)
+        lo, width = self.window(_TAIL)
+        k = self.m.size
+        self.reserve(2 * k * width, f"the sampler's per-port Poisson tables (2 x {k} x "
+                                    f"{width}) are over the cap of {MAX_ENTRIES} entries")
+        cdf = self.pmf(lo[..., None] + np.arange(width))
+        # in place, and row i of port c, row k + i of port d
+        cdf = np.cumsum(cdf, axis=2, out=cdf).reshape(2 * k, width)
+
+        def draw(seeds):
+            seeds = _seed_array(seeds)
+            i = np.searchsorted(cdf_m, _uniforms(seeds, 0) * cdf_m[-1], side="right")
+            rows = np.concatenate([i, i + k])
+            counts = lo.ravel()[rows] + _inverse_cdf(cdf, rows, np.concatenate(
+                [_uniforms(seeds, 1), _uniforms(seeds, 2)]))
+            return counts[:seeds.size], counts[seeds.size:]
+
+        return draw
 
 
 def condition(params: QndParams, outcome: PhotonOutcome,
@@ -459,7 +567,7 @@ def condition(params: QndParams, outcome: PhotonOutcome,
     by the envelope shifted by half the same peak, with the per-m_z detector
     phases kept.  A zero-probability outcome gives (-inf, None).
     """
-    kernel = _support_kernel(params, state)
+    kernel = _Mixture(params, state).kernel
     log_p, shift, log_e, _ = kernel.condition(*_counts([outcome.n_c], [outcome.n_d]))
     if log_p[0] == -math.inf:
         return -math.inf, None
@@ -468,48 +576,15 @@ def condition(params: QndParams, outcome: PhotonOutcome,
         state, log_e[0] - shift[0] / 2.0, _phase(params, outcome, kernel.m)))
 
 
-def _conditioner(params: QndParams, state: CollectiveState):
-    """`condition_many` on one state, as a function of (n_c, n_d).
-
-    The normalization check, the support, its log weights and the envelope
-    bases are read once, here.  Every call conditions its outcomes _ROWS at
-    a time in the kernel's reused buffers, so its memory is bounded however
-    many outcomes it is given.
-    """
-    kernel = _support_kernel(params, state)
-    m = kernel.m
-
-    def conditioned(n_c, n_d):
-        n_c, n_d = _counts(n_c, n_d)
-        log_p, mean, var = (np.empty(n_c.size) for _ in range(3))
-        for lo in range(0, n_c.size, _ROWS):
-            rows = slice(lo, lo + _ROWS)
-            log_p[rows], _, d, q = kernel.condition(n_c[rows], n_d[rows])
-            mean[rows] = q @ m
-            # a second pass, in E's buffer, about each row's own <J_z>: near a
-            # Dicke state <m^2> - <m>^2 would cancel
-            np.subtract(m, mean[rows, None], out=d)
-            d *= d
-            d *= q
-            var[rows] = d.sum(axis=1)
-        dead = log_p == -math.inf
-        mean[dead] = var[dead] = math.nan
-        return log_p, mean, var
-
-    return conditioned
-
-
 def condition_many(params: QndParams, n_c, n_d, state: CollectiveState):
     """ln P, posterior <J_z> and posterior Var J_z of each outcome (n_c[b], n_d[b]).
 
-    The batched form of `condition` followed by `moments`: the bases are
-    read once over the support, every outcome's row of terms
-    2 E + ln |psi_m|^2 is shifted by its own peak, and the normalized
-    weights reduce to <J_z> and to Var J_z, the mean of (m - <J_z>)^2 about
-    each posterior's own <J_z>, as `moments` takes it.  A zero-probability
-    outcome has ln P = -inf and nan moments.
+    The batched form of `condition` followed by `moments`: each outcome's
+    terms 2 E + ln |psi_m|^2 are shifted by their own peak, and Var J_z is
+    the mean of (m - <J_z>)^2 about each posterior's own <J_z>, as `moments`
+    takes it.  A zero-probability outcome has ln P = -inf and nan moments.
     """
-    return _conditioner(params, state)(n_c, n_d)
+    return _Mixture(params, state).condition_many(n_c, n_d)
 
 
 def outcome_probability(params: QndParams, outcome: PhotonOutcome,
@@ -532,10 +607,9 @@ def outcome_distribution(params: QndParams, state: CollectiveState,
                          max_total: int | None = None) -> OutcomeDistribution:
     """Outcome probabilities over a total-photon window holding the requested mass.
 
-    P(n_c, n_d) = sum_m |psi_m|^2 Pois(n_c; lam_c(m)) Pois(n_d; lam_d(m)), with
-    lam = (s/2) e^{log base} and lam_c + lam_d = s, so n_c + n_d ~ Pois(s)
-    whatever the state.  On that marginal alone the window, half-width
-    k sqrt(s) around s, grows over k = 4, 5, ... until it holds
+    P(n_c, n_d) is the Poisson mixture of `_Mixture`, and n_c + n_d ~
+    Pois(s) whatever the state.  On that marginal alone the window,
+    half-width k sqrt(s) around s, grows over k = 4, 5, ... until it holds
     1 - mass_tolerance.  The rows, by total and then ascending n_c, are sums
     over m of products of two per-port Poisson tables, computed as blocked
     BLAS matrix products (`_mixture_rows`); the row set and order are those
@@ -570,32 +644,26 @@ class _OutcomeTable:
 
     def __init__(self, params: QndParams, state: CollectiveState,
                  mass_tolerance: float, max_total: int | None = None):
-        if not state.is_normalized():
-            raise PreconditionError("outcome_distribution needs a normalized state")
+        mixture = _Mixture(params, state)
         if not (0.0 < mass_tolerance < 1.0):
             raise DomainError("mass_tolerance must lie strictly between 0 and 1")
         if max_total is not None and max_total < 0:
             raise DomainError("max_total must be non-negative")
         s = params.photon_mean
         cap = int(max_total) if max_total is not None else int(4.0 * s + 100.0)
-        m, weights = state.support()
-        # ln n! for n = 0..top, extended by the rows each wider window adds
-        lf = np.empty(0)
+        support = mixture.m.size
         k = 4.0
         while True:
             lo = max(0, math.ceil(s - k * math.sqrt(s)))
             hi = math.floor(s + k * math.sqrt(s))
             top = min(hi, cap)
             n_rows = (top - lo + 1) * (lo + top + 2) // 2
-            if n_rows > MAX_ENTRIES:
-                raise ResourceCapError(f"the photon window {lo}..{top} holds {n_rows} "
-                                       f"outcomes, over the cap of {MAX_ENTRIES}")
-            if 2 * weights.size * (hi + 1) > MAX_ENTRIES:
-                raise ResourceCapError(f"the per-port Poisson tables (2 x {weights.size} x "
-                                       f"{hi + 1}) are over the cap of {MAX_ENTRIES} entries")
-            lf = np.concatenate([lf, log_factorial(np.arange(lf.size, top + 1))])
-            marginal = weights.sum() * np.exp(np.arange(lo, top + 1) * math.log(s) - s
-                                              - lf[lo:])
+            mixture.reserve(n_rows, f"the photon window {lo}..{top} holds {n_rows} "
+                                    f"outcomes, over the cap of {MAX_ENTRIES}")
+            mixture.reserve(2 * support * (hi + 1), f"the per-port Poisson tables (2 x "
+                            f"{support} x {hi + 1}) are over the cap of {MAX_ENTRIES} entries")
+            marginal = mixture.weights.sum() * np.exp(
+                np.arange(lo, top + 1) * math.log(s) - s - mixture.log_factorials(top)[lo:])
             mass = float(marginal.sum())
             if hi > cap:
                 raise ResourceCapError(f"photon window exceeded the cap of {cap} total "
@@ -603,8 +671,7 @@ class _OutcomeTable:
             if mass >= 1.0 - mass_tolerance:
                 break
             k += 1.0
-        self._params, self._m, self._weights = params, m, weights
-        self._lf, self._marginal = lf, marginal
+        self._mixture, self._marginal = mixture, marginal
         self.lo, self.cutoff_total = lo, hi
         self._totals = np.arange(lo, hi + 1, dtype=np.int64)
         # row index of each total's first row (n_c = 0)
@@ -619,10 +686,8 @@ class _OutcomeTable:
         a block is yielded only once its rows sum to each total's Poisson mass.
         """
         lo, hi = self.lo, self.cutoff_total
-        log_lam = math.log(self._params.photon_mean / 2.0) + np.stack(
-            _log_bases(self._params, self._m))
-        table = _poisson_rows(log_lam, np.arange(hi + 1), self._lf)
-        table[0] *= self._weights[:, None]
+        table = self._mixture.pmf(np.arange(hi + 1))
+        table[0] *= self._mixture.weights[:, None]
         by_total = np.empty(hi - lo + 1)
         start = 0
         for i, p in enumerate(_mixture_rows(table[0].T, table[1], lo)):
@@ -704,22 +769,6 @@ def _mixture_rows(a: np.ndarray, b: np.ndarray, lo: int):
         yield buffer[:start]
 
 
-def _poisson_rows(log_lam: np.ndarray, n: np.ndarray, lf: np.ndarray) -> np.ndarray:
-    """Pois(n; lam) = exp(n ln lam - lam - ln n!) for ln lam = log_lam[..., None],
-    the counts n and their ln n! lf: the one builder of per-port Poisson
-    tables.  A dark port's ln lam holds the _LOG_ZERO sentinel: lam
-    underflows to 0 and the row is exactly [n == 0], however large n."""
-    table = log_lam[..., None] * n
-    with np.errstate(under="ignore"):
-        table -= lf
-        table -= np.exp(log_lam)[..., None]
-        # out of place: freeing the argument, as large as the table, lets
-        # glibc's malloc keep the CSV writer's per-chunk scratch in its
-        # heap instead of faulting fresh pages in for every chunk (60k
-        # page faults, 0.15 s, on a table of 1.07M rows on a 2-core host)
-        return np.exp(table)
-
-
 def _seed_array(seeds) -> np.ndarray:
     """The seeds as a uint64 array; DomainError for any outside [0, 2^64)."""
     if isinstance(seeds, np.ndarray) and seeds.dtype.kind == "u":
@@ -760,63 +809,12 @@ def _inverse_cdf(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray
     return lo
 
 
-def _sampler(params: QndParams, state: CollectiveState):
-    """`sample_outcomes` on one state, as a function of the seeds; the
-    tables are built once, here.
-
-    A shot is an exact draw from the mixture of `outcome_distribution` by
-    three uniforms of its seed: u0 picks m_z by inverse CDF over |psi_m|^2,
-    then u1 and u2 pick n_c ~ Pois(lam_c(m)) and n_d ~ Pois(lam_d(m)) by
-    inverse CDF over a window of counts.  Each CDF row is scaled by its own
-    total T, and u < 1 gives u T < T: no draw leaves its row or is clamped,
-    and none lands on an entry of zero mass.
-
-    The window of Pois(lam) covers lam +- t, t = a/3 + sqrt(a^2/9 + 2 a lam)
-    with a = _TAIL = 43.  Chernoff's bounds P(X >= lam + t) <=
-    exp(-t^2 / (2 (lam + t/3))) and P(X <= lam - t) <= exp(-t^2 / (2 lam))
-    leave at most e^-a in each tail: 2 e^-43 < 2^-60 outside.  Every row is
-    as wide as the widest window; the tables, 2 x support x width, are
-    refused over MAX_ENTRIES before any is built, which also keeps every
-    count below 2^53.
-    """
-    if not state.is_normalized():
-        raise PreconditionError("sampling outcomes needs a normalized state")
-    m, weights = state.support()
-    cdf_m = np.cumsum(weights)
-    log_lam = math.log(params.photon_mean / 2.0) + np.stack(_log_bases(params, m))
-    lam = np.exp(log_lam)
-    # sqrt(a^2/9 + 2 a lam), in a form that stays finite at any finite lam
-    t = _TAIL / 3.0 + math.sqrt(2.0 * _TAIL) * np.sqrt(lam + _TAIL / 18.0)
-    width = int(2.0 * t.max()) + 3
-    if 2 * m.size * width > MAX_ENTRIES:
-        raise ResourceCapError(f"the sampler's per-port Poisson tables (2 x {m.size} x "
-                               f"{width}) are over the cap of {MAX_ENTRIES} entries")
-    lo = np.maximum(0.0, np.floor(lam - t)).astype(np.int64)
-    cdf = np.empty(lam.shape + (width,))
-    for port in range(2):
-        n = lo[port, :, None] + np.arange(width)
-        np.cumsum(_poisson_rows(log_lam[port], n, log_factorial(n)), axis=1,
-                  out=cdf[port])
-    # row i of port c, row size + i of port d
-    cdf, lo = cdf.reshape(2 * m.size, width), lo.ravel()
-
-    def draw(seeds):
-        seeds = _seed_array(seeds)
-        i = np.searchsorted(cdf_m, _uniforms(seeds, 0) * cdf_m[-1], side="right")
-        rows = np.concatenate([i, i + m.size])
-        counts = lo[rows] + _inverse_cdf(cdf, rows, np.concatenate(
-            [_uniforms(seeds, 1), _uniforms(seeds, 2)]))
-        return counts[:seeds.size], counts[seeds.size:]
-
-    return draw
-
-
 def sample_outcomes(params: QndParams, state: CollectiveState,
                     seeds) -> tuple[np.ndarray, np.ndarray]:
     """Exact draws (n_c, n_d) on a normalized state, shot i keyed by seeds[i]
-    (see `_sampler`): the same on every platform, alone or in any block.
-    A seed outside [0, 2^64) raises DomainError."""
-    return _sampler(params, state)(seeds)
+    (see `_Mixture.sampler`): the same on every platform, alone or in any
+    block.  A seed outside [0, 2^64) raises DomainError."""
+    return _Mixture(params, state).sampler()(seeds)
 
 
 def sample_outcome(params: QndParams, state: CollectiveState, seed: int) -> PhotonOutcome:

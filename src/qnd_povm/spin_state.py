@@ -148,10 +148,12 @@ def scale_amplitudes(state: CollectiveState, log_factor: np.ndarray,
 
     Nonzero amplitude k is multiplied by exp(log_factor[k] + i phase[k]), both
     arrays running over `state.support()`; a zero amplitude stays as it is.
+    Each product is one exponent, finite where a factor alone would overflow.
     """
     amps, live = state.amps.copy(), state._live()
     with np.errstate(under="ignore"):
-        amps[live] *= np.exp(log_factor) * np.exp(1j * phase)
+        amps[live] = np.exp(np.log(np.abs(amps[live])) + log_factor
+                            + 1j * (np.angle(amps[live]) + phase))
     return CollectiveState(state.two_j, amps)
 
 

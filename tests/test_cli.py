@@ -1111,22 +1111,17 @@ def test_measure_partial_last_block_writes_every_shot(tmp_path, shots):
 
 def _impossible_shot(monkeypatch, shot):
     """Make measure's conditioning give shot `shot` zero probability."""
-    real = cli._conditioner
+    real = povm._Mixture.condition_many
+    done = [0]
 
-    def conditioner(*args):
-        conditioned = real(*args)
-        done = [0]
+    def one_impossible(mixture, n_c, n_d):
+        log_p, mean, var = real(mixture, n_c, n_d)
+        if done[0] <= shot < done[0] + log_p.size:
+            log_p[shot - done[0]] = -math.inf
+        done[0] += log_p.size
+        return log_p, mean, var
 
-        def one_impossible(n_c, n_d):
-            log_p, mean, var = conditioned(n_c, n_d)
-            if done[0] <= shot < done[0] + log_p.size:
-                log_p[shot - done[0]] = -math.inf
-            done[0] += log_p.size
-            return log_p, mean, var
-
-        return one_impossible
-
-    monkeypatch.setattr(cli, "_conditioner", conditioner)
+    monkeypatch.setattr(povm._Mixture, "condition_many", one_impossible)
 
 
 def test_measure_zero_probability_shot_exits_4(tmp_path, monkeypatch, capsys):

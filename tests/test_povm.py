@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath as mp
@@ -510,11 +511,40 @@ def test_sample_steps_off_trailing_zero_mass(monkeypatch):
 
 def test_sampler_tables_capped_before_any_table(monkeypatch):
     # 2 x 7611 x 1423 window entries, one row per nonzero amplitude
-    monkeypatch.setattr(povm, "_poisson_rows", _no_tables)
+    monkeypatch.setattr(povm._Mixture, "pmf", _no_tables)
     monkeypatch.setattr(povm, "log_factorial", _no_tables)
     bright = QndParams(gamma=60.0, chi=60.0, gt=math.pi / 20000)
     with pytest.raises(ResourceCapError, match=r"\(2 x 7611 x 1423\) are over the cap"):
         sample_outcomes(bright, coherent_state(20000, math.pi / 2.0), [0])
+
+
+def test_sampler_cdfs_equal_the_per_entry_log_factorials(monkeypatch):
+    # the shared ln n! table gives the CDFs that ln n! taken entry by entry
+    # gave: counts below 257 come from the exact table, those above from lgamma
+    params = QndParams(gamma=100.0, chi=100.0, gt=math.pi / 200)
+    mixture = povm._Mixture(params, coherent_state(200, math.pi / 2.0))
+    real, seen = povm._inverse_cdf, []
+    monkeypatch.setattr(povm, "_inverse_cdf",
+                        lambda cdf, rows, u: seen.append(cdf) or real(cdf, rows, u))
+    mixture.sampler()([0])
+    lo, width = mixture.window(povm._TAIL)
+    assert seen[0].shape == (2 * 201, 2654) == (lo.size, width)
+    assert lo.min() == 0 and lo.max() > 18000
+    n = lo[..., None] + np.arange(width)
+    log_lam = mixture.log_lam[..., None]
+    with np.errstate(under="ignore"):
+        want = np.exp(log_lam * n - povm.log_factorial(n) - np.exp(log_lam))
+    assert np.array_equal(seen[0], np.cumsum(want, axis=2).reshape(2 * 201, width))
+
+
+def test_sampler_log_factorial_table_capped_before_it_is_built(monkeypatch):
+    # a Dicke state under 3.4e7 photons: its two windows, 2 x 1 x 76501
+    # entries, pass the table cap, but reach counts past 2^24
+    monkeypatch.setattr(povm, "log_factorial", _no_tables)
+    bright = QndParams(gamma=4123.0, chi=4123.0, gt=0.01)
+    with pytest.raises(ResourceCapError,
+                       match="^ln n! to 17037379 is over the cap of 16777216 entries$"):
+        sample_outcomes(bright, dicke_state(2, 0), [0])
 
 
 # ------------------------------------------------------------------- posterior
@@ -560,6 +590,24 @@ def test_operator_is_finite_off_the_envelope_peak():
         amps = state.amps
         assert np.isfinite(amps).all()
         assert amps[[0, 1, 2, 3, 4, 5, 7, 9, 10]].tolist() == [0j] * 9
+
+
+# the light of the subnormal-prior and conditioning-order cases below
+P_BRIGHT = QndParams(gamma=30.0, chi=30.0 * cmath.exp(0.7j), gt=math.pi / 200)
+
+
+def test_posterior_of_a_prior_with_subnormal_amplitudes():
+    # coherent_state(200, 0.05) holds a subnormal 3.8e-321 at m_z = -100,
+    # where the posterior's scale factor, e^736, overflows alone: each
+    # amplitude is scaled in one exponent, and the posterior peaks at -96
+    st = coherent_state(200, 0.05)
+    log_p, post = condition(P_BRIGHT, PhotonOutcome(1800, 0), st)
+    (want,), (mean_jz,), _ = povm.condition_many(P_BRIGHT, [1800], [0], st)
+    assert log_p == pytest.approx(-1699.945150249, abs=1e-6)
+    assert abs(log_p - want) <= 1e-12 * abs(want)
+    assert np.isfinite(post.amps).all() and abs(post.squared_norm() - 1.0) < 1e-12
+    assert post.m_values()[np.argmax(np.abs(post.amps))] == -96.0
+    assert moments(post).mean_jz == pytest.approx(mean_jz, rel=1e-12)
 
 
 def test_posterior_dicke_mixture_weights():
@@ -631,6 +679,39 @@ def test_condition_many_matches_condition_and_moments(params, state):
         assert abs(var_jz[i] - want.var_jz) <= 1e-12 * max(1.0, want.var_jz)
     if state.two_j == 200:
         assert log_p.min() < -175.0 and log_p.max() > -11.0
+
+
+def test_table_and_conditioner_are_one_law():
+    # every enumerated row's p is the conditioner's P of the same outcome
+    params = QndParams(gamma=3.0, chi=3.2 * cmath.exp(0.7j), gt=math.pi / 20)
+    state = coherent_state(20, 1.1)
+    dist = outcome_distribution(params, state, 1e-9)
+    assert dist.p.size == 1540
+    log_p = povm.condition_many(params, dist.n_c, dist.n_d, state)[0]
+    assert np.allclose(np.exp(log_p), dist.p, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("first, second", [
+    ((880, 900), (950, 850)),
+    ((2500, 2400), (2400, 2500)),
+    # either first posterior underflows to exact zeros on the m_z near -44
+    # that carry the joint outcome (ln P = -4828.97 from the prior): the two
+    # orders give -4969.72 and -4834.20
+    pytest.param((5, 3000), (3000, 5), marks=pytest.mark.xfail(
+        strict=True, reason="a posterior stores its amplitudes as doubles")),
+])
+def test_conditioning_composes_in_either_order(first, second):
+    # the operators are diagonal in m_z and commute: P(o1) P(o2 | o1) =
+    # P(o2) P(o1 | o2), and both orders leave the same state
+    state = coherent_state(200, 1.3)
+    ends = []
+    for a, b in ((first, second), (second, first)):
+        log_a, post = condition(P_BRIGHT, PhotonOutcome(*a), state)
+        log_b, post = condition(P_BRIGHT, PhotonOutcome(*b), post)
+        ends.append((log_a + log_b, post))
+    (log_ab, post_ab), (log_ba, post_ba) = ends
+    assert math.isfinite(log_ab) and abs(log_ab - log_ba) <= 1e-11
+    assert abs(overlap(post_ab, post_ba)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_condition_many_variance_near_a_dicke_state():

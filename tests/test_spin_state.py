@@ -183,6 +183,18 @@ def test_scale_amplitudes_runs_over_the_support():
     assert (zeros == 0.0).all()
 
 
+def test_scale_amplitudes_scales_in_one_exponent():
+    # e^750 overflows a double, but 1e-310 e^750 is about e^36: the product
+    # is finite, and so is the amplitude it gives
+    st = CollectiveState(1, np.array([1e-310, -1.0]))
+    out = scale_amplitudes(st, np.array([750.0, 0.0]), np.array([0.5, 0.0]))
+    assert np.isfinite(out.amps).all()
+    want = math.exp(math.log(1e-310) + 750.0)
+    assert out.amps[0] == pytest.approx(want * complex(math.cos(0.5), math.sin(0.5)),
+                                        rel=1e-12)
+    assert out.amps[1] == pytest.approx(-1.0, rel=1e-15)
+
+
 def test_serialization_roundtrip():
     rng = np.random.default_rng(0)
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
