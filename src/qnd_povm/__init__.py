@@ -18,18 +18,17 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "analysis": ("DensityMatrix", "ParityCase", "ParityPattern", "SqueezingReport",
                  "WignerGrid", "cat_fidelity", "cat_state", "density_from_state",
-                 "parity_pattern_check", "rho_lm", "squeezing_report", "wigner"),
+                 "parity_pattern_check", "squeezing_report", "wigner"),
     "approx": ("GaussianModel", "ProjectiveParams", "approx_apply", "gaussian_amplitude",
                "gaussian_model", "peak_solutions", "project", "projective_params"),
     "errors": ("ConfigError", "DomainError", "PreconditionError", "QndError",
                "ResourceCapError", "ZeroProjectionError"),
-    "numerics": ("clebsch_gordan", "log_binomial", "log_factorial", "spherical_harmonic",
-                 "twice"),
+    "numerics": ("clebsch_gordan", "log_factorial", "twice"),
     "povm": ("OutcomeDistribution", "PhotonOutcome", "QndParams", "amplitude", "apply",
              "condition", "condition_many", "detector_phases", "eigen", "log_amplitude",
              "log_matrix_element", "log_matrix_element_direct", "outcome_distribution",
-             "outcome_probability", "params_from_json", "params_to_json", "phase_phi",
-             "posterior", "sample_outcome", "sample_outcomes"),
+             "params_from_json", "params_to_json", "phase_phi", "posterior",
+             "sample_outcomes"),
     "spin_state": ("CollectiveState", "SpinMoments", "coherent_state", "dicke_state",
                    "moments", "normalize", "overlap", "scale_amplitudes", "state_from_json",
                    "state_to_json"),

@@ -115,31 +115,6 @@ def density_from_state(state: CollectiveState) -> DensityMatrix:
     return DensityMatrix(two_j=state.two_j, rho=rho)
 
 
-def _multipoles(rho: DensityMatrix) -> np.ndarray:
-    """rho.multipoles, once it passes the Parseval guard."""
-    residual = rho.parseval_residual()
-    if residual > _PARSEVAL_TOL:
-        raise DomainError(f"multipole table breaks Parseval by {residual:.2e} "
-                          "relative to Tr rho^2")
-    return rho.multipoles
-
-
-def rho_lm(rho: DensityMatrix, L: int, M: int) -> complex:
-    """Multipole component rho_LM of the density matrix.
-
-    Sums (-1)^(J - m - M) <J m; J, -(m - M)| L M> rho_{m, m-M} over the m
-    values where the coupled projection exists; read from the table
-    ``DensityMatrix.multipoles``, which is built once per density matrix.
-    """
-    L, M = int(L), int(M)
-    if L < 0 or L > rho.two_j:
-        raise DomainError("L must lie in 0..2J")
-    if abs(M) > L:
-        raise DomainError("|M| must not exceed L")
-    c = complex(_multipoles(rho)[L, abs(M)])
-    return c if M >= 0 else (-1) ** M * c.conjugate()
-
-
 def _flush_subnormals(a: np.ndarray) -> np.ndarray:
     """`a` with every real or imaginary part below the smallest normal double
     set to 0, in place.  A posterior's multipoles leave such parts in G, and
@@ -174,9 +149,12 @@ def wigner(rho: DensityMatrix, n_theta: int = 181, n_phi: int = 361) -> WignerGr
                                f"{MAX_ENTRIES}")
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi)
-    table = _multipoles(rho)
+    residual = rho.parseval_residual()
+    if residual > _PARSEVAL_TOL:
+        raise DomainError(f"multipole table breaks Parseval by {residual:.2e} "
+                          "relative to Tr rho^2")
     g = np.empty((n_theta, n_m), dtype=complex)
-    g[:, two_j:] = legendre_sum(table, np.cos(thetas))
+    g[:, two_j:] = legendre_sum(rho.multipoles, np.cos(thetas))
     # rho_{L,-M} Y_{L,-M} = conj(rho_LM Y_LM): columns M = -2J..-1 mirror 2J..1
     g[:, :two_j] = np.conj(g[:, :two_j:-1])
     w = _flush_subnormals(g) @ np.exp(1j * np.outer(np.arange(-two_j, two_j + 1), phis))

@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .errors import (MAX_ENTRIES, ConfigError, DomainError, PreconditionError,
                      QndError, ResourceCapError)
-from .povm import PhotonOutcome, _Mixture, _OutcomeTable, condition, eigen, posterior
+from .povm import PhotonOutcome, _Mixture, _OutcomeTable, eigen, posterior
 from .spin_state import moments, state_to_json
 
 HEADER = f"# qnd-povm v{__version__}, schema v1"
@@ -269,7 +269,7 @@ def cmd_measure(cfg: ExperimentConfig, out, fmt) -> int:
                 refs = []
                 for j, (c, d) in enumerate(zip(n_c.tolist(), n_d.tolist())):
                     # only the dump needs the posterior's per-m_z phases
-                    post = condition(params, PhotonOutcome(c, d), state)[1]
+                    post = mixture.condition(PhotonOutcome(c, d))[1]
                     name = f"shot_{lo + j:06d}.json"
                     with open(os.path.join(stage, name), "w", encoding="utf-8") as pf:
                         json.dump(state_to_json(post), pf, sort_keys=True)

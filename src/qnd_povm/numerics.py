@@ -53,32 +53,32 @@ def twice(x) -> int:
 
 
 def log_factorial(n):
-    """Natural log of n!, for an int or elementwise over a numpy int array.
+    """Natural log of n!, for an int or elementwise over a numpy array.
 
     Exact (table of big-integer factorials) up to n=256, log-gamma beyond.
-    Total on n >= 0.
+    Total on the integers n >= 0; an integral float such as 3.0 passes, and
+    a negative or non-integral value (nan and inf too) raises DomainError.
+    An int or uint array skips the integrality test.
     """
     if not (isinstance(n, np.ndarray) and n.ndim):
         if n < 0:
             raise DomainError("factorial of a negative integer")
+        if n % 1:
+            raise DomainError(f"factorial of the non-integer {n!r}")
         n = int(n)
         return float(_LOGFACT_TABLE[n]) if n <= _LOGFACT_EXACT_MAX else math.lgamma(n + 1.0)
     if n.size and n.min() < 0:
         raise DomainError("factorial of a negative integer")
-    out = _LOGFACT_TABLE[np.minimum(n, _LOGFACT_EXACT_MAX)]
+    index = np.minimum(n, _LOGFACT_EXACT_MAX)
+    if n.dtype.kind not in "iu":
+        if (n % 1).any():
+            raise DomainError("factorial of a non-integer")
+        index = index.astype(np.intp)
+    out = _LOGFACT_TABLE[index]
     big = n > _LOGFACT_EXACT_MAX
     # one double at a time, so a large table builds no list of Python floats
     out[big] = np.fromiter(map(math.lgamma, n[big] + 1.0), float, np.count_nonzero(big))
     return out
-
-
-def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k); -inf for k outside [0, n] (the zero-probability sentinel)."""
-    if n < 0:
-        raise DomainError("binomial with negative row index")
-    if k < 0 or k > n:
-        return -math.inf
-    return log_factorial(n) - log_factorial(k) - log_factorial(n - k)
 
 
 # ---------------------------------------------------------------------------
@@ -154,53 +154,21 @@ def clebsch_gordan(j1, m1, j2, m2, L, M) -> float:
 # Spherical harmonics
 # ---------------------------------------------------------------------------
 
-def legendre_norm_table(lmax: int, m: int, x: np.ndarray) -> np.ndarray:
-    """Fully normalized associated Legendre values, rows L = m..lmax.
-
-    Row L holds sqrt((2L+1)/(4 pi) (L-m)!/(L+m)!) P_L^m(x) with the
-    Condon-Shortley sign, computed by the standard three-term upward
-    recurrence, which is stable for the L range used here.  Requires m >= 0.
-    """
-    if m < 0:
-        raise DomainError("legendre_norm_table needs m >= 0")
-    x = np.asarray(x, dtype=float)
-    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    rows = np.zeros((max(0, lmax - m + 1),) + x.shape)
-    if lmax < m:
-        return rows
-    # seed: sectoral term P~_m^m
-    pmm = np.full(x.shape, 1.0 / math.sqrt(4.0 * math.pi))
-    for k in range(1, m + 1):
-        pmm = -math.sqrt((2 * k + 1) / (2.0 * k)) * s * pmm
-    rows[0] = pmm
-    if lmax == m:
-        return rows
-    rows[1] = math.sqrt(2 * m + 3.0) * x * pmm
-    for L in range(m + 2, lmax + 1):
-        a = math.sqrt((4.0 * L * L - 1.0) / (L * L - m * m))
-        b = math.sqrt(
-            (2.0 * L + 1.0)
-            * (L - 1.0 + m)
-            * (L - 1.0 - m)
-            / ((2.0 * L - 3.0) * (L * L - m * m))
-        )
-        rows[L - m] = a * x * rows[L - m - 1] - b * rows[L - m - 2]
-    return rows
-
-
 def legendre_sum(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """G[i, M] = sum_{L=M..lmax} coeffs[L, M] P~_L^M(x[i]), for M = 0..lmax.
 
     coeffs is a complex (lmax + 1, lmax + 1) table read on and below its
-    diagonal, and P~ the normalized Legendre function of
-    `legendre_norm_table`.  One upward recurrence over L advances every
-    M <= L together, from the same sectoral seeds and with the same
-    coefficient arithmetic, so each P~_L^M is the same double; it is added
-    into G as it is formed, and only the rows L - 1 and L - 2 are kept.
+    diagonal.  P~_L^M(x) = sqrt((2L+1)/(4 pi) (L-M)!/(L+M)!) P_L^M(x), with
+    the Condon-Shortley sign, so that Y_LM(theta, phi) =
+    P~_L^M(cos theta) e^{i M phi}.  One upward three-term recurrence over L
+    advances every M <= L together from the sectoral seeds P~_M^M, which
+    carry sin(theta) = sqrt((1 - x)(1 + x)), a form with no cancellation
+    near the poles.  Each P~_L^M is added into G as it is formed, and only
+    the rows L - 1 and L - 2 are kept.
     """
     lmax = coeffs.shape[0] - 1
     x = np.asarray(x, dtype=float)
-    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    s = np.sqrt(np.maximum(0.0, (1.0 - x) * (1.0 + x)))
     # real and imaginary parts, (L, M, 2), summed into (M, 2, x)
     parts = np.ascontiguousarray(coeffs, dtype=complex).view(float).reshape(
         lmax + 1, lmax + 1, 2)
@@ -226,23 +194,3 @@ def legendre_sum(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
             p[L] = -math.sqrt((2 * L + 1) / (2.0 * L)) * s * p1[L - 1]
         acc[:L + 1] += parts[L, :L + 1, :, None] * p[:L + 1, None, :]
     return (acc[:, 0] + 1j * acc[:, 1]).T
-
-
-def spherical_harmonic(L: int, M: int, theta, phi):
-    """Orthonormal Y_LM(theta, phi) with the Condon-Shortley phase.
-
-    Accepts scalars or broadcastable arrays for the angles.
-    """
-    L, M = int(L), int(M)
-    if L < 0 or abs(M) > L:
-        raise DomainError("need L >= 0 and |M| <= L")
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    am = abs(M)
-    p = legendre_norm_table(L, am, np.cos(theta))[-1]
-    y = p * np.exp(1j * am * phi)
-    if M < 0:
-        y = np.conj(y) * ((-1) ** am)
-    if y.ndim == 0:
-        return complex(y)
-    return y

@@ -48,13 +48,19 @@ def _wrap_pi(x):
     return math.pi - (math.pi - x) % _TWO_PI
 
 
-def _check_counts(least, most):
-    """Raise DomainError unless photon counts from `least` to `most` are valid."""
-    if not least >= 0:  # written so that nan fails too
+def _check_counts(n: np.ndarray):
+    """Raise DomainError unless the array `n` holds valid photon counts:
+    non-negative integers below 2^53.  An int or uint array skips the
+    integrality test."""
+    if not n.size:
+        return
+    if not n.min() >= 0:  # written so that nan fails too
         raise DomainError("photon counts must be non-negative")
     # float64 holds every integer only up to 2^53
-    if not most < 1 << 53:
+    if not n.max() < 1 << 53:
         raise DomainError("photon counts must be below 2^53")
+    if n.dtype.kind not in "iu" and (n % 1).any():
+        raise DomainError("photon counts must be integers")
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,7 @@ class PhotonOutcome:
     n_d: int
 
     def __post_init__(self):
-        _check_counts(min(self.n_c, self.n_d), max(self.n_c, self.n_d))
+        _check_counts(np.array([self.n_c, self.n_d]))
         object.__setattr__(self, "n_c", int(self.n_c))
         object.__setattr__(self, "n_d", int(self.n_d))
 
@@ -266,8 +272,8 @@ def _counts(n_c, n_d):
     n_c, n_d = np.asarray(n_c), np.asarray(n_d)
     if not (n_c.ndim == 1 and n_c.shape == n_d.shape):
         raise DomainError("n_c and n_d must be 1-d arrays of one length")
-    if n_c.size:
-        _check_counts(min(n_c.min(), n_d.min()), max(n_c.max(), n_d.max()))
+    _check_counts(n_c)
+    _check_counts(n_d)
     return n_c.astype(np.int64), n_d.astype(np.int64)
 
 
@@ -386,19 +392,12 @@ def amplitude(params: QndParams, outcome: PhotonOutcome, m_z) -> float:
     return math.exp(log_amplitude(params, outcome, m_z))
 
 
-def _eigen_point(params: QndParams, outcome: PhotonOutcome, m_z):
-    """`log_matrix_element` and `log_amplitude` at one m_z, from one `eigen`
-    call: (log magnitude, phase, ln A)."""
-    log_c, log_e, phase = eigen(params, outcome, [_as_m(m_z)])
-    log_a = float(log_e[0])
-    if log_a == -math.inf:
-        return -math.inf, 0.0, log_a
-    return float(log_c + log_e[0]), _wrap_pi(float(phase[0])), log_a
-
-
 def log_matrix_element(params: QndParams, outcome: PhotonOutcome, m_z):
     """(log magnitude, phase) of <J m_z|M|J m_z> via the spectral form."""
-    return _eigen_point(params, outcome, m_z)[:2]
+    log_c, log_e, phase = eigen(params, outcome, [_as_m(m_z)])
+    if log_e[0] == -math.inf:
+        return -math.inf, 0.0
+    return float(log_c + log_e[0]), _wrap_pi(float(phase[0]))
 
 
 def log_matrix_element_direct(params: QndParams, outcome: PhotonOutcome, m_z):
@@ -477,6 +476,16 @@ class _Mixture:
     @cached_property
     def log_lam(self) -> np.ndarray:
         return math.log(self.params.photon_mean / 2.0) + np.stack(self.kernel.bases)
+
+    def condition(self, outcome: PhotonOutcome):
+        """`condition` of `outcome` on the state."""
+        log_p, shift, log_e, _ = self.kernel.condition(
+            *_counts([outcome.n_c], [outcome.n_d]))
+        if log_p[0] == -math.inf:
+            return -math.inf, None
+        # |psi_m| e^{E - shift / 2} <= 1, with equality at the peak term
+        return float(log_p[0]), normalize(scale_amplitudes(
+            self.state, log_e[0] - shift[0] / 2.0, _phase(self.params, outcome, self.m)))
 
     def condition_many(self, n_c, n_d):
         """`condition_many`, _ROWS outcomes at a time in the kernel's buffers."""
@@ -567,13 +576,7 @@ def condition(params: QndParams, outcome: PhotonOutcome,
     by the envelope shifted by half the same peak, with the per-m_z detector
     phases kept.  A zero-probability outcome gives (-inf, None).
     """
-    kernel = _Mixture(params, state).kernel
-    log_p, shift, log_e, _ = kernel.condition(*_counts([outcome.n_c], [outcome.n_d]))
-    if log_p[0] == -math.inf:
-        return -math.inf, None
-    # |psi_m| e^{E - shift / 2} <= 1, with equality at the peak term
-    return float(log_p[0]), normalize(scale_amplitudes(
-        state, log_e[0] - shift[0] / 2.0, _phase(params, outcome, kernel.m)))
+    return _Mixture(params, state).condition(outcome)
 
 
 def condition_many(params: QndParams, n_c, n_d, state: CollectiveState):
@@ -585,12 +588,6 @@ def condition_many(params: QndParams, n_c, n_d, state: CollectiveState):
     takes it.  A zero-probability outcome has ln P = -inf and nan moments.
     """
     return _Mixture(params, state).condition_many(n_c, n_d)
-
-
-def outcome_probability(params: QndParams, outcome: PhotonOutcome,
-                        state: CollectiveState) -> float:
-    """Probability of detecting (n_c, n_d) on a normalized state."""
-    return math.exp(condition(params, outcome, state)[0])
 
 
 def posterior(params: QndParams, outcome: PhotonOutcome,
@@ -770,9 +767,14 @@ def _mixture_rows(a: np.ndarray, b: np.ndarray, lo: int):
 
 
 def _seed_array(seeds) -> np.ndarray:
-    """The seeds as a uint64 array; DomainError for any outside [0, 2^64)."""
+    """The seeds as a uint64 array; DomainError for any that is not an
+    integer in [0, 2^64).  An integral float such as 3.0 passes."""
     if isinstance(seeds, np.ndarray) and seeds.dtype.kind == "u":
         return seeds.astype(np.uint64, copy=False)
+    seeds = list(seeds)
+    bad = [s for s in seeds if s % 1]  # nan and inf leave a nan remainder
+    if bad:
+        raise DomainError(f"seed {bad[0]!r} is not an integer")
     seeds = [int(s) for s in seeds]
     bad = [s for s in seeds if not 0 <= s < 1 << 64]
     if bad:
@@ -815,13 +817,6 @@ def sample_outcomes(params: QndParams, state: CollectiveState,
     (see `_Mixture.sampler`): the same on every platform, alone or in any
     block.  A seed outside [0, 2^64) raises DomainError."""
     return _Mixture(params, state).sampler()(seeds)
-
-
-def sample_outcome(params: QndParams, state: CollectiveState, seed: int) -> PhotonOutcome:
-    """One draw of `sample_outcomes`, keyed by `seed`; it builds the tables
-    afresh, so draw many shots with one `sample_outcomes` call."""
-    n_c, n_d = sample_outcomes(params, state, [seed])
-    return PhotonOutcome(int(n_c[0]), int(n_d[0]))
 
 
 def params_to_json(params: QndParams) -> dict:

@@ -13,8 +13,8 @@ import numpy as np
 
 from .analysis import DensityMatrix
 from .approx import gaussian_model
-from .numerics import clebsch_gordan, legendre_norm_table
-from .povm import (PhotonOutcome, QndParams, _eigen_point, condition, log_amplitude,
+from .numerics import clebsch_gordan, legendre_sum
+from .povm import (PhotonOutcome, QndParams, _wrap_pi, condition, eigen, log_amplitude,
                    log_matrix_element_direct, outcome_distribution)
 from .spin_state import CollectiveState, dicke_state, normalize, overlap
 
@@ -46,7 +46,9 @@ def check_dual_form(rng, draws=200, total_cap=60, two_m_cap=40) -> Check:
         nc = int(rng.integers(0, total_cap + 1))
         nd = int(rng.integers(0, total_cap + 1 - nc))
         out = PhotonOutcome(nc, nd)
-        lm_s, ph_s, log_a = _eigen_point(params, out, m)
+        log_c, log_e, phase = eigen(params, out, [m])
+        log_a = float(log_e[0])
+        lm_s = log_c + log_a
         lm_d, ph_d = log_matrix_element_direct(params, out, m)
         floor = log_a + 0.5 * (
             math.lgamma(nc + 1.0) + math.lgamma(nd + 1.0)
@@ -57,7 +59,7 @@ def check_dual_form(rng, draws=200, total_cap=60, two_m_cap=40) -> Check:
                               abs(lm_s - lm_d) < 1e-6 * max(1.0, abs(lm_d)))
             continue
         checked += 1
-        dph = abs((ph_s - ph_d + math.pi) % (2.0 * math.pi) - math.pi)
+        dph = abs((_wrap_pi(float(phase[0])) - ph_d + math.pi) % (2.0 * math.pi) - math.pi)
         worst = max(worst, abs(lm_s - lm_d), dph)
     detail = (f"worst deviation {worst:.2e} over {checked} draws "
               f"({skipped} near-zero draws excluded)")
@@ -125,11 +127,17 @@ def check_multipole_parseval(rng) -> Check:
 
 
 def check_harmonic_orthonormality() -> Check:
+    """The normalized Legendre functions of `legendre_sum`, which `wigner`
+    sums through, are orthonormal for each M on Gauss-Legendre nodes."""
     lmax = 6
+    n = lmax + 1
     x, wq = np.polynomial.legendre.leggauss(2 * lmax + 2)
+    # p[L, i, M] = P~_L^M(x[i]), from a coefficient table whose row L is all ones
+    p = np.stack([legendre_sum(np.outer(np.arange(n) == L, np.ones(n)), x).real
+                  for L in range(n)])
     worst = 0.0
     for m in range(0, lmax + 1):
-        rows = legendre_norm_table(lmax, m, x)
+        rows = p[m:, :, m]
         gram = (rows * wq) @ rows.T * (2.0 * math.pi)
         want = np.eye(rows.shape[0])
         worst = max(worst, float(np.max(np.abs(gram - want))))

@@ -1030,7 +1030,7 @@ def test_measure_failure_leaves_no_file(tmp_path, monkeypatch):
                                                  mass_tolerance=1e-8,
                                                  dump_posteriors=True))
     calls = []
-    real = cli.condition
+    real = povm._Mixture.condition
 
     def failing_condition(*args):
         calls.append(1)
@@ -1038,7 +1038,7 @@ def test_measure_failure_leaves_no_file(tmp_path, monkeypatch):
             raise DomainError("injected failure")
         return real(*args)
 
-    monkeypatch.setattr(cli, "condition", failing_condition)
+    monkeypatch.setattr(povm._Mixture, "condition", failing_condition)
     assert run_cli("measure", "--config", path,
                    "--out", str(tmp_path / "m.jsonl")) == 4
     assert len(calls) == 3
@@ -1066,13 +1066,13 @@ def _records(path):
 
 def test_measure_records_do_not_depend_on_the_posterior_dump(tmp_path, monkeypatch):
     calls = []
-    real = cli.condition
+    real = povm._Mixture.condition
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(cli, "condition", counted)
+    monkeypatch.setattr(povm._Mixture, "condition", counted)
     cfg = dict(BASE, shots=20, seed=5, mass_tolerance=1e-8)
     plain, dumped = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     assert run_cli("measure", "--config", write_config(tmp_path, "a.json", cfg),

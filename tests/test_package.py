@@ -1,5 +1,7 @@
 """The package namespace: every public name, and what importing it loads."""
 
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -16,14 +18,12 @@ PUBLIC = {
     "ZeroProjectionError", "amplitude", "analysis", "apply", "approx", "approx_apply",
     "cat_fidelity", "cat_state", "clebsch_gordan", "coherent_state", "condition",
     "condition_many", "density_from_state", "detector_phases", "dicke_state", "eigen",
-    "errors", "gaussian_amplitude", "gaussian_model", "log_amplitude", "log_binomial",
-    "log_factorial", "log_matrix_element", "log_matrix_element_direct", "moments",
-    "normalize", "numerics", "outcome_distribution", "outcome_probability", "overlap",
-    "params_from_json", "params_to_json", "parity_pattern_check", "peak_solutions",
-    "phase_phi", "posterior", "povm", "project", "projective_params", "rho_lm",
-    "sample_outcome", "sample_outcomes", "scale_amplitudes", "spherical_harmonic",
-    "spin_state", "squeezing_report", "state_from_json", "state_to_json", "twice",
-    "wigner",
+    "errors", "gaussian_amplitude", "gaussian_model", "log_amplitude", "log_factorial",
+    "log_matrix_element", "log_matrix_element_direct", "moments", "normalize", "numerics",
+    "outcome_distribution", "overlap", "params_from_json", "params_to_json",
+    "parity_pattern_check", "peak_solutions", "phase_phi", "posterior", "povm", "project",
+    "projective_params", "sample_outcomes", "scale_amplitudes", "spin_state",
+    "squeezing_report", "state_from_json", "state_to_json", "twice", "wigner",
 }
 
 
@@ -70,3 +70,12 @@ def test_measure_loads_neither_analysis_nor_approx(tmp_path):
     loaded = proc.stdout.strip()
     assert "qnd_povm.povm" in loaded
     assert "qnd_povm.analysis" not in loaded and "qnd_povm.approx" not in loaded
+
+
+def test_readme_library_example_runs(capsys):
+    # a name the example uses that is renamed or deleted fails here
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("PhotonOutcome(")

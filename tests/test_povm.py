@@ -13,9 +13,8 @@ from qnd_povm.errors import DomainError, PreconditionError, ResourceCapError
 from qnd_povm.povm import (OutcomeDistribution, PhotonOutcome, QndParams,
                            amplitude, apply, condition, detector_phases,
                            log_matrix_element, log_matrix_element_direct,
-                           outcome_distribution, outcome_probability,
-                           params_from_json, params_to_json, phase_phi,
-                           posterior, sample_outcome, sample_outcomes)
+                           outcome_distribution, params_from_json,
+                           params_to_json, phase_phi, posterior, sample_outcomes)
 from qnd_povm.spin_state import (CollectiveState, coherent_state,
                                  dicke_state, moments, normalize, overlap)
 from qnd_povm.validate import (check_dicke_invariance, check_dual_form,
@@ -91,6 +90,26 @@ def test_batched_counts_meet_the_same_bounds():
     with pytest.raises(DomainError, match="non-negative"):
         condition_many(P_REF, [3], [-1], st)
     assert condition_many(P_REF, np.array([(1 << 53) - 1]), [0], st)[0].shape == (1,)
+
+
+def test_non_integral_counts_raise():
+    # a fractional count used to be truncated: (2.7, 3) read as (2, 3)
+    with pytest.raises(DomainError, match="integers"):
+        PhotonOutcome(2.7, 3)
+    with pytest.raises(DomainError, match="integers"):
+        PhotonOutcome(np.int64(4), np.float64(0.5))
+    assert PhotonOutcome(2.0, np.float64(3.0)) == PhotonOutcome(2, 3)
+
+
+def test_condition_many_rejects_non_integral_counts():
+    # ln P of (2.5, 3.0) used to be that of (2, 3)
+    p, st = QndParams(5, 5, math.pi / 10), coherent_state(10, 1.0)
+    with pytest.raises(DomainError, match="integers"):
+        povm.condition_many(p, [2.5], [3.0], st)
+    with pytest.raises(DomainError, match="integers"):
+        povm.condition_many(p, np.array([2, 3]), np.array([1.0, 1e-9]), st)
+    got = povm.condition_many(p, [2.0], [3.0], st)
+    assert [a.tolist() for a in got] == [a.tolist() for a in povm.condition_many(p, [2], [3], st)]
 
 
 def test_wrap_pi_on_scalars_and_arrays():
@@ -199,13 +218,14 @@ def test_dual_form_random_draws():
     assert check.passed, check.detail
 
 
-# the check reads the spectral (log magnitude, phase, ln A) from one call
+# the check reads the spectral (C, E, Phi) from one `eigen` call
 @pytest.mark.parametrize("fake", [
     lambda real: lambda *a: (real(*a)[0] + 5e-10,) + real(*a)[1:],
-    lambda real: lambda *a: real(*a)[:2] + (-math.inf,),  # every draw excluded: no hang
+    # E = -inf everywhere: every draw is excluded, and the loop still ends
+    lambda real: lambda *a: (real(*a)[0], np.full(1, -math.inf), real(*a)[2]),
 ], ids=["shift-5e-10", "all-excluded"])
 def test_dual_form_check_can_fail(monkeypatch, fake):
-    monkeypatch.setattr(validate, "_eigen_point", fake(validate._eigen_point))
+    monkeypatch.setattr(validate, "eigen", fake(validate.eigen))
     assert not check_dual_form(np.random.default_rng(1)).passed
 
 
@@ -266,7 +286,7 @@ def test_apply_norm_matches_probability():
         nc = int(rng.integers(0, 60))
         nd = int(rng.integers(0, 60))
         out = PhotonOutcome(nc, nd)
-        p = outcome_probability(P_REF, out, st)
+        p = math.exp(condition(P_REF, out, st)[0])
         ap = apply(P_REF, out, st)
         if p > 1e-280:
             assert abs(p - ap.squared_norm()) <= 1e-12 * p
@@ -292,7 +312,7 @@ def test_probability_poisson_product_at_gt_zero():
     st = normalize(CollectiveState(3, np.array([0.6, 0.2j, -0.4, 0.1])))
     for nc in (0, 1, 3):
         for nd in (0, 2, 4):
-            got = outcome_probability(p, PhotonOutcome(nc, nd), st)
+            got = math.exp(condition(p, PhotonOutcome(nc, nd), st)[0])
             want = poisson_pmf(lam_c, nc) * poisson_pmf(lam_d, nd)
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -300,7 +320,7 @@ def test_probability_poisson_product_at_gt_zero():
 def test_probability_requires_normalized():
     bad = CollectiveState(2, np.array([1.0, 1.0, 1.0]))
     with pytest.raises(PreconditionError):
-        outcome_probability(P_REF, PhotonOutcome(1, 1), bad)
+        condition(P_REF, PhotonOutcome(1, 1), bad)
 
 
 def test_probability_coherent_modal_outcome():
@@ -427,8 +447,8 @@ def test_unity_detail_prints_the_mass_to_ten_decimals():
 def test_sample_single_entry():
     # light so faint that every count but (0, 0) has a probability below 1e-299
     faint = QndParams(gamma=1e-150, chi=1e-150, gt=math.pi / 2.0)
-    for seed in (0, 1, 99, 2**63, 2**64 - 1):
-        assert sample_outcome(faint, coherent_state(10, 1.0), seed) == PhotonOutcome(0, 0)
+    n_c, n_d = sample_outcomes(faint, coherent_state(10, 1.0), [0, 1, 99, 2**63, 2**64 - 1])
+    assert n_c.tolist() == n_d.tolist() == [0] * 5
 
 
 def test_sample_two_equal_entries_frequencies():
@@ -445,15 +465,15 @@ def test_sample_two_equal_entries_frequencies():
 
 def test_sample_deterministic():
     st = coherent_state(30, math.pi / 2.0)
-    a = sample_outcome(P_REF, st, 123456789)
-    b = sample_outcome(P_REF, st, 123456789)
-    assert a == b
+    a = sample_outcomes(P_REF, st, [123456789])
+    b = sample_outcomes(P_REF, st, [123456789])
+    assert [x.tolist() for x in a] == [x.tolist() for x in b]
 
 
 def test_sample_empty_distribution():
     # a state with no amplitude has no outcome law
     with pytest.raises(PreconditionError):
-        sample_outcome(P_REF, CollectiveState(4, np.zeros(5)), 1)
+        sample_outcomes(P_REF, CollectiveState(4, np.zeros(5)), [1])
 
 
 def test_uniforms_equal_splitmix64():
@@ -474,11 +494,19 @@ def test_uniforms_equal_splitmix64():
 def test_sample_rejects_seeds_outside_uint64(seed):
     st = coherent_state(4, 1.0)
     with pytest.raises(DomainError, match="outside"):
-        sample_outcome(P_REF, st, seed)
+        sample_outcomes(P_REF, st, [seed])
     with pytest.raises(DomainError, match="outside"):
         sample_outcomes(P_REF, st, np.array([5, seed], dtype=object))
     with pytest.raises(DomainError, match="outside"):
         sample_outcomes(P_REF, st, [2**64 - 1, seed])
+
+
+@pytest.mark.parametrize("seeds", [[1.9], np.array([4.0, 1.9]), [3, math.nan], [math.inf]],
+                         ids=["float", "float-array", "nan", "inf"])
+def test_sample_rejects_non_integral_seeds(seeds):
+    # seed 1.9 used to draw as seed 1
+    with pytest.raises(DomainError, match="not an integer"):
+        sample_outcomes(P_REF, coherent_state(4, 1.0), seeds)
 
 
 def test_sample_outcomes_is_the_per_seed_draw():
@@ -486,13 +514,17 @@ def test_sample_outcomes_is_the_per_seed_draw():
     seeds = np.arange(2**64 - 150, 2**64, dtype=np.uint64)
     n_c, n_d = sample_outcomes(P_REF, st, seeds)
     assert n_c.dtype == n_d.dtype == np.int64
-    assert [PhotonOutcome(c, d) for c, d in zip(n_c.tolist(), n_d.tolist())] == [
-        sample_outcome(P_REF, st, s) for s in seeds.tolist()]
+    alone = [sample_outcomes(P_REF, st, [s]) for s in seeds.tolist()]
+    assert n_c.tolist() == [int(c[0]) for c, _ in alone]
+    assert n_d.tolist() == [int(d[0]) for _, d in alone]
     # signed arrays and Python ints draw as the same seeds do as uint64
     low = seeds >> np.uint64(2)
     for same in (low.astype(np.int64), low.tolist()):
         assert np.array_equal(sample_outcomes(P_REF, st, same)[0],
                               sample_outcomes(P_REF, st, low)[0])
+    # and integral floats as the ints they equal
+    assert np.array_equal(sample_outcomes(P_REF, st, np.array([3.0, 2.0**60]))[0],
+                          sample_outcomes(P_REF, st, [3, 2**60])[0])
 
 
 def test_sample_steps_off_trailing_zero_mass(monkeypatch):
@@ -931,5 +963,3 @@ def test_probability_against_poisson_mixture(params, out):
     log_prob, post = condition(params, out, st)
     assert post is not None
     assert abs(log_prob - want) <= 1e-12 * max(1.0, abs(want))
-    got = outcome_probability(params, out, st)
-    assert abs(got - math.exp(want)) <= 1e-12 * math.exp(want)
