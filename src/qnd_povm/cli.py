@@ -11,8 +11,9 @@ Subcommands reproduce the figure-class computations as CSV/JSON artifacts:
 
 Exit codes: 0 success, 1 a validate check failed, 2 configuration or usage
 error (including an output that cannot be written), 3 resource cap, 4
-numeric domain error.  All outputs are deterministic given config + seed.
-Library callers use `run` with a config dict.
+numeric domain error, 141 (128 + SIGPIPE) a reader that closed stdout.  All
+outputs are deterministic given config + seed.  Library callers use `run`
+with a config dict.
 """
 
 from __future__ import annotations
@@ -95,12 +96,16 @@ def _staged_dir(path):
             raise
 
 
-def _write_json(path, payload):
-    """Write `payload` as JSON, stamped with the tool, version and schema."""
+def _json_text(payload):
+    """`payload` as JSON text, stamped with the tool, version and schema."""
     stamped = {"tool": "qnd-povm", "version": __version__, "schema": "v1", **payload}
+    return json.dumps(stamped, indent=2, sort_keys=True) + "\n"
+
+
+def _write_json(path, payload):
+    """Write `payload` as stamped JSON."""
     with _artifact(path) as fh:
-        json.dump(stamped, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(payload))
 
 
 def _ascii_writer(fh):
@@ -124,40 +129,55 @@ def write_table(path, columns, blocks, meta=None, fmt="csv"):
 
     Each block is a list of equal-length columns, one per name, and the
     table is the blocks' rows in order; a block is read before the next is
-    taken, so a generator may reuse its arrays.  `meta` is a dict, or a
-    function called after the last block that returns one.
+    taken, so a generator may reuse its arrays.  Columns must be int, uint
+    or float arrays, or bytes arrays of text written as it is (TypeError
+    otherwise); a column after the first may be None, a null field.  Both
+    formats stream: rows are formatted in numpy in fixed-size chunks, so
+    memory is bounded by the chunk and the block.  `meta` is a dict.
     CSV: the versioned header, the column line and one row per line (ints
-    as `str` and floats as `repr` write them, CRLF endings), then a
-    `# key = value` footer line per `meta` item (LF endings).  Rows are
-    formatted in numpy in fixed-size chunks, so memory is bounded by the
-    chunk and the block; columns must be int, uint or float arrays, or
-    bytes arrays of text written as it is (TypeError otherwise).  JSON:
-    `{columns, rows, **meta}`.  A column after the first may be None: empty
-    CSV fields, JSON nulls.
+    as `str` and floats as `repr` write them, nulls empty, CRLF endings),
+    then a `# key = value` footer line per `meta` item (LF endings).
+    JSON: `{columns, rows, **meta}`, stamped, as `json.dump` writes it with
+    indent=2 and sort_keys=True; a non-finite float, which JSON cannot
+    hold, raises DomainError before its block is written.
     """
-    def footer():
-        return (meta() if callable(meta) else meta) or {}
-
-    if fmt == "json":
-        rows = [row for block in blocks for row in zip(*(
-            [None] * len(block[0]) if a is None else np.asarray(a).tolist() for a in block))]
-        _write_json(path, {"columns": columns, "rows": rows, **footer()})
-        return
     # imported here: project and validate write no rows
     from . import _csvrows
 
+    meta = meta or {}
+    last = len(columns) - 1
+    # a format is its head, the text before each row, after each field and
+    # of a null field, and its tail; the first row drops its first `drop`
+    # bytes (JSON's leading comma)
+    if fmt == "json":
+        head, tail = _json_text({"columns": columns, "rows": [], **meta}).split('"rows": []')
+        head += '"rows": ['
+        before, after, null = ",\n    [\n      ", [",\n      "] * last + ["\n    ]"], "null"
+        # "[]" with no rows; after rows the list closes on a line of its own
+        end, rows_end, drop = "]" + tail, "\n  ]" + tail, 1
+    else:
+        head = f"{HEADER}\n{','.join(columns)}\r\n"
+        before, after, null = "", [","] * last + ["\r\n"], ""
+        end = rows_end = "".join(f"# {key} = {value!r}\n" for key, value in meta.items())
+        drop = 0
     with _artifact(path) as fh:
-        fh.write(HEADER + "\n")
-        fh.write(",".join(columns) + "\r\n")
+        fh.write(head)
         write_rows = _ascii_writer(fh)
         for block in blocks:
             arrays = [None if a is None else np.asarray(a) for a in block]
             _csvrows.check_columns(columns, arrays)
+            if fmt == "json":
+                for name, a in zip(columns, arrays):
+                    if a is not None and a.dtype.kind == "f" and not np.isfinite(a).all():
+                        raise DomainError(f"column {name!r} holds a non-finite value, "
+                                          "which JSON cannot represent")
             for lo in range(0, len(arrays[0]), _CHUNK_ROWS):
+                # bytes[0:] is the bytes object itself, so CSV rows are not copied
                 write_rows(_csvrows.format_rows(
-                    [None if a is None else a[lo:lo + _CHUNK_ROWS] for a in arrays]))
-        for key, value in footer().items():
-            fh.write(f"# {key} = {value!r}\n")
+                    [None if a is None else a[lo:lo + _CHUNK_ROWS] for a in arrays],
+                    after, before, null)[drop:])
+                drop, end = 0, rows_end
+        fh.write(end)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +236,8 @@ def cmd_photon_dist(cfg: ExperimentConfig, out, fmt) -> int:
                           max_total=cfg.raw.get("max_total"))
     blocks = ((*table.counts(start, p.size), p) for start, p in table.pieces(_CHUNK_ROWS))
     write_table(out, ["n_c", "n_d", "p"], blocks,
-                lambda: {"captured_mass": table.captured_mass,
-                         "cutoff_total": table.cutoff_total}, fmt)
+                {"captured_mass": table.captured_mass, "cutoff_total": table.cutoff_total},
+                fmt)
     return 0
 
 
@@ -295,12 +315,10 @@ def cmd_wigner(cfg: ExperimentConfig, out, fmt) -> int:
         state = posterior(params, PhotonOutcome(oc["n_c"], oc["n_d"]), state)
     rho = density_from_state(state)
     wg = wigner(rho, **cfg.raw.get("grid", {}))
-    thetas, phis = wg.thetas, wg.phis
-    if fmt == "csv":
-        # every coordinate repeats on a row or column of the grid: its text
-        # is formed once, as the writer would form it, and repeated
-        thetas, phis = (np.array([repr(v) for v in a.tolist()], dtype="S")
-                        for a in (thetas, phis))
+    # every coordinate repeats on a row or column of the grid: its text is
+    # formed once, as the writer would form it, and repeated
+    thetas, phis = (np.array([repr(v) for v in a.tolist()], dtype="S")
+                    for a in (wg.thetas, wg.phis))
     # row-major over the grid, theta outer and phi inner, a few theta at a
     # time
     step = max(1, _CHUNK_ROWS // phis.size)
@@ -402,22 +420,35 @@ def main(argv=None) -> int:
     command, path, out = args.pop("command"), args.pop("config"), args.pop("out")
     fmt = args.pop("format", "csv")
     try:
-        # what is left of the namespace are the config overrides
-        raw = {**read_config(path), **args} if path is not None else args
-        return run(command, raw, out, fmt)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceCapError as exc:
-        mass = "" if exc.captured_mass is None else f" (captured_mass={exc.captured_mass!r})"
-        print(f"resource cap: {exc}{mass}", file=sys.stderr)
-        return 3
-    except (DomainError, PreconditionError) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 4
-    except QndError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        try:
+            # what is left of the namespace are the config overrides
+            raw = {**read_config(path), **args} if path is not None else args
+            return run(command, raw, out, fmt)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except ResourceCapError as exc:
+            mass = ("" if exc.captured_mass is None
+                    else f" (captured_mass={exc.captured_mass!r})")
+            print(f"resource cap: {exc}{mass}", file=sys.stderr)
+            return 3
+        except (DomainError, PreconditionError) as exc:
+            print(f"domain error: {exc}", file=sys.stderr)
+            return 4
+        except QndError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 4
+        finally:
+            # text still buffered meets a closed stdout here, not at exit
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: exit quietly with the status of a
+        # process that SIGPIPE ended, with stdout on the null device so
+        # that the interpreter's last flush of the unsent text cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

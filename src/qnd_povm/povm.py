@@ -191,9 +191,9 @@ class OutcomeDistribution:
         )
 
     def mean_total(self) -> float:
-        """Mean of n_c + n_d under the (renormalized) captured mass."""
+        """Mean of n_c + n_d under the rows, renormalized to their sum."""
         tot = (self.n_c + self.n_d).astype(float)
-        return float(np.dot(tot, self.p) / self.captured_mass)
+        return float(np.dot(tot, self.p) / self.p.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +635,8 @@ class _OutcomeTable:
     Construction grows the window and applies every cap; no table exists
     yet.  `pieces` builds the per-port tables and yields the rows' p in row
     order; `counts` gives the (n_c, n_d) of any run of rows from the window
-    alone.  Once the last piece is out, `captured_mass` holds the sum of the
-    window's per-total masses.
+    alone.  `captured_mass` is the window's Pois(s) mass, which each total's
+    rows match to _TOTAL_RTOL.
     """
 
     def __init__(self, params: QndParams, state: CollectiveState,
@@ -674,7 +674,7 @@ class _OutcomeTable:
         # row index of each total's first row (n_c = 0)
         self._starts = (self._totals - lo) * (self._totals + lo + 1) // 2
         self.size = n_rows
-        self.captured_mass = None
+        self.captured_mass = mass
 
     def pieces(self, rows: int):
         """Yield (start, p) for runs of at most `rows` rows in row order.
@@ -685,7 +685,6 @@ class _OutcomeTable:
         lo, hi = self.lo, self.cutoff_total
         table = self._mixture.pmf(np.arange(hi + 1))
         table[0] *= self._mixture.weights[:, None]
-        by_total = np.empty(hi - lo + 1)
         start = 0
         for i, p in enumerate(_mixture_rows(table[0].T, table[1], lo)):
             # the totals lo + i0 .. lo + i1 - 1 of this block
@@ -697,11 +696,9 @@ class _OutcomeTable:
             if bad.size:
                 raise DomainError(f"the rows of total {lo + i0 + bad[0]} miss its "
                                   "Poisson mass")
-            by_total[i0:i1] = mass
             for j in range(0, p.size, rows):
                 yield start + j, p[j:j + rows]
             start += p.size
-        self.captured_mass = float(by_total.sum())
 
     def counts(self, start: int, n: int):
         """(n_c, n_d) of rows start .. start + n - 1 (n >= 1): running sums of

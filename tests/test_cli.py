@@ -805,16 +805,19 @@ STDOUT_CASES = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(STDOUT_CASES))
-def test_text_only_stdout_gets_the_file_bytes(tmp_path, command):
+@pytest.mark.parametrize("command, fmt", [
+    *(pytest.param(command, "csv", id=command) for command in sorted(STDOUT_CASES)),
+    *(pytest.param(command, "json", id=f"{command}-json") for command in ("photon-dist",
+                                                                          "wigner"))])
+def test_text_only_stdout_gets_the_file_bytes(tmp_path, command, fmt):
     # a stream with no binary buffer (io.StringIO, a notebook's stdout)
     # takes the rows as text, between the text written before and after
     raw = STDOUT_CASES[command]
     out = tmp_path / "out"
-    assert cli.run(command, dict(raw), str(out)) == 0
+    assert cli.run(command, dict(raw), str(out), fmt) == 0
     stream = io.StringIO()
     with contextlib.redirect_stdout(stream):
-        assert cli.run(command, dict(raw)) == 0
+        assert cli.run(command, dict(raw), fmt=fmt) == 0
     assert stream.getvalue().encode("ascii") == out.read_bytes()
 
 
@@ -844,6 +847,24 @@ def test_output_to_a_pipe_is_written_in_place(tmp_path):
     assert stat.S_ISFIFO(os.stat(pipe).st_mode)
     assert got == [want.read_bytes()]
     assert sorted(os.listdir(tmp_path)) == ["pd.csv", "pipe"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("validate", []), ("photon-dist", []), ("photon-dist", ["--format", "json"]),
+    ("measure", [])], ids=["validate", "photon-dist", "photon-dist-json", "measure"])
+def test_closed_stdout_exits_141_quietly(tmp_path, command, flags):
+    # a reader that closed the pipe, as `| head -1` does: no traceback, and
+    # the status of a process ended by SIGPIPE, not a validate failure's 1
+    if command != "validate":
+        flags = ["--config", write_config(tmp_path, "c.json", STDOUT_CASES[command]), *flags]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qnd_povm", command, *flags],
+                              stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_photon_dist_json_bytes_pinned(tmp_path):
@@ -916,21 +937,57 @@ def test_photon_dist_guard_failure_in_a_later_block(tmp_path, monkeypatch, capsy
     assert lines[-2].startswith("337,0,") and lines[-1] == ""
 
 
-def test_photon_dist_peak_memory_is_bounded_by_a_block(tmp_path):
-    # the bright benchmark's table: N = 100, a mean of 1800 photons, 1.07M
-    # rows, whose three columns alone take 25.6 MB
-    raw = {"params": {"gamma": 30.0, "chi": [30.0 * math.cos(0.7), 30.0 * math.sin(0.7)],
-                      "gt": "pi/N"},
-           "N": 100, "initial": {"type": "coherent", "theta": 1.2}, "mass_tolerance": 1e-9}
-    out = tmp_path / "pd.csv"
+# the bright benchmark's table: N = 100, a mean of 1800 photons, 1.07M rows,
+# whose three columns alone take 25.6 MB
+BRIGHT = {"params": {"gamma": 30.0, "chi": [30.0 * math.cos(0.7), 30.0 * math.sin(0.7)],
+                     "gt": "pi/N"},
+          "N": 100, "initial": {"type": "coherent", "theta": 1.2}, "mass_tolerance": 1e-9}
+
+
+def _traced_peak(out, fmt):
+    """The tracemalloc peak of photon-dist on the bright table."""
     tracemalloc.start()
     try:
-        assert cli.run("photon-dist", raw, str(out)) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        assert cli.run("photon-dist", dict(BRIGHT), str(out), fmt) == 0
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_photon_dist_peak_memory_is_bounded_by_a_block(tmp_path):
+    out = tmp_path / "pd.csv"
+    peak = _traced_peak(out, "csv")
     assert out.read_bytes().count(b"\r\n") == 1067993 + 1
     assert peak < 16e6
+
+
+def test_photon_dist_json_peak_memory_is_bounded_by_a_block(tmp_path):
+    # the JSON rows stream through the same chunks as the CSV rows
+    out = tmp_path / "pd.json"
+    peak = _traced_peak(out, "json")
+    text = out.read_bytes()
+    assert text.count(b"\n    [\n") == 1067993
+    assert text.endswith(b"\n    ]\n  ],\n  \"schema\": \"v1\",\n  \"tool\": \"qnd-povm\",\n"
+                         b"  \"version\": \"0.1.0\"\n}\n")
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("raw", [PD_SMALL, _window_config(BLOCK_WINDOWS[257])],
+                         ids=["one-block", "three-blocks"])
+def test_captured_mass_is_known_before_the_rows(tmp_path, raw):
+    # the footer's mass is the window's Pois(s) mass, which the table holds
+    # from construction; the rows sum to it within the per-total guard
+    cfg = ExperimentConfig.from_dict("photon-dist", raw)
+    tol = raw["mass_tolerance"]
+    mass = povm._OutcomeTable(cfg.params(), cfg.initial_state(), tol).captured_mass
+    assert mass >= 1.0 - tol
+    out = tmp_path / "pd.csv"
+    assert cli.run("photon-dist", dict(raw), str(out)) == 0
+    _, _, rows, comments = read_csv_rows(out)
+    assert comments[0] == f"# captured_mass = {mass!r}\n"
+    assert abs(math.fsum(float(r["p"]) for r in rows) - mass) <= 1e-10 * mass
+    assert cli.run("photon-dist", dict(raw), str(out), "json") == 0
+    assert json.loads(out.read_text())["captured_mass"] == mass
 
 
 def test_wigner_bytes_pinned(tmp_path):

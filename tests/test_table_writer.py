@@ -1,15 +1,17 @@
-"""The CSV table writer against the per-row loop it replaced.
+"""The table writer against the per-row loop and `json.dump` it replaced.
 
 The float text must be `repr` and the int text `str`, byte for byte; the
 oracles are Python's own formatting of the same values.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from qnd_povm import _csvrows, cli
+from qnd_povm.errors import DomainError
 
 
 def reference_csv(columns, arrays, meta=None):
@@ -107,6 +109,48 @@ def test_write_table_matches_the_per_row_writer(tmp_path, n):
     out = tmp_path / "t.csv"
     cli.write_table(str(out), columns, [arrays], meta)
     assert out.read_bytes() == reference_csv(columns, arrays, meta).encode("ascii")
+
+
+@pytest.mark.parametrize("n", [0, 1, cli._CHUNK_ROWS - 1, cli._CHUNK_ROWS,
+                               cli._CHUNK_ROWS + 1])
+def test_write_table_json_equals_json_dump(tmp_path, n):
+    # the rows stream in chunks after an empty block; the text is still what
+    # json.dump writes of the whole stamped record
+    rng = np.random.default_rng(n)
+    bits = rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64)
+    refs = [f"shot_{k:06d}/\u00e9" for k in range(n)]
+    arrays = [np.arange(n) - n // 2, rng.integers(0, 2 ** 64, n, dtype=np.uint64),
+              None, np.where(np.isfinite(bits), bits, 0.5),
+              rng.random(n).astype(np.float32), -np.zeros(n),
+              np.array([json.dumps(r).encode() for r in refs], dtype="S")]
+    columns = ["i", "u", "empty", "f", "f32", "negzero", "ref"]
+    meta = {"captured_mass": 0.1 + 0.2, "cutoff_total": n}
+    out = tmp_path / "t.json"
+    empty = [None if a is None else a[:0] for a in arrays]
+    cli.write_table(str(out), columns, [empty, arrays], meta, fmt="json")
+    rows = [list(row) for row in zip(*([None] * n if a is None else a.tolist()
+                                       for a in arrays[:-1]), refs)]
+    want = json.dumps({"tool": "qnd-povm", "version": cli.__version__, "schema": "v1",
+                       "columns": columns, "rows": rows, **meta}, indent=2, sort_keys=True)
+    assert out.read_bytes() == (want + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_table_json_refuses_non_finite_floats(tmp_path, capsys, bad):
+    # JSON has no nan or inf: the block that holds one is refused before it
+    # is written, and a file output is not left behind
+    blocks = [[np.arange(3), np.ones(3)], [np.arange(3), np.array([1.0, bad, 2.0])]]
+    out = tmp_path / "t.json"
+    with pytest.raises(DomainError, match="column 'x' holds a non-finite value"):
+        cli.write_table(str(out), ["k", "x"], blocks, fmt="json")
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(DomainError):
+        cli.write_table(None, ["k", "x"], blocks, fmt="json")
+    # on stdout the first block's three rows are out, and none of the second
+    assert capsys.readouterr().out.count("\n    [\n") == 3
+    # CSV writes them as repr does
+    cli.write_table(str(out), ["k", "x"], blocks)
+    assert out.read_text().splitlines()[-2] == f"1,{bad!r}"
 
 
 def test_write_table_accepts_python_lists(tmp_path):
