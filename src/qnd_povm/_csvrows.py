@@ -7,20 +7,23 @@ line end).  Byte for byte, at numpy speed.  The same call writes the JSON
 lines of `measure`: the literals are the record's keys and braces, and its
 nullable fields (`null`) and JSON-string field (bytes) are columns too.
 
-Float digits come from a vectorised Schubfach conversion (R. Giulietti,
-"The Schubfach way to render doubles", 2020; cf. U. Adams, "Ryu: fast
-float-to-string conversion", PLDI 2018).  It picks the shortest decimal in
-each double's rounding interval and, among equally short ones, the closest,
-ties to even.  That is the decimal `repr` prints.  Unlike Java's
-`Double.toString`, one digit is allowed, so `5e-324` stays `5e-324`.
+Float digits are the shortest decimal that reads back as each double
+(`_schubfach.shortest`), the decimal `repr` prints.
 
 Text is built in planes: a column of n values is a (width, n) uint8 array
 whose row i holds character slot i of every value, NUL where a value has no
-character there.  Planes keep every numpy operation running along n.  The
-row matrix is the planes of all columns stacked and transposed, and
-dropping its NULs leaves the text.  Selections on masks that follow the
-data are products with boolean masks or wrapping arithmetic: `np.where`
-branches per element and costs several times more there.
+character there.  A kernel makes only the planes some value uses.  The row
+matrix is the planes of all columns stacked and transposed, and dropping
+its NULs leaves the text.
+
+Each numpy pass is a same-dtype loop (a mixed one runs numpy's casting
+loop) at the narrowest width the values allow.  Masks are bool arrays
+viewed as uint8, the decimal point and exponent are int16, and the layout
+of each value's text is uint8.  Past the conversion (see `_schubfach` for
+its own dtypes) only the significand is uint64: digits split it at 10^8
+while a value may exceed 2^32, then divide in uint32, uint16 and uint8.
+Zeros, subnormals, infs and nans go by index, so the common lanes skip
+their steps.
 """
 
 from __future__ import annotations
@@ -29,227 +32,165 @@ import functools
 
 import numpy as np
 
-# uint64 arrays meet only uint64 scalars, bools and other uint64 arrays: under
-# numpy 1.x promotion uint64 with an int64 array or a negative int is float64
+from ._schubfach import shortest
+
 _U = np.uint64
-_M32 = _U(0xFFFFFFFF)
-_M63 = _U((1 << 63) - 1)
-_K_MIN, _K_MAX = -324, 292
+_M52 = _U(2 ** 52 - 1)
 _POW10 = np.array([10 ** i for i in range(20)], dtype=np.uint64)
-_ONE_BITS = _U(0x3FF0000000000000)
-_NUL, _MINUS, _PLUS, _DOT, _ZERO, _E = (np.uint8(ord(c)) for c in "\0-+.0e")
-_LEAD = np.array([[48], [46], [48], [48], [48]], np.uint8)     # "0.000"
-_LEAD_NEED = np.array([[0], [0], [1], [2], [3]])                # its slots need -decpt >= this
+_MINUS, _PLUS, _DOT, _ZERO, _E = (np.uint8(ord(c)) for c in "-+.0e")
 _PLACE = np.arange(1, 18, dtype=np.uint8)[:, None]              # digit j + 1 of 17
-_FLOAT_WIDTH = 45   # sign, "0.000", 17 digits each with a "." slot after, "e+324"
-_SPECIALS = ("0.0", "-0.0", "inf", "-inf", "nan")
-# float values per `_float_text` call in `format_rows`: a call costs about
-# 150 numpy operations whatever its size, and at this size each of its
-# uint64 scratch arrays is 64 KB, under glibc's 128 KB mmap threshold
+# float values per `_float_text` call in `format_rows`: a call costs over a
+# hundred numpy operations whatever its size
 _PASS = 8192
 
 
-@functools.cache
-def _g_table():
-    """The 126-bit g(k) of Schubfach for k in [K_MIN, K_MAX], as uint64 arrays.
+def _digits(u, width):
+    """(width, n) ASCII planes of unsigned ints u below 10^width, most
+    significant digit first: 8-digit uint32 groups, cut into uint16 halves,
+    uint8 pairs and digits; the leading digits join at the first of those
+    sizes that holds them."""
+    n = u.size
+    groups = (width - 1) // 8
+    top = 1 << (width - 8 * groups - 1).bit_length()      # 1, 2, 4 or 8 digits
+    cut = np.empty((groups + (top == 8), n), np.uint32)
+    rest = u
+    for j in range(groups):
+        # below 10^9 what is left fits uint32
+        if rest.dtype.itemsize > 4 and width - 8 * j <= 9:
+            rest = rest.astype(np.uint32)
+        high = rest // rest.dtype.type(10 ** 8)
+        np.subtract(rest, high * rest.dtype.type(10 ** 8), out=cut[-1 - j], casting="unsafe")
+        rest = high
+    if top == 8:
+        cut[0] = rest
+    for size, dtype in ((4, np.uint16), (2, np.uint8), (1, np.uint8)):
+        if len(cut):
+            lead = int(top == size)
+            parts = np.empty((2 * len(cut) + lead, n), dtype)
+            if lead:
+                parts[0] = rest
+            step = cut.dtype.type(10 ** size)
+            high = cut // step
+            parts[lead::2] = high
+            high *= step
+            np.subtract(cut, high, out=parts[lead + 1::2], casting="unsafe")
+            cut = parts
+        elif top == size:
+            # the last level is changed in place below
+            cut = rest.astype(dtype, copy=size == 1)[None]
+    cut += _ZERO
+    return cut[len(cut) - width:]
 
-    With 10^-k = beta 2^r and 2^125 <= beta < 2^126, g = floor(beta) + 1, so
-    (g - 1) 2^r <= 10^-k < g 2^r.  Returned as g1 = g >> 63 and
-    g0 = g mod 2^63.
+
+def _float_text(a):
+    """(width, n) planes of a float column: `repr` of each value as a double.
+
+    Planes, where some value uses them: sign | "0.000" | 17 digits, each
+    with a "." slot after it | "e+123".  For 0.DDD x 10^decpt, Python
+    writes scientific when decpt <= -4 or decpt > 16, with two exponent
+    digits at least; else positional, ".0" on integers.  Zero is written
+    as the positional 0, and inf and nan as three digits.
     """
-    g = []
-    for k in range(_K_MIN, _K_MAX + 1):
-        if k <= 0:
-            p = 10 ** -k
-            shift = 125 - (p.bit_length() - 1)
-            beta = p << shift if shift >= 0 else p >> -shift
-        else:
-            d = 10 ** k
-            beta = (1 << (125 + d.bit_length())) // d
-        g.append(beta + 1)
-    return (np.array([x >> 63 for x in g], dtype=np.uint64),
-            np.array([x & ((1 << 63) - 1) for x in g], dtype=np.uint64))
+    bits = a.astype(np.float64, copy=False).view(np.uint64)
+    top = (bits >> _U(52)).astype(np.uint16)
+    bq = top & np.uint16(0x7FF)
+    neg = top > np.uint16(0x7FF)
+    # zeros and subnormals (bq = 0), infs and nans (bq = 2047), by index
+    edge = np.flatnonzero(bq - np.uint16(1) >= np.uint16(2046))
+    low = infnan = edge
+    if edge.size:
+        low, infnan = edge[bq[edge] == 0], edge[bq[edge] != 0]
+    d, k = shortest(bits, bq, low)
+    # d has 16 or 17 digits for a normal double, and is scaled to 17
+    short = d < _POW10[16]
+    decpt = k.astype(np.int16)
+    decpt += np.int16(17)
+    decpt -= short
+    d_low = d[low]
+    d = np.where(short, d * _U(10), d)
+    if edge.size:
+        ndig = np.searchsorted(_POW10, d_low, side="right")
+        d[low] = d_low * _POW10[17 - np.minimum(ndig, 17)]
+        decpt[low] = k[low] + ndig
+        # zero is 0 x 10^1; the digits of inf and nan are overwritten
+        special = np.concatenate([low[(bits[low] & _M52) == 0], infnan])
+        d[special] = 0
+        decpt[special] = 1
+    digits = _digits(d, 17)
+    if infnan.size:
+        nan = (bits[infnan] & _M52) != 0
+        digits[:3, infnan] = np.where(nan, *(np.frombuffer(w, np.uint8)[:, None]
+                                             for w in (b"nan", b"inf")))
+        neg[infnan[nan]] = False
+    nd = ((digits != _ZERO).view(np.uint8) * _PLACE).max(axis=0)    # up to the last nonzero digit
+    # decpt + 3, unsigned: above 19 scientific, up to 3 "0." and -decpt zeros
+    w = (decpt + np.int16(3)).view(np.uint16)
+    sci = w > np.uint16(19)
+    small = w <= np.uint16(3)
+    big = ~(sci | small).view(np.uint8) & np.uint8(1)
+    # positional values show the digits up to one past the point, which
+    # follows digit decpt; a scientific one follows the first digit
+    point = (w - np.uint16(3)).astype(np.uint8)
+    point *= big
+    shown = np.maximum(nd, point + big)
+    point += (sci & (nd > 1)).view(np.uint8)
+    if infnan.size:
+        point[infnan] = 0
 
-
-def _select(cond, a, b):
-    """`np.where(cond, a, b)` for uint64 arrays, by wrapping arithmetic."""
-    return b + (a - b) * cond
-
-
-def _mulhi(a0, a1, b0, b1):
-    """High 64 bits of a * b from the 32-bit limbs a = a1 2^32 + a0, b alike.
-
-    For a < 2^63 and b < 2^61 the middle sum stays below 2^64.  Here a is
-    g1 or g0 and b is cp = 4 c 2^h, below 2^(55 + 5).
-    """
-    mid = ((a0 * b0) >> _U(32)) + a0 * b1 + a1 * b0
-    return a1 * b1 + (mid >> _U(32))
-
-
-def _rop(y1, y0, x1):
-    """Round-to-odd of cp g 2^-127, for g = g1 2^63 + g0, from the words of
-    g1 cp = y1 2^64 + y0 and g0 cp = x1 2^64 + x0 (Schubfach's rop)."""
-    z = (y0 >> _U(1)) + x1
-    return (y1 + (z >> _U(63))) | (((z & _M63) + _M63) >> _U(63))
-
-
-def _moved(words, g1, g0, e, up):
-    """The words of `_rop` for cp + 2^e if up, else cp - 2^e, from
-    (y1, y0, x1, x0) of cp: g1 2^e and g0 2^e are exact in two words, so
-    each product moves by one wrapping add or subtract and its carry."""
-    y1, y0, x1, x0 = words
-    shift = _U(64) - e
-    if up:
-        y, x = y0 + (g1 << e), x0 + (g0 << e)
-        return y1 + (g1 >> shift) + (y < y0), y, x1 + (g0 >> shift) + (x < x0)
-    y, x = y0 - (g1 << e), x0 - (g0 << e)
-    return y1 - (g1 >> shift) - (y > y0), y, x1 - (g0 >> shift) - (x > x0)
-
-
-def _split(bits):
-    """(c, k, h, irregular) of finite, nonzero doubles (raw bits), each the
-    value c 2^q: the Schubfach quantities that `_shortest` starts from."""
-    bq = (bits >> _U(52)) & _U(0x7FF)
-    t = bits & _U((1 << 52) - 1)
-    c = t | (bq != 0) * _U(1 << 52)
-    q = np.maximum(bq.astype(np.int64), 1) - 1075
-    # at a power of two the gap below is half the gap above
-    irregular = (t == 0) & (bq > 1)
-    # floor(log10(2^q)), or of (3/4) 2^q when irregular; then h as in the paper
-    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
-    h = (q + ((-k * 913_124_641_741) >> 38) + 2).astype(np.uint64)
-    return c, k, h, irregular
-
-
-def _product(g1, g0, c, h):
-    """The exact product g cp, cp = 4 c 2^h, as the words (y1, y0, x1, x0)
-    of g1 cp = y1 2^64 + y0 and g0 cp = x1 2^64 + x0."""
-    cp = (c << _U(2)) << h
-    c0, c1 = cp & _M32, cp >> _U(32)
-    return (_mulhi(g1 & _M32, g1 >> _U(32), c0, c1), g1 * cp,
-            _mulhi(g0 & _M32, g0 >> _U(32), c0, c1), g0 * cp)
-
-
-def _shortest(bits):
-    """(d, k): the shortest decimal d 10^k that reads back as each finite,
-    nonzero double (raw bits), the closest one on a tie, ties to even.
-
-    The steps are helpers so that their temporaries are freed on return: a
-    call's memory peaks at the uint64 arrays alive at once.
-    """
-    c, k, h, irregular = _split(bits)
-    g1, g0 = (table[k - _K_MIN] for table in _g_table())
-    words = _product(g1, g0, c, h)
-    vb = _rop(*words[:3])
-    # the interval ends are cp -+ 2^(h+1), or cp - 2^h below a power of two;
-    # it is closed when c is even, open when odd
-    e = h + _U(1)
-    odd = c & _U(1)
-    vbl = _rop(*_moved(words, g1, g0, e - irregular, False)) + odd
-    vbr = _rop(*_moved(words, g1, g0, e, True)) - odd
-    del words, g1, g0, e, odd
-    s = vb >> _U(2)
-    # one digit fewer: the one multiple of 10^(k+1) that may be in range
-    sp10 = s // _U(10) * _U(10)
-    upin = vbl <= sp10 << _U(2)
-    wpin = (sp10 + _U(10)) << _U(2) <= vbr
-    # the same length: s or s + 1, whichever is in range, else the closer
-    s1 = s + _U(1)
-    uin = vbl <= s << _U(2)
-    win = s1 << _U(2) <= vbr
-    mid = (s + s1) << _U(1)
-    closer = (vb < mid) | ((vb == mid) & ((s & _U(1)) == 0))
-    d = _select(upin != wpin, sp10 + wpin * _U(10), s + ~(uin & (~win | closer)))
-    return d, k
-
-
-def _digits(u, quads):
-    """(4 * quads, n) ASCII planes of the low 4 * quads decimal digits of
-    uint64 values, most significant first: plane i holds digit i of each."""
-    q = np.empty((quads, u.size), np.uint16)
-    for i in range(quads - 1, 0, -1):
-        rest = u // _U(10_000)
-        q[i] = u - rest * _U(10_000)
-        u = rest
-    q[0] = u
-    # uint16 division is several times faster than a table gather here
-    planes = np.empty((quads, 4, u.size), np.uint8)
-    for i in (3, 2, 1):
-        rest = q // np.uint16(10)
-        planes[:, i] = q - rest * np.uint16(10)
-        q = rest
-    planes[:, 0] = q
-    planes += _ZERO
-    return planes.reshape(4 * quads, -1)
+    sign = int(neg.any())
+    lead = max(0, 5 - int(w.min()))
+    width = int(shown.max())
+    used = int(np.bitwise_or.reduce(np.left_shift(1, point, dtype=np.uint32)))
+    dots = [j for j in range(1, width) if used >> j & 1]
+    exp = 0
+    if sci.any():
+        mag = np.abs(decpt - np.int16(1)).view(np.uint16)
+        # only a scientific value has |decpt - 1| >= 100
+        exp = 4 + int(mag.max() >= 100)
+    text = np.empty((sign + lead + width + len(dots) + exp, bits.size), np.uint8)
+    if sign:
+        np.multiply(neg.view(np.uint8), _MINUS, out=text[0])
+    row = sign
+    if lead:
+        np.multiply(small.view(np.uint8), _ZERO, out=text[row])
+        np.multiply(small.view(np.uint8), _DOT, out=text[row + 1])
+        for i in range(lead - 2):
+            np.multiply((small & (decpt < -i)).view(np.uint8), _ZERO, out=text[row + 2 + i])
+        row += lead
+    keep = (_PLACE[:width] <= shown).view(np.uint8)
+    for start, stop in zip([0, *dots], [*dots, width]):
+        np.multiply(digits[start:stop], keep[start:stop], out=text[row:row + stop - start])
+        row += stop - start
+        if stop < width:
+            np.multiply((point == stop).view(np.uint8), _DOT, out=text[row])
+            row += 1
+    if exp:
+        sci8 = sci.view(np.uint8)
+        np.multiply(sci8, _E, out=text[row])
+        # "-" is "+" + 2
+        np.multiply((decpt <= 0).view(np.uint8) * np.uint8(2) + _PLUS, sci8, out=text[row + 1])
+        exp_digits = _digits(mag, exp - 2)
+        if exp == 5:
+            exp_digits[0] *= (mag >= np.uint16(100)).view(np.uint8)
+        np.multiply(exp_digits, sci8, out=text[row + 2:])
+    return text
 
 
 def _int_text(a):
     """(width, n) planes of an int or uint column, as `str` writes it."""
-    if a.dtype.kind == "i":
-        v = a.astype(np.int64, copy=False).view(np.uint64)
-        neg = v >> _U(63) != 0
-        # the two's complement magnitude, also of int64's minimum
-        u = _select(neg, ~v + _U(1), v)
-    else:
-        u = a.astype(np.uint64, copy=False)
-        neg = None
-    width = len(str(int(u.max())))
-    quads = -(-width // 4)
-    digits = _digits(u, quads)[4 * quads - width:]
-    # each value's digit count; the last digit shows also for 0
-    place = np.arange(width, 0, -1, dtype=np.uint8)[:, None]
-    ndig = np.maximum(((digits != _ZERO) * place).max(axis=0), 1)
-    text = digits * (place <= ndig)
-    if neg is not None and neg.any():
-        text = np.concatenate([(neg * _MINUS)[None], text])
-    return text
-
-
-def _float_text(a):
-    """(45, n) planes of a float column: `repr` of each value as a double.
-
-    Planes: sign | "0.000" | 17 digits, each followed by a "." slot | "e+123".
-    Python's layout, with the value 0.DDD x 10^decpt: scientific when
-    decpt <= -4 or decpt > 16, with a signed exponent of at least two
-    digits; else positional, with ".0" on integral values.
-    """
-    bits = a.astype(np.float64, copy=False).view(np.uint64)
-    neg = bits >> _U(63) != 0
-    exp_all_ones = (bits & _U(0x7FF0000000000000)) == _U(0x7FF0000000000000)
-    special = exp_all_ones | ((bits & _M63) == 0)
-    d, k = _shortest(np.where(special, _ONE_BITS, bits))
-    ndig = np.searchsorted(_POW10, d, side="right")
-    digits = _digits(d * _POW10[17 - ndig], 5)[3:]
-    nd = ((digits != _ZERO) * _PLACE).max(axis=0)    # up to the last nonzero digit
-    decpt = ndig + k
-    sci = (decpt <= -4) | (decpt > 16)
-    small = ~sci & (decpt <= 0)
-    big = ~sci & ~small
-
-    text = np.empty((_FLOAT_WIDTH, bits.size), np.uint8)
-    text[0] = neg * _MINUS
-    # "0." and then -decpt zeros, for positional values below 1
-    text[1:6] = (small & (-decpt >= _LEAD_NEED)) * _LEAD
-    # positional values also show the digits up to one past the point
-    text[6:40:2] = digits * (_PLACE <= np.maximum(nd, (decpt + 1) * big))
-    # the "." follows digit decpt, or the first digit in scientific form
-    text[7:40:2] = (_PLACE == decpt * big + (sci & (nd > 1))) * _DOT
-    exp = decpt - 1
-    mag = np.abs(exp)
-    text[40] = sci * _E
-    text[41] = sci * np.where(exp < 0, _MINUS, _PLUS)
-    text[42] = (sci & (mag >= 100)) * (mag // 100 + _ZERO)
-    text[43] = sci * (mag // 10 % 10 + _ZERO)
-    text[44] = sci * (mag % 10 + _ZERO)
-
-    if special.any():
-        inf = exp_all_ones & ((bits & _U((1 << 52) - 1)) == 0)
-        for mask, word in zip((~exp_all_ones & ~neg, ~exp_all_ones & neg,
-                               inf & ~neg, inf & neg, exp_all_ones & ~inf), _SPECIALS):
-            cols = special & mask
-            if cols.any():
-                text[:, cols] = _NUL
-                text[:len(word), cols] = np.frombuffer(word.encode(), np.uint8)[:, None]
+    u = a.view(f"u{a.dtype.itemsize}")
+    neg = a < 0 if a.dtype.kind == "i" and a.min() < 0 else None
+    if neg is not None:
+        # the two's complement magnitude, also of the type's minimum
+        u = np.where(neg, -u, u)
+    top = int(u.max())
+    width = len(str(top))
+    u = u.astype(np.min_scalar_type(top), copy=False)
+    text = _digits(u, width)
+    # each value's leading zeros are NULs; the last digit shows also for 0
+    text[:-1] *= (u >= _POW10[width - 1:0:-1, None].astype(u.dtype)).view(np.uint8)
+    if neg is not None:
+        text = np.concatenate([(neg.view(np.uint8) * _MINUS)[None], text])
     return text
 
 
@@ -258,7 +199,7 @@ def check_columns(columns, arrays):
     for name, a in zip(columns, arrays):
         if a is not None and a.dtype.kind not in "iufS":
             raise TypeError(f"column {name!r} has dtype {a.dtype}; "
-                            "CSV columns must be int, uint, float or bytes")
+                            "table columns must be int, uint, float or bytes")
 
 
 @functools.cache
@@ -285,11 +226,12 @@ def format_rows(columns, after=None, before="", null=""):
     if n == 0:
         return b""
     floats = [a for a, _ in pairs if a is not None and a.dtype.kind == "f"]
-    # float fields are converted together, up to _PASS values at a time
+    # float fields are converted together, up to _PASS values at a time; a
+    # lone column goes in as it is, with no copy
     per_pass = max(1, _PASS // n)
-    float_text = (text for i in range(0, len(floats), per_pass) for text in np.split(
-        _float_text(np.concatenate(floats[i:i + per_pass])), len(floats[i:i + per_pass]),
-        axis=1))
+    groups = [floats[i:i + per_pass] for i in range(0, len(floats), per_pass)]
+    float_text = (text for group in groups for text in np.split(
+        _float_text(group[0] if len(group) == 1 else np.concatenate(group)), len(group), axis=1))
     null_text = _literal(null)
     planes = [_literal(before)]
     for (a, nulls), tail in zip(pairs, after):
@@ -302,17 +244,19 @@ def format_rows(columns, after=None, before="", null=""):
         else:
             planes.append(_int_text(a))
         if nulls is not None:
-            planes[-1] = planes[-1] * ~nulls
-            planes.append(null_text * nulls)
+            planes[-1] = planes[-1] * (~nulls).view(np.uint8)
+            planes.append(null_text * nulls.view(np.uint8))
         planes.append(_literal(tail))
-    # slots no row uses cost nothing to drop here and a pass each below
-    planes = [p if p.shape[1] == 1 else p[p.any(axis=1)] for p in planes]
+    del float_text
     rows = np.empty((sum(len(p) for p in planes), n), np.uint8)
+    # each column's planes are freed once copied
+    planes.reverse()
     at = 0
-    for p in planes:
+    while planes:
+        p = planes.pop()
         rows[at:at + len(p)] = p
         at += len(p)
-    del planes
+        del p
     text = rows.T.tobytes()
     del rows
     return text.translate(None, b"\0")

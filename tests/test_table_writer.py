@@ -6,11 +6,14 @@ oracles are Python's own formatting of the same values.
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qnd_povm import _csvrows, cli
+from qnd_povm import _csvrows, _schubfach, cli
 from qnd_povm.errors import DomainError
 
 
@@ -70,6 +73,90 @@ def test_floats_match_repr_within_3_ulp_of_every_power_of_two():
     values = bits[(bits > 0) & (bits < 0x7FF0000000000000)].view(np.float64)
     values = np.concatenate([values, -values])
     assert fields(values) == [repr(v) for v in values.tolist()]
+
+
+def test_floats_match_repr_across_the_subnormal_boundary():
+    # the largest subnormals take the general digit count, the smallest
+    # normals the 16-or-17-digit one, in the same pass
+    bits = np.arange(0x000FFFFFFFFFF000, 0x0010000000001000, dtype=np.uint64)
+    values = np.concatenate([bits.view(np.float64), -bits.view(np.float64)])
+    assert fields(values) == [repr(v) for v in values.tolist()]
+
+
+def _normal_bits():
+    """Powers of two within 3 ulp, and random patterns, of normal doubles."""
+    powers = np.ldexp(1.0, np.arange(-1022, 1024)).view(np.int64)
+    near = (powers[:, None] + np.arange(-3, 4)).ravel()
+    rng = np.random.default_rng(24)
+    spread = rng.integers(0x0010000000000000, 0x7FF0000000000000, 200_000, dtype=np.int64)
+    bits = np.concatenate([near, spread]).astype(np.uint64)
+    bits = bits[(bits >= np.uint64(0x0010000000000000)) & (bits < np.uint64(0x7FF0000000000000))]
+    return np.concatenate([bits, bits | np.uint64(1 << 63)])
+
+
+def test_shortest_decimal_of_a_normal_double_has_16_or_17_digits():
+    # the float text counts digits by one comparison with 10^16, except on
+    # subnormals; that holds only if every normal d is in [10^15, 10^17)
+    bits = _normal_bits()
+    bq = ((bits >> np.uint64(52)).astype(np.uint16) & np.uint16(0x7FF))
+    d, _ = _schubfach.shortest(bits, bq, np.flatnonzero(bq == 0))
+    assert d.min() >= 10 ** 15 and d.max() < 10 ** 17
+
+
+def test_exponent_arithmetic_equals_schubfach_int64_forms():
+    # k and h + 2 come from int32 constants; Schubfach's own need int64
+    bq = np.arange(2048, dtype=np.uint16)
+    for t in (0, 1):
+        bits = (bq.astype(np.uint64) << np.uint64(52)) | np.uint64(t)
+        _, k, h2, _, irregular = _schubfach.split(bits, bq, np.flatnonzero(bq == 0))
+        assert irregular.tolist() == (list(range(2, 2048)) if t == 0 else [])
+        for e in range(2048):
+            q = max(e, 1) - 1075
+            kk = (q * 661_971_961_083 - (t == 0 and e > 1) * 274_743_187_321) >> 41
+            assert (int(k[e]), int(h2[e])) == (kk, q + ((-kk * 913_124_641_741) >> 38) + 4)
+
+
+def _double_bits(b):
+    return struct.unpack("<d", struct.pack("<Q", b))[0]
+
+
+# doubles of every form `repr` writes: positional below and above 1, integral,
+# scientific, subnormal, signed zeros, infinities and nans with payloads
+_DOUBLES = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(_double_bits),
+    st.floats(1e-4, 1e16) | st.floats(-1e16, -1e-4),
+    st.integers(-2 ** 60, 2 ** 60).map(float),
+    st.integers(1, 2 ** 52 - 1).flatmap(lambda t: st.sampled_from([t, t | 1 << 63]))
+    .map(_double_bits),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-5, 1e16, 1e17,
+                     0.0001, 9999999999999998.0, 1.7976931348623157e308])
+    | st.integers(0x7FF0000000000001, 2 ** 64 - 1).map(_double_bits),
+)
+_INT_TYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@st.composite
+def _blocks(draw):
+    """Equal-length float columns, one pass, and int columns of each width."""
+    n = draw(st.integers(1, 40))
+    floats = [np.array(draw(st.lists(_DOUBLES, min_size=n, max_size=n)))
+              for _ in range(draw(st.integers(1, 5)))]
+    ints = []
+    for dtype in draw(st.lists(st.sampled_from(_INT_TYPES), max_size=4)):
+        info = np.iinfo(dtype)
+        values = draw(st.lists(st.integers(int(info.min), int(info.max)), min_size=n, max_size=n))
+        ints.append(np.array(values, dtype=dtype))
+    columns = floats + ints
+    order = draw(st.permutations(range(len(columns))))
+    return [columns[i] for i in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocks())
+def test_format_rows_matches_the_per_row_loop(columns):
+    line = ",".join("{!r}" if a.dtype.kind == "f" else "{}" for a in columns) + "\r\n"
+    want = "".join(map(line.format, *(a.tolist() for a in columns)))
+    assert _csvrows.format_rows(columns) == want.encode("ascii")
 
 
 def test_nan_payloads_and_signs_print_nan():
@@ -164,7 +251,10 @@ def test_write_table_accepts_python_lists(tmp_path):
 @pytest.mark.parametrize("column", [np.array([True, False]), np.array([1 + 2j, 3j]),
                                     np.array(["a", "b"]), np.array([None, 1.0], dtype=object)])
 def test_unsupported_column_dtype_raises_before_writing(tmp_path, column):
-    out = tmp_path / "t.csv"
-    with pytest.raises(TypeError, match=f"column 'bad' has dtype {column.dtype}"):
-        cli.write_table(str(out), ["ok", "bad"], [[np.arange(2), column]])
-    assert list(tmp_path.iterdir()) == []
+    # both table formats check their columns the same way
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"t.{fmt}"
+        with pytest.raises(TypeError, match=f"column 'bad' has dtype {column.dtype}; table "
+                                            "columns must be int, uint, float or bytes"):
+            cli.write_table(str(out), ["ok", "bad"], [[np.arange(2), column]], fmt=fmt)
+        assert list(tmp_path.iterdir()) == []
