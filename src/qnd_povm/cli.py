@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 a validate check failed, 2 configuration or usage
 error (including an output that cannot be written), 3 resource cap, 4
 numeric domain error, 141 (128 + SIGPIPE) a reader that closed stdout.  All
 outputs are deterministic given config + seed.  Library callers use `run`
-with a config dict.
+with a config dict, or `main` with an argv list; neither freezes the heap,
+which only the process entry `qnd_povm.__main__.console` does.
 """
 
 from __future__ import annotations
@@ -371,12 +372,25 @@ _COMMANDS = {
     "validate": (cmd_validate, ("--seed",)),
 }
 
+
+def _finite(text: str) -> float:
+    """A float flag's value, refused (exit 2) unless finite, as in a config
+    file: argparse's `float` takes "nan", which passes any schema bound."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
 # an override flag is left out of the parsed namespace unless it is given,
 # and stores under the config key it replaces
 _FLAGS = {
     "--seed": {"type": int, "default": argparse.SUPPRESS,
                "help": "override the config seed"},
-    "--mass-tol": {"type": float, "dest": "mass_tolerance", "default": argparse.SUPPRESS,
+    "--mass-tol": {"type": _finite, "dest": "mass_tolerance", "default": argparse.SUPPRESS,
                    "help": "override the distribution mass tolerance"},
     "--format": {"choices": ("csv", "json"), "default": "csv",
                  "help": "table format (default csv)"},
@@ -450,6 +464,3 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 141
 
-
-if __name__ == "__main__":
-    sys.exit(main())

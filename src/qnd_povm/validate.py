@@ -5,6 +5,7 @@ Each check takes the sizes it runs at as arguments and returns a `Check`.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from collections import namedtuple
@@ -16,7 +17,7 @@ from .approx import gaussian_model
 from .numerics import clebsch_gordan, legendre_sum
 from .povm import (PhotonOutcome, QndParams, _wrap_pi, condition, eigen, log_amplitude,
                    log_matrix_element_direct, outcome_distribution)
-from .spin_state import CollectiveState, dicke_state, normalize, overlap
+from .spin_state import CollectiveState, coherent_state, dicke_state, normalize, overlap
 
 
 # one invariant's verdict; `value` is the figure its detail reports
@@ -154,6 +155,31 @@ def check_gaussian_width(params: QndParams, outcome: PhotonOutcome) -> Check:
     return Check("Gaussian width vs log-curvature", rel < 0.05, f"rel err {rel:.3f}", rel)
 
 
+def check_composition(params: QndParams, state: CollectiveState, first, second) -> Check:
+    """The QND composition law for outcomes `first` and `second` (n_c, n_d).
+
+    The operators are diagonal in m_z, so they commute: ln P(o1) + ln P(o2 | o1)
+    = ln P(o2) + ln P(o1 | o2) to 1e-13 of its size, and both orders leave
+    the same posterior, to fidelity 1 - 1e-12.
+    """
+    ends = []
+    for order in ((first, second), (second, first)):
+        log_p, post = 0.0, state
+        for outcome in order:
+            log_o, post = condition(params, PhotonOutcome(*outcome), post)
+            if post is None:
+                return Check("QND composition law", False,
+                             f"outcome {outcome} has zero probability", math.inf)
+            log_p += log_o
+        ends.append((log_p, post))
+    (log_ab, post_ab), (log_ba, post_ba) = ends
+    dev = abs(log_ab - log_ba)
+    infidelity = 1.0 - abs(overlap(post_ab, post_ba)) ** 2
+    ok = dev <= 1e-13 * max(1.0, abs(log_ab)) and abs(infidelity) <= 1e-12
+    return Check("QND composition law", ok, f"ln P {log_ab:.2f}, orders differ by "
+                 f"{dev:.1e}, posterior infidelity {infidelity:.1e}", dev)
+
+
 def run_all(seed: int = 20260810) -> list[Check]:
     rng = lambda k: np.random.default_rng(seed + k)
     light = lambda n: QndParams(gamma=5.1, chi=5.0, gt=math.pi / n)
@@ -166,4 +192,6 @@ def run_all(seed: int = 20260810) -> list[Check]:
         check_multipole_parseval(rng(3)),
         check_harmonic_orthonormality(),
         check_gaussian_width(light(100), PhotonOutcome(25, 25)),
+        check_composition(QndParams(gamma=5.1, chi=5.0 * cmath.exp(0.7j), gt=math.pi / 20),
+                          coherent_state(20, 1.3), (23, 28), (31, 20)),
     ]

@@ -2,6 +2,7 @@
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 """
 
+import cmath
 import math
 import time
 
@@ -13,8 +14,8 @@ from qnd_povm.approx import approx_apply
 from qnd_povm.povm import (PhotonOutcome, QndParams, log_amplitude,
                            outcome_distribution, posterior)
 from qnd_povm.spin_state import coherent_state, dicke_state, normalize, overlap
-from qnd_povm.validate import (check_dicke_invariance, check_dual_form, check_gaussian_width,
-                               check_photon_conservation, check_unity)
+from qnd_povm.validate import (check_composition, check_dicke_invariance, check_dual_form,
+                               check_gaussian_width, check_photon_conservation, check_unity)
 
 P100 = QndParams(gamma=5.1, chi=5.0, gt=math.pi / 100.0)
 
@@ -160,3 +161,16 @@ def test_criterion_09_parity_cases():
 def test_criterion_10_dual_form_oracle():
     check = check_dual_form(np.random.default_rng(424242), draws=1000, two_m_cap=120)
     _report(10, "dual-form oracle", check.passed, check.detail)
+
+
+def test_criterion_11_composition_law():
+    # two bright readouts of an N = 200 coherent state, with counts in the
+    # hundreds and in the thousands, commute in ln P and in the posterior
+    t0 = time.monotonic()
+    params = QndParams(gamma=30.0, chi=30.0 * cmath.exp(0.7j), gt=math.pi / 200.0)
+    state = coherent_state(200, 1.3)
+    checks = [check_composition(params, state, first, second) for first, second in
+              (((880, 900), (950, 850)), ((2500, 2400), (2400, 2500)))]
+    elapsed = time.monotonic() - t0
+    _report(11, checks[0].name, all(c.passed for c in checks) and elapsed < 10.0,
+            f"{'; '.join(c.detail for c in checks)}, {elapsed:.1f} s")

@@ -1,11 +1,17 @@
 import argparse
+import ast
 import contextlib
 import csv
+import gc
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pathlib
+import re
+import shutil
 import stat
 import subprocess
 import sys
@@ -15,6 +21,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qnd_povm
 from qnd_povm import analysis, cli, povm
 from qnd_povm.analysis import density_from_state, wigner
 from qnd_povm.approx import gaussian_model
@@ -242,6 +249,19 @@ def test_photon_dist_mass_tol_flag_override(tmp_path):
     _, _, rows, comments = read_csv_rows(out)
     mass = sum(float(r["p"]) for r in rows)
     assert mass >= 1.0 - 1e-8
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "1e999"])
+def test_non_finite_mass_tol_flag_is_a_usage_error(tmp_path, capsys, value):
+    # argparse's float takes these, and nan passes the schema's bounds; like
+    # a non-finite number in a config file, the flag is refused with exit 2
+    path = write_config(tmp_path, "pd.json", PD_SMALL)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("photon-dist", "--config", path, "--mass-tol", value,
+                "--out", str(tmp_path / "pd.csv"))
+    assert exc.value.code == 2
+    assert f"argument --mass-tol: not a finite number: '{value}'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["pd.json"]
 
 
 # --------------------------------------------------------------------- amp-scan
@@ -600,18 +620,6 @@ def test_validate_passes(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) >= 6
     assert all(line.startswith("PASS") for line in lines)
-
-
-def test_module_entrypoint_subprocess(tmp_path):
-    cfg = dict(BASE, mass_tolerance=1e-4)
-    path = write_config(tmp_path, "pd.json", cfg)
-    out = tmp_path / "pd.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "qnd_povm", "photon-dist", "--config", path,
-         "--out", str(out)],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert out.read_text().startswith("# qnd-povm v0.1.0, schema v1")
 
 
 def test_runs_without_test_dependencies(tmp_path):
@@ -1412,3 +1420,104 @@ def test_run_takes_a_config_dict(tmp_path):
         cli.run("photon-dist", dict(PD_SMALL, N=0), str(b))
     with pytest.raises(ConfigError):
         cli.run("photon-dist", PD_SMALL, str(b), "xml")
+
+
+# --------------------------------------------------------------- process entry
+
+def test_entry_freezes_the_heap_once_it_returns(tmp_path):
+    # the collections at exit then skip every object; argparse's exits
+    # (--version here) freeze as well
+    path = write_config(tmp_path, "pd.json", PD_SMALL)
+    code = (
+        "import gc\n"
+        "from qnd_povm.__main__ import console\n"
+        "assert gc.get_freeze_count() == 0\n"
+        f"status = console(['photon-dist', '--config', {path!r},"
+        f" '--out', {str(tmp_path / 'pd.csv')!r}])\n"
+        "print(status, gc.get_freeze_count() > 0)\n"
+        "gc.unfreeze()\n"
+        "try:\n"
+        "    console(['--version'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.get_freeze_count() > 0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 True", f"qnd-povm {qnd_povm.__version__}",
+                                        "0 True"]
+
+
+def test_library_calls_never_freeze_the_heap(tmp_path):
+    frozen = gc.get_freeze_count()
+    path = write_config(tmp_path, "pd.json", PD_SMALL)
+    assert run_cli("photon-dist", "--config", path, "--out", str(tmp_path / "a.csv")) == 0
+    assert run_cli("photon-dist", "--config", str(tmp_path / "none.json")) == 2
+    assert cli.run("photon-dist", dict(PD_SMALL), str(tmp_path / "b.csv")) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_console_script_is_the_function_main_module_calls():
+    # `qnd-povm` and `python -m qnd_povm` start at one function
+    root = pathlib.Path(__file__).resolve().parent.parent
+    text = (root / "pyproject.toml").read_text(encoding="utf-8")
+    (module, name), = re.findall(r'^qnd-povm = "([\w.]+):(\w+)"$', text, re.M)
+    entry = importlib.import_module(module)
+    assert module == "qnd_povm.__main__" and callable(getattr(entry, name))
+    tree = ast.parse(pathlib.Path(entry.__file__).read_text(encoding="utf-8"))
+    guard, = (node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'")
+    calls = {node.func.id for node in ast.walk(guard)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert name in calls
+
+
+# command, config (None: no --config), flags after `--out OUT`, exit status
+ENTRY_CASES = {
+    "amp-scan": ("amp-scan", {"cases": [AMP_CASE]}, [], 0),
+    "photon-dist": ("photon-dist", PD_SMALL, [], 0),
+    "photon-dist-json-stdout": ("photon-dist", PD_SMALL, ["--format", "json", "--out", "-"], 0),
+    "measure": ("measure", dict(PD_SMALL, shots=50, seed=3), [], 0),
+    "wigner": ("wigner", STDOUT_CASES["wigner"], [], 0),
+    "project": ("project", _five_commands(5.0, 1.0)["project"], [], 0),
+    "validate": ("validate", None, ["--seed", "4"], 0),
+    "usage-error": ("photon-dist", PD_SMALL, ["--mass-tol", "nan"], 2),
+    "config-error": ("measure", dict(PD_SMALL, shots=5, max_total=200), [], 2),
+    "resource-cap": ("photon-dist", dict(BASE, N=10, params={
+        "gamma": [1e4, 0.0], "chi": [1e4, 0.0], "gt": "pi/N"}), [], 3),
+    "domain-error": ("wigner", _five_commands(1e-200, 1.0)["wigner"], [], 4),
+}
+
+
+def _written(out, capfd):
+    """stdout, stderr and the files at `out` (then removed) since the last call."""
+    std = capfd.readouterr()
+    files = {}
+    if out.is_dir():
+        files = {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()}
+        shutil.rmtree(out)
+    elif out.exists():
+        files = {".": out.read_bytes()}
+        out.unlink()
+    return std.out, std.err, files
+
+
+@pytest.mark.parametrize("case", sorted(ENTRY_CASES))
+def test_module_launcher_matches_in_process_main(tmp_path, capfdbinary, case):
+    # the same status, stdout, stderr and output bytes from `python -m
+    # qnd_povm` as from cli.main in this process
+    command, cfg, flags, status = ENTRY_CASES[case]
+    out = tmp_path / "out"
+    config = [] if cfg is None else ["--config", write_config(tmp_path, "c.json", cfg)]
+    argv = [command, *config, "--out", str(out), *flags]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == status
+    want = _written(out, capfdbinary)
+    proc = subprocess.run([sys.executable, "-m", "qnd_povm", *argv], capture_output=True)
+    assert proc.returncode == status
+    assert (proc.stdout, proc.stderr, _written(out, capfdbinary)[2]) == want
+    # a run that succeeds has written its output somewhere
+    assert want[2] or status or flags[-2:] == ["--out", "-"]

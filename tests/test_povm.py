@@ -17,7 +17,7 @@ from qnd_povm.povm import (OutcomeDistribution, PhotonOutcome, QndParams,
                            params_to_json, phase_phi, posterior, sample_outcomes)
 from qnd_povm.spin_state import (CollectiveState, coherent_state,
                                  dicke_state, moments, normalize, overlap)
-from qnd_povm.validate import (check_dicke_invariance, check_dual_form,
+from qnd_povm.validate import (check_composition, check_dicke_invariance, check_dual_form,
                                check_photon_conservation, check_unity, random_state)
 
 import shot_oracle
@@ -735,15 +735,8 @@ def test_table_and_conditioner_are_one_law():
 def test_conditioning_composes_in_either_order(first, second):
     # the operators are diagonal in m_z and commute: P(o1) P(o2 | o1) =
     # P(o2) P(o1 | o2), and both orders leave the same state
-    state = coherent_state(200, 1.3)
-    ends = []
-    for a, b in ((first, second), (second, first)):
-        log_a, post = condition(P_BRIGHT, PhotonOutcome(*a), state)
-        log_b, post = condition(P_BRIGHT, PhotonOutcome(*b), post)
-        ends.append((log_a + log_b, post))
-    (log_ab, post_ab), (log_ba, post_ba) = ends
-    assert math.isfinite(log_ab) and abs(log_ab - log_ba) <= 1e-11
-    assert abs(overlap(post_ab, post_ba)) ** 2 == pytest.approx(1.0, abs=1e-12)
+    check = check_composition(P_BRIGHT, coherent_state(200, 1.3), first, second)
+    assert check.passed and check.value <= 1e-11, check.detail
 
 
 def test_condition_many_variance_near_a_dicke_state():
