@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MAX_ENTRIES, DomainError, PreconditionError, ResourceCapError
+from .errors import MAX_ENTRIES, DomainError, PreconditionError, reserve
 from .numerics import cg_blocks, legendre_sum
 from .povm import PhotonOutcome, QndParams, eigen
 from .spin_state import CollectiveState, coherent_state, moments, normalize, overlap
@@ -143,10 +143,8 @@ def wigner(rho: DensityMatrix, n_theta: int = 181, n_phi: int = 361) -> WignerGr
     two_j = rho.two_j
     n_m = 2 * two_j + 1
     largest = max(n_theta * n_m, n_m * n_phi, n_theta * n_phi)
-    if largest > MAX_ENTRIES:
-        raise ResourceCapError(f"a {n_theta}x{n_phi} Wigner grid at 2J={two_j} needs "
-                               f"an array of {largest} entries, over the cap of "
-                               f"{MAX_ENTRIES}")
+    reserve(largest, f"a {n_theta}x{n_phi} Wigner grid at 2J={two_j} needs an array of "
+                     f"{largest} entries, over the cap of {MAX_ENTRIES}")
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi)
     residual = rho.parseval_residual()

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (MAX_ENTRIES, ConfigError, DomainError, PreconditionError,
-                     QndError, ResourceCapError)
+                     QndError, ResourceCapError, reserve)
 from .povm import PhotonOutcome, _Mixture, _OutcomeTable, eigen, posterior
 from .spin_state import moments, state_to_json
 
@@ -188,9 +188,8 @@ def write_table(path, columns, blocks, meta=None, fmt="csv"):
 def _check_spin_dimensions(raw):
     """Refuse, before any state or m grid exists, an N over the cap."""
     for n in [case["N"] for case in raw.get("cases", [])] + [raw.get("N", 0)]:
-        if n + 1 > MAX_ENTRIES:
-            raise ResourceCapError(f"N = {n} gives a spin dimension of {n + 1}, over "
-                                   f"the cap of {MAX_ENTRIES}")
+        reserve(n + 1, f"N = {n} gives a spin dimension of {n + 1}, over the cap of "
+                       f"{MAX_ENTRIES}")
 
 
 def cmd_amp_scan(cfg: ExperimentConfig, out, fmt) -> int:
@@ -262,10 +261,10 @@ def cmd_measure(cfg: ExperimentConfig, out, fmt) -> int:
     dump = cfg.raw.get("dump_posteriors", False)
     if dump and (out is None or out == "-"):
         raise ConfigError("dump_posteriors needs --out FILE to anchor the dump dir")
-    if dump and cfg.raw["shots"] * (cfg.n_atoms + 1) > MAX_ENTRIES:
-        raise ResourceCapError(
-            f"dumping {cfg.raw['shots']} posteriors of dimension {cfg.n_atoms + 1} "
-            f"writes over the cap of {MAX_ENTRIES} amplitudes")
+    if dump:
+        reserve(cfg.raw["shots"] * (cfg.n_atoms + 1),
+                f"dumping {cfg.raw['shots']} posteriors of dimension {cfg.n_atoms + 1} "
+                f"writes over the cap of {MAX_ENTRIES} amplitudes")
     dump_dir = f"{out}.posteriors"
     mixture = _Mixture(params, state)
     draw = mixture.sampler()
@@ -373,28 +372,40 @@ _COMMANDS = {
 }
 
 
-def _finite(text: str) -> float:
-    """A float flag's value, refused (exit 2) unless finite, as in a config
-    file: argparse's `float` takes "nan", which passes any schema bound."""
-    try:
-        x = float(text)
-    except ValueError:
-        x = math.nan
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return x
-
-
 # an override flag is left out of the parsed namespace unless it is given,
 # and stores under the config key it replaces
 _FLAGS = {
     "--seed": {"type": int, "default": argparse.SUPPRESS,
                "help": "override the config seed"},
-    "--mass-tol": {"type": _finite, "dest": "mass_tolerance", "default": argparse.SUPPRESS,
+    "--mass-tol": {"type": float, "dest": "mass_tolerance", "default": argparse.SUPPRESS,
                    "help": "override the distribution mass tolerance"},
     "--format": {"choices": ("csv", "json"), "default": "csv",
                  "help": "table format (default csv)"},
 }
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _joined(argv):
+    """`argv` with a negative number after a numeric flag (or an abbreviation
+    of one) joined to it, as in `--mass-tol=-1e-3`, so that the value meets
+    the schema: argparse's negative-number test has no exponent and reads
+    `-1e-3` as a flag."""
+    numeric = [flag for flag, spec in _FLAGS.items() if "type" in spec]
+    joined = []
+    for arg in argv:
+        if (joined and len(joined[-1]) > 2 and any(f.startswith(joined[-1]) for f in numeric)
+                and arg.startswith("-") and _is_number(arg)):
+            joined[-1] += f"={arg}"
+        else:
+            joined.append(arg)
+    return joined
 
 
 def run(command: str, raw: dict, out=None, fmt: str = "csv") -> int:
@@ -430,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = vars(build_parser().parse_args(argv))
+    args = vars(build_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv)))
     command, path, out = args.pop("command"), args.pop("config"), args.pop("out")
     fmt = args.pop("format", "csv")
     try:

@@ -146,8 +146,12 @@ def _check(value, schema: dict, path: str) -> None:
 
     Implements the JSON-Schema keywords SCHEMAS uses, with their meaning in
     the standard (a keyword for one type passes values of any other type),
-    except that an integer is a JSON integer, never a float such as 5.0.
+    except that an integer is a JSON integer, never a float such as 5.0, and
+    that a float must be finite wherever it stands: a nan passes every bound,
+    and Python's json reads NaN, Infinity and 1e400 (as inf).
     """
+    if isinstance(value, float) and not math.isfinite(value):
+        _reject(path, "is not a finite number")
     types = schema.get("type", ())
     types = [types] if isinstance(types, str) else types
     if types and not any(_IS_TYPE[t](value) for t in types):
@@ -231,20 +235,10 @@ def build_initial(raw: dict, N: int) -> CollectiveState:
 
 
 def read_config(path: str) -> dict:
-    """The JSON object in the config file at `path`, not yet validated.
-
-    NaN, Infinity and a number whose double overflows (1e400) are refused:
-    Python's json reads them, but no config value may be non-finite.
-    """
-    def finite(text: str) -> float:
-        x = float(text)
-        if not math.isfinite(x):
-            raise ConfigError(f"config {path} holds the non-finite number {text}")
-        return x
-
+    """The JSON object in the config file at `path`, not yet validated."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_float=finite, parse_constant=finite)
+            raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:

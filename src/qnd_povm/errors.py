@@ -39,5 +39,12 @@ class ResourceCapError(QndError):
         self.captured_mass = captured_mass
 
 
+def reserve(entries: int, message: str):
+    """Refuse, before it is allocated, an array of over MAX_ENTRIES entries:
+    the one comparison against the cap."""
+    if entries > MAX_ENTRIES:
+        raise ResourceCapError(message)
+
+
 class ConfigError(QndError):
     """Invalid experiment configuration."""

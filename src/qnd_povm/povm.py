@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import MAX_ENTRIES, DomainError, PreconditionError, ResourceCapError
+from .errors import MAX_ENTRIES, DomainError, PreconditionError, ResourceCapError, reserve
 from .numerics import log_factorial
 from .spin_state import CollectiveState, normalize, scale_amplitudes
 
@@ -456,16 +456,10 @@ class _Mixture:
         self.m, self.weights = state.support()
         self._lf = np.empty(0)  # ln n! for n = 0 .. size - 1
 
-    @staticmethod
-    def reserve(entries: int, message: str):
-        """Refuse, before it is allocated, an array of over MAX_ENTRIES entries."""
-        if entries > MAX_ENTRIES:
-            raise ResourceCapError(message)
-
     def log_factorials(self, top: int) -> np.ndarray:
         """ln n! for n = 0..top, a view of the one table, grown as needed."""
         if self._lf.size <= top:
-            self.reserve(top + 1, f"ln n! to {top} is over the cap of {MAX_ENTRIES} entries")
+            reserve(top + 1, f"ln n! to {top} is over the cap of {MAX_ENTRIES} entries")
             self._lf = np.append(self._lf, log_factorial(np.arange(self._lf.size, top + 1)))
         return self._lf[:top + 1]
 
@@ -551,8 +545,8 @@ class _Mixture:
         cdf_m = np.cumsum(self.weights)
         lo, width = self.window(_TAIL)
         k = self.m.size
-        self.reserve(2 * k * width, f"the sampler's per-port Poisson tables (2 x {k} x "
-                                    f"{width}) are over the cap of {MAX_ENTRIES} entries")
+        reserve(2 * k * width, f"the sampler's per-port Poisson tables (2 x {k} x "
+                               f"{width}) are over the cap of {MAX_ENTRIES} entries")
         cdf = self.pmf(lo[..., None] + np.arange(width))
         # in place, and row i of port c, row k + i of port d
         cdf = np.cumsum(cdf, axis=2, out=cdf).reshape(2 * k, width)
@@ -655,10 +649,10 @@ class _OutcomeTable:
             hi = math.floor(s + k * math.sqrt(s))
             top = min(hi, cap)
             n_rows = (top - lo + 1) * (lo + top + 2) // 2
-            mixture.reserve(n_rows, f"the photon window {lo}..{top} holds {n_rows} "
-                                    f"outcomes, over the cap of {MAX_ENTRIES}")
-            mixture.reserve(2 * support * (hi + 1), f"the per-port Poisson tables (2 x "
-                            f"{support} x {hi + 1}) are over the cap of {MAX_ENTRIES} entries")
+            reserve(n_rows, f"the photon window {lo}..{top} holds {n_rows} outcomes, "
+                            f"over the cap of {MAX_ENTRIES}")
+            reserve(2 * support * (hi + 1), f"the per-port Poisson tables (2 x {support} x "
+                                            f"{hi + 1}) are over the cap of {MAX_ENTRIES} entries")
             marginal = mixture.weights.sum() * np.exp(
                 np.arange(lo, top + 1) * math.log(s) - s - mixture.log_factorials(top)[lo:])
             mass = float(marginal.sum())

@@ -14,9 +14,10 @@ import numpy as np
 
 from .analysis import DensityMatrix
 from .approx import gaussian_model
-from .numerics import clebsch_gordan, legendre_sum
-from .povm import (PhotonOutcome, QndParams, _wrap_pi, condition, eigen, log_amplitude,
-                   log_matrix_element_direct, outcome_distribution)
+from .errors import DomainError
+from .numerics import clebsch_gordan, legendre_sum, log_factorial
+from .povm import (PhotonOutcome, QndParams, _wrap_pi, condition, condition_many, eigen,
+                   log_amplitude, log_matrix_element_direct, outcome_distribution)
 from .spin_state import CollectiveState, coherent_state, dicke_state, normalize, overlap
 
 
@@ -71,22 +72,59 @@ def check_dual_form(rng, draws=200, total_cap=60, two_m_cap=40) -> Check:
 
 
 def check_unity(rng, params: QndParams, two_js) -> Check:
-    """The outcome probabilities of a random state of each 2J sum to one."""
+    """The enumerated outcome probabilities of a random state of each 2J sum
+    to one; a total whose rows miss its Poisson mass fails the check."""
     worst = 1.0
     for two_j in two_js:
-        dist = outcome_distribution(params, random_state(rng, two_j), 1e-9)
-        worst = min(worst, dist.captured_mass)
+        try:
+            dist = outcome_distribution(params, random_state(rng, two_j), 1e-9)
+        except DomainError as exc:
+            return Check("unity decomposition", False, str(exc), math.nan)
+        worst = min(worst, math.fsum(dist.p))
     return Check("unity decomposition", worst >= 1.0 - 1e-8, f"min mass {worst:.10f}", worst)
 
 
 def check_photon_conservation(rng, params: QndParams, two_js) -> Check:
-    """The mean detected photon number of each random state is |gamma|^2 + |chi|^2."""
+    """The mean detected photon number of each random state is |gamma|^2 + |chi|^2;
+    a total whose rows miss its Poisson mass fails the check."""
     worst = 0.0
     for two_j in two_js:
-        dist = outcome_distribution(params, random_state(rng, two_j), 1e-10)
+        try:
+            dist = outcome_distribution(params, random_state(rng, two_j), 1e-10)
+        except DomainError as exc:
+            return Check("photon conservation", False, str(exc), math.nan)
         rel = abs(dist.mean_total() - params.photon_mean) / params.photon_mean
         worst = max(worst, rel)
     return Check("photon conservation", worst < 1e-6, f"worst rel err {worst:.2e}", worst)
+
+
+def check_table_against_conditioner(params: QndParams, state: CollectiveState,
+                                    mass_tolerance: float, rng=None, rows=None) -> Check:
+    """Each enumerated row's p is exp(ln P) of `condition_many` on the same
+    state: the table and the conditioner read one law.
+
+    With `rows`, that many rows drawn by `rng` are compared.  The bound is
+    1e-12 relative, or 1e-15 of ln n_c! + ln n_d! where that is larger: both
+    routes form exponents of that size, whose rounding grows with the counts.
+    A row that both give below 1e-300 is negligible on both and passes; a
+    total whose rows miss its Poisson mass fails the check.
+    """
+    name = "table against conditioner"
+    try:
+        dist = outcome_distribution(params, state, mass_tolerance)
+    except DomainError as exc:
+        return Check(name, False, str(exc), math.nan)
+    n_c, n_d, p = dist.n_c, dist.n_d, dist.p
+    if rows is not None and rows < p.size:
+        pick = np.sort(rng.choice(p.size, rows, replace=False))
+        n_c, n_d, p = n_c[pick], n_d[pick], p[pick]
+    with np.errstate(under="ignore"):
+        q = np.exp(condition_many(params, n_c, n_d, state)[0])
+    rel = np.where(np.maximum(p, q) < 1e-300, 0.0, np.abs(q - p) / np.maximum(p, 1e-300))
+    share = rel / np.maximum(1e-12, 1e-15 * (log_factorial(n_c) + log_factorial(n_d)))
+    i = int(np.argmax(share))
+    return Check(name, share[i] <= 1.0, f"worst rel dev {rel[i]:.1e} ({share[i]:.2f} of "
+                 f"its bound) over {p.size} of {dist.p.size} rows", float(rel[i]))
 
 
 def check_dicke_invariance(params: QndParams, J, ms) -> Check:
@@ -194,4 +232,7 @@ def run_all(seed: int = 20260810) -> list[Check]:
         check_gaussian_width(light(100), PhotonOutcome(25, 25)),
         check_composition(QndParams(gamma=5.1, chi=5.0 * cmath.exp(0.7j), gt=math.pi / 20),
                           coherent_state(20, 1.3), (23, 28), (31, 20)),
+        check_table_against_conditioner(
+            QndParams(gamma=3.0, chi=3.2 * cmath.exp(0.7j), gt=math.pi / 20),
+            random_state(rng(4), 20), 1e-9),
     ]

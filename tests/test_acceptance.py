@@ -15,7 +15,8 @@ from qnd_povm.povm import (PhotonOutcome, QndParams, log_amplitude,
                            outcome_distribution, posterior)
 from qnd_povm.spin_state import coherent_state, dicke_state, normalize, overlap
 from qnd_povm.validate import (check_composition, check_dicke_invariance, check_dual_form,
-                               check_gaussian_width, check_photon_conservation, check_unity)
+                               check_gaussian_width, check_photon_conservation,
+                               check_table_against_conditioner, check_unity)
 
 P100 = QndParams(gamma=5.1, chi=5.0, gt=math.pi / 100.0)
 
@@ -174,3 +175,16 @@ def test_criterion_11_composition_law():
     elapsed = time.monotonic() - t0
     _report(11, checks[0].name, all(c.passed for c in checks) and elapsed < 10.0,
             f"{'; '.join(c.detail for c in checks)}, {elapsed:.1f} s")
+
+
+def test_criterion_12_table_against_conditioner():
+    # the 1.07M-row table of an N = 200 coherent state at a mean of 1800
+    # photons: 20000 rows drawn from it, with counts in the thousands, are
+    # the conditioner's P of the same outcomes
+    t0 = time.monotonic()
+    params = QndParams(gamma=30.0, chi=30.0 * cmath.exp(0.7j), gt=math.pi / 200.0)
+    check = check_table_against_conditioner(params, coherent_state(200, 1.3), 1e-9,
+                                            np.random.default_rng(2612), 20000)
+    elapsed = time.monotonic() - t0
+    _report(12, check.name, check.passed and elapsed < 10.0,
+            f"{check.detail}, {elapsed:.1f} s")

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import qnd_povm
-from qnd_povm import analysis, cli, povm
+from qnd_povm import analysis, cli, errors, povm
 from qnd_povm.analysis import density_from_state, wigner
 from qnd_povm.approx import gaussian_model
 from qnd_povm.cli import main
@@ -30,7 +30,7 @@ from qnd_povm.config import ExperimentConfig, build_params, parse_angle
 from qnd_povm.errors import ConfigError, DomainError, ResourceCapError
 from qnd_povm.povm import (PhotonOutcome, amplitude, condition, condition_many,
                            log_amplitude, outcome_distribution)
-from qnd_povm.spin_state import moments
+from qnd_povm.spin_state import coherent_state, moments
 
 import shot_oracle
 
@@ -254,14 +254,39 @@ def test_photon_dist_mass_tol_flag_override(tmp_path):
 @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "1e999"])
 def test_non_finite_mass_tol_flag_is_a_usage_error(tmp_path, capsys, value):
     # argparse's float takes these, and nan passes the schema's bounds; like
-    # a non-finite number in a config file, the flag is refused with exit 2
+    # a non-finite number in a config file, the flag's value is refused by
+    # the config checker, which names the key it replaces (exit 2)
     path = write_config(tmp_path, "pd.json", PD_SMALL)
-    with pytest.raises(SystemExit) as exc:
-        run_cli("photon-dist", "--config", path, "--mass-tol", value,
-                "--out", str(tmp_path / "pd.csv"))
-    assert exc.value.code == 2
-    assert f"argument --mass-tol: not a finite number: '{value}'" in capsys.readouterr().err
+    assert run_cli("photon-dist", "--config", path, "--mass-tol", value,
+                   "--out", str(tmp_path / "pd.csv")) == 2
+    assert capsys.readouterr().err == (
+        "config error: config rejected: config.mass_tolerance is not a finite number\n")
     assert os.listdir(tmp_path) == ["pd.json"]
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-2.5e+0", "-0.001"])
+def test_negative_mass_tol_in_any_form_meets_the_schema(tmp_path, capsys, value):
+    # argparse's negative-number test has no exponent: a separate -1e-3
+    # would be read as a flag and leave --mass-tol without its value
+    path = write_config(tmp_path, "pd.json", PD_SMALL)
+    assert run_cli("photon-dist", "--config", path, "--mass-tol", value,
+                   "--out", str(tmp_path / "pd.csv")) == 2
+    assert capsys.readouterr().err == (
+        "config error: config rejected: config.mass_tolerance must be above 0\n")
+    assert os.listdir(tmp_path) == ["pd.json"]
+
+
+def test_joining_flag_values_leaves_other_arguments_alone():
+    assert cli._joined(["photon-dist", "--out", "-", "--mass-tol", "-1e-3"]) == [
+        "photon-dist", "--out", "-", "--mass-tol=-1e-3"]
+    assert cli._joined(["measure", "--seed", "-1", "--out", "-1e-3"]) == [
+        "measure", "--seed=-1", "--out", "-1e-3"]
+    # argparse takes an unambiguous abbreviation of a flag; "--" ends the flags
+    assert cli._joined(["photon-dist", "--mass", "-1e-3", "--", "-2"]) == [
+        "photon-dist", "--mass=-1e-3", "--", "-2"]
+    # a flag after a numeric flag is no number, and keeps argparse's message
+    assert cli._joined(["photon-dist", "--mass-tol", "--out", "x"]) == [
+        "photon-dist", "--mass-tol", "--out", "x"]
 
 
 # --------------------------------------------------------------------- amp-scan
@@ -1321,14 +1346,68 @@ def test_posterior_dump_over_the_cap_exits_3(tmp_path, capsys):
 
 
 def test_posterior_dump_cap_is_the_most_amplitudes_allowed(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "MAX_ENTRIES", 3 * 11)
-    cfg = dict(BASE, N=10, shots=3, dump_posteriors=True, mass_tolerance=1e-6)
+    # the one cap, patched to 400 posteriors of dimension 11: above this
+    # run's other tables, of which the sampler's 2 x 11 x 167 is the largest
+    monkeypatch.setattr(errors, "MAX_ENTRIES", 400 * 11)
+    cfg = dict(BASE, N=10, shots=400, dump_posteriors=True, mass_tolerance=1e-6)
     out = str(tmp_path / "m.jsonl")
     assert run_cli("measure", "--config", write_config(tmp_path, "m.json", cfg),
                    "--out", out) == 0
-    cfg["shots"] = 4
+    cfg["shots"] = 401
     assert run_cli("measure", "--config", write_config(tmp_path, "m.json", cfg),
                    "--out", out) == 3
+
+
+def _reached(*args, **kwargs):
+    raise AssertionError("reached past the cap")
+
+
+# site: (the cap it is patched to, a call that meets it, the allocating step
+# after it, which must not run, and the start of its message); N = 10 unless
+# the site needs another size
+CAP_SITES = {
+    "ln-factorials": (
+        5, lambda tmp: povm._Mixture(build_params(PD_SMALL["params"], 10),
+                                     coherent_state(10, 1.0)).log_factorials(10),
+        (povm, "log_factorial"), "ln n! to 10 is over the cap of "),
+    "sampler-tables": (
+        100, lambda tmp: povm._Mixture(build_params(PD_SMALL["params"], 10),
+                                       coherent_state(10, 1.0)).sampler(),
+        (povm._Mixture, "pmf"), "the sampler's per-port Poisson tables (2 x 11 x "),
+    "photon-window-rows": (
+        100, lambda tmp: povm._OutcomeTable(build_params(PD_SMALL["params"], 10),
+                                            coherent_state(10, 1.0), 1e-5),
+        (povm._Mixture, "log_factorials"), "the photon window "),
+    # a faint light on many m_z: 36 rows, but 2 x 201 x 8 table entries
+    "per-port-tables": (
+        100, lambda tmp: povm._OutcomeTable(povm.QndParams(gamma=1.0, chi=1.0, gt=0.1),
+                                            coherent_state(200, 1.0), 1e-5),
+        (povm._Mixture, "log_factorials"), "the per-port Poisson tables (2 x 201 x 8) "),
+    "spin-dimension": (
+        10, lambda tmp: cli.run("photon-dist", PD_SMALL, str(tmp / "pd.csv")),
+        (cli, "_OutcomeTable"), "N = 10 gives a spin dimension of 11, "),
+    "posterior-dump": (
+        3 * 11 - 1, lambda tmp: cli.run("measure", dict(PD_SMALL, shots=3,
+                                                        dump_posteriors=True),
+                                        str(tmp / "m.jsonl")),
+        (cli, "_Mixture"), "dumping 3 posteriors of dimension 11 "),
+    "wigner-grid": (
+        7 * 21 - 1, lambda tmp: wigner(density_from_state(coherent_state(10, 1.0)), 5, 7),
+        (analysis, "legendre_sum"), "a 5x7 Wigner grid at 2J=10 needs an array of 147 "),
+}
+
+
+@pytest.mark.parametrize("site", sorted(CAP_SITES))
+def test_every_cap_refuses_through_reserve_before_it_allocates(tmp_path, monkeypatch, site):
+    # errors.reserve is the one comparison against errors.MAX_ENTRIES: each
+    # site meets the patched cap before its array is built or anything written
+    cap, call, (owner, step), message = CAP_SITES[site]
+    monkeypatch.setattr(errors, "MAX_ENTRIES", cap)
+    monkeypatch.setattr(owner, step, _reached)
+    with pytest.raises(ResourceCapError) as err:
+        call(tmp_path)
+    assert str(err.value).startswith(message)
+    assert os.listdir(tmp_path) == []
 
 
 def test_resource_cap_message_reports_only_a_measured_mass(tmp_path, capsys):

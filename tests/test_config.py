@@ -1,12 +1,13 @@
 import copy
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator, validators
 
-from qnd_povm import config
+from qnd_povm import cli, config
 from qnd_povm.cli import main
 from qnd_povm.config import SCHEMAS, ExperimentConfig
 from qnd_povm.errors import ConfigError
@@ -50,6 +51,8 @@ def _dotted(path):
 
 INTEGER_KEYS = [(command, path) for command, schema in SCHEMAS.items()
                 for path, sub in _subschemas(schema) if sub.get("type") == "integer"]
+NUMBER_KEYS = [(command, path) for command, schema in SCHEMAS.items()
+               for path, sub in _subschemas(schema) if "number" in sub.get("type", ())]
 
 
 def test_valid_configs_pass():
@@ -82,6 +85,37 @@ def test_float_valued_integer_is_rejected(command, path):
     assert str(err.value) == f"config rejected: {_dotted(path)} is not of type integer"
 
 
+def _put(raw, path, value):
+    """Set the key path `path` of `raw` to `value`; a number on the way, such
+    as a real `chi`, becomes its [re, im] pair."""
+    for key in path[:-1]:
+        if not isinstance(raw[key], (dict, list)):
+            raw[key] = [raw[key], 0.0]
+        raw = raw[key]
+    raw[path[-1]] = value
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("command,path", NUMBER_KEYS,
+                         ids=[f"{c}:{_dotted(p)}" for c, p in NUMBER_KEYS])
+def test_non_finite_number_is_rejected_at_its_key_path(tmp_path, capsys, command, path,
+                                                       value):
+    # one rule for a config dict and a config file: the checker names the
+    # key, before any type check or any of the maths sees the value
+    raw = copy.deepcopy(VALID[command])
+    _put(raw, path, value)
+    want = f"config rejected: {_dotted(path)} is not a finite number"
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError) as err:
+        cli.run(command, raw, str(out))
+    assert str(err.value) == want
+    file = tmp_path / "c.json"
+    file.write_text(json.dumps(raw))  # NaN, Infinity and -Infinity
+    assert main([command, "--config", str(file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {want}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 def test_rejection_names_the_nested_key_path(tmp_path, capsys):
     raw = copy.deepcopy(VALID["amp-scan"])
     raw["cases"][1]["outcome"]["n_c"] = "3"
@@ -92,17 +126,21 @@ def test_rejection_names_the_nested_key_path(tmp_path, capsys):
         "config error: config rejected: config.cases[1].outcome.n_c is not of type integer\n")
 
 
-# jsonschema with the checker's one deliberate difference: an integer is a
-# JSON integer, so 5.0 is not one
+# jsonschema with the checker's two deliberate differences: an integer is a
+# JSON integer, so 5.0 is not one, and a number is finite; a non-finite float
+# that no number key admits is refused on its type in either
 _StrictInteger = validators.extend(
     Draft202012Validator,
-    type_checker=Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)))
+    type_checker=Draft202012Validator.TYPE_CHECKER.redefine_many({
+        "integer": lambda _, v: isinstance(v, int) and not isinstance(v, bool),
+        "number": lambda _, v: not isinstance(v, bool) and (
+            isinstance(v, int) or isinstance(v, float) and math.isfinite(v))}))
 
 _KEYS = sorted({key for schema in SCHEMAS.values() for _, sub in _subschemas(schema)
                 for key in sub.get("properties", {})} | {"extra"})
 # values on and beside the schemas' bounds, types, enums and patterns
-_PROBES = [None, True, False, -1, 0, 1, 2, 5, -0.5, 0.0, 0.5, 1.0, 5.0, float("nan"),
+_PROBES = [None, True, False, -1, 0, 1, 2, 5, -0.5, 0.0, 0.5, 1.0, 5.0, math.nan,
+           math.inf, -math.inf,
            "", "a", "a b", "pi/2", "coherent", "dicke", "prior", "posterior",
            [], [1.0], [1.0, 2], [1.0, 2.0, 3.0], [1.0, "a"], {}, {"n_c": 1, "n_d": 2}]
 # each draw is a copy: the test edits drawn lists and dicts in place, and an

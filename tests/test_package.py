@@ -1,5 +1,7 @@
 """The package namespace: every public name, and what importing it loads."""
 
+import ast
+import inspect
 import pathlib
 import re
 import subprocess
@@ -79,3 +81,16 @@ def test_readme_library_example_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("PhotonOutcome(")
+
+
+
+def test_only_reserve_compares_against_the_size_cap():
+    # every array over errors.MAX_ENTRIES is refused in one place
+    hits = {}
+    for path in sorted(pathlib.Path(qnd_povm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and "MAX_ENTRIES" in {
+                    getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}:
+                hits[path.name] = hits.get(path.name, 0) + 1
+    assert hits == {"errors.py": 1}
+    assert "entries > MAX_ENTRIES" in inspect.getsource(qnd_povm.errors.reserve)

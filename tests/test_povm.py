@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qnd_povm import povm, validate
+from qnd_povm import cli, povm, validate
 from qnd_povm.approx import approx_apply
 from qnd_povm.errors import DomainError, PreconditionError, ResourceCapError
 from qnd_povm.povm import (OutcomeDistribution, PhotonOutcome, QndParams,
@@ -18,7 +19,8 @@ from qnd_povm.povm import (OutcomeDistribution, PhotonOutcome, QndParams,
 from qnd_povm.spin_state import (CollectiveState, coherent_state,
                                  dicke_state, moments, normalize, overlap)
 from qnd_povm.validate import (check_composition, check_dicke_invariance, check_dual_form,
-                               check_photon_conservation, check_unity, random_state)
+                               check_photon_conservation, check_table_against_conditioner,
+                               check_unity, random_state)
 
 import shot_oracle
 
@@ -441,6 +443,44 @@ def test_unity_detail_prints_the_mass_to_ten_decimals():
     assert len(check.detail.split()[-1]) == 12
 
 
+def _scaled_rows(monkeypatch, factor):
+    """Scale every enumerated row by `factor`, after the engine, before its guard."""
+    real = povm._mixture_rows
+
+    def scaled(*args):
+        for p in real(*args):
+            p *= factor
+            yield p
+
+    monkeypatch.setattr(povm, "_mixture_rows", scaled)
+
+
+def test_unity_sums_the_enumerated_rows(monkeypatch):
+    # rows 5e-11 light pass the per-total guard (1e-10), and the mass the
+    # check reports falls with them
+    base = check_unity(np.random.default_rng(12), P_REF, (8,))
+    _scaled_rows(monkeypatch, 1.0 - 5e-11)
+    light = check_unity(np.random.default_rng(12), P_REF, (8,))
+    assert light.passed
+    assert abs(light.value - base.value * (1.0 - 5e-11)) < 1e-14
+
+
+def test_enumerating_checks_fail_on_a_guard_failure(monkeypatch, capsys):
+    # rows at half their mass break the per-total guard: each check that
+    # enumerates a table fails, naming the total, and validate exits 1, not 4
+    _scaled_rows(monkeypatch, 0.5)
+    checks = [check_unity(np.random.default_rng(12), P_REF, (8,)),
+              check_photon_conservation(np.random.default_rng(12), P_REF, (8,)),
+              check_table_against_conditioner(P_REF, coherent_state(8, 1.0), 1e-9)]
+    for check in checks:
+        assert not check.passed
+        assert re.fullmatch(r"the rows of total \d+ miss its Poisson mass", check.detail)
+    assert cli.main(["validate"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  ")[1] for line in lines if line.startswith("FAIL")] == [
+        "unity decomposition", "photon conservation", "table against conditioner"]
+
+
 
 # -------------------------------------------------------------------- sampling
 
@@ -716,11 +756,19 @@ def test_condition_many_matches_condition_and_moments(params, state):
 def test_table_and_conditioner_are_one_law():
     # every enumerated row's p is the conditioner's P of the same outcome
     params = QndParams(gamma=3.0, chi=3.2 * cmath.exp(0.7j), gt=math.pi / 20)
-    state = coherent_state(20, 1.1)
-    dist = outcome_distribution(params, state, 1e-9)
-    assert dist.p.size == 1540
-    log_p = povm.condition_many(params, dist.n_c, dist.n_d, state)[0]
-    assert np.allclose(np.exp(log_p), dist.p, rtol=1e-12, atol=0.0)
+    check = check_table_against_conditioner(params, coherent_state(20, 1.1), 1e-9)
+    assert check.passed and check.detail.endswith(" over 1540 of 1540 rows"), check.detail
+    assert check.value <= 1e-12
+
+
+def test_table_against_conditioner_sees_what_the_guard_lets_through(monkeypatch):
+    # every row 5e-11 light: each total's sum passes its 1e-10 guard, but
+    # every row misses the conditioner's P by 5e-11
+    params = QndParams(gamma=3.0, chi=3.2 * cmath.exp(0.7j), gt=math.pi / 20)
+    _scaled_rows(monkeypatch, 1.0 - 5e-11)
+    check = check_table_against_conditioner(params, coherent_state(20, 1.1), 1e-9)
+    assert not check.passed
+    assert check.value == pytest.approx(5e-11, rel=1e-3)
 
 
 @pytest.mark.parametrize("first, second", [
