@@ -5,33 +5,31 @@ fidelity, and the spin Wigner function on the sphere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
+from ._record import Record
 from .errors import MAX_ENTRIES, DomainError, PreconditionError, reserve
 from .numerics import cg_blocks, legendre_sum
 from .povm import PhotonOutcome, QndParams, eigen
-from .spin_state import CollectiveState, coherent_state, moments, normalize, overlap
+from .spin_state import (CollectiveState, coherent_state, moments, normalize, overlap,
+                         whole_two_j)
 
 _RESIDUE_TOL = 1e-10
 _PARSEVAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(Record):
     """Density matrix of one total spin, indexed by (m_z, m_z')."""
 
-    two_j: int
-    rho: np.ndarray
-
-    def __post_init__(self):
-        d = self.two_j + 1
-        r = np.array(self.rho, dtype=complex)
+    def __init__(self, two_j: int, rho: np.ndarray):
+        two_j = whole_two_j(two_j)
+        d = two_j + 1
+        r = np.array(rho, dtype=complex)
         if r.shape != (d, d):
-            raise DomainError(f"density matrix for 2J={self.two_j} must be {d}x{d}")
+            raise DomainError(f"density matrix for 2J={two_j} must be {d}x{d}")
         # nan passes every `> tol` guard here and downstream
         if not np.isfinite(r).all():
             raise DomainError("density matrix has non-finite entries")
@@ -40,7 +38,7 @@ class DensityMatrix:
         if abs(np.trace(r).real - 1.0) > 1e-12 or abs(np.trace(r).imag) > 1e-12:
             raise DomainError("density matrix trace must be 1")
         r.setflags(write=False)
-        object.__setattr__(self, "rho", r)
+        self._keep(two_j, r)
 
     def two_m_values(self) -> np.ndarray:
         return np.arange(-self.two_j, self.two_j + 1, 2)
@@ -53,11 +51,14 @@ class DensityMatrix:
         is, for each M, one product of the transposed Clebsch-Gordan block
         with the signed M-th subdiagonal of rho.  Entries above the diagonal
         are 0; negative M is the Hermitian descendant
-        rho_{L,-M} = (-1)^M conj(rho_LM).
+        rho_{L,-M} = (-1)^M conj(rho_LM).  Only the blocks of the M whose
+        subdiagonal holds a nonzero entry are solved: the other columns are
+        exact zeros (a Dicke state reaches M = 0 alone).
         """
         tj = self.two_j
         table = np.zeros((tj + 1, tj + 1), dtype=complex)
-        for tM, block in cg_blocks(tj, tj):
+        reached = [2 * M for M in range(tj, -1, -1) if np.diagonal(self.rho, -M).any()]
+        for tM, block in cg_blocks(tj, tj, reached):
             M = tM // 2
             tm = self.two_m_values()[M:]
             signs = np.where(((tj - tm) // 2 - M) % 2 == 0, 1.0, -1.0)
@@ -76,18 +77,14 @@ class DensityMatrix:
         return abs(total - purity) / purity
 
 
-@dataclass(frozen=True)
-class WignerGrid:
-    thetas: np.ndarray
-    phis: np.ndarray
-    values: np.ndarray
+class WignerGrid(Record):
+    def __init__(self, thetas: np.ndarray, phis: np.ndarray, values: np.ndarray):
+        self._keep(thetas, phis, values)
 
 
-@dataclass(frozen=True)
-class SqueezingReport:
-    var_prior: float
-    var_post: float
-    ratio: float
+class SqueezingReport(Record):
+    def __init__(self, var_prior: float, var_post: float, ratio: float):
+        self._keep(var_prior, var_post, ratio)
 
 
 class ParityCase(Enum):
@@ -96,13 +93,10 @@ class ParityCase(Enum):
     D_DARK = "d_dark"
 
 
-@dataclass(frozen=True)
-class ParityPattern:
-    case: ParityCase
-    support: tuple[int, ...]
-    log_on_support: float
-    max_off_support_ratio: float
-    strict: bool
+class ParityPattern(Record):
+    def __init__(self, case: ParityCase, support: tuple[int, ...], log_on_support: float,
+                 max_off_support_ratio: float, strict: bool):
+        self._keep(case, support, log_on_support, max_off_support_ratio, strict)
 
 
 def density_from_state(state: CollectiveState) -> DensityMatrix:

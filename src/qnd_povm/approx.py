@@ -13,36 +13,29 @@ depends only on the total count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError, PreconditionError, ZeroProjectionError
 from .numerics import twice
 from .povm import PhotonOutcome, QndParams, eigen, phase_phi
 from .spin_state import CollectiveState, normalize, scale_amplitudes
 
 
-@dataclass(frozen=True)
-class GaussianModel:
+class GaussianModel(Record):
     """Peak position and variance of the approximated amplitude envelope."""
 
-    m0: float
-    sigma2: float
-    log_prefactor: float
+    def __init__(self, m0: float, sigma2: float, log_prefactor: float):
+        self._keep(m0, sigma2, log_prefactor)
 
 
-@dataclass(frozen=True)
-class ProjectiveParams:
+class ProjectiveParams(Record):
     """Relative-count coordinates and linearized phase slopes at the peak."""
 
-    u: float
-    v: float
-    m0: float
-    xi_plus: float
-    xi_minus: float
-    xi_c: float
-    xi_d: float
+    def __init__(self, u: float, v: float, m0: float, xi_plus: float, xi_minus: float,
+                 xi_c: float, xi_d: float):
+        self._keep(u, v, m0, xi_plus, xi_minus, xi_c, xi_d)
 
 
 def gaussian_model(params: QndParams, outcome: PhotonOutcome) -> GaussianModel:

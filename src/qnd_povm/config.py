@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Any
 
+from ._record import Record
 from .errors import ConfigError
 from .povm import QndParams, params_from_json
 from .spin_state import CollectiveState, coherent_state, dicke_state
@@ -249,12 +248,11 @@ def read_config(path: str) -> dict:
     return raw
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """Validated configuration for one CLI command."""
 
-    command: str
-    raw: dict[str, Any] = field(default_factory=dict)
+    def __init__(self, command: str, raw: dict | None = None):
+        self._keep(command, {} if raw is None else raw)
 
     @staticmethod
     def load(command: str, path: str) -> "ExperimentConfig":

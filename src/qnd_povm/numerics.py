@@ -89,8 +89,9 @@ def _triangle_ok(tj1: int, tj2: int, tL: int) -> bool:
     return abs(tj1 - tj2) <= tL <= tj1 + tj2 and (tj1 + tj2 + tL) % 2 == 0
 
 
-def cg_blocks(tj1: int, tj2: int):
-    """Yield (2M, C) for M = j1 + j2 down to 0 (or 1/2), one block at a time.
+def cg_blocks(tj1: int, tj2: int, tMs=None):
+    """Yield (2M, C) for M = j1 + j2 down to 0 (or 1/2), one block at a time,
+    or for the 2M >= 0 in `tMs` only, in their order.
 
     C[a, b] = <j1 m1; j2 M - m1 | L M>, rows m1 ascending from
     max(-j1, M - j2), columns L ascending from max(|j1 - j2|, M); the
@@ -105,7 +106,7 @@ def cg_blocks(tj1: int, tj2: int):
     # the solver is loaded with the first block: most commands need none
     from . import _clebsch
 
-    yield from _clebsch.solve(tj1, tj2, range(tj1 + tj2, -1, -2))
+    yield from _clebsch.solve(tj1, tj2, range(tj1 + tj2, -1, -2) if tMs is None else tMs)
 
 
 @functools.lru_cache(maxsize=32)

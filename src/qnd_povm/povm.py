@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from ._record import Record
 from .errors import MAX_ENTRIES, DomainError, PreconditionError, ResourceCapError, reserve
 from .numerics import log_factorial
 from .spin_state import CollectiveState, normalize, scale_amplitudes
@@ -63,8 +63,7 @@ def _check_counts(n: np.ndarray):
         raise DomainError("photon counts must be integers")
 
 
-@dataclass(frozen=True)
-class QndParams:
+class QndParams(Record):
     """Light amplitudes and interaction phase of one QND measurement.
 
     gamma and chi are the coherent amplitudes of the two polarization modes,
@@ -73,20 +72,14 @@ class QndParams:
     phase phi_chigamma = arg(chi) - arg(gamma), reduced to (-pi, pi].
     """
 
-    gamma: complex
-    chi: complex
-    gt: float
-
-    def __post_init__(self):
-        g = complex(self.gamma)
-        c = complex(self.chi)
-        if not all(map(math.isfinite, (g.real, g.imag, c.real, c.imag, self.gt))):
+    def __init__(self, gamma: complex, chi: complex, gt: float):
+        g = complex(gamma)
+        c = complex(chi)
+        if not all(map(math.isfinite, (g.real, g.imag, c.real, c.imag, gt))):
             raise DomainError("non-finite measurement parameters")
         if g == 0 or c == 0:
             raise DomainError("both light amplitudes must be nonzero")
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "chi", c)
-        object.__setattr__(self, "gt", float(self.gt))
+        self._keep(g, c, float(gt))
         try:
             mean = self.photon_mean  # inf when the sum overflows
         except OverflowError:  # raised by abs() or ** on an overflowing term
@@ -127,17 +120,12 @@ class QndParams:
         return 2.0 * self.abs_gamma * self.abs_chi / self.photon_mean
 
 
-@dataclass(frozen=True)
-class PhotonOutcome:
+class PhotonOutcome(Record):
     """Photon counts registered by the two detectors."""
 
-    n_c: int
-    n_d: int
-
-    def __post_init__(self):
-        _check_counts(np.array([self.n_c, self.n_d]))
-        object.__setattr__(self, "n_c", int(self.n_c))
-        object.__setattr__(self, "n_d", int(self.n_d))
+    def __init__(self, n_c: int, n_d: int):
+        _check_counts(np.array([n_c, n_d]))
+        self._keep(int(n_c), int(n_d))
 
     @property
     def total(self) -> int:
@@ -159,28 +147,23 @@ class PhotonOutcome:
         return (self.n_d - self.n_c) / self.total
 
 
-@dataclass
-class OutcomeDistribution:
+class OutcomeDistribution(Record):
     """Enumerated outcome probabilities over a total-photon window.
 
     Columnar: entry i is the outcome (n_c[i], n_d[i]) with probability p[i].
     The columns are read-only, so that the cached views below stay valid.
     """
 
-    n_c: np.ndarray
-    n_d: np.ndarray
-    p: np.ndarray
-    cutoff_total: int
-    captured_mass: float
-
-    def __post_init__(self):
-        self.n_c = np.asarray(self.n_c, dtype=np.int64)
-        self.n_d = np.asarray(self.n_d, dtype=np.int64)
-        self.p = np.asarray(self.p, dtype=np.float64)
-        if not (self.n_c.ndim == 1 and self.n_c.shape == self.n_d.shape == self.p.shape):
+    def __init__(self, n_c: np.ndarray, n_d: np.ndarray, p: np.ndarray,
+                 cutoff_total: int, captured_mass: float):
+        n_c = np.asarray(n_c, dtype=np.int64)
+        n_d = np.asarray(n_d, dtype=np.int64)
+        p = np.asarray(p, dtype=np.float64)
+        if not (n_c.ndim == 1 and n_c.shape == n_d.shape == p.shape):
             raise DomainError("n_c, n_d and p must be 1-d arrays of one length")
-        for col in (self.n_c, self.n_d, self.p):
+        for col in (n_c, n_d, p):
             col.flags.writeable = False
+        self._keep(n_c, n_d, p, cutoff_total, captured_mass)
 
     @cached_property
     def entries(self) -> tuple:

@@ -8,10 +8,10 @@ in m_z, so the state keeps its J under every operation here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError, PreconditionError
 from .numerics import log_factorial, twice
 
@@ -20,26 +20,30 @@ _NORM_TOL = 1e-9
 _TINY = float(np.finfo(float).tiny)
 
 
-@dataclass(frozen=True)
-class CollectiveState:
+def whole_two_j(two_j) -> int:
+    """2J as an int.  An int, an integral float such as 2.0 and a numpy
+    scalar pass; a negative, fractional or non-finite value raises
+    DomainError."""
+    if two_j < 0:
+        raise DomainError("negative total spin")
+    if two_j % 1:  # nan and inf leave a nan remainder
+        raise DomainError(f"2J={two_j} is not an integer")
+    return int(two_j)
+
+
+class CollectiveState(Record):
     """One total-spin block: amps[i] is the amplitude of m_z = -J + i."""
 
-    two_j: int
-    amps: np.ndarray
-
-    def __post_init__(self):
-        if self.two_j < 0:
-            raise DomainError("negative total spin")
-        a = np.array(self.amps, dtype=complex)
-        if a.shape != (self.two_j + 1,):
-            raise DomainError(
-                f"a state of 2J={self.two_j} needs {self.two_j + 1} amplitudes"
-            )
+    def __init__(self, two_j: int, amps: np.ndarray):
+        two_j = whole_two_j(two_j)
+        a = np.array(amps, dtype=complex)
+        if a.shape != (two_j + 1,):
+            raise DomainError(f"a state of 2J={two_j} needs {two_j + 1} amplitudes")
         # nan and inf pass every norm and tolerance guard downstream
         if not np.isfinite(a).all():
             raise DomainError("state has non-finite amplitudes")
         a.setflags(write=False)
-        object.__setattr__(self, "amps", a)
+        self._keep(two_j, a)
 
     @property
     def sectors(self) -> tuple[CollectiveState]:
@@ -80,12 +84,10 @@ class CollectiveState:
         return abs(self.squared_norm() - 1.0) <= _NORM_TOL
 
 
-@dataclass(frozen=True)
-class SpinMoments:
-    mean_jx: float
-    mean_jz: float
-    var_jz: float
-    normalized_var: float
+class SpinMoments(Record):
+    def __init__(self, mean_jx: float, mean_jz: float, var_jz: float,
+                 normalized_var: float):
+        self._keep(mean_jx, mean_jz, var_jz, normalized_var)
 
 
 def dicke_state(J, m_z) -> CollectiveState:

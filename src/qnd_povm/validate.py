@@ -12,7 +12,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .analysis import DensityMatrix
+from .analysis import DensityMatrix, density_from_state, wigner
 from .approx import gaussian_model
 from .errors import DomainError
 from .numerics import clebsch_gordan, legendre_sum, log_factorial
@@ -163,6 +163,30 @@ def check_multipole_parseval(rng) -> Check:
     h = a @ a.conj().T
     dev = DensityMatrix(two_j=100, rho=h / np.trace(h).real).parseval_residual()
     return Check("multipole Parseval at 2J=100", dev <= 1e-10, f"rel deviation {dev:.2e}", dev)
+
+
+def check_wigner_covariance(N: int, k: int) -> Check:
+    """The Wigner map turns with the state, to 1e-12 of max |W|.
+
+    coherent_state(N, theta0) is the Dicke state |J, J> turned by theta0
+    about y, so its map at any point equals the Dicke map at that point's
+    angle from (theta0, 0).  On `wigner`'s default grid, with theta0 the
+    grid angle thetas[k], the coherent map's phi = 0 meridian at thetas[i]
+    reads the Dicke map's row |i - k|, and its phi = pi meridian the row
+    i + k, folded back into [0, pi].  The Dicke map has M = 0 multipoles
+    alone, so the identity holds every M != 0 block, the Legendre
+    recurrence and the azimuthal sum against the M = 0 path.
+    """
+    pole = wigner(density_from_state(dicke_state(N / 2.0, N / 2.0)))
+    turned = wigner(density_from_state(coherent_state(N, float(pole.thetas[k]))))
+    i = np.arange(pole.thetas.size)
+    far = np.minimum(i + k, 2 * i[-1] - (i + k))
+    row = pole.values[:, 0]
+    miss = max(np.max(np.abs(turned.values[:, 0] - row[np.abs(i - k)])),
+               np.max(np.abs(turned.values[:, pole.phis.size // 2] - row[far])))
+    rel = float(miss / np.max(np.abs(pole.values)))
+    return Check(f"Wigner rotation covariance at N={N}", rel <= 1e-12,
+                 f"meridian miss {rel:.1e} of max |W|", rel)
 
 
 def check_harmonic_orthonormality() -> Check:

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from qnd_povm import analysis
+from qnd_povm import _clebsch, analysis
 from qnd_povm.analysis import (DensityMatrix, ParityCase, cat_fidelity,
                                cat_state, density_from_state,
                                parity_pattern_check, squeezing_report, wigner)
 from qnd_povm.errors import DomainError, PreconditionError, ResourceCapError
+from qnd_povm.numerics import cg_blocks
 from qnd_povm.povm import PhotonOutcome, QndParams, posterior
 from qnd_povm.spin_state import (CollectiveState, coherent_state,
                                  dicke_state, normalize, overlap)
+from qnd_povm.validate import check_wigner_covariance
 
 P_SYM = QndParams(gamma=5.0, chi=5.0, gt=math.pi / 2.0)
 
@@ -276,8 +278,8 @@ def test_multipoles_against_oracle_at_2j_100():
 def test_parseval_guard_rejects_corrupt_table(monkeypatch):
     real = analysis.cg_blocks
 
-    def corrupt(tj1, tj2):
-        for tM, block in real(tj1, tj2):
+    def corrupt(tj1, tj2, tMs=None):
+        for tM, block in real(tj1, tj2, tMs):
             yield tM, (1.0 + 1e-6 * (tM == 2)) * block
 
     monkeypatch.setattr(analysis, "cg_blocks", corrupt)
@@ -285,6 +287,71 @@ def test_parseval_guard_rejects_corrupt_table(monkeypatch):
     assert dm.parseval_residual() > 1e-10
     with pytest.raises(DomainError, match="Parseval"):
         wigner(dm, n_theta=9, n_phi=9)
+
+
+def _all_blocks_table(dm):
+    """The multipole table from every Clebsch-Gordan block, reached or not."""
+    tj = dm.two_j
+    table = np.zeros((tj + 1, tj + 1), dtype=complex)
+    for tM, block in cg_blocks(tj, tj):
+        M = tM // 2
+        tm = dm.two_m_values()[M:]
+        signs = np.where(((tj - tm) // 2 - M) % 2 == 0, 1.0, -1.0)
+        table[M:, M] = block.T @ (signs * np.diagonal(dm.rho, -M))
+    return table
+
+
+@pytest.mark.parametrize("case", ["cat40", "cat100", "dicke", "coherent"])
+def test_multipoles_solve_only_the_reached_blocks(case, monkeypatch):
+    # a gt = pi/2 posterior has exact zeros on odd m_z, so only its even-M
+    # subdiagonals hold entries; a Dicke state has only its diagonal
+    dm = {"cat40": lambda: _cat_posterior_density(40),
+          "cat100": lambda: _cat_posterior_density(100),
+          "dicke": lambda: density_from_state(dicke_state(20, 3)),
+          "coherent": lambda: density_from_state(coherent_state(40, 1.0))}[case]()
+    tj = dm.two_j
+    want = {"dicke": {0}, "coherent": set(range(0, 2 * tj + 1, 2))}.get(
+        case, set(range(0, 2 * tj + 1, 4)))
+    assert want == {2 * M for M in range(tj + 1) if np.diagonal(dm.rho, -M).any()}
+    solved = []
+    real = _clebsch.solve
+
+    def counting(tj1, tj2, tMs):
+        tMs = list(tMs)
+        solved.extend(tMs)
+        return real(tj1, tj2, tMs)
+
+    monkeypatch.setattr(_clebsch, "solve", counting)
+    table = dm.multipoles
+    assert sorted(solved) == sorted(want)
+    monkeypatch.undo()
+    assert np.array_equal(table, _all_blocks_table(dm))
+
+
+@pytest.mark.parametrize("N, k", [(40, 30), (100, 77)])
+def test_wigner_rotation_covariance(N, k):
+    check = check_wigner_covariance(N, k)
+    assert check.passed, check.detail
+    assert check.value < 1e-13
+
+
+def test_wigner_covariance_sees_a_flipped_block_column(monkeypatch):
+    # the sign of the L = 5 column of the M = 3 block keeps every norm, so
+    # the Parseval guard passes; the turned coherent map moves
+    real = analysis.cg_blocks
+
+    def flipped(tj1, tj2, tMs=None):
+        for tM, block in real(tj1, tj2, tMs):
+            if tM == 6:
+                block = block.copy()
+                block[:, 5 - 3] *= -1.0
+            yield tM, block
+
+    monkeypatch.setattr(analysis, "cg_blocks", flipped)
+    assert density_from_state(coherent_state(40, 1.0)).parseval_residual() <= 1e-12
+    check = check_wigner_covariance(40, 30)
+    assert not check.passed
+    assert check.value > 1e-2
 
 
 # ------------------------------------------------------------------- squeezing
