@@ -165,33 +165,48 @@ def legendre_sum(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     advances every M <= L together from the sectoral seeds P~_M^M, which
     carry sin(theta) = sqrt((1 - x)(1 + x)), a form with no cancellation
     near the poles.  Each P~_L^M is added into G as it is formed, and only
-    the rows L - 1 and L - 2 are kept.
+    the rows L - 1 and L - 2 are kept.  The recurrence and the sum run only
+    for the M whose column holds a nonzero coefficient (a Dicke state's
+    table has M = 0 alone); the sectoral seeds run for every M, and the
+    other columns of G are exact zeros.
     """
     lmax = coeffs.shape[0] - 1
     x = np.asarray(x, dtype=float)
     s = np.sqrt(np.maximum(0.0, (1.0 - x) * (1.0 + x)))
-    # real and imaginary parts, (L, M, 2), summed into (M, 2, x)
+    used = np.flatnonzero(np.tril(coeffs != 0).any(axis=0))
+    # real and imaginary parts, (L, M, 2), summed into (used M, 2, x)
     parts = np.ascontiguousarray(coeffs, dtype=complex).view(float).reshape(
         lmax + 1, lmax + 1, 2)
-    acc = np.zeros((lmax + 1, 2, x.size))
-    rows = [np.empty((lmax + 1, x.size)) for _ in range(3)]
-    tmp = np.empty((lmax + 1, x.size))
+    acc = np.zeros((used.size, 2, x.size))
+    # row j of each holds P~_L^M at M = used[j]; `sectoral` holds P~_L^L
+    rows = [np.empty((used.size, x.size)) for _ in range(3)]
+    tmp = np.empty((used.size, x.size))
+    sectoral = np.full(x.size, 1.0 / math.sqrt(4.0 * math.pi))
+    # at step L, used[:inner[L]] are the M < L - 1 and used[:upto[L]] the M <= L
+    ls = np.arange(lmax + 1)
+    inner = np.searchsorted(used, ls - 1).tolist()
+    upto = np.searchsorted(used, ls + 1).tolist()
+    is_used = np.isin(ls, used).tolist()
     for L in range(lmax + 1):
         p, p1, p2 = rows[L % 3], rows[(L - 1) % 3], rows[(L - 2) % 3]
-        if L == 0:
-            p[0] = 1.0 / math.sqrt(4.0 * math.pi)
-        else:
-            m = np.arange(L - 1)
+        i, k = inner[L], upto[L]
+        if L > 0:
+            m = used[:i]
             lm = L * L - m * m
             a = np.sqrt((4.0 * L * L - 1.0) / lm)
             b = np.sqrt((2.0 * L + 1.0) * (L - 1.0 + m) * (L - 1.0 - m)
                         / ((2.0 * L - 3.0) * lm))
-            q = tmp[:L - 1]
-            np.multiply(a[:, None], x, out=p[:L - 1])
-            p[:L - 1] *= p1[:L - 1]
-            np.multiply(b[:, None], p2[:L - 1], out=q)
-            p[:L - 1] -= q
-            p[L - 1] = math.sqrt(2 * (L - 1) + 3.0) * x * p1[L - 1]
-            p[L] = -math.sqrt((2 * L + 1) / (2.0 * L)) * s * p1[L - 1]
-        acc[:L + 1] += parts[L, :L + 1, :, None] * p[:L + 1, None, :]
-    return (acc[:, 0] + 1j * acc[:, 1]).T
+            q = tmp[:i]
+            np.multiply(a[:, None], x, out=p[:i])
+            p[:i] *= p1[:i]
+            np.multiply(b[:, None], p2[:i], out=q)
+            p[:i] -= q
+            if is_used[L - 1]:
+                p[i] = math.sqrt(2 * (L - 1) + 3.0) * x * sectoral
+            sectoral = -math.sqrt((2 * L + 1) / (2.0 * L)) * s * sectoral
+        if is_used[L]:
+            p[k - 1] = sectoral
+        acc[:k] += parts[L, used[:k], :, None] * p[:k, None, :]
+    g = np.zeros((lmax + 1, x.size), dtype=complex)
+    g[used] = acc[:, 0] + 1j * acc[:, 1]
+    return g.T

@@ -210,7 +210,12 @@ def state_from_json(data: dict) -> CollectiveState:
         records = data["sectors"]
         if len(records) != 1:
             raise DomainError(f"a state record holds one spin block, not {len(records)}")
-        two_j = int(records[0]["twoJ"])
+        two_j = records[0]["twoJ"]
+        # a bool is an int, and int() would parse "2" and truncate 2.5
+        real = (int, float, np.integer, np.floating)
+        if isinstance(two_j, bool) or not isinstance(two_j, real):
+            raise DomainError(f"malformed state record: twoJ {two_j!r} is not a number")
+        two_j = whole_two_j(two_j)
         amps = np.array([complex(re, im) for re, im in records[0]["amps"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed state record: {exc}") from exc

@@ -16,13 +16,58 @@ from .analysis import DensityMatrix, density_from_state, wigner
 from .approx import gaussian_model
 from .errors import DomainError
 from .numerics import clebsch_gordan, legendre_sum, log_factorial
-from .povm import (PhotonOutcome, QndParams, _wrap_pi, condition, condition_many, eigen,
-                   log_amplitude, log_matrix_element_direct, outcome_distribution)
+from .povm import (PhotonOutcome, QndParams, _uniforms, _wrap_pi, condition, condition_many,
+                   eigen, log_amplitude, log_matrix_element_direct, outcome_distribution)
 from .spin_state import CollectiveState, coherent_state, dicke_state, normalize, overlap
 
 
 # one invariant's verdict; `value` is the figure its detail reports
 Check = namedtuple("Check", "name passed detail value")
+
+
+class _Draws:
+    """The draws of one check: uniforms k = 0, 1, 2, ... of one SplitMix64
+    stream, the generator `measure` draws its shots from (`povm._uniforms`).
+
+    Stream `index` of `seed` starts 2^40 outputs after stream index - 1, so
+    the streams of one seed do not overlap.  It offers the `Generator`
+    methods the checks call, and needs no module beyond numpy's own.
+    """
+
+    _BLOCK = 256  # uniforms drawn ahead for the scalar draws
+    _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
+
+    def __init__(self, seed: int, index: int):
+        self._state = np.uint64((int(seed) + (index << 40) * self._GAMMA) % (1 << 64))
+        self._next = 0  # the index of the next uniform not yet drawn
+        self._ahead: list[float] = []
+
+    def _take(self, n: int) -> np.ndarray:
+        """The next n uniforms in [0, 1); those drawn ahead are skipped."""
+        steps = np.arange(self._next, self._next + n, dtype=np.uint64)
+        self._next += n
+        return _uniforms(self._state + steps * np.uint64(self._GAMMA), 0)
+
+    def _scalar(self) -> float:
+        if not self._ahead:
+            self._ahead = self._take(self._BLOCK).tolist()[::-1]
+        return self._ahead.pop()
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return lo + (hi - lo) * self._scalar()
+
+    def integers(self, lo: int, hi: int) -> int:
+        """An int in [lo, hi)."""
+        return lo + min(int(self._scalar() * (hi - lo)), hi - lo - 1)
+
+    def normal(self, size) -> np.ndarray:
+        """Standard normal draws of shape `size`, by Box-Muller."""
+        n = int(np.prod(size))
+        half = (n + 1) // 2
+        u = self._take(2 * half)
+        r = np.sqrt(-2.0 * np.log1p(-u[:half]))  # 1 - u is in (0, 1]
+        t = 2.0 * math.pi * u[half:]
+        return np.concatenate((r * np.cos(t), r * np.sin(t)))[:n].reshape(size)
 
 
 def random_state(rng, two_j: int) -> CollectiveState:
@@ -189,12 +234,23 @@ def check_wigner_covariance(N: int, k: int) -> Check:
                  f"meridian miss {rel:.1e} of max |W|", rel)
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1] (Golub &
+    Welsch 1969): the eigenvalues of the Legendre polynomials' symmetric
+    Jacobi matrix, off-diagonal k / sqrt(4k^2 - 1), and twice the squared
+    first components of its eigenvectors."""
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return x, 2.0 * v[0] ** 2
+
+
 def check_harmonic_orthonormality() -> Check:
     """The normalized Legendre functions of `legendre_sum`, which `wigner`
     sums through, are orthonormal for each M on Gauss-Legendre nodes."""
     lmax = 6
     n = lmax + 1
-    x, wq = np.polynomial.legendre.leggauss(2 * lmax + 2)
+    x, wq = _gauss_legendre(2 * lmax + 2)
     # p[L, i, M] = P~_L^M(x[i]), from a coefficient table whose row L is all ones
     p = np.stack([legendre_sum(np.outer(np.arange(n) == L, np.ones(n)), x).real
                   for L in range(n)])
@@ -243,7 +299,7 @@ def check_composition(params: QndParams, state: CollectiveState, first, second) 
 
 
 def run_all(seed: int = 20260810) -> list[Check]:
-    rng = lambda k: np.random.default_rng(seed + k)
+    rng = lambda k: _Draws(seed, k)
     light = lambda n: QndParams(gamma=5.1, chi=5.0, gt=math.pi / n)
     return [
         check_dual_form(rng(0)),

@@ -657,19 +657,22 @@ def test_runs_without_test_dependencies(tmp_path):
         "import numpy\n"
         "sys.modules.update(dict.fromkeys("
         "['scipy', 'sympy', 'mpmath', 'hypothesis', 'pytest', 'jsonschema'], None))\n"
-        # measure draws its shots without numpy.random, which numpy 2 loads
-        # on first use only (numpy 1 loads it with numpy); validate needs it
-        "blocked = 'numpy.random' not in sys.modules\n"
-        "if blocked:\n"
-        "    sys.modules['numpy.random'] = None\n"
+        # numpy 2 loads numpy.random and numpy.polynomial on first use only
+        # (numpy 1 loads both with numpy), and no command needs them: measure
+        # and validate draw from SplitMix64, and validate's quadrature comes
+        # from numpy.linalg.  Nor is OpenSSL's _hashlib, which numpy.random
+        # brings in, loaded
+        "unloaded = [m for m in ('numpy.random', 'numpy.polynomial', '_hashlib')"
+        " if m not in sys.modules]\n"
+        "sys.modules.update((m, None) for m in unloaded if m.startswith('numpy'))\n"
         "from qnd_povm.cli import main\n"
         f"status = main(['measure', '--config', {measure!r},"
         f" '--out', {str(tmp_path / 'm.jsonl')!r}])\n"
-        "if blocked:\n"
-        "    del sys.modules['numpy.random']\n"
         f"status = status or main(['validate', '--out', {str(tmp_path / 'v.txt')!r}])\n"
-        f"sys.exit(status or main(['photon-dist', '--config', {path!r},"
-        f" '--out', {str(tmp_path / 'pd.csv')!r}]))\n"
+        f"status = status or main(['photon-dist', '--config', {path!r},"
+        f" '--out', {str(tmp_path / 'pd.csv')!r}])\n"
+        "loaded = [m for m in unloaded if sys.modules.get(m)]\n"
+        "sys.exit(status or (f'loaded {loaded}' if loaded else 0))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

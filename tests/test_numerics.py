@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnd_povm import _clebsch, numerics
+from qnd_povm.analysis import DensityMatrix, cat_state, density_from_state
 from qnd_povm.errors import DomainError
 from qnd_povm.numerics import cg_blocks, clebsch_gordan, legendre_sum, log_factorial, twice
+from qnd_povm.spin_state import coherent_state, dicke_state
 
-from legendre_oracle import legendre_norm_table
+from legendre_oracle import legendre_norm_table, legendre_sum_every_column
 
 
 # ---------------------------------------------------------------------- helpers
@@ -447,3 +449,35 @@ def test_legendre_sum_matches_per_m_tables(two_j):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # entries above the diagonal are not read
     assert np.array_equal(legendre_sum(coeffs + np.triu(np.ones_like(coeffs), 1), x), got)
+
+
+def _random_density(two_j: int, seed: int) -> DensityMatrix:
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(two_j + 1,) * 2) + 1j * rng.normal(size=(two_j + 1,) * 2)
+    h = a @ a.conj().T
+    return DensityMatrix(two_j, h / np.trace(h).real)
+
+
+@pytest.mark.parametrize("rho, zero_columns", [
+    (lambda: density_from_state(cat_state(100)), slice(1, None, 2)),  # even M alone
+    (lambda: density_from_state(dicke_state(50, 7)), slice(1, None)),
+    (lambda: density_from_state(coherent_state(60, 1.1)), slice(0)),
+    (lambda: _random_density(40, 5), slice(0)),
+], ids=["cat", "dicke", "coherent", "random"])
+def test_legendre_sum_skips_zero_columns_exactly(rho, zero_columns):
+    # the columns of a table with no nonzero coefficient are skipped, and the
+    # others come out to the bit as from the pass over every column
+    coeffs = rho().multipoles
+    assert not coeffs[:, zero_columns].any()
+    x = np.cos(np.linspace(0.0, math.pi, 181))
+    assert np.array_equal(legendre_sum(coeffs, x), legendre_sum_every_column(coeffs, x))
+
+
+def test_legendre_sum_skips_scattered_columns_exactly():
+    # used columns that are no stride: 0, 3 from L = 5 on, and the last alone
+    coeffs = np.zeros((31, 31), dtype=complex)
+    coeffs[:, 0], coeffs[5:, 3], coeffs[30, 30] = 1.0, 0.5, 2.0j
+    x = np.cos(np.linspace(0.0, math.pi, 19))
+    got = legendre_sum(coeffs, x)
+    assert np.array_equal(got, legendre_sum_every_column(coeffs, x))
+    assert np.flatnonzero(got.any(axis=0)).tolist() == [0, 3, 30]

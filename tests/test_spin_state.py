@@ -211,6 +211,21 @@ def test_serialization_roundtrip():
             state_from_json({"sectors": blocks})
 
 
+@pytest.mark.parametrize("two_j", [2.5, "2", True])
+def test_state_record_refuses_a_spin_that_is_no_whole_number(two_j):
+    # 2.5 would truncate to 2J = 2 and "2" would parse; a bool is no spin
+    record = {"sectors": [{"twoJ": two_j, "amps": [[0.6, 0.0], [0.0, 0.0], [0.8, 0.0]]}]}
+    with pytest.raises(DomainError):
+        state_from_json(record)
+
+
+@pytest.mark.parametrize("two_j", [2, 2.0, np.int64(2)])
+def test_state_record_reads_a_whole_spin_in_any_numeric_type(two_j):
+    record = {"sectors": [{"twoJ": two_j, "amps": [[0.6, 0.0], [0.0, 0.0], [0.8, 0.0]]}]}
+    state = state_from_json(record)
+    assert type(state.two_j) is int and state.two_j == 2
+
+
 @settings(max_examples=40)
 @given(st.integers(min_value=1, max_value=64),
        st.floats(min_value=-math.pi, max_value=math.pi))
