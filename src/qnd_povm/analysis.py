@@ -149,11 +149,16 @@ def wigner(rho: DensityMatrix, n_theta: int = 181, n_phi: int = 361) -> WignerGr
     g[:, two_j:] = legendre_sum(rho.multipoles, np.cos(thetas))
     # rho_{L,-M} Y_{L,-M} = conj(rho_LM Y_LM): columns M = -2J..-1 mirror 2J..1
     g[:, :two_j] = np.conj(g[:, :two_j:-1])
-    w = _flush_subnormals(g) @ np.exp(1j * np.outer(np.arange(-two_j, two_j + 1), phis))
+    # E[M, phi] = e^{iM phi}, formed in place
+    e = np.zeros((n_m, n_phi), dtype=complex)
+    np.multiply.outer(np.arange(-two_j, two_j + 1), phis, out=e.imag)
+    w = _flush_subnormals(g) @ np.exp(e, out=e)
+    del e
     residue = float(np.max(np.abs(w.imag))) if w.size else 0.0
     if residue > _RESIDUE_TOL:
         raise DomainError(f"Wigner reconstruction has imaginary residue {residue:.2e}")
-    return WignerGrid(thetas=thetas, phis=phis, values=w.real)
+    # a real copy: the complex W is freed on return, not held by a view
+    return WignerGrid(thetas=thetas, phis=phis, values=w.real.copy())
 
 
 def squeezing_report(prior: CollectiveState,

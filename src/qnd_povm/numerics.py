@@ -167,8 +167,8 @@ def legendre_sum(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     near the poles.  Each P~_L^M is added into G as it is formed, and only
     the rows L - 1 and L - 2 are kept.  The recurrence and the sum run only
     for the M whose column holds a nonzero coefficient (a Dicke state's
-    table has M = 0 alone); the sectoral seeds run for every M, and the
-    other columns of G are exact zeros.
+    table has M = 0 alone); the sectoral seeds run up to the largest such M,
+    and the other columns of G are exact zeros.
     """
     lmax = coeffs.shape[0] - 1
     x = np.asarray(x, dtype=float)
@@ -187,6 +187,7 @@ def legendre_sum(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     inner = np.searchsorted(used, ls - 1).tolist()
     upto = np.searchsorted(used, ls + 1).tolist()
     is_used = np.isin(ls, used).tolist()
+    top = int(used[-1]) if used.size else -1
     for L in range(lmax + 1):
         p, p1, p2 = rows[L % 3], rows[(L - 1) % 3], rows[(L - 2) % 3]
         i, k = inner[L], upto[L]
@@ -203,7 +204,8 @@ def legendre_sum(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
             p[:i] -= q
             if is_used[L - 1]:
                 p[i] = math.sqrt(2 * (L - 1) + 3.0) * x * sectoral
-            sectoral = -math.sqrt((2 * L + 1) / (2.0 * L)) * s * sectoral
+            if L <= top:
+                sectoral = -math.sqrt((2 * L + 1) / (2.0 * L)) * s * sectoral
         if is_used[L]:
             p[k - 1] = sectoral
         acc[:k] += parts[L, used[:k], :, None] * p[:k, None, :]

@@ -488,15 +488,22 @@ class _Mixture:
         port's ln lam holds the _LOG_ZERO sentinel: lam underflows to 0 and
         the row is exactly [n == 0], however large n."""
         lf = self.log_factorials(int(n.max()))
-        table = self.log_lam[..., None] * n
-        with np.errstate(under="ignore"):
-            table -= lf[n]
-            table -= np.exp(self.log_lam)[..., None]
-            # out of place: freeing the argument, as large as the table, lets
-            # glibc's malloc keep the CSV writer's per-chunk scratch in its
-            # heap instead of faulting fresh pages in for every chunk (60k
-            # page faults, 0.15 s, on a table of 1.07M rows on a 2-core host)
-            return np.exp(table)
+        out = np.empty(np.broadcast_shapes(self.log_lam.shape + (1,), n.shape))
+        # one port at a time: the tables are held once, beside one port's log table
+        for port, counts in enumerate(n if n.ndim == out.ndim else (n, n)):
+            table = self.log_lam[port, :, None] * counts
+            with np.errstate(under="ignore"):
+                table -= lf[counts]
+                table -= np.exp(self.log_lam[port])[:, None]
+                # out of place: freeing the argument, as large as a port's
+                # table, lets glibc's malloc keep the CSV writer's per-chunk
+                # scratch in its heap instead of faulting fresh pages in for
+                # every chunk (exponentiated in place, a table of 1.07M rows
+                # took 48k page faults against 6.9k, and 0.1 s more, on a
+                # 2-core host)
+                np.exp(table, out=out[port])
+            del table
+        return out
 
     def window(self, a: float):
         """(lo, width): the counts lo .. lo + width - 1 of each port and m_z,
@@ -705,15 +712,22 @@ def _mixture_rows(a: np.ndarray, b: np.ndarray, lo: int):
     every (n_c, n_d) pair of the tile.  The block's totals are the
     anti-diagonals of that product: a sheared view copies them into a block
     buffer with one row per total, and the prefix n_c <= t of each row is
-    that total's run of rows.  Where n_c > t, the tile reads n_d < 0 from the
-    _BLOCK - 1 zero columns padded in front of b.  The runs are then packed
-    to the front of the same buffer, in place, and yielded as a view that the
-    next block overwrites.
+    that total's run of rows.  Where n_c > t, the tile reads n_d < 0.  Such a
+    tile starts less than _TILE below t0 and reaches no n_d past
+    _BLOCK + _TILE - 2, so it reads `head`: b's first columns behind
+    _BLOCK - 1 zero columns.  Every tile that reaches no further reads `head`
+    too; the others read b in place.  Each product thus has the shape and
+    the operand strides it would have on a fully zero-padded b, so BLAS takes
+    the same path (a one-row product stays a vector-matrix product, and no
+    slice of b has unit stride) and rounds each entry the same way.
+    The runs are then packed to the front of the same buffer, in place, and
+    yielded as a view that the next block overwrites.
     """
     hi = a.shape[0] - 1
     pad = _BLOCK - 1
-    b_pad = np.zeros((b.shape[0], pad + hi + 1))
-    b_pad[:, pad:] = b
+    reach = min(hi + 1, _BLOCK + _TILE - 1)
+    head = np.zeros((b.shape[0], pad + reach))
+    head[:, pad:] = b[:, :reach]
     buffer = np.empty(_BLOCK * (hi + 1))
     block = buffer.reshape(_BLOCK, hi + 1)
     scratch = np.empty(_TILE * (_BLOCK + _TILE - 1))
@@ -722,10 +736,11 @@ def _mixture_rows(a: np.ndarray, b: np.ndarray, lo: int):
         for i0 in range(0, t1, _TILE):
             i1 = min(i0 + _TILE, t1)
             rows, width = i1 - i0, t1 - t0 + i1 - i0 - 1
-            # column c of the product is n_d = t0 - (i1 - 1) + c
-            j0 = pad + t0 - (i1 - 1)
+            # column c of the product is n_d = t0 - (i1 - 1) + c, up to t1 - 1 - i0
+            j0 = t0 - (i1 - 1)
+            source, j0 = (head, j0 + pad) if t1 - i0 <= reach else (b, j0)
             prod = scratch[:rows * width].reshape(rows, width)
-            np.matmul(a[i0:i1], b_pad[:, j0:j0 + width], out=prod)
+            np.matmul(a[i0:i1], source[:, j0:j0 + width], out=prod)
             # diagonal[r, u] = prod[r, rows - 1 - r + u]: n_c = i0 + r, total t0 + u
             step = prod.strides[1]
             diagonal = as_strided(prod[:, rows - 1:], shape=(rows, t1 - t0),

@@ -12,7 +12,7 @@ from qnd_povm.numerics import cg_blocks
 from qnd_povm.povm import PhotonOutcome, QndParams, posterior
 from qnd_povm.spin_state import (CollectiveState, coherent_state,
                                  dicke_state, normalize, overlap)
-from qnd_povm.validate import check_wigner_covariance
+from qnd_povm.validate import check_wigner_covariance, random_state
 
 P_SYM = QndParams(gamma=5.0, chi=5.0, gt=math.pi / 2.0)
 
@@ -352,6 +352,36 @@ def test_wigner_covariance_sees_a_flipped_block_column(monkeypatch):
     check = check_wigner_covariance(40, 30)
     assert not check.passed
     assert check.value > 1e-2
+
+
+@pytest.mark.parametrize("make_state, k", [
+    (lambda: coherent_state(40, 1.0), 17),
+    (lambda: random_state(np.random.default_rng(29), 40), 123),
+    # half-integer J, turned by more than half a turn
+    (lambda: random_state(np.random.default_rng(31), 25), 250),
+], ids=["coherent40", "random40", "random_half_spin"])
+def test_wigner_turns_with_a_z_rotation(make_state, k):
+    # e^{-i phi0 J_z} turns the map by phi0 about z: with phi0 = k steps of
+    # the azimuth grid, whose last column repeats phi = 0, the columns roll by k
+    state = make_state()
+    grid = wigner(density_from_state(state))
+    phi0 = float(grid.phis[k])
+    turned = CollectiveState(state.two_j, state.amps * np.exp(-1j * phi0 * state.m_values()))
+    got = wigner(density_from_state(turned)).values
+    want = np.roll(grid.values[:, :-1], k, axis=1)
+    miss = max(np.max(np.abs(got[:, :-1] - want)), np.max(np.abs(got[:, -1] - want[:, 0])))
+    assert miss <= 1e-12 * np.max(np.abs(grid.values))
+
+
+@pytest.mark.parametrize("J, m", [(0.5, -0.5), (5, -3), (20, 7), (100, 0), (100, 100)])
+def test_dicke_multipoles_off_m_zero_are_exact_zeros(J, m):
+    # a Dicke state's density matrix is diagonal, so every M != 0 multipole
+    # is an exact zero and its map holds no azimuthal term at all
+    dm = density_from_state(dicke_state(J, m))
+    assert dm.multipoles[:, 0].any()
+    assert not dm.multipoles[:, 1:].any()
+    w = wigner(dm).values
+    assert np.array_equal(w, np.broadcast_to(w[:, :1], w.shape))
 
 
 # ------------------------------------------------------------------- squeezing

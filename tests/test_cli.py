@@ -948,7 +948,8 @@ def test_photon_dist_streamed_rows_equal_the_distribution(tmp_path, totals):
 
 
 def test_photon_dist_guard_failure_in_a_later_block(tmp_path, monkeypatch, capsys):
-    # the window starts at total 210, so the second block starts at 338
+    # the window starts at total 210, so the second block starts _BLOCK later
+    second = 210 + povm._BLOCK
     real = povm._mixture_rows
 
     def corrupt(a, b, lo):
@@ -961,16 +962,16 @@ def test_photon_dist_guard_failure_in_a_later_block(tmp_path, monkeypatch, capsy
     path = write_config(tmp_path, "pd.json", _window_config(BLOCK_WINDOWS[257]))
     out = tmp_path / "pd.csv"
     assert run_cli("photon-dist", "--config", path, "--out", str(out)) == 4
-    assert "the rows of total 338 miss its Poisson mass" in capsys.readouterr().err
+    assert f"the rows of total {second} miss its Poisson mass" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["pd.json"]
     # on stdout, the first block's rows are out before the second is checked
     assert run_cli("photon-dist", "--config", path, "--out", "-") == 4
     text = capsys.readouterr().out
     assert "captured_mass" not in text
     lines = text.split("\r\n")
-    # the header and column line, the rows of totals 210..337, and ""
-    assert len(lines) == 1 + sum(t + 1 for t in range(210, 338)) + 1
-    assert lines[-2].startswith("337,0,") and lines[-1] == ""
+    # the header and column line, the rows of the first block's totals, and ""
+    assert len(lines) == 1 + sum(t + 1 for t in range(210, second)) + 1
+    assert lines[-2].startswith(f"{second - 1},0,") and lines[-1] == ""
 
 
 # the bright benchmark's table: N = 100, a mean of 1800 photons, 1.07M rows,

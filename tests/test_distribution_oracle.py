@@ -207,6 +207,21 @@ def test_engine_matches_per_total_contraction(lo, hi):
     assert engine_rows(a, b, lo).tobytes() == p.tobytes()
 
 
+@pytest.mark.parametrize("lo, hi", WINDOWS)
+def test_engine_reads_a_dark_port_at_n_d_zero(lo, hi):
+    # a dark port d counts no photon: its rows are [n_d == 0], so the only
+    # nonzero row of each total is n_c = t, and none of the n_d < 0 columns
+    # a tile reads past the diagonal may land on it
+    rng = np.random.default_rng(hi)
+    k = 1 + hi % 9
+    a, b = rng.random((hi + 1, k)), np.zeros((k, hi + 1))
+    b[:, 0] = 1.0
+    p = engine_rows(a, b, lo)
+    n_c, n_d = reference_columns(lo, hi)
+    assert np.array_equal(p != 0.0, n_d == 0)
+    np.testing.assert_allclose(p[n_d == 0], a[lo:].sum(axis=1), rtol=1e-14, atol=0.0)
+
+
 def _captured(monkeypatch, params, state, tol):
     """The distribution and the engine's (a, b, lo) for it."""
     seen = []
@@ -230,9 +245,12 @@ BRIGHT = (QndParams(gamma=30.0, chi=30.0 * complex(math.cos(0.7), math.sin(0.7))
     # support of one m_z
     (P_SYM, lambda: dicke_state(8, 1)),
     (P_REF, lambda: dicke_state(20, 0)),
+    # at gt = pi/2, port c is all but dark on m_z = -3 and 1, and port d on
+    # -1 and 3: those rows of a table are [n == 0] to 1e-30
+    (P_SYM, lambda: coherent_state(8, 1.0)),
     # the bright benchmark's size: N = 100, s = 1800, 1.07M rows
     BRIGHT,
-], ids=["dicke_odd", "dicke_zero", "bright"])
+], ids=["dicke_odd", "dicke_zero", "dark_ports", "bright"])
 def test_distribution_rows_match_per_total_contraction(monkeypatch, params, make_state):
     state = make_state()
     dist, (a, b, lo) = _captured(monkeypatch, params, state, 1e-9)
@@ -278,6 +296,26 @@ def test_engine_builds_no_matrix_of_all_totals():
     assert rows == (hi - lo + 1) * (lo + hi + 2) // 2
     # the engine yields one block at a time, so it holds no p of all rows either
     assert peak < 0.6 * matrix < 8 * (hi + 1) ** 2
+
+
+def test_enumeration_holds_each_per_port_table_once():
+    # the bright window's two per-port tables take 3.39 MB.  Beside them the
+    # engine holds one block buffer of _BLOCK totals (0.63x the tables here)
+    # and a zero-padded copy of port d's first _BLOCK + _TILE - 1 columns
+    # (0.07x); a full-size log table beside the tables, or a padded copy of
+    # all of port d, breaks the bound
+    params, make_state = BRIGHT
+    state = make_state()
+    table = povm._OutcomeTable(params, state, 1e-9)
+    tables = 2 * state.support()[0].size * (table.cutoff_total + 1) * 8
+    tracemalloc.start()
+    try:
+        rows = sum(p.size for _, p in table.pieces(8192))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == table.size
+    assert peak <= 1.75 * tables
 
 
 def test_distribution_peak_is_its_three_columns():
