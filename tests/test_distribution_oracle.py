@@ -222,6 +222,47 @@ def test_engine_reads_a_dark_port_at_n_d_zero(lo, hi):
     np.testing.assert_allclose(p[n_d == 0], a[lo:].sum(axis=1), rtol=1e-14, atol=0.0)
 
 
+def padded_engine_rows(a, b, lo):
+    """The engine's rows, every tile read from a copy of all of b behind
+    _BLOCK - 1 zero columns."""
+    hi = a.shape[0] - 1
+    pad = B - 1
+    b_pad = np.zeros((b.shape[0], pad + hi + 1))
+    b_pad[:, pad:] = b
+    rows = []
+    for t0 in range(lo, hi + 1, B):
+        t1 = min(t0 + B, hi + 1)
+        block = np.empty((t1 - t0, t1))
+        for i0 in range(0, t1, povm._TILE):
+            i1 = min(i0 + povm._TILE, t1)
+            prod = np.empty((i1 - i0, t1 - t0 + i1 - i0 - 1))
+            j0 = pad + t0 - (i1 - 1)
+            np.matmul(a[i0:i1], b_pad[:, j0:j0 + prod.shape[1]], out=prod)
+            for r in range(i1 - i0):
+                # n_c = i0 + r at total t0 + u is column i1 - 1 - i0 - r + u
+                block[:, i0 + r] = prod[r, i1 - 1 - i0 - r:][:t1 - t0]
+        rows += [block[t - t0, :t + 1] for t in range(t0, t1)]
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    # (0, 0) among them: one total, so b has one column
+    *WINDOWS,
+    # a last tile of one row
+    (0, 3 * povm._TILE),
+    # blocks that end one past a tile multiple: each block's last tile has one row
+    (1, 1 + B + 40), (33, 33 + 2 * B)])
+def test_engine_rounds_as_on_a_padded_table(lo, hi):
+    # every product keeps the shape it has on a fully padded b, and no slice
+    # of b has unit stride, so BLAS rounds each the same way: a one-row tile
+    # stays a vector-matrix product (a dot product rounds differently in
+    # about half of these draws)
+    rng = np.random.default_rng(hi + 7)
+    for k in range(4, 12):
+        a, b = rng.random((k, hi + 1)).T, rng.random((k, hi + 1))
+        assert engine_rows(a, b, lo).tobytes() == padded_engine_rows(a, b, lo).tobytes()
+
+
 def _captured(monkeypatch, params, state, tol):
     """The distribution and the engine's (a, b, lo) for it."""
     seen = []
