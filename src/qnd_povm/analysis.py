@@ -21,12 +21,21 @@ _RESIDUE_TOL = 1e-10
 _PARSEVAL_TOL = 1e-10
 
 
+def _reserve_square(two_j: int):
+    """Refuse a density matrix, and with it a multipole table, of over
+    MAX_ENTRIES entries, before either is built."""
+    d = two_j + 1
+    reserve(d * d, f"a density matrix at 2J={two_j} holds {d * d} entries, "
+                   f"over the cap of {MAX_ENTRIES}")
+
+
 class DensityMatrix(Record):
     """Density matrix of one total spin, indexed by (m_z, m_z')."""
 
     def __init__(self, two_j: int, rho: np.ndarray):
         two_j = whole_two_j(two_j)
         d = two_j + 1
+        _reserve_square(two_j)
         r = np.array(rho, dtype=complex)
         if r.shape != (d, d):
             raise DomainError(f"density matrix for 2J={two_j} must be {d}x{d}")
@@ -105,17 +114,17 @@ def density_from_state(state: CollectiveState) -> DensityMatrix:
     n2 = float(np.sum(np.abs(psi) ** 2))
     if n2 == 0.0:
         raise DomainError("state carries no amplitude")
+    _reserve_square(state.two_j)
     rho = np.outer(psi, psi.conj()) / n2
     return DensityMatrix(two_j=state.two_j, rho=rho)
 
 
 def _flush_subnormals(a: np.ndarray) -> np.ndarray:
-    """`a` with every real or imaginary part below the smallest normal double
-    set to 0, in place.  A posterior's multipoles leave such parts in G, and
-    a GEMM over subnormal operands runs tens of times slower; together they
-    carry less than 1e-304 into any entry of W."""
-    parts = a.view(float)
-    parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
+    """`a` with every entry below the smallest normal double set to 0, in
+    place.  A posterior's multipoles leave such parts in G, and a GEMM over
+    subnormal operands runs tens of times slower; together they carry less
+    than 1e-304 into any entry of W."""
+    a[np.abs(a) < np.finfo(float).tiny] = 0.0
     return a
 
 
@@ -124,18 +133,23 @@ def wigner(rho: DensityMatrix, n_theta: int = 181, n_phi: int = 361) -> WignerGr
 
     Sampled on the equiangular grid of n_theta polar angles over [0, pi] and
     n_phi azimuths over [0, 2 pi].  The multipole sum runs L = 0..2J in two
-    steps: G[theta, M] = sum_L rho_LM Y~_L^M(cos theta), with Y~ the
-    normalized associated Legendre function, in one recurrence over L for
-    all M (`legendre_sum`), then W = G @ E with E[M, phi] = e^{iM phi}.
+    steps: G[theta, M] = sum_L rho_LM Y~_L^M(cos theta) for M = 0..2J, with
+    Y~ the normalized associated Legendre function, in one recurrence over L
+    (`legendre_sum`), then W = Re sum_M c_M G_M e^{iM phi} with c_0 = 1 and
+    c_M = 2 for M > 0, since rho_{L,-M} Y_{L,-M} = conj(rho_LM Y_LM).  The
+    sum runs over the M whose column of G holds an entry, as one real
+    product: G's (Re, Im) pairs times E, the rows (cos M phi, -sin M phi).
     Raises ResourceCapError before building any array when G, E or W would
-    hold more than 2^24 entries.  Raises DomainError when the multipole
-    table breaks Parseval (sum |rho_LM|^2 = Tr rho^2) by more than 1e-10
-    relative, or when the imaginary residue of W exceeds 1e-10; the residue
-    is otherwise discarded.  Checked against sympy multipoles at 2J = 100
-    and against Parseval up to 2J = 200.
+    hold more than 2^24 entries, a pair counting as one.  Raises DomainError
+    when the multipole table breaks Parseval (sum |rho_LM|^2 = Tr rho^2) by
+    more than 1e-10 relative, or when the imaginary residue max |Im G_0|
+    exceeds 1e-10: Re discards it, while each M > 0 term's imaginary part
+    cancels against its -M twin's by construction.  Checked against sympy
+    multipoles at 2J = 100, against Parseval up to 2J = 200, and against
+    rotation covariance at 2J = 200.
     """
     two_j = rho.two_j
-    n_m = 2 * two_j + 1
+    n_m = two_j + 1
     largest = max(n_theta * n_m, n_m * n_phi, n_theta * n_phi)
     reserve(largest, f"a {n_theta}x{n_phi} Wigner grid at 2J={two_j} needs an array of "
                      f"{largest} entries, over the cap of {MAX_ENTRIES}")
@@ -145,20 +159,15 @@ def wigner(rho: DensityMatrix, n_theta: int = 181, n_phi: int = 361) -> WignerGr
     if residual > _PARSEVAL_TOL:
         raise DomainError(f"multipole table breaks Parseval by {residual:.2e} "
                           "relative to Tr rho^2")
-    g = np.empty((n_theta, n_m), dtype=complex)
-    g[:, two_j:] = legendre_sum(rho.multipoles, np.cos(thetas))
-    # rho_{L,-M} Y_{L,-M} = conj(rho_LM Y_LM): columns M = -2J..-1 mirror 2J..1
-    g[:, :two_j] = np.conj(g[:, :two_j:-1])
-    # E[M, phi] = e^{iM phi}, formed in place
-    e = np.zeros((n_m, n_phi), dtype=complex)
-    np.multiply.outer(np.arange(-two_j, two_j + 1), phis, out=e.imag)
-    w = _flush_subnormals(g) @ np.exp(e, out=e)
-    del e
-    residue = float(np.max(np.abs(w.imag))) if w.size else 0.0
+    g = legendre_sum(rho.multipoles, np.cos(thetas))
+    residue = float(np.max(np.abs(g[:, 0].imag), initial=0.0))
     if residue > _RESIDUE_TOL:
         raise DomainError(f"Wigner reconstruction has imaginary residue {residue:.2e}")
-    # a real copy: the complex W is freed on return, not held by a view
-    return WignerGrid(thetas=thetas, phis=phis, values=w.real.copy())
+    m = np.flatnonzero(g.any(axis=0))
+    pairs = np.ascontiguousarray(g[:, m] * np.where(m > 0, 2.0, 1.0)).view(float)
+    angles = np.multiply.outer(m, phis)
+    e = np.stack((np.cos(angles), -np.sin(angles)), axis=1).reshape(2 * m.size, n_phi)
+    return WignerGrid(thetas=thetas, phis=phis, values=_flush_subnormals(pairs) @ e)
 
 
 def squeezing_report(prior: CollectiveState,

@@ -190,7 +190,9 @@ def project(params: QndParams, state: CollectiveState, u: float,
     if u <= 0.0:
         raise DomainError("u must be positive")
     s = params.photon_mean
-    amp = math.exp(-((u - s / 2.0) ** 2) / s) / (math.pi * u) ** 0.25
+    # a product, not **: past s ~ 2.7e154 the square is inf and amp its limit 0
+    d = u - s / 2.0
+    amp = math.exp(-(d * d) / s) / (math.pi * u) ** 0.25
     tj = state.two_j
     tm = round_to_sector_parity(m0, tj)
     a = np.zeros(tj + 1, dtype=complex)

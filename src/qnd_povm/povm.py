@@ -86,6 +86,10 @@ class QndParams(Record):
             mean = math.inf
         if mean == math.inf:
             raise DomainError("|gamma|^2 + |chi|^2 overflows a double")
+        # the envelope bases square |gamma| + |chi| sin(beta), up to this square
+        reach = self.abs_gamma + self.abs_chi
+        if reach * reach == math.inf:
+            raise DomainError("(|gamma| + |chi|)^2 overflows a double")
         # below the smallest normal double, ln s is -inf at 0 and cos(2 eta)
         # rests on a subnormal with a few digits left
         if mean < np.finfo(float).tiny:
@@ -631,7 +635,9 @@ class _OutcomeTable:
         if max_total is not None and max_total < 0:
             raise DomainError("max_total must be non-negative")
         s = params.photon_mean
-        cap = int(max_total) if max_total is not None else int(4.0 * s + 100.0)
+        # 4 s + 100 overflows from s ~ 4.5e307, where the row cap refuses anyway
+        cap = (int(max_total) if max_total is not None
+               else int(min(4.0 * s + 100.0, np.finfo(float).max)))
         support = mixture.m.size
         k = 4.0
         while True:

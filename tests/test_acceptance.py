@@ -16,7 +16,8 @@ from qnd_povm.povm import (PhotonOutcome, QndParams, log_amplitude,
 from qnd_povm.spin_state import coherent_state, dicke_state, normalize, overlap
 from qnd_povm.validate import (check_composition, check_dicke_invariance, check_dual_form,
                                check_gaussian_width, check_photon_conservation,
-                               check_table_against_conditioner, check_unity)
+                               check_table_against_conditioner, check_unity,
+                               check_wigner_covariance)
 
 P100 = QndParams(gamma=5.1, chi=5.0, gt=math.pi / 100.0)
 
@@ -188,3 +189,14 @@ def test_criterion_12_table_against_conditioner():
     elapsed = time.monotonic() - t0
     _report(12, check.name, check.passed and elapsed < 10.0,
             f"{check.detail}, {elapsed:.1f} s")
+
+
+def test_criterion_13_wigner_covariance():
+    # the turned coherent map at N = 200, the largest size the Wigner map
+    # claims, read against the Dicke map's M = 0 path at two polar angles
+    t0 = time.monotonic()
+    checks = [check_wigner_covariance(200, k) for k in (41, 77)]
+    elapsed = time.monotonic() - t0
+    _report(13, "Wigner rotation covariance at N=200",
+            all(c.passed for c in checks) and elapsed < 10.0,
+            f"{', '.join(c.detail for c in checks)}, {elapsed:.1f} s")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qnd_povm import _clebsch, analysis
+from qnd_povm import _clebsch, analysis, errors
 from qnd_povm.analysis import (DensityMatrix, ParityCase, cat_fidelity,
                                cat_state, density_from_state,
                                parity_pattern_check, squeezing_report, wigner)
@@ -183,8 +183,8 @@ def test_wigner_grid_cap(n_theta, n_phi, monkeypatch):
 
 def test_wigner_flush_of_subnormals_keeps_every_bit(monkeypatch):
     # the posterior of the sphere benchmark's seed-9002 outcome leaves
-    # subnormal parts in G, which slow the complex GEMM about 40-fold;
-    # zeroing them must not move a bit of W
+    # subnormal parts in G, which slow W's GEMM about 25-fold; zeroing them
+    # must not move a bit of W
     state = posterior(P_SYM, PhotonOutcome(28, 22), coherent_state(100, math.pi / 2.0))
     rho = density_from_state(state)
     real = analysis._flush_subnormals
@@ -206,6 +206,58 @@ def test_wigner_flush_of_subnormals_keeps_every_bit(monkeypatch):
     kept = wigner(rho)
     assert seen[0] > 1000 and seen[1] == 0
     assert flushed.values.tobytes() == kept.values.tobytes()
+
+
+@pytest.mark.parametrize("shift, raises", [(0.99, False), (1.01, True)])
+def test_wigner_residue_guard_reads_im_g0(shift, raises):
+    # an imaginary part on rho_00 leaves Parseval to 1e-20 but puts
+    # Im G_0 = Im rho_00 / sqrt(4 pi) on every theta, which Re would discard
+    dm = density_from_state(coherent_state(8, 1.0))
+    table = dm.multipoles.copy()
+    table[0, 0] += 1j * shift * 1e-10 * math.sqrt(4.0 * math.pi)
+    object.__setattr__(dm, "multipoles", table)
+    assert dm.parseval_residual() <= 1e-12
+    if raises:
+        with pytest.raises(DomainError, match="imaginary residue 1.01e-10"):
+            wigner(dm, n_theta=9, n_phi=9)
+    else:
+        wigner(dm, n_theta=9, n_phi=9)
+
+
+@pytest.mark.parametrize("state, live", [
+    (dicke_state(5, 2), [0]),
+    # both ports fire at gt = pi/2: m_z = -4..4 even alone, so the odd M and
+    # M = 10 vanish
+    (posterior(P_SYM, PhotonOutcome(26, 26), coherent_state(10, math.pi / 2.0)),
+     [0, 2, 4, 6, 8]),
+    (coherent_state(10, 1.0), list(range(11))),
+], ids=["dicke", "cat", "coherent"])
+def test_wigner_sums_only_the_live_half_of_g(monkeypatch, state, live):
+    # G's columns M = 0..2J, as (Re, Im) pairs of the M whose column holds an
+    # entry, scaled by 1 at M = 0 and 2 above; no column for M < 0
+    dm = density_from_state(state)
+    seen = []
+
+    def record(pairs):
+        seen.append(pairs.copy())
+        return pairs
+
+    monkeypatch.setattr(analysis, "_flush_subnormals", record)
+    got = wigner(dm, n_theta=7, n_phi=9)
+    (pairs,) = seen
+    g = analysis.legendre_sum(dm.multipoles, np.cos(got.thetas))
+    assert [M for M in range(dm.two_j + 1) if g[:, M].any()] == live
+    want = g[:, live] * np.where(np.array(live) > 0, 2.0, 1.0)
+    assert np.array_equal(pairs, np.ascontiguousarray(want).view(float))
+
+
+def test_density_matrix_meets_the_cap_before_it_copies(monkeypatch):
+    rho = np.eye(11) / 11.0
+    monkeypatch.setattr(errors, "MAX_ENTRIES", 11 * 11 - 1)
+    with pytest.raises(ResourceCapError, match="^a density matrix at 2J=10 holds 121 "):
+        DensityMatrix(10, rho)
+    monkeypatch.setattr(errors, "MAX_ENTRIES", 11 * 11)
+    assert DensityMatrix(10, rho).two_j == 10
 
 
 def test_wigner_dicke_top_concentrated_at_pole():

@@ -226,6 +226,16 @@ def test_project_coherent_to_dicke():
     assert amp == pytest.approx((math.pi * s / 2.0) ** -0.25, rel=1e-12)
 
 
+def test_project_amplitude_where_its_square_overflows():
+    # at gamma = chi = 1e78, s = 2e156 and (u - s/2)^2 overflows: the
+    # amplitude is the limit of exp(-x), 0, and the collapse still happens
+    p = QndParams(gamma=1e78, chi=1e78, gt=math.pi / 10.0)
+    st = dicke_state(5, 2)
+    amp, out = project(p, st, 2.5, 2.0)
+    assert amp == 0.0
+    assert abs(overlap(st, out)) ** 2 == pytest.approx(1.0, abs=1e-14)
+
+
 def test_project_zero_support():
     st = dicke_state(5, 2)
     with pytest.raises(ZeroProjectionError):

@@ -182,6 +182,39 @@ def test_underflowing_light_amplitudes_exit_4(tmp_path, capsys, light, code, com
         assert sorted(os.listdir(tmp_path)) == ["c.json", "o"]
 
 
+# from 1e78 project's (u - s/2)^2 overflows, and its amplitude is the limit 0;
+# s = |gamma|^2 + |chi|^2 is 5e307 at 5e153: finite, with (|gamma| + |chi|)^2
+# = 1e308, but 4 s overflows; at 9e153 s = 1.62e308 and (|gamma| + |chi|)^2
+# overflows, as the envelope bases would
+@pytest.mark.parametrize("light, codes", [
+    (1e78, {"photon-dist": 3, "measure": 3, "amp-scan": 0, "wigner": 0, "project": 0}),
+    (5e153, {"photon-dist": 3, "measure": 3, "amp-scan": 0, "wigner": 0, "project": 0}),
+    (9e153, dict.fromkeys(["photon-dist", "measure", "amp-scan", "wigner", "project"], 4)),
+], ids=["1e78", "5e153", "9e153"])
+@pytest.mark.parametrize("command", ["photon-dist", "measure", "amp-scan", "wigner",
+                                     "project"])
+def test_light_near_the_double_range_exits_cleanly(tmp_path, capsys, light, codes, command):
+    path = write_config(tmp_path, "c.json", _five_commands(light, 1.0)[command])
+    out = tmp_path / "o"
+    code = codes[command]
+    assert run_cli(command, "--config", path, "--out", str(out)) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 4:
+        assert err == "domain error: (|gamma| + |chi|)^2 overflows a double\n"
+    elif code == 3:
+        assert err.startswith("resource cap: ")
+    else:
+        assert err == ""
+        files = [f for f in out.rglob("*") if f.is_file()] if out.is_dir() else [out]
+        assert files
+        for f in files:
+            text = f.read_text().lower()
+            assert "inf" not in text and "nan" not in text, f
+    if code:
+        assert os.listdir(tmp_path) == ["c.json"]
+
+
 @pytest.mark.parametrize("gt", [1e-200, 1e-160, 1e160, 1e200])
 def test_gaussian_model_at_extreme_gt_is_a_domain_error(tmp_path, capsys, gt):
     # the curvature underflows to 0, or sigma2 or gt**2 overflow
@@ -1395,9 +1428,15 @@ CAP_SITES = {
                                                         dump_posteriors=True),
                                         str(tmp / "m.jsonl")),
         (cli, "_Mixture"), "dumping 3 posteriors of dimension 11 "),
+    # the (2J + 1)^2 density matrix, before the outer product builds it
+    "density-matrix": (
+        11 * 11 - 1, lambda tmp: density_from_state(coherent_state(10, 1.0)),
+        (analysis.np, "outer"), "a density matrix at 2J=10 holds 121 entries, "),
+    # E, the 2J + 1 = 11 rows (cos M phi, -sin M phi) over 13 azimuths, is the
+    # largest array, and larger than the density matrix
     "wigner-grid": (
-        7 * 21 - 1, lambda tmp: wigner(density_from_state(coherent_state(10, 1.0)), 5, 7),
-        (analysis, "legendre_sum"), "a 5x7 Wigner grid at 2J=10 needs an array of 147 "),
+        11 * 13 - 1, lambda tmp: wigner(density_from_state(coherent_state(10, 1.0)), 5, 13),
+        (analysis, "legendre_sum"), "a 5x13 Wigner grid at 2J=10 needs an array of 143 "),
 }
 
 

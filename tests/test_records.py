@@ -114,6 +114,14 @@ def test_validation_messages_are_unchanged():
         "n_c, n_d and p must be 1-d arrays of one length"] * 2
 
 
+def test_light_whose_bases_would_overflow_is_refused():
+    # the envelope bases square |gamma| + |chi| sin(beta): past
+    # |gamma| + |chi| = 1.34e154 that square overflows while s stays finite
+    assert _messages(QndParams, [(6.71e153, 6.71e153, 0.1), (1e154, 3.5e153, 0.1)]) == [
+        "(|gamma| + |chi|)^2 overflows a double"] * 2
+    assert QndParams(6.7e153, 6.7e153, 0.1).photon_mean < math.inf
+
+
 def test_no_class_of_the_package_is_a_dataclass():
     # a dataclass compiles its generated methods at every import
     names = [m.name for m in pkgutil.iter_modules(qnd_povm.__path__)]
