@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (MAX_ENTRIES, ConfigError, DomainError, PreconditionError,
-                     QndError, ResourceCapError, reserve)
+                     QndError, ResourceCapError, count_text, reserve)
 from .povm import PhotonOutcome, _Mixture, _OutcomeTable, eigen, posterior
 from .spin_state import moments, state_to_json
 
@@ -188,8 +188,8 @@ def write_table(path, columns, blocks, meta=None, fmt="csv"):
 def _check_spin_dimensions(raw):
     """Refuse, before any state or m grid exists, an N over the cap."""
     for n in [case["N"] for case in raw.get("cases", [])] + [raw.get("N", 0)]:
-        reserve(n + 1, f"N = {n} gives a spin dimension of {n + 1}, over the cap of "
-                       f"{MAX_ENTRIES}")
+        reserve(n + 1, f"N = {count_text(n)} gives a spin dimension of "
+                       f"{count_text(n + 1)}, over the cap of {MAX_ENTRIES}")
 
 
 def cmd_amp_scan(cfg: ExperimentConfig, out, fmt) -> int:
@@ -263,8 +263,8 @@ def cmd_measure(cfg: ExperimentConfig, out, fmt) -> int:
         raise ConfigError("dump_posteriors needs --out FILE to anchor the dump dir")
     if dump:
         reserve(cfg.raw["shots"] * (cfg.n_atoms + 1),
-                f"dumping {cfg.raw['shots']} posteriors of dimension {cfg.n_atoms + 1} "
-                f"writes over the cap of {MAX_ENTRIES} amplitudes")
+                f"dumping {count_text(cfg.raw['shots'])} posteriors of dimension "
+                f"{count_text(cfg.n_atoms + 1)} writes over the cap of {MAX_ENTRIES} amplitudes")
     dump_dir = f"{out}.posteriors"
     mixture = _Mixture(params, state)
     draw = mixture.sampler()

@@ -46,5 +46,17 @@ def reserve(entries: int, message: str):
         raise ResourceCapError(message)
 
 
+def count_text(n: int) -> str:
+    """A count as the cap messages print it: every digit below 2^53, and
+    three significant ones from there, where a double no longer holds every
+    integer (light near the double range gives counts of hundreds of
+    digits)."""
+    if n < 1 << 53:
+        return str(n)
+    from decimal import Decimal  # only a refusal of such a count reaches it
+
+    return f"{Decimal(n):.3g}"
+
+
 class ConfigError(QndError):
     """Invalid experiment configuration."""

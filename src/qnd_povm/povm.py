@@ -26,7 +26,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ._record import Record
-from .errors import MAX_ENTRIES, DomainError, PreconditionError, ResourceCapError, reserve
+from .errors import (MAX_ENTRIES, DomainError, PreconditionError, ResourceCapError,
+                     count_text, reserve)
 from .numerics import log_factorial
 from .spin_state import CollectiveState, normalize, scale_amplitudes
 
@@ -35,7 +36,7 @@ _TWO_PI = 2.0 * math.pi
 _LOG_ZERO = -1e9
 _TOTAL_RTOL = 1e-10
 # the outcome engine's block of consecutive totals, and its GEMM tile of n_c
-_BLOCK = 128
+_BLOCK = 64
 _TILE = 32
 # outcomes per conditioning pass: bounds the kernel's two rows x support buffers
 _ROWS = 128
@@ -446,7 +447,8 @@ class _Mixture:
     def log_factorials(self, top: int) -> np.ndarray:
         """ln n! for n = 0..top, a view of the one table, grown as needed."""
         if self._lf.size <= top:
-            reserve(top + 1, f"ln n! to {top} is over the cap of {MAX_ENTRIES} entries")
+            reserve(top + 1, f"ln n! to {count_text(top)} is over the cap of {MAX_ENTRIES} "
+                             "entries")
             self._lf = np.append(self._lf, log_factorial(np.arange(self._lf.size, top + 1)))
         return self._lf[:top + 1]
 
@@ -493,20 +495,26 @@ class _Mixture:
         the row is exactly [n == 0], however large n."""
         lf = self.log_factorials(int(n.max()))
         out = np.empty(np.broadcast_shapes(self.log_lam.shape + (1,), n.shape))
-        # one port at a time: the tables are held once, beside one port's log table
+        lam = np.exp(self.log_lam)
+        # one port and _BLOCK rows of m_z at a time: the tables are held once,
+        # beside one log table of at most _BLOCK rows
         for port, counts in enumerate(n if n.ndim == out.ndim else (n, n)):
-            table = self.log_lam[port, :, None] * counts
-            with np.errstate(under="ignore"):
-                table -= lf[counts]
-                table -= np.exp(self.log_lam[port])[:, None]
-                # out of place: freeing the argument, as large as a port's
-                # table, lets glibc's malloc keep the CSV writer's per-chunk
-                # scratch in its heap instead of faulting fresh pages in for
-                # every chunk (exponentiated in place, a table of 1.07M rows
-                # took 48k page faults against 6.9k, and 0.1 s more, on a
-                # 2-core host)
-                np.exp(table, out=out[port])
-            del table
+            for r in range(0, out.shape[1], _BLOCK):
+                rows = slice(r, r + _BLOCK)
+                n_r = counts[rows] if counts.ndim == 2 else counts
+                table = self.log_lam[port, rows, None] * n_r
+                with np.errstate(under="ignore"):
+                    table -= lf[n_r]
+                    table -= lam[port, rows, None]
+                    # out of place: freeing the argument, as large as the
+                    # engine's block buffer, lets glibc's malloc keep that
+                    # buffer and the CSV writer's per-chunk scratch in its
+                    # heap instead of faulting fresh pages in for every chunk
+                    # (exponentiated in place, a table of 1.07M rows took 56k
+                    # page faults against 6.6k, and 0.2 s more, on a 2-core
+                    # host)
+                    np.exp(table, out=out[port, rows])
+                del table
         return out
 
     def window(self, a: float):
@@ -540,7 +548,8 @@ class _Mixture:
         lo, width = self.window(_TAIL)
         k = self.m.size
         reserve(2 * k * width, f"the sampler's per-port Poisson tables (2 x {k} x "
-                               f"{width}) are over the cap of {MAX_ENTRIES} entries")
+                               f"{count_text(width)}) are over the cap of {MAX_ENTRIES} "
+                               "entries")
         cdf = self.pmf(lo[..., None] + np.arange(width))
         # in place, and row i of port c, row k + i of port d
         cdf = np.cumsum(cdf, axis=2, out=cdf).reshape(2 * k, width)
@@ -645,16 +654,17 @@ class _OutcomeTable:
             hi = math.floor(s + k * math.sqrt(s))
             top = min(hi, cap)
             n_rows = (top - lo + 1) * (lo + top + 2) // 2
-            reserve(n_rows, f"the photon window {lo}..{top} holds {n_rows} outcomes, "
-                            f"over the cap of {MAX_ENTRIES}")
+            reserve(n_rows, f"the photon window {count_text(lo)}..{count_text(top)} holds "
+                            f"{count_text(n_rows)} outcomes, over the cap of {MAX_ENTRIES}")
             reserve(2 * support * (hi + 1), f"the per-port Poisson tables (2 x {support} x "
-                                            f"{hi + 1}) are over the cap of {MAX_ENTRIES} entries")
+                                            f"{count_text(hi + 1)}) are over the cap of "
+                                            f"{MAX_ENTRIES} entries")
             marginal = mixture.weights.sum() * np.exp(
                 np.arange(lo, top + 1) * math.log(s) - s - mixture.log_factorials(top)[lo:])
             mass = float(marginal.sum())
             if hi > cap:
-                raise ResourceCapError(f"photon window exceeded the cap of {cap} total "
-                                       "photons", captured_mass=mass)
+                raise ResourceCapError(f"photon window exceeded the cap of {count_text(cap)} "
+                                       "total photons", captured_mass=mass)
             if mass >= 1.0 - mass_tolerance:
                 break
             k += 1.0
@@ -722,10 +732,16 @@ def _mixture_rows(a: np.ndarray, b: np.ndarray, lo: int):
     tile starts less than _TILE below t0 and reaches no n_d past
     _BLOCK + _TILE - 2, so it reads `head`: b's first columns behind
     _BLOCK - 1 zero columns.  Every tile that reaches no further reads `head`
-    too; the others read b in place.  Each product thus has the shape and
-    the operand strides it would have on a fully zero-padded b, so BLAS takes
-    the same path (a one-row product stays a vector-matrix product, and no
-    slice of b has unit stride) and rounds each entry the same way.
+    too (so the dot product of a one-total window reads no column of unit
+    stride); the others read b in place.
+
+    A tile of one row is computed as the last row of a two-row product, so
+    wherever a has two rows every product is a GEMM (numpy sends a one-row
+    product to a vector-matrix product, which rounds otherwise).  On these
+    operand layouts OpenBLAS's GEMM rounds each entry alike whatever the
+    tile's shape while it sums over m in one pass, so no row's bits depend
+    on _BLOCK, _TILE or where the tiles fall (0.3.31 sums in one pass up to
+    k = 384; past it, it splits the sum and the tiles move the last bit).
     The runs are then packed to the front of the same buffer, in place, and
     yielded as a view that the next block overwrites.
     """
@@ -737,21 +753,28 @@ def _mixture_rows(a: np.ndarray, b: np.ndarray, lo: int):
     buffer = np.empty(_BLOCK * (hi + 1))
     block = buffer.reshape(_BLOCK, hi + 1)
     scratch = np.empty(_TILE * (_BLOCK + _TILE - 1))
+    # (product, its sheared diagonal) in scratch, per (rows, totals) shape
+    views = {}
     for t0 in range(lo, hi + 1, _BLOCK):
         t1 = min(t0 + _BLOCK, hi + 1)
         for i0 in range(0, t1, _TILE):
             i1 = min(i0 + _TILE, t1)
-            rows, width = i1 - i0, t1 - t0 + i1 - i0 - 1
-            # column c of the product is n_d = t0 - (i1 - 1) + c, up to t1 - 1 - i0
+            # the product's rows are n_c = r0 .. i1 - 1: two, for a tile of one
+            r0 = max(min(i0, i1 - 2), 0)
+            shape = (i1 - r0, t1 - t0)
+            if shape not in views:
+                rows, width = shape[0], shape[0] + shape[1] - 1
+                prod = scratch[:rows * width].reshape(rows, width)
+                # diagonal[r, u] = prod[r, rows - 1 - r + u]: n_c = r0 + r, total t0 + u
+                step = prod.strides[1]
+                views[shape] = prod, as_strided(prod[:, rows - 1:], shape=shape,
+                                                strides=(prod.strides[0] - step, step))
+            prod, diagonal = views[shape]
+            # column c of the product is n_d = t0 - (i1 - 1) + c, up to t1 - 1 - r0
             j0 = t0 - (i1 - 1)
-            source, j0 = (head, j0 + pad) if t1 - i0 <= reach else (b, j0)
-            prod = scratch[:rows * width].reshape(rows, width)
-            np.matmul(a[i0:i1], source[:, j0:j0 + width], out=prod)
-            # diagonal[r, u] = prod[r, rows - 1 - r + u]: n_c = i0 + r, total t0 + u
-            step = prod.strides[1]
-            diagonal = as_strided(prod[:, rows - 1:], shape=(rows, t1 - t0),
-                                  strides=(prod.strides[0] - step, step))
-            block[:t1 - t0, i0:i1] = diagonal.T
+            source, j0 = (head, j0 + pad) if t1 - r0 <= reach else (b, j0)
+            np.matmul(a[r0:i1], source[:, j0:j0 + prod.shape[1]], out=prod)
+            block[:t1 - t0, i0:i1] = diagonal[i0 - r0:].T
         # run t moves down from row t - t0 of the block, never over a run
         # still to move: each run is at most hi + 1 long
         start = 0

@@ -203,7 +203,10 @@ def test_light_near_the_double_range_exits_cleanly(tmp_path, capsys, light, code
     if code == 4:
         assert err == "domain error: (|gamma| + |chi|)^2 overflows a double\n"
     elif code == 3:
+        # counts past 2^53 print to three digits: one short line, where the
+        # whole integers ran to 1001 characters
         assert err.startswith("resource cap: ")
+        assert err.count("\n") == 1 and len(err) < 200
     else:
         assert err == ""
         files = [f for f in out.rglob("*") if f.is_file()] if out.is_dir() else [out]
@@ -952,8 +955,8 @@ def test_photon_dist_json_bytes_pinned(tmp_path):
     assert out.read_bytes() == want.encode("utf-8")
 
 
-# N = 20 windows of 127, 128 and 257 totals: inside one block of the
-# engine, exactly one, and one past two
+# N = 20 windows of 127, 128 and 257 totals: one short of two blocks of the
+# engine, exactly two, and one past four
 BLOCK_WINDOWS = {127: 6.4, 128: 6.5, 257: 13.0}
 
 
@@ -1043,7 +1046,7 @@ def test_photon_dist_json_peak_memory_is_bounded_by_a_block(tmp_path):
 
 
 @pytest.mark.parametrize("raw", [PD_SMALL, _window_config(BLOCK_WINDOWS[257])],
-                         ids=["one-block", "three-blocks"])
+                         ids=["two-blocks", "five-blocks"])
 def test_captured_mass_is_known_before_the_rows(tmp_path, raw):
     # the footer's mass is the window's Pois(s) mass, which the table holds
     # from construction; the rows sum to it within the per-total guard
@@ -1450,6 +1453,24 @@ def test_every_cap_refuses_through_reserve_before_it_allocates(tmp_path, monkeyp
     with pytest.raises(ResourceCapError) as err:
         call(tmp_path)
     assert str(err.value).startswith(message)
+    assert os.listdir(tmp_path) == []
+
+
+def test_cap_messages_print_counts_past_2_53_to_three_digits(tmp_path):
+    assert errors.count_text((1 << 53) - 1) == "9007199254740991"
+    assert errors.count_text(1 << 53) == "9.01e+15"
+    # past the doubles too: a window's row count reaches 1e461
+    assert errors.count_text(9 * 10**461 + 1) == "9.00e+461"
+    with pytest.raises(ResourceCapError, match=r"^N = 1.00e\+20 gives a spin dimension "
+                                               r"of 1.00e\+20, over the cap of 16777216$"):
+        cli._check_spin_dimensions({"N": 10**20})
+    mixture = povm._Mixture(build_params(PD_SMALL["params"], 10), coherent_state(10, 1.0))
+    with pytest.raises(ResourceCapError, match=r"^ln n! to 1.00e\+20 is over the cap"):
+        mixture.log_factorials(10**20)
+    with pytest.raises(ResourceCapError, match=r"^dumping 1.00e\+20 posteriors of "
+                                               r"dimension 11 writes over the cap"):
+        cli.run("measure", dict(PD_SMALL, shots=10**20, dump_posteriors=True),
+                str(tmp_path / "m.jsonl"))
     assert os.listdir(tmp_path) == []
 
 

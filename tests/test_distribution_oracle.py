@@ -224,7 +224,8 @@ def test_engine_reads_a_dark_port_at_n_d_zero(lo, hi):
 
 def padded_engine_rows(a, b, lo):
     """The engine's rows, every tile read from a copy of all of b behind
-    _BLOCK - 1 zero columns."""
+    _BLOCK - 1 zero columns, and a tile of one row computed as the last row
+    of a two-row product."""
     hi = a.shape[0] - 1
     pad = B - 1
     b_pad = np.zeros((b.shape[0], pad + hi + 1))
@@ -235,14 +236,19 @@ def padded_engine_rows(a, b, lo):
         block = np.empty((t1 - t0, t1))
         for i0 in range(0, t1, povm._TILE):
             i1 = min(i0 + povm._TILE, t1)
-            prod = np.empty((i1 - i0, t1 - t0 + i1 - i0 - 1))
+            r0 = max(min(i0, i1 - 2), 0)
+            prod = np.empty((i1 - r0, t1 - t0 + i1 - r0 - 1))
             j0 = pad + t0 - (i1 - 1)
-            np.matmul(a[i0:i1], b_pad[:, j0:j0 + prod.shape[1]], out=prod)
-            for r in range(i1 - i0):
-                # n_c = i0 + r at total t0 + u is column i1 - 1 - i0 - r + u
-                block[:, i0 + r] = prod[r, i1 - 1 - i0 - r:][:t1 - t0]
+            np.matmul(a[r0:i1], b_pad[:, j0:j0 + prod.shape[1]], out=prod)
+            for r in range(i0 - r0, i1 - r0):
+                # n_c = r0 + r at total t0 + u is column i1 - 1 - r0 - r + u
+                block[:, r0 + r] = prod[r, i1 - 1 - r0 - r:][:t1 - t0]
         rows += [block[t - t0, :t + 1] for t in range(t0, t1)]
     return np.concatenate(rows)
+
+
+# blocks that end one past a tile multiple: each block's last tile has one row
+ONE_ROW_TILES = [(1, 1 + B + 40), (33, 33 + 2 * B)]
 
 
 @pytest.mark.parametrize("lo, hi", [
@@ -250,17 +256,34 @@ def padded_engine_rows(a, b, lo):
     *WINDOWS,
     # a last tile of one row
     (0, 3 * povm._TILE),
-    # blocks that end one past a tile multiple: each block's last tile has one row
-    (1, 1 + B + 40), (33, 33 + 2 * B)])
+    *ONE_ROW_TILES])
 def test_engine_rounds_as_on_a_padded_table(lo, hi):
-    # every product keeps the shape it has on a fully padded b, and no slice
-    # of b has unit stride, so BLAS rounds each the same way: a one-row tile
-    # stays a vector-matrix product (a dot product rounds differently in
-    # about half of these draws)
+    # every product keeps the shape it has on a fully padded b, and a
+    # one-row tile is the last row of a two-row GEMM (as a vector-matrix
+    # product it rounds differently in about a third of these draws)
     rng = np.random.default_rng(hi + 7)
     for k in range(4, 12):
         a, b = rng.random((k, hi + 1)).T, rng.random((k, hi + 1))
         assert engine_rows(a, b, lo).tobytes() == padded_engine_rows(a, b, lo).tobytes()
+
+
+@pytest.mark.parametrize("lo, hi", [*WINDOWS, *ONE_ROW_TILES, (65, 65 + 5 * B)])
+def test_row_bits_do_not_depend_on_the_block(monkeypatch, lo, hi):
+    # every product is a GEMM, whose entries OpenBLAS rounds alike in any
+    # tile, so where the tiles fall moves no bit: a block of 32, 64 or 128
+    # totals gives the same rows, on a random and on a dark port d.  This
+    # holds while BLAS sums over m in one pass (0.3.31 does up to 384 m_z)
+    rng = np.random.default_rng(hi + 11)
+    for k in (1 + hi % 9, 101):
+        a, b = rng.random((k, hi + 1)).T, rng.random((k, hi + 1))
+        dark = np.zeros_like(b)
+        dark[:, 0] = 1.0
+        for b in (b, dark):
+            rows = set()
+            for block in (32, 64, 128):
+                monkeypatch.setattr(povm, "_BLOCK", block)
+                rows.add(engine_rows(a, b, lo).tobytes())
+            assert len(rows) == 1
 
 
 def _captured(monkeypatch, params, state, tol):
@@ -341,10 +364,11 @@ def test_engine_builds_no_matrix_of_all_totals():
 
 def test_enumeration_holds_each_per_port_table_once():
     # the bright window's two per-port tables take 3.39 MB.  Beside them the
-    # engine holds one block buffer of _BLOCK totals (0.63x the tables here)
-    # and a zero-padded copy of port d's first _BLOCK + _TILE - 1 columns
-    # (0.07x); a full-size log table beside the tables, or a padded copy of
-    # all of port d, breaks the bound
+    # engine holds one block buffer of _BLOCK totals (0.32x the tables here),
+    # where `pmf` held one log table of as many rows before it, and a
+    # zero-padded copy of port d's first _BLOCK + _TILE - 1 columns (0.04x):
+    # 1.36x in all.  A block of 128 totals (1.72x), a full-size log table
+    # beside the tables, or a padded copy of all of port d breaks the bound
     params, make_state = BRIGHT
     state = make_state()
     table = povm._OutcomeTable(params, state, 1e-9)
@@ -356,7 +380,25 @@ def test_enumeration_holds_each_per_port_table_once():
     finally:
         tracemalloc.stop()
     assert rows == table.size
-    assert peak <= 1.75 * tables
+    assert peak <= 1.45 * tables
+
+
+def test_pmf_holds_its_tables_and_one_block_of_rows():
+    # N = 200 at a mean of 5000 photons: the two tables take 17.7 MB, and one
+    # port's log table beside them took 8.8 MB more before `pmf` formed it
+    # _BLOCK rows of m_z at a time
+    params = QndParams(gamma=50.0, chi=50.0, gt=math.pi / 200.0)
+    table = povm._OutcomeTable(params, coherent_state(200, math.pi / 2.0), 1e-9)
+    n = np.arange(table.cutoff_total + 1)
+    tracemalloc.start()
+    try:
+        out = table._mixture.pmf(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (2, 201, n.size)
+    # the output, one _BLOCK x (hi + 1) slice, and ln n! of the counts
+    assert peak <= out.nbytes + 8 * (povm._BLOCK + 2) * n.size
 
 
 def test_distribution_peak_is_its_three_columns():
