@@ -23,7 +23,7 @@ import math
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from ._record import Record
 from .errors import (MAX_ENTRIES, DomainError, PreconditionError, ResourceCapError,
@@ -488,33 +488,37 @@ class _Mixture:
         mean[dead] = var[dead] = math.nan
         return log_p, mean, var
 
-    def pmf(self, n: np.ndarray) -> np.ndarray:
+    def pmf(self, lo, width: int) -> np.ndarray:
         """Pois(n; lam) = exp(n ln lam - lam - ln n!) for ln lam = log_lam[..., None]
-        and the counts n: the one builder of per-port Poisson tables.  A dark
-        port's ln lam holds the _LOG_ZERO sentinel: lam underflows to 0 and
-        the row is exactly [n == 0], however large n."""
-        lf = self.log_factorials(int(n.max()))
-        out = np.empty(np.broadcast_shapes(self.log_lam.shape + (1,), n.shape))
+        and the counts n = lo + 0 .. width - 1, lo an int or one per port and
+        m_z: the one builder of per-port Poisson tables.  A dark port's ln lam
+        holds the _LOG_ZERO sentinel: lam underflows to 0 and the row is
+        exactly [n == 0], however large n."""
+        lo = np.broadcast_to(lo, self.log_lam.shape)
+        lf = self.log_factorials(int(lo.max()) + width - 1)
+        # row i is ln n! of the counts i .. i + width - 1
+        lf_rows = sliding_window_view(lf, width)
+        out = np.empty(self.log_lam.shape + (width,))
         lam = np.exp(self.log_lam)
-        # one port and _BLOCK rows of m_z at a time: the tables are held once,
-        # beside one log table of at most _BLOCK rows
-        for port, counts in enumerate(n if n.ndim == out.ndim else (n, n)):
+        # one port and _BLOCK rows of m_z at a time, each formed in its slice
+        # of the tables from its own counts: beside the tables, one gathered
+        # slice of ln n! is the only scratch
+        for port in range(2):
             for r in range(0, out.shape[1], _BLOCK):
                 rows = slice(r, r + _BLOCK)
-                n_r = counts[rows] if counts.ndim == 2 else counts
-                table = self.log_lam[port, rows, None] * n_r
+                table = out[port, rows]
+                np.add(lo[port, rows, None], np.arange(width), out=table)
+                table *= self.log_lam[port, rows, None]
                 with np.errstate(under="ignore"):
-                    table -= lf[n_r]
+                    # the gathered slice is as large as the engine's block
+                    # buffer: freeing it lets glibc's malloc keep that buffer
+                    # and the CSV writer's per-chunk scratch in its heap
+                    # instead of faulting fresh pages in for every chunk (with
+                    # no such slice, a table of 1.07M rows took 56k page
+                    # faults against 6.6k, and 0.2 s more, on a 2-core host)
+                    table -= lf_rows[lo[port, rows]]
                     table -= lam[port, rows, None]
-                    # out of place: freeing the argument, as large as the
-                    # engine's block buffer, lets glibc's malloc keep that
-                    # buffer and the CSV writer's per-chunk scratch in its
-                    # heap instead of faulting fresh pages in for every chunk
-                    # (exponentiated in place, a table of 1.07M rows took 56k
-                    # page faults against 6.6k, and 0.2 s more, on a 2-core
-                    # host)
-                    np.exp(table, out=out[port, rows])
-                del table
+                    np.exp(table, out=table)
         return out
 
     def window(self, a: float):
@@ -550,7 +554,7 @@ class _Mixture:
         reserve(2 * k * width, f"the sampler's per-port Poisson tables (2 x {k} x "
                                f"{count_text(width)}) are over the cap of {MAX_ENTRIES} "
                                "entries")
-        cdf = self.pmf(lo[..., None] + np.arange(width))
+        cdf = self.pmf(lo, width)
         # in place, and row i of port c, row k + i of port d
         cdf = np.cumsum(cdf, axis=2, out=cdf).reshape(2 * k, width)
 
@@ -683,7 +687,7 @@ class _OutcomeTable:
         a block is yielded only once its rows sum to each total's Poisson mass.
         """
         lo, hi = self.lo, self.cutoff_total
-        table = self._mixture.pmf(np.arange(hi + 1))
+        table = self._mixture.pmf(0, hi + 1)
         table[0] *= self._mixture.weights[:, None]
         start = 0
         for i, p in enumerate(_mixture_rows(table[0].T, table[1], lo)):

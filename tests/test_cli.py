@@ -32,6 +32,7 @@ from qnd_povm.povm import (PhotonOutcome, amplitude, condition, condition_many,
                            log_amplitude, outcome_distribution)
 from qnd_povm.spin_state import coherent_state, moments
 
+import cli_contracts
 import shot_oracle
 
 
@@ -681,6 +682,14 @@ def test_validate_passes(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) >= 6
     assert all(line.startswith("PASS") for line in lines)
+
+
+@pytest.mark.parametrize("seed", ["1", "2", str(1 << 64)])
+def test_validate_passes_at_other_seeds(capsys, seed):
+    # a seed is read mod 2^64, as measure reads it
+    assert run_cli("validate", "--seed", seed) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) >= 6 and all(line.startswith("PASS") for line in lines)
 
 
 def test_runs_without_test_dependencies(tmp_path):
@@ -1565,6 +1574,15 @@ def test_run_takes_a_config_dict(tmp_path):
         cli.run("photon-dist", PD_SMALL, str(b), "xml")
 
 
+def test_run_refuses_a_non_finite_mass_tolerance(tmp_path):
+    # a config dict passed to cli.run meets the rule a config file meets
+    out = tmp_path / "run.csv"
+    with pytest.raises(ConfigError, match="^config rejected: config.mass_tolerance is not "
+                                          "a finite number$"):
+        cli.run("photon-dist", dict(PD_SMALL, mass_tolerance=math.nan), str(out))
+    assert os.listdir(tmp_path) == []
+
+
 # --------------------------------------------------------------- process entry
 
 def test_entry_freezes_the_heap_once_it_returns(tmp_path):
@@ -1614,20 +1632,22 @@ def test_console_script_is_the_function_main_module_calls():
     assert name in calls
 
 
-# command, config (None: no --config), flags after `--out OUT`, exit status
+@pytest.fixture(scope="module")
+def contract_runs():
+    return cli_contracts.Runs()
+
+
+# command, config (None: no --config), flags after `--out OUT`, exit status;
+# the first seven are rows of the contract table
 ENTRY_CASES = {
+    **{row.name: (row.command, row.config, list(row.flags), row.status) for row in (
+        cli_contracts.ROW[name] for name in ("photon-dist", "measure", "validate",
+                                             "usage-error", "config-error", "resource-cap",
+                                             "domain-error"))},
     "amp-scan": ("amp-scan", {"cases": [AMP_CASE]}, [], 0),
-    "photon-dist": ("photon-dist", PD_SMALL, [], 0),
     "photon-dist-json-stdout": ("photon-dist", PD_SMALL, ["--format", "json", "--out", "-"], 0),
-    "measure": ("measure", dict(PD_SMALL, shots=50, seed=3), [], 0),
     "wigner": ("wigner", STDOUT_CASES["wigner"], [], 0),
     "project": ("project", _five_commands(5.0, 1.0)["project"], [], 0),
-    "validate": ("validate", None, ["--seed", "4"], 0),
-    "usage-error": ("photon-dist", PD_SMALL, ["--mass-tol", "nan"], 2),
-    "config-error": ("measure", dict(PD_SMALL, shots=5, max_total=200), [], 2),
-    "resource-cap": ("photon-dist", dict(BASE, N=10, params={
-        "gamma": [1e4, 0.0], "chi": [1e4, 0.0], "gt": "pi/N"}), [], 3),
-    "domain-error": ("wigner", _five_commands(1e-200, 1.0)["wigner"], [], 4),
 }
 
 
@@ -1646,9 +1666,11 @@ def _written(out, capfd):
 
 
 @pytest.mark.parametrize("case", sorted(ENTRY_CASES))
-def test_module_launcher_matches_in_process_main(tmp_path, capfdbinary, case):
+def test_module_launcher_matches_in_process_main(tmp_path, capfdbinary, contract_runs,
+                                                 case):
     # the same status, stdout, stderr and output bytes from `python -m
-    # qnd_povm` as from cli.main in this process
+    # qnd_povm` as from cli.main in this process; for a row of the contract
+    # table, the table's run of it is the `python -m` run
     command, cfg, flags, status = ENTRY_CASES[case]
     out = tmp_path / "out"
     config = [] if cfg is None else ["--config", write_config(tmp_path, "c.json", cfg)]
@@ -1659,8 +1681,18 @@ def test_module_launcher_matches_in_process_main(tmp_path, capfdbinary, case):
         code = exc.code
     assert code == status
     want = _written(out, capfdbinary)
-    proc = subprocess.run([sys.executable, "-m", "qnd_povm", *argv], capture_output=True)
-    assert proc.returncode == status
-    assert (proc.stdout, proc.stderr, _written(out, capfdbinary)[2]) == want
+    if case in cli_contracts.ROW:
+        got = contract_runs.written(cli_contracts.ROW[case])
+    else:
+        proc = subprocess.run([sys.executable, "-m", "qnd_povm", *argv], capture_output=True)
+        got = (proc.returncode, proc.stdout, proc.stderr, _written(out, capfdbinary)[2])
+    assert got == (status, *want)
     # a run that succeeds has written its output somewhere
     assert want[2] or status or flags[-2:] == ["--out", "-"]
+
+
+@pytest.mark.parametrize("row", cli_contracts.ROWS, ids=lambda row: row.name)
+def test_cli_contract(contract_runs, row):
+    # the command line at the edges of its claims, as CI runs it under an
+    # interpreter with numpy alone: `python tests/cli_contracts.py`
+    assert contract_runs.failures(row) == []

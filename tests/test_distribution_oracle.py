@@ -271,10 +271,11 @@ def test_engine_rounds_as_on_a_padded_table(lo, hi):
 def test_row_bits_do_not_depend_on_the_block(monkeypatch, lo, hi):
     # every product is a GEMM, whose entries OpenBLAS rounds alike in any
     # tile, so where the tiles fall moves no bit: a block of 32, 64 or 128
-    # totals gives the same rows, on a random and on a dark port d.  This
-    # holds while BLAS sums over m in one pass (0.3.31 does up to 384 m_z)
+    # totals gives the same rows, on a random and on a dark port d, up to
+    # the 201 m_z of N = 200.  This holds while BLAS sums over m in one pass
+    # (0.3.31 does up to 384 m_z)
     rng = np.random.default_rng(hi + 11)
-    for k in (1 + hi % 9, 101):
+    for k in (1 + hi % 9, 101, 201):
         a, b = rng.random((k, hi + 1)).T, rng.random((k, hi + 1))
         dark = np.zeros_like(b)
         dark[:, 0] = 1.0
@@ -389,16 +390,36 @@ def test_pmf_holds_its_tables_and_one_block_of_rows():
     # _BLOCK rows of m_z at a time
     params = QndParams(gamma=50.0, chi=50.0, gt=math.pi / 200.0)
     table = povm._OutcomeTable(params, coherent_state(200, math.pi / 2.0), 1e-9)
-    n = np.arange(table.cutoff_total + 1)
+    width = table.cutoff_total + 1
     tracemalloc.start()
     try:
-        out = table._mixture.pmf(n)
+        out = table._mixture.pmf(0, width)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.shape == (2, 201, n.size)
+    assert out.shape == (2, 201, width)
     # the output, one _BLOCK x (hi + 1) slice, and ln n! of the counts
-    assert peak <= out.nbytes + 8 * (povm._BLOCK + 2) * n.size
+    assert peak <= out.nbytes + 8 * (povm._BLOCK + 2) * width
+
+
+def test_sampler_holds_its_tables_and_one_block_of_rows():
+    # N = 200 at a mean of 20000 photons: the two CDF tables, 2 x 201 x 2654,
+    # take 8.5 MB.  Each _BLOCK-row slice forms its own counts and gathers
+    # its ln n!, one slice of scratch (1.16x the tables); an int64 array of
+    # every entry's count beside the tables (2.3x) breaks the bound
+    params = QndParams(gamma=100.0, chi=100.0, gt=math.pi / 200.0)
+    mixture = povm._Mixture(params, coherent_state(200, math.pi / 2.0))
+    lo, width = mixture.window(povm._TAIL)
+    tables = 2 * lo.shape[1] * width * 8
+    # the kernel, ln lam and the ln n! table are built before the trace
+    mixture.log_factorials(int(lo.max()) + width - 1)
+    tracemalloc.start()
+    try:
+        mixture.sampler()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * tables
 
 
 def test_distribution_peak_is_its_three_columns():
