@@ -105,8 +105,9 @@ def peak_solutions(params: QndParams, outcome: PhotonOutcome, J) -> list[float]:
         # gt m + phi_cg = branch + 2 pi k
         base = (branch - params.phi_chigamma) / params.gt
         step = 2.0 * math.pi / params.gt
-        k_lo = math.ceil((-jv - base) / step - 1e-12)
-        k_hi = math.floor((jv - base) / step + 1e-12)
+        # a negative gt gives a negative step, which swaps the ends
+        k_lo, k_hi = sorted(((-jv - base) / step, (jv - base) / step))
+        k_lo, k_hi = math.ceil(k_lo - 1e-12), math.floor(k_hi + 1e-12)
         for k in range(k_lo, k_hi + 1):
             sols.append(base + k * step)
     sols.sort()

@@ -652,7 +652,7 @@ class _OutcomeTable:
         cap = (int(max_total) if max_total is not None
                else int(min(4.0 * s + 100.0, np.finfo(float).max)))
         support = mixture.m.size
-        k = 4.0
+        k, prev = 4.0, None
         while True:
             lo = max(0, math.ceil(s - k * math.sqrt(s)))
             hi = math.floor(s + k * math.sqrt(s))
@@ -671,7 +671,11 @@ class _OutcomeTable:
                                        "total photons", captured_mass=mass)
             if mass >= 1.0 - mass_tolerance:
                 break
-            k += 1.0
+            # a wider window that adds no mass in doubles never reaches it
+            if prev is not None and (lo, hi) != prev[:2] and mass <= prev[2]:
+                raise DomainError(f"mass_tolerance {mass_tolerance!r} is out of reach: the "
+                                  f"photon window's mass stops growing at {mass!r}")
+            k, prev = k + 1.0, (lo, hi, mass)
         self._mixture, self._marginal = mixture, marginal
         self.lo, self.cutoff_total = lo, hi
         self._totals = np.arange(lo, hi + 1, dtype=np.int64)
@@ -853,8 +857,10 @@ def params_from_json(data: dict) -> QndParams:
     try:
         g = data["gamma"]
         c = data["chi"]
+        if any(isinstance(v, (list, tuple)) and len(v) != 2 for v in (g, c)):
+            raise ValueError("gamma and chi are each a [re, im] pair")
         gamma = complex(g[0], g[1]) if isinstance(g, (list, tuple)) else complex(g)
         chi = complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
         return QndParams(gamma=gamma, chi=chi, gt=float(data["gt"]))
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed params record: {exc}") from exc

@@ -92,6 +92,10 @@ ROWS = (
     Row("domain-error", "wigner", _coherent(1e-200, 4, gt=1.0, theta=1.0, state="posterior",
                                             outcome={"n_c": 3, "n_d": 2}),
         status=4, err="domain error: |gamma|^2 + |chi|^2 underflows a double\n"),
+    # at a mean of 18 photons the whole Pois(s) range sums to 1 - 3.8e-15 in
+    # doubles: a tolerance of 1e-15 is out of reach, not over a cap
+    Row("unreachable-tol", "photon-dist", _coherent(3, 10, mass_tolerance=1e-15), status=4,
+        err="domain error: "),
     # the Wigner map of an N = 200 posterior cat, the largest size the
     # Parseval claim covers: the twisted Clebsch-Gordan solve and the all-M
     # Legendre sum raise no warning and leave no nan

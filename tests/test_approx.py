@@ -119,6 +119,17 @@ def test_peak_solutions_out_of_reach():
         peak_solutions(P_REF, PhotonOutcome(0, 0), 50)
 
 
+@pytest.mark.parametrize("gt", [math.pi / 10.0, 4.0 * math.pi / 10.0])
+@pytest.mark.parametrize("J", [5, 50])
+def test_peak_solutions_at_negative_gt_mirror_positive_gt(gt, J):
+    # with real light the envelope at -gt is the one at gt mirrored in m
+    outcome = PhotonOutcome(20, 30)
+    plus = peak_solutions(QndParams(gamma=5.1, chi=5.0, gt=gt), outcome, J)
+    minus = peak_solutions(QndParams(gamma=5.1, chi=5.0, gt=-gt), outcome, J)
+    assert plus and len(minus) == len(plus)
+    assert np.allclose(minus, [-m for m in reversed(plus)], rtol=0, atol=1e-12)
+
+
 # ------------------------------------------------------------- envelope action
 
 def test_approx_apply_high_fidelity_at_short_time():

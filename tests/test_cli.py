@@ -864,18 +864,6 @@ def test_photon_dist_csv_bytes_pinned(tmp_path, capsys):
     assert capsys.readouterr().out == want
 
 
-def test_photon_dist_stdout_bytes_equal_the_file_in_a_subprocess(tmp_path):
-    # the rows go to sys.stdout.buffer between the header and the footer,
-    # which go through the text stream
-    path = write_config(tmp_path, "pd.json", PD_SMALL)
-    out = tmp_path / "pd.csv"
-    assert run_cli("photon-dist", "--config", path, "--out", str(out)) == 0
-    proc = subprocess.run([sys.executable, "-m", "qnd_povm", "photon-dist", "--config",
-                           path, "--out", "-"], capture_output=True)
-    assert proc.returncode == 0
-    assert proc.stdout == out.read_bytes()
-
-
 # one small config per command whose rows take the binary path to stdout
 STDOUT_CASES = {
     "photon-dist": PD_SMALL,
@@ -900,16 +888,6 @@ def test_text_only_stdout_gets_the_file_bytes(tmp_path, command, fmt):
     with contextlib.redirect_stdout(stream):
         assert cli.run(command, dict(raw), fmt=fmt) == 0
     assert stream.getvalue().encode("ascii") == out.read_bytes()
-
-
-def test_measure_stdout_bytes_equal_the_file_in_a_subprocess(tmp_path):
-    path = write_config(tmp_path, "m.json", STDOUT_CASES["measure"])
-    out = tmp_path / "m.jsonl"
-    assert run_cli("measure", "--config", path, "--out", str(out)) == 0
-    proc = subprocess.run([sys.executable, "-m", "qnd_povm", "measure", "--config",
-                           path, "--out", "-"], capture_output=True)
-    assert proc.returncode == 0
-    assert proc.stdout == out.read_bytes()
 
 
 def test_output_to_a_pipe_is_written_in_place(tmp_path):

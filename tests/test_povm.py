@@ -58,6 +58,14 @@ def test_params_json_roundtrip():
         params_from_json({"gamma": [1, 0], "chi": [1, 0]})
 
 
+@pytest.mark.parametrize("key", ["gamma", "chi"])
+@pytest.mark.parametrize("pair", [[1, 2, 99], [1]])
+def test_params_json_refuses_a_list_that_is_not_a_pair(key, pair):
+    record = {"gamma": [1, 0], "chi": [1, 0], "gt": 0.5, key: pair}
+    with pytest.raises(DomainError, match=r"\[re, im\] pair"):
+        params_from_json(record)
+
+
 @given(st.integers(min_value=0, max_value=500), st.integers(min_value=0, max_value=500))
 def test_outcome_uvr_relations(nc, nd):
     o = PhotonOutcome(nc, nd)
@@ -368,6 +376,20 @@ def test_distribution_resource_cap():
     with pytest.raises(ResourceCapError) as err:
         outcome_distribution(P_REF, st, 1e-12, max_total=55)
     assert 0.0 < err.value.captured_mass < 1.0
+
+
+def test_distribution_unreachable_tolerance_is_a_domain_error():
+    # at s = 18 the whole Pois(s) range sums to 1 - 3.8e-15 in doubles, so no
+    # window reaches 1 - 1e-15: the refusal names the tolerance, not a cap
+    light = QndParams(gamma=3.0, chi=3.0, gt=math.pi / 10.0)
+    st = coherent_state(10, math.pi / 2.0)
+    with pytest.raises(DomainError, match=r"^mass_tolerance 1e-15 is out of reach: .* "
+                                          r"stops growing at 0\.99999999999999"):
+        outcome_distribution(light, st, 1e-15)
+    assert outcome_distribution(light, st, 1e-14).captured_mass >= 1.0 - 1e-14
+    # a max_total the window meets first is still the cap that refuses it
+    with pytest.raises(ResourceCapError):
+        outcome_distribution(light, st, 1e-15, max_total=40)
 
 
 def _no_tables(*args):
