@@ -20,8 +20,8 @@ Each numpy pass is a same-dtype loop (a mixed one runs numpy's casting
 loop) at the narrowest width the values allow.  Masks are bool arrays
 viewed as uint8, the decimal point and exponent are int16, and the layout
 of each value's text is uint8.  Past the conversion (see `_schubfach` for
-its own dtypes) only the significand is uint64: digits split it at 10^8
-while a value may exceed 2^32, then divide in uint32, uint16 and uint8.
+its own dtypes) only the significand is uint64: its digits come one
+division by 10 at a time, in uint32 once every value is below 10^9.
 Zeros, subnormals, infs and nans go by index, so the common lanes skip
 their steps.
 """
@@ -46,40 +46,20 @@ _PASS = 8192
 
 def _digits(u, width):
     """(width, n) ASCII planes of unsigned ints u below 10^width, most
-    significant digit first: 8-digit uint32 groups, cut into uint16 halves,
-    uint8 pairs and digits; the leading digits join at the first of those
-    sizes that holds them."""
-    n = u.size
-    groups = (width - 1) // 8
-    top = 1 << (width - 8 * groups - 1).bit_length()      # 1, 2, 4 or 8 digits
-    cut = np.empty((groups + (top == 8), n), np.uint32)
-    rest = u
-    for j in range(groups):
-        # below 10^9 what is left fits uint32
-        if rest.dtype.itemsize > 4 and width - 8 * j <= 9:
-            rest = rest.astype(np.uint32)
-        high = rest // rest.dtype.type(10 ** 8)
-        np.subtract(rest, high * rest.dtype.type(10 ** 8), out=cut[-1 - j], casting="unsafe")
-        rest = high
-    if top == 8:
-        cut[0] = rest
-    for size, dtype in ((4, np.uint16), (2, np.uint8), (1, np.uint8)):
-        if len(cut):
-            lead = int(top == size)
-            parts = np.empty((2 * len(cut) + lead, n), dtype)
-            if lead:
-                parts[0] = rest
-            step = cut.dtype.type(10 ** size)
-            high = cut // step
-            parts[lead::2] = high
-            high *= step
-            np.subtract(cut, high, out=parts[lead + 1::2], casting="unsafe")
-            cut = parts
-        elif top == size:
-            # the last level is changed in place below
-            cut = rest.astype(dtype, copy=size == 1)[None]
-    cut += _ZERO
-    return cut[len(cut) - width:]
+    significant digit first, by one division per digit from the last; a
+    uint64 narrows to uint32 once nine or fewer digits remain."""
+    out = np.empty((width, u.size), np.uint8)
+    for i in range(width - 1, 0, -1):
+        if u.dtype.itemsize > 4 and i < 9:
+            u = u.astype(np.uint32)
+        out[i] = u
+        u = u // u.dtype.type(10)
+    out[0] = u
+    # plane i holds the low byte of u and plane i - 1 that of high = u // 10:
+    # the digit u - 10 high is below 10, so in uint8 it comes out exact
+    out[1:] -= out[:-1] * np.uint8(10)
+    out += _ZERO
+    return out
 
 
 def _float_text(a):

@@ -184,12 +184,15 @@ def project(params: QndParams, state: CollectiveState, u: float,
     with P the mean total photon number, together with the renormalized state
     supported on the m_z of the state's lattice nearest m0.
     This is an analysis tool for the narrow-width limit; outcome sampling
-    always uses the exact distribution.
+    always uses the exact distribution.  A u that is not positive and
+    finite, or a nan or infinite m0, raises DomainError.
     """
     if not state.is_normalized():
         raise PreconditionError("project needs a normalized state")
-    if u <= 0.0:
-        raise DomainError("u must be positive")
+    if not (math.isfinite(u) and u > 0.0):
+        raise DomainError("u must be positive and finite")
+    if not math.isfinite(m0):
+        raise DomainError("m0 must be finite")
     s = params.photon_mean
     # a product, not **: past s ~ 2.7e154 the square is inf and amp its limit 0
     d = u - s / 2.0

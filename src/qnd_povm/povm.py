@@ -192,12 +192,16 @@ def _as_m(m_z) -> float:
     """Spin projection as a float; int and real values all pass.
 
     The envelope and phase formulas are smooth functions of m, evaluated off
-    the physical lattice too (peak positions, finite differences).
+    the physical lattice too (peak positions, finite differences); a nan
+    or infinite one is refused.
     """
     try:
-        return float(m_z)
+        m = float(m_z)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"cannot interpret {m_z!r} as a spin projection") from exc
+    if not math.isfinite(m):
+        raise DomainError(f"m_z must be finite, got {m!r}")
+    return m
 
 
 def _phi(params: QndParams, m):
@@ -363,8 +367,12 @@ def eigen(params: QndParams, outcome: PhotonOutcome, m):
 
     This is the one place the spectral form is assembled (the envelope in
     `_Kernel`, the phase in `_phase`); every other evaluation of the
-    operator reads it from here or from those two.
+    operator reads it from here or from those two.  A nan or infinite m_z
+    raises DomainError.
     """
+    m = np.asarray(m, dtype=float)
+    if not np.isfinite(m).all():
+        raise DomainError("m_z must be finite")
     kernel = _Kernel(params, m)
     log_c, log_e = kernel.envelope(*_counts([outcome.n_c], [outcome.n_d]))
     return float(log_c[0]), log_e[0], _phase(params, outcome, kernel.m)

@@ -60,6 +60,19 @@ class _Draws:
         """An int in [lo, hi)."""
         return lo + min(int(self._scalar() * (hi - lo)), hi - lo - 1)
 
+    def choice(self, n: int, size: int, replace: bool = True) -> np.ndarray:
+        """`size` distinct ints from range(n), by a partial Fisher-Yates
+        shuffle; only draws without replacement are offered."""
+        if replace or size > n:
+            raise ValueError("only up to n draws without replacement are offered")
+        moved: dict[int, int] = {}
+        picks = []
+        for i in range(size):
+            j = self.integers(i, n)
+            picks.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        return np.array(picks, dtype=np.int64)
+
     def normal(self, size) -> np.ndarray:
         """Standard normal draws of shape `size`, by Box-Muller."""
         n = int(np.prod(size))

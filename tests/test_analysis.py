@@ -319,6 +319,20 @@ def test_wigner_large_j_cat():
     assert abs(parseval - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("case", ["cat", "coherent", "posterior", "random"])
+def test_multipole_parseval_at_2j_200(case):
+    # the largest J whose Parseval sum README bounds by 1e-12
+    if case == "random":
+        a = np.random.default_rng(200).normal(size=(201, 201, 2)) @ [1.0, 1j]
+        h = a @ a.conj().T
+        dm = DensityMatrix(two_j=200, rho=h / np.trace(h).real)
+    elif case == "posterior":
+        dm = _cat_posterior_density(200)
+    else:
+        dm = density_from_state(cat_state(200) if case == "cat" else coherent_state(200, 1.3))
+    assert dm.parseval_residual() <= 1e-12
+
+
 def test_multipoles_against_oracle_at_2j_100():
     dm = _cat_posterior_density(100)
     assert dm.parseval_residual() <= 1e-12

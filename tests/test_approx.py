@@ -255,6 +255,13 @@ def test_project_zero_support():
         project(P_REF, st, 0.0, 2.0)
 
 
+@pytest.mark.parametrize("u, m0", [(math.nan, 0.0), (math.inf, 0.0), (25.0, math.nan),
+                                   (25.0, math.inf), (25.0, -math.inf)])
+def test_project_refuses_a_non_finite_u_or_m0(u, m0):
+    with pytest.raises(DomainError, match="finite"):
+        project(P_REF, dicke_state(5, 2), u, m0)
+
+
 def test_project_half_integer_parity_rounding():
     # integer and half-integer spins collapse to their own lattice points:
     # m0 = 0.7 rounds to m = 1 at 2J = 4 and to m = 1/2 at 2J = 5

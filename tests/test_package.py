@@ -94,3 +94,14 @@ def test_only_reserve_compares_against_the_size_cap():
                 hits[path.name] = hits.get(path.name, 0) + 1
     assert hits == {"errors.py": 1}
     assert "entries > MAX_ENTRIES" in inspect.getsource(qnd_povm.errors.reserve)
+
+
+def test_cli_imports_config_before_the_standard_library():
+    # the order sets `measure`'s peak RSS (see cli.py); an import sorter
+    # would move `.config` below the standard library without a word
+    path = pathlib.Path(qnd_povm.__file__).parent / "cli.py"
+    imports = [node for node in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               and getattr(node, "module", None) != "__future__"]
+    first = imports[0]
+    assert isinstance(first, ast.ImportFrom) and (first.level, first.module) == (1, "config")

@@ -842,6 +842,20 @@ def test_condition_many_zero_probability_row():
     assert mean_jz[0] == mean_jz[2] == 1.0 and var_jz[0] == var_jz[2] == 0.0
 
 
+@pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_m_z_is_a_domain_error(m):
+    # a nan base was once the exact-zero sentinel: amplitude 0, a nan phase
+    out = PhotonOutcome(20, 30)
+    for f in (povm.log_amplitude, amplitude, log_matrix_element, log_matrix_element_direct):
+        with pytest.raises(DomainError, match="finite"):
+            f(P_REF, out, m)
+    for f in (phase_phi, detector_phases):
+        with pytest.raises(DomainError, match="finite"):
+            f(P_REF, m)
+    with pytest.raises(DomainError, match="finite"):
+        povm.eigen(P_REF, out, [0.0, m])
+
+
 def test_condition_many_domain():
     st = coherent_state(10, 1.0)
     with pytest.raises(PreconditionError):

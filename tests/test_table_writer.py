@@ -258,3 +258,17 @@ def test_unsupported_column_dtype_raises_before_writing(tmp_path, column):
                                             "columns must be int, uint, float or bytes"):
             cli.write_table(str(out), ["ok", "bad"], [[np.arange(2), column]], fmt=fmt)
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+def test_digits_match_str_zfill_for_every_width(dtype):
+    # 0, 10^k - 1 and 10^k, the dtype's maximum, and both sides of 10^9
+    # (where a uint64 narrows to uint32) and of 2^32
+    top = int(np.iinfo(dtype).max)
+    for width in range(1, 21):
+        cap = min(top, 10 ** width - 1)
+        edges = {0, top, 10 ** 9 - 1, 10 ** 9, 2 ** 32 - 1, 2 ** 32}
+        edges |= {10 ** k + d for k in range(21) for d in (-1, 0)}
+        values = np.array(sorted(v for v in edges if 0 <= v <= cap), dtype=dtype)
+        got = [col.tobytes().decode("ascii") for col in _csvrows._digits(values, width).T]
+        assert got == [str(v).zfill(width) for v in values.tolist()], width

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qnd_povm.povm import _uniforms
-from qnd_povm.validate import _Draws, _gauss_legendre, run_all
+from qnd_povm.povm import QndParams, _uniforms
+from qnd_povm.spin_state import coherent_state
+from qnd_povm.validate import (_Draws, _gauss_legendre, check_table_against_conditioner,
+                               run_all)
 
 
 def test_run_all_repeats_for_a_seed_and_moves_with_it():
@@ -51,6 +53,23 @@ def test_integers_stay_in_their_half_open_range(lo, hi):
     draws = _Draws(11, 0)
     got = {draws.integers(lo, hi) for _ in range(5000)}
     assert got == set(range(lo, hi))
+
+
+def test_choice_without_replacement_is_distinct_and_in_range():
+    for n, size in ((1, 1), (7, 7), (1000, 100), (10 ** 6, 500)):
+        picks = _Draws(5, 1).choice(n, size, replace=False)
+        assert len(set(picks.tolist())) == size and 0 <= picks.min() and picks.max() < n
+    assert sorted(_Draws(5, 1).choice(7, 7, replace=False).tolist()) == list(range(7))
+    for size, replace in ((4, False), (2, True)):
+        with pytest.raises(ValueError):
+            _Draws(5, 1).choice(3, size, replace=replace)
+
+
+def test_the_table_check_draws_its_rows_from_draws():
+    params = QndParams(gamma=5.1, chi=5.0, gt=math.pi / 10.0)
+    check = check_table_against_conditioner(params, coherent_state(20, 1.1), 1e-9,
+                                            rng=_Draws(1, 5), rows=100)
+    assert check.passed and " 100 of " in check.detail, check
 
 
 @pytest.mark.parametrize("n", [1, 2, 14, 40])
