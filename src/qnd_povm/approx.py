@@ -18,7 +18,7 @@ import numpy as np
 
 from ._record import Record
 from .errors import DomainError, PreconditionError, ZeroProjectionError
-from .numerics import twice
+from .numerics import finite, twice
 from .povm import PhotonOutcome, QndParams, eigen, phase_phi
 from .spin_state import CollectiveState, normalize, scale_amplitudes
 
@@ -66,8 +66,8 @@ def gaussian_model(params: QndParams, outcome: PhotonOutcome) -> GaussianModel:
     )
     m0 = (math.asin(r / c2e) - params.phi_chigamma) / gt
     sigma2 = 1.0 / curv if curv > 0.0 else math.inf
-    if not (math.isfinite(curv) and math.isfinite(sigma2) and math.isfinite(m0)):
-        raise DomainError(f"the Gaussian model leaves the doubles at gt = {gt!r}")
+    finite([curv, sigma2, m0], f"the Gaussian model leaves the doubles at gt = {gt!r}",
+           array=True)
     log_pref = 0.5 * total * (math.log(2.0) + 1.0 - math.log(total)) - 0.25 * math.log(
         4.0 * math.pi**2 * nc * nd
     )
@@ -80,7 +80,7 @@ def _log_gaussian(model: GaussianModel, m):
 
 
 def gaussian_amplitude(model: GaussianModel, m_z) -> float:
-    return math.exp(_log_gaussian(model, float(m_z)))
+    return math.exp(_log_gaussian(model, finite(m_z, "m_z must be a finite real")))
 
 
 def peak_solutions(params: QndParams, outcome: PhotonOutcome, J) -> list[float]:
@@ -189,16 +189,16 @@ def project(params: QndParams, state: CollectiveState, u: float,
     """
     if not state.is_normalized():
         raise PreconditionError("project needs a normalized state")
-    if not (math.isfinite(u) and u > 0.0):
+    u, m0 = finite(u, "u must be positive and finite"), finite(m0, "m0 must be finite")
+    if u <= 0.0:
         raise DomainError("u must be positive and finite")
-    if not math.isfinite(m0):
-        raise DomainError("m0 must be finite")
     s = params.photon_mean
     # a product, not **: past s ~ 2.7e154 the square is inf and amp its limit 0
     d = u - s / 2.0
     amp = math.exp(-(d * d) / s) / (math.pi * u) ** 0.25
     tj = state.two_j
-    tm = round_to_sector_parity(m0, tj)
+    # from |m0| = J + 1 on, m0 rounds off the lattice: a cut at 2J + 1 keeps 2 m0 finite
+    tm = round_to_sector_parity(m0, tj) if abs(m0) < tj + 1 else tj + 2
     a = np.zeros(tj + 1, dtype=complex)
     if abs(tm) <= tj:
         i = (tm + tj) // 2

@@ -33,6 +33,24 @@ for _n in range(_LOGFACT_EXACT_MAX + 1):
 del _f, _n
 
 
+def finite(x, message: str, array: bool = False):
+    """The one refusal of a real argument: x as a float, or with `array` a
+    float64 array.  DomainError(message) for nan, +-inf, an int past the
+    doubles, a non-real (a string, a complex, None) or, without `array`, an array."""
+    if type(x) is float and math.isfinite(x) and not array:
+        return x  # the common scalar, without numpy
+    try:
+        a = np.asarray(x)
+        if a.dtype.kind not in "biufO" or a.ndim and not array:
+            raise TypeError
+        a = a.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(message) from None
+    if not np.isfinite(a).all():
+        raise DomainError(message)
+    return a if array else float(a)
+
+
 def twice(x) -> int:
     """Twice the half-integer x, as an exact int.
 
@@ -45,8 +63,8 @@ def twice(x) -> int:
     if isinstance(x, (int, np.integer)):
         return 2 * int(x)
     if isinstance(x, (float, np.floating)):
-        d = 2.0 * float(x)
-        if math.isfinite(d) and abs(d - round(d)) <= 1e-9:
+        d = finite(2.0 * float(x), f"{x!r} is not a half-integer")
+        if abs(d - round(d)) <= 1e-9:
             return round(d)
         raise DomainError(f"{x!r} is not a half-integer")
     raise DomainError(f"cannot interpret {x!r} as a half-integer")
@@ -56,17 +74,15 @@ def log_factorial(n):
     """Natural log of n!, for an int or elementwise over a numpy array.
 
     Exact (table of big-integer factorials) up to n=256, log-gamma beyond.
-    Total on the integers n >= 0; an integral float such as 3.0 passes, and
-    a negative or non-integral value (nan and inf too) raises DomainError.
-    An int or uint array skips the integrality test.
+    Total on the integers n >= 0 up to ~2.55e305, past which ln n! leaves
+    the doubles; an integral float such as 3.0 passes, and anything else
+    raises DomainError.  An int or uint array skips the integrality test.
     """
     if not (isinstance(n, np.ndarray) and n.ndim):
-        if n < 0:
-            raise DomainError("factorial of a negative integer")
-        if n % 1:
-            raise DomainError(f"factorial of the non-integer {n!r}")
-        n = int(n)
-        return float(_LOGFACT_TABLE[n]) if n <= _LOGFACT_EXACT_MAX else math.lgamma(n + 1.0)
+        n = finite(n, "factorial of a non-finite or non-real number")
+        if 0 <= n <= _LOGFACT_EXACT_MAX and not n % 1:
+            return float(_LOGFACT_TABLE[int(n)])
+        return float(log_factorial(np.array([n]))[0])
     if n.size and n.min() < 0:
         raise DomainError("factorial of a negative integer")
     index = np.minimum(n, _LOGFACT_EXACT_MAX)
@@ -76,8 +92,11 @@ def log_factorial(n):
         index = index.astype(np.intp)
     out = _LOGFACT_TABLE[index]
     big = n > _LOGFACT_EXACT_MAX
-    # one double at a time, so a large table builds no list of Python floats
-    out[big] = np.fromiter(map(math.lgamma, n[big] + 1.0), float, np.count_nonzero(big))
+    try:
+        # one double at a time, so a large table builds no list of Python floats
+        out[big] = np.fromiter(map(math.lgamma, n[big] + 1.0), float, np.count_nonzero(big))
+    except OverflowError:
+        raise DomainError("ln n! overflows a double") from None
     return out
 
 
@@ -171,7 +190,7 @@ def legendre_sum(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     and the other columns of G are exact zeros.
     """
     lmax = coeffs.shape[0] - 1
-    x = np.asarray(x, dtype=float)
+    x = finite(x, "legendre_sum needs finite real x", array=True)
     s = np.sqrt(np.maximum(0.0, (1.0 - x) * (1.0 + x)))
     used = np.flatnonzero(np.tril(coeffs != 0).any(axis=0))
     # real and imaginary parts, (L, M, 2), summed into (used M, 2, x)

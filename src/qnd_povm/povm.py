@@ -23,12 +23,12 @@ import math
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._record import Record
 from .errors import (MAX_ENTRIES, DomainError, PreconditionError, ResourceCapError,
                      count_text, reserve)
-from .numerics import log_factorial
+from .numerics import finite, log_factorial
 from .spin_state import CollectiveState, normalize, scale_amplitudes
 
 _TWO_PI = 2.0 * math.pi
@@ -74,10 +74,9 @@ class QndParams(Record):
     """
 
     def __init__(self, gamma: complex, chi: complex, gt: float):
-        g = complex(gamma)
-        c = complex(chi)
-        if not all(map(math.isfinite, (g.real, g.imag, c.real, c.imag, gt))):
-            raise DomainError("non-finite measurement parameters")
+        gr, gi, cr, ci, gt = finite([np.real(gamma), np.imag(gamma), np.real(chi), np.imag(chi),
+                                     gt], "non-finite measurement parameters", array=True)
+        g, c = complex(gr, gi), complex(cr, ci)
         if g == 0 or c == 0:
             raise DomainError("both light amplitudes must be nonzero")
         self._keep(g, c, float(gt))
@@ -188,20 +187,7 @@ class OutcomeDistribution(Record):
 # phases and amplitude envelope
 # ---------------------------------------------------------------------------
 
-def _as_m(m_z) -> float:
-    """Spin projection as a float; int and real values all pass.
-
-    The envelope and phase formulas are smooth functions of m, evaluated off
-    the physical lattice too (peak positions, finite differences); a nan
-    or infinite one is refused.
-    """
-    try:
-        m = float(m_z)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"cannot interpret {m_z!r} as a spin projection") from exc
-    if not math.isfinite(m):
-        raise DomainError(f"m_z must be finite, got {m!r}")
-    return m
+_M_Z = "m_z must be a finite real"  # on the lattice or off it (peaks, differences)
 
 
 def _phi(params: QndParams, m):
@@ -210,7 +196,7 @@ def _phi(params: QndParams, m):
 
 def phase_phi(params: QndParams, m_z) -> float:
     """Interference phase phi(m_z) = gt m_z / 2 + phi_chigamma / 2 + pi / 4."""
-    return _phi(params, _as_m(m_z))
+    return _phi(params, finite(m_z, _M_Z))
 
 
 def detector_phases(params: QndParams, m_z) -> tuple[float, float]:
@@ -222,12 +208,12 @@ def detector_phases(params: QndParams, m_z) -> tuple[float, float]:
     content is physical: it carries the sign flips of the underlying
     interfered amplitudes, and is validated against the direct product form.
     """
-    phic, phid = _phase_arrays(params, np.array([_as_m(m_z)]))
+    phic, phid = _phase_arrays(params, np.array([finite(m_z, _M_Z)]))
     return float(phic[0]), float(phid[0])
 
 
 def _phase_arrays(params: QndParams, m: np.ndarray):
-    phi = _phi(params, np.asarray(m, dtype=float))
+    phi = _phi(params, m)
     ag, ac = params.abs_gamma, params.abs_chi
     sp, cp = np.sin(phi), np.cos(phi)
     phi_c = np.arctan2((ac - ag) * sp, (ac + ag) * cp)
@@ -367,20 +353,17 @@ def eigen(params: QndParams, outcome: PhotonOutcome, m):
 
     This is the one place the spectral form is assembled (the envelope in
     `_Kernel`, the phase in `_phase`); every other evaluation of the
-    operator reads it from here or from those two.  A nan or infinite m_z
-    raises DomainError.
+    operator reads it from here or from those two.  An m_z that `finite`
+    refuses raises DomainError.
     """
-    m = np.asarray(m, dtype=float)
-    if not np.isfinite(m).all():
-        raise DomainError("m_z must be finite")
-    kernel = _Kernel(params, m)
+    kernel = _Kernel(params, finite(m, _M_Z, array=True))
     log_c, log_e = kernel.envelope(*_counts([outcome.n_c], [outcome.n_d]))
     return float(log_c[0]), log_e[0], _phase(params, outcome, kernel.m)
 
 
 def log_amplitude(params: QndParams, outcome: PhotonOutcome, m_z) -> float:
     """ln A(m_z) of the non-negative amplitude envelope; -inf at exact zeros."""
-    return float(eigen(params, outcome, [_as_m(m_z)])[1][0])
+    return float(eigen(params, outcome, [finite(m_z, _M_Z)])[1][0])
 
 
 def amplitude(params: QndParams, outcome: PhotonOutcome, m_z) -> float:
@@ -390,7 +373,7 @@ def amplitude(params: QndParams, outcome: PhotonOutcome, m_z) -> float:
 
 def log_matrix_element(params: QndParams, outcome: PhotonOutcome, m_z):
     """(log magnitude, phase) of <J m_z|M|J m_z> via the spectral form."""
-    log_c, log_e, phase = eigen(params, outcome, [_as_m(m_z)])
+    log_c, log_e, phase = eigen(params, outcome, [finite(m_z, _M_Z)])
     if log_e[0] == -math.inf:
         return -math.inf, 0.0
     return float(log_c + log_e[0]), _wrap_pi(float(phase[0]))
@@ -405,7 +388,7 @@ def log_matrix_element_direct(params: QndParams, outcome: PhotonOutcome, m_z):
     in log-polar form.  Kept free of the spectral machinery on purpose: it is
     the oracle the spectral phase conventions are checked against.
     """
-    m = _as_m(m_z)
+    m = finite(m_z, _M_Z)
     rot = cmath.exp(-0.5j * params.gt * m)
     a_c = (params.gamma * rot + 1j * params.chi / rot) / math.sqrt(2.0)
     a_d = (1j * params.gamma * rot + params.chi / rot) / math.sqrt(2.0)
@@ -615,16 +598,17 @@ def outcome_distribution(params: QndParams, state: CollectiveState,
 
     P(n_c, n_d) is the Poisson mixture of `_Mixture`, and n_c + n_d ~
     Pois(s) whatever the state.  On that marginal alone the window,
-    half-width k sqrt(s) around s, grows over k = 4, 5, ... until it holds
-    1 - mass_tolerance.  The rows, by total and then ascending n_c, are sums
-    over m of products of two per-port Poisson tables, computed as blocked
-    BLAS matrix products (`_mixture_rows`); the row set and order are those
-    of one contraction per total, and the last bit of p may differ between
-    BLAS builds.  A window past max_total (carrying the marginal mass up to
-    it), over MAX_ENTRIES entries or with per-port tables over MAX_ENTRIES
-    entries raises ResourceCapError before any table is built; a total whose
-    rows miss its Pois(s) mass by _TOTAL_RTOL raises DomainError.  The rows
-    are enumerated by `_OutcomeTable`, which `photon-dist` streams instead.
+    half-width k sqrt(s) around s, grows over k = 4, 5, ... (below s = 1, by
+    at least one total a step) until it holds 1 - mass_tolerance.  The rows,
+    by total and then ascending n_c, are sums over m of products of two
+    per-port Poisson tables, computed as blocked BLAS matrix products
+    (`_mixture_rows`); the row set and order are those of one contraction
+    per total, and the last bit of p may differ between BLAS builds.  A
+    window past max_total (carrying the marginal mass up to it), over
+    MAX_ENTRIES entries or with per-port tables over MAX_ENTRIES entries
+    raises ResourceCapError before any table is built; a total whose rows
+    miss its Pois(s) mass by _TOTAL_RTOL raises DomainError.  The rows are
+    enumerated by `_OutcomeTable`, which `photon-dist` streams instead.
     """
     table = _OutcomeTable(params, state, mass_tolerance, max_total)
     p = np.empty(table.size)
@@ -651,6 +635,7 @@ class _OutcomeTable:
     def __init__(self, params: QndParams, state: CollectiveState,
                  mass_tolerance: float, max_total: int | None = None):
         mixture = _Mixture(params, state)
+        mass_tolerance = finite(mass_tolerance, "mass_tolerance must lie strictly between 0 and 1")
         if not (0.0 < mass_tolerance < 1.0):
             raise DomainError("mass_tolerance must lie strictly between 0 and 1")
         if max_total is not None and max_total < 0:
@@ -683,7 +668,7 @@ class _OutcomeTable:
             if prev is not None and (lo, hi) != prev[:2] and mass <= prev[2]:
                 raise DomainError(f"mass_tolerance {mass_tolerance!r} is out of reach: the "
                                   f"photon window's mass stops growing at {mass!r}")
-            k, prev = k + 1.0, (lo, hi, mass)
+            k, prev = max(k + 1.0, (hi + 1 - s) / math.sqrt(s)), (lo, hi, mass)
         self._mixture, self._marginal = mixture, marginal
         self.lo, self.cutoff_total = lo, hi
         self._totals = np.arange(lo, hi + 1, dtype=np.int64)
@@ -769,23 +754,17 @@ def _mixture_rows(a: np.ndarray, b: np.ndarray, lo: int):
     buffer = np.empty(_BLOCK * (hi + 1))
     block = buffer.reshape(_BLOCK, hi + 1)
     scratch = np.empty(_TILE * (_BLOCK + _TILE - 1))
-    # (product, its sheared diagonal) in scratch, per (rows, totals) shape
-    views = {}
     for t0 in range(lo, hi + 1, _BLOCK):
         t1 = min(t0 + _BLOCK, hi + 1)
         for i0 in range(0, t1, _TILE):
             i1 = min(i0 + _TILE, t1)
             # the product's rows are n_c = r0 .. i1 - 1: two, for a tile of one
             r0 = max(min(i0, i1 - 2), 0)
-            shape = (i1 - r0, t1 - t0)
-            if shape not in views:
-                rows, width = shape[0], shape[0] + shape[1] - 1
-                prod = scratch[:rows * width].reshape(rows, width)
-                # diagonal[r, u] = prod[r, rows - 1 - r + u]: n_c = r0 + r, total t0 + u
-                step = prod.strides[1]
-                views[shape] = prod, as_strided(prod[:, rows - 1:], shape=shape,
-                                                strides=(prod.strides[0] - step, step))
-            prod, diagonal = views[shape]
+            rows, width = i1 - r0, i1 - r0 + t1 - t0 - 1
+            prod = scratch[:rows * width].reshape(rows, width)
+            # diagonal[r, u] = prod[r, rows - 1 - r + u] (n_c = r0 + r, total t0 + u), of doubles
+            diagonal = np.ndarray((rows, t1 - t0), buffer=scratch, offset=(rows - 1) * 8,
+                                  strides=((width - 1) * 8, 8))
             # column c of the product is n_d = t0 - (i1 - 1) + c, up to t1 - 1 - r0
             j0 = t0 - (i1 - 1)
             source, j0 = (head, j0 + pad) if t1 - r0 <= reach else (b, j0)

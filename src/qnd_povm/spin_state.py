@@ -13,7 +13,7 @@ import numpy as np
 
 from ._record import Record
 from .errors import DomainError, PreconditionError
-from .numerics import log_factorial, twice
+from .numerics import finite, log_factorial, twice
 
 _NORM_TOL = 1e-9
 # the smallest normal double
@@ -105,9 +105,11 @@ def coherent_state(N: int, theta: float) -> CollectiveState:
     Amplitude on m_z is sqrt(C(N, N/2+m_z)) cos^(N/2+m_z)(theta/2)
     sin^(N/2-m_z)(theta/2); the azimuthal angle is fixed at zero so the
     amplitudes are real.  Formed in log space so N ~ 10^3 stays accurate.
+    A theta that `finite` refuses raises DomainError.
     """
     if N < 1:
         raise DomainError("need at least one spin")
+    theta = finite(theta, "theta must be a finite real")
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
     k = np.arange(N + 1)  # k = N/2 + m_z

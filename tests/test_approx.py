@@ -262,6 +262,27 @@ def test_project_refuses_a_non_finite_u_or_m0(u, m0):
         project(P_REF, dicke_state(5, 2), u, m0)
 
 
+@pytest.mark.parametrize("m0", [1e308, -1.7976931348623157e308])
+def test_project_refuses_a_huge_m0_as_off_the_lattice(m0):
+    # 2 m0 overflows to inf here, which round_to_sector_parity cannot floor
+    with pytest.raises(ZeroProjectionError):
+        project(P_REF, dicke_state(5, 2), 25.0, m0)
+
+
+@pytest.mark.parametrize("two_j", range(7))
+def test_project_collapses_where_the_nearest_lattice_point_is(two_j):
+    # every m0 from |m0| = J + 1 on is off the lattice, as project assumes
+    state = normalize(CollectiveState(two_j, np.ones(two_j + 1)))
+    for m0 in np.linspace(-two_j - 3.0, two_j + 3.0, 241).tolist():
+        tm = round_to_sector_parity(m0, two_j)
+        if abs(tm) > two_j:
+            with pytest.raises(ZeroProjectionError):
+                project(P_REF, state, 25.0, m0)
+        else:
+            _, out = project(P_REF, state, 25.0, m0)
+            assert np.flatnonzero(out.amps).tolist() == [(tm + two_j) // 2]
+
+
 def test_project_half_integer_parity_rounding():
     # integer and half-integer spins collapse to their own lattice points:
     # m0 = 0.7 rounds to m = 1 at 2J = 4 and to m = 1/2 at 2J = 5

@@ -434,3 +434,46 @@ def test_distribution_peak_is_its_three_columns():
     finally:
         tracemalloc.stop()
     assert peak < 3 * dist.p.nbytes + (1 << 20)
+
+
+# the law of the enumerated rows, from the beam amplitudes alone: the total
+# n is Pois(s), and given m_z each photon leaves by port c with probability
+# lam_c(m) / s, so P(n_c, n_d) = Pois(n; s) sum_m |psi_m|^2 Binom(n_c; n,
+# lam_c(m) / s).  It shares no code with the engine: lam from the direct-form
+# amplitudes of shot_oracle, the pmfs from scipy.
+LAW_RTOL = 1e-10
+LAW_FLOOR = 1e-300
+
+
+def law_rows(params, state, n_c, n_d):
+    """P(n_c[i], n_d[i]) by the binomial law above."""
+    s = params.photon_mean
+    m, w = state.support()
+    p_c = np.clip([shot_oracle.port_means(params, mi)[0] / s for mi in m.tolist()], 0.0, 1.0)
+    n = n_c + n_d
+    binom = scipy.stats.binom.pmf(n_c[:, None], n[:, None], p_c[None, :])
+    return scipy.stats.poisson.pmf(n, s) * (binom @ w)
+
+
+def law_miss(got, want):
+    """The largest relative miss where either side is above LAW_FLOOR."""
+    big = np.maximum(got, want) > LAW_FLOOR
+    return float(np.max(np.abs(got - want)[big] / np.maximum(got, want)[big]))
+
+
+@pytest.mark.parametrize("params, make_state, rows", [
+    (QndParams(3.1, 3.1 * complex(math.cos(0.4), math.sin(0.4)), math.pi / 20.0),
+     lambda: coherent_state(20, 0.9), None),
+    (QndParams(30.0, 30.0 * complex(math.cos(0.7), math.sin(0.7)), math.pi / 200.0),
+     lambda: coherent_state(200, 1.3), 20000),
+], ids=["N20-every-row", "N200-drawn-rows"])
+def test_rows_follow_the_binomial_law(params, make_state, rows):
+    state = make_state()
+    dist = outcome_distribution(params, state, 1e-9)
+    pick = (slice(None) if rows is None
+            else np.random.default_rng(35).choice(dist.p.size, rows, replace=False))
+    n_c, n_d, got = dist.n_c[pick], dist.n_d[pick], dist.p[pick]
+    assert law_miss(got, law_rows(params, state, n_c, n_d)) <= LAW_RTOL
+    # the law tells the two signs of gt apart: flipped, it misses by far
+    flipped = QndParams(params.gamma, params.chi, -params.gt)
+    assert law_miss(got, law_rows(flipped, state, n_c, n_d)) > 1e-2

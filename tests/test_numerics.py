@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnd_povm import _clebsch, numerics
+from qnd_povm import _clebsch, approx, numerics, povm
 from qnd_povm.analysis import DensityMatrix, cat_state, density_from_state
 from qnd_povm.errors import DomainError
 from qnd_povm.numerics import cg_blocks, clebsch_gordan, legendre_sum, log_factorial, twice
+from qnd_povm.povm import PhotonOutcome, QndParams
 from qnd_povm.spin_state import coherent_state, dicke_state
 
 from legendre_oracle import legendre_norm_table, legendre_sum_every_column
@@ -165,6 +166,87 @@ def test_log_factorial_takes_integral_floats():
     assert log_factorial(3.0) == log_factorial(3)
     n = np.array([0.0, 3.0, 300.0])
     assert np.array_equal(log_factorial(n), log_factorial(n.astype(np.int64)))
+
+
+# ------------------------------------------------------ one refusal of a real
+
+@pytest.mark.parametrize("x, want", [
+    (0.25, 0.25), (3, 3.0), (np.float32(0.5), 0.5), (True, 1.0), (np.array(2), 2.0),
+    ([1, 2.5], [1.0, 2.5]), (np.arange(3), [0.0, 1.0, 2.0]), ([10**300, -1], [1e300, -1.0])])
+def test_finite_reads_float64(x, want):
+    if np.ndim(want):
+        got = numerics.finite(x, "bad", array=True)
+        assert got.dtype == np.float64 and got.tolist() == want
+    else:
+        got = numerics.finite(x, "bad")
+        assert type(got) is float and got == want
+        assert numerics.finite(x, "bad", array=True).tolist() == want
+
+
+@pytest.mark.parametrize("array", [False, True])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 10**400, [0.0, math.nan],
+                               [1, 10**400], np.array([1.0, -np.inf]), "1", b"1", None,
+                               1j, np.complex128(1.0), [1, [2, 3]], object()])
+def test_finite_refuses_with_the_callers_message(x, array):
+    with pytest.raises(DomainError, match="^the caller's words$"):
+        numerics.finite(x, "the caller's words", array=array)
+
+
+@pytest.mark.parametrize("x", [[1.0], [1, 2], np.zeros((2, 2))])
+def test_finite_refuses_an_array_where_a_scalar_is_read(x):
+    with pytest.raises(DomainError, match="^one real$"):
+        numerics.finite(x, "one real")
+
+
+def _entry_points():
+    """(name, call of one real argument, whether it is a scalar) for every
+    real argument of povm, approx, spin_state and numerics."""
+    params, out = QndParams(5.1, 5.0, math.pi / 10.0), PhotonOutcome(20, 30)
+    model = approx.gaussian_model(params, out)
+    state = dicke_state(5, 2)
+    return [
+        ("eigen", lambda x: povm.eigen(params, out, [0.0, x]), False),
+        ("log_amplitude", lambda x: povm.log_amplitude(params, out, x), True),
+        ("amplitude", lambda x: povm.amplitude(params, out, x), True),
+        ("log_matrix_element", lambda x: povm.log_matrix_element(params, out, x), True),
+        ("log_matrix_element_direct",
+         lambda x: povm.log_matrix_element_direct(params, out, x), True),
+        ("phase_phi", lambda x: povm.phase_phi(params, x), True),
+        ("detector_phases", lambda x: povm.detector_phases(params, x), True),
+        ("gamma", lambda x: QndParams(x, 5.0, 0.1), True),
+        ("chi", lambda x: QndParams(5.0, x, 0.1), True),
+        ("gt", lambda x: QndParams(5.0, 5.0, x), True),
+        ("gaussian_amplitude", lambda x: approx.gaussian_amplitude(model, x), True),
+        ("project_u", lambda x: approx.project(params, state, x, 2.0), True),
+        ("project_m0", lambda x: approx.project(params, state, 25.0, x), True),
+        ("coherent_state_theta", lambda x: coherent_state(10, x), True),
+        ("mass_tolerance", lambda x: povm.outcome_distribution(params, state, x), True),
+        ("log_factorial", log_factorial, True),
+        ("legendre_sum", lambda x: legendre_sum(np.eye(2), [0.5, x]), False),
+    ]
+
+
+_NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "10**400": 10**400}
+_NON_NUMBERS = {"str": "0.5", "None": None, "list": [1.0, 2.0]}
+
+
+@pytest.mark.parametrize("call, x", [
+    pytest.param(call, x, id=f"{name}-{label}")
+    for name, call, scalar in _entry_points()
+    for label, x in (_NON_FINITE | _NON_NUMBERS if scalar else _NON_FINITE).items()])
+def test_every_real_argument_refuses_what_finite_refuses(call, x):
+    # 10**400 once raised OverflowError everywhere, and coherent_state's inf
+    # a math domain ValueError
+    with pytest.raises(DomainError):
+        call(x)
+
+
+def test_log_factorial_refuses_where_lgamma_overflows():
+    assert log_factorial(2.5e305) < math.inf
+    with pytest.raises(DomainError, match="overflows a double"):
+        log_factorial(1e306)
+    with pytest.raises(DomainError, match="overflows a double"):
+        log_factorial(np.array([3.0, 1e306]))
 
 
 # -------------------------------------------------------------- Clebsch-Gordan

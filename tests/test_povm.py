@@ -450,6 +450,34 @@ def test_distribution_mass_tolerance_domain():
         outcome_distribution(P_REF, st, 1e-6, max_total=-1)
 
 
+def test_photon_window_reaches_the_next_total_below_one_photon(monkeypatch):
+    # at s = 1e-12 a step of k sqrt(s) = 1e-6 photons once left the window
+    # as it was for about 1e6 passes (8.5 s); each pass reads ln n! once
+    passes = []
+    real = povm._Mixture.log_factorials
+    monkeypatch.setattr(povm._Mixture, "log_factorials",
+                        lambda self, top: passes.append(top) or real(self, top))
+    amp = math.sqrt(0.5e-12)
+    dist = outcome_distribution(QndParams(amp, amp, 0.1), coherent_state(4, 1.0), 1e-14)
+    assert dist.cutoff_total == 1 and dist.p.size == 3
+    assert len(passes) <= 10
+
+
+@pytest.mark.parametrize("s", [18.0, 200.0, 1800.0])
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+def test_captured_mass_is_the_window_mass_to_rounding(s, tol):
+    # the window sums exp(n ln s - s - ln n!), which rounds a little away
+    # from Pois(s): +4.2e-13 at s = 1800, -4.8e-14 at 200 and -3.7e-15 at 18
+    import scipy.stats
+
+    amp = math.sqrt(s / 2.0)
+    table = povm._OutcomeTable(QndParams(amp, amp, 0.1), coherent_state(4, 1.0), tol)
+    lo, hi = table.lo, table.cutoff_total
+    want = scipy.stats.poisson.cdf(hi, s) - scipy.stats.poisson.cdf(lo - 1, s)
+    assert abs(table.captured_mass - want) <= 1e-12
+    assert table.captured_mass >= 1.0 - tol
+
+
 def test_unity_decomposition_random_states():
     rng = np.random.default_rng(12)
     for two_j, gt in ((8, math.pi / 8.0), (24, math.pi / 24.0)):

@@ -6,7 +6,6 @@ oracles are Python's own formatting of the same values.
 
 import json
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -116,36 +115,53 @@ def test_exponent_arithmetic_equals_schubfach_int64_forms():
             assert (int(k[e]), int(h2[e])) == (kk, q + ((-kk * 913_124_641_741) >> 38) + 4)
 
 
-def _double_bits(b):
-    return struct.unpack("<d", struct.pack("<Q", b))[0]
-
-
-# doubles of every form `repr` writes: positional below and above 1, integral,
-# scientific, subnormal, signed zeros, infinities and nans with payloads
-_DOUBLES = st.one_of(
-    st.integers(0, 2 ** 64 - 1).map(_double_bits),
-    st.floats(1e-4, 1e16) | st.floats(-1e16, -1e-4),
-    st.integers(-2 ** 60, 2 ** 60).map(float),
-    st.integers(1, 2 ** 52 - 1).flatmap(lambda t: st.sampled_from([t, t | 1 << 63]))
-    .map(_double_bits),
-    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-5, 1e16, 1e17,
-                     0.0001, 9999999999999998.0, 1.7976931348623157e308])
-    | st.integers(0x7FF0000000000001, 2 ** 64 - 1).map(_double_bits),
-)
+_SPECIALS = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-5, 1e16, 1e17,
+                      0.0001, 9999999999999998.0, 1.7976931348623157e308])
 _INT_TYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def _raw(draw, n, dtype):
+    """n values of `dtype` from one block of drawn bytes."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(draw(st.binary(min_size=n * dtype.itemsize,
+                                        max_size=n * dtype.itemsize)), dtype)
+
+
+def _doubles(draw, n):
+    """n doubles of every form `repr` writes, each of a drawn family:
+    positional below and above 1, integral, scientific, subnormal, signed
+    zeros, infinities and nans with payloads."""
+    bits, family = _raw(draw, n, np.uint64), _raw(draw, n, np.uint8) % 7
+    sign = np.where(bits & 1, -1.0, 1.0)
+    return np.choose(family, [
+        bits.view(np.float64),  # any bit pattern
+        sign * 10.0 ** ((bits >> 11) * 2.0 ** -53 * 20.0 - 4.0),  # |x| in [1e-4, 1e16)
+        sign * ((bits >> 12) % 10 ** 6) / 10.0 ** ((bits >> 4) % 12),  # short decimals
+        (bits.view(np.int64) >> 3).astype(float),  # integral, |x| <= 2^60
+        (bits & (1 << 63 | (1 << 52) - 1)).view(np.float64),  # subnormal or signed zero
+        _SPECIALS[bits % _SPECIALS.size],
+        (bits | 0x7FF0000000000001).view(np.float64),  # nan with a payload
+    ])
+
+
+def _ints(draw, n, dtype):
+    """n ints of `dtype`: drawn bits shifted right by a drawn amount (so every
+    digit count turns up), or the dtype's min, max or 0."""
+    raw, family = _raw(draw, n, dtype), _raw(draw, n, np.uint8)
+    info = np.iinfo(dtype)
+    extremes = np.array([info.min, info.max, 0], dtype=dtype)
+    shifted = raw >> (family >> 2) % info.bits
+    return np.where(family % 4 == 3, extremes[raw % 3], shifted).astype(dtype)
 
 
 @st.composite
 def _blocks(draw):
-    """Equal-length float columns, one pass, and int columns of each width."""
+    """Equal-length float columns, and int columns of each width, each
+    drawn as one block."""
     n = draw(st.integers(1, 40))
-    floats = [np.array(draw(st.lists(_DOUBLES, min_size=n, max_size=n)))
-              for _ in range(draw(st.integers(1, 5)))]
-    ints = []
-    for dtype in draw(st.lists(st.sampled_from(_INT_TYPES), max_size=4)):
-        info = np.iinfo(dtype)
-        values = draw(st.lists(st.integers(int(info.min), int(info.max)), min_size=n, max_size=n))
-        ints.append(np.array(values, dtype=dtype))
+    floats = [_doubles(draw, n) for _ in range(draw(st.integers(1, 5)))]
+    ints = [_ints(draw, n, dtype)
+            for dtype in draw(st.lists(st.sampled_from(_INT_TYPES), max_size=4))]
     columns = floats + ints
     order = draw(st.permutations(range(len(columns))))
     return [columns[i] for i in order]
