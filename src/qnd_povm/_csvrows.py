@@ -174,6 +174,19 @@ def _int_text(a):
     return text
 
 
+def float_field(a, per_pass=_PASS):
+    """A non-empty float column as a bytes (S) column that `format_rows`
+    writes as it writes the floats, converted `per_pass` values at a time.
+
+    A value's field is its planes of `_float_text`: its characters in order,
+    with NULs among and after them, which `format_rows` drops.  So text
+    formed once may be repeated or gathered, and written row by row.
+    """
+    return np.concatenate([np.ascontiguousarray(t.T).view(f"S{len(t)}").ravel()
+                           for t in (_float_text(a[i:i + per_pass])
+                                     for i in range(0, a.size, per_pass))])
+
+
 def check_columns(columns, arrays):
     """Raise TypeError naming the first column `format_rows` cannot write."""
     for name, a in zip(columns, arrays):

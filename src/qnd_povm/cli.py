@@ -241,8 +241,8 @@ def cmd_photon_dist(cfg: ExperimentConfig, out, fmt) -> int:
     return 0
 
 
-# shots drawn, conditioned and written per `format_rows` call, which
-# converts their float fields in one pass
+# records per `format_rows` call and shots per draw; a block's float text is
+# formed 5 * _SHOT_BLOCK values a pass, the five float fields of a call
 _SHOT_BLOCK = 256
 # a measure record, as json.dumps(record, sort_keys=True) writes it: the keys
 # in order, each value followed by the text up to the next one
@@ -250,6 +250,27 @@ _RECORD_KEYS = ("log_prob", "mean_jz", "n_c", "n_d", "posterior_ref", "r", "seed
                 "squeezing_ratio", "var_jz")
 _RECORD_BEFORE = f'{{"{_RECORD_KEYS[0]}": '
 _RECORD_AFTER = [f', "{key}": ' for key in _RECORD_KEYS[1:]] + ["}\n"]
+
+
+def _shot_seeds(seed, lo, hi):
+    """The seeds of shots lo .. hi - 1: seed + shot mod 2^64, as uint64
+    arithmetic wraps."""
+    seeds = np.arange(lo, hi, dtype=np.uint64)
+    seeds += np.uint64(seed)
+    return seeds
+
+
+def _distinct(n_c, n_d):
+    """(n_c, n_d, at): the distinct outcomes of a block of shots, ascending,
+    and the index among them of each shot's outcome."""
+    order = np.lexsort((n_d, n_c))
+    n_c, n_d = n_c[order], n_d[order]
+    # where a run of equal outcomes starts in the sorted shots
+    new = np.ones(order.size, bool)
+    new[1:] = (n_c[1:] != n_c[:-1]) | (n_d[1:] != n_d[:-1])
+    at = np.empty_like(order)
+    at[order] = np.cumsum(new) - 1
+    return n_c[new], n_d[new], at
 
 
 def cmd_measure(cfg: ExperimentConfig, out, fmt) -> int:
@@ -273,39 +294,65 @@ def cmd_measure(cfg: ExperimentConfig, out, fmt) -> int:
     staged = _staged_dir(dump_dir) if dump else contextlib.nullcontext()
     with _artifact(out) as fh, staged as stage:
         write_rows = _ascii_writer(fh)
-        for lo in range(0, shots, _SHOT_BLOCK):
-            # shot seeds are seed + shot mod 2^64, as uint64 arithmetic wraps
-            seeds = np.arange(lo, min(lo + _SHOT_BLOCK, shots), dtype=np.uint64)
-            seeds += np.uint64(seed)
-            n_c, n_d = draw(seeds)
+        # a record's float fields are functions of its outcome alone: a block
+        # of shots conditions each distinct outcome once and forms its text
+        # once, and the block's records gather them
+        for lo in range(0, shots, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, shots)
+            n_c, n_d = np.empty(hi - lo, np.int64), np.empty(hi - lo, np.int64)
+            for w in range(lo, hi, _SHOT_BLOCK):
+                # a write's shots at a time, as the draw's scratch grows with them
+                part = slice(w - lo, w - lo + _SHOT_BLOCK)
+                n_c[part], n_d[part] = draw(_shot_seeds(seed, w, min(w + _SHOT_BLOCK, hi)))
+            if hi == shots:
+                # the sampler's tables, the run's largest arrays, go once the
+                # last shot is drawn
+                del draw
+            n_c, n_d, at = _distinct(n_c, n_d)
             log_p, mean_jz, var_jz = mixture.condition_many(n_c, n_d)
-            dead = np.flatnonzero(log_p == -math.inf)
-            if dead.size:
-                j = int(dead[0])
-                raise QndError(f"sampled outcome ({n_c[j]}, {n_d[j]}) has zero "
-                               f"probability (shot {lo + j}, seed {seeds[j]})")
-            refs = None
-            if dump:
-                refs = []
-                for j, (c, d) in enumerate(zip(n_c.tolist(), n_d.tolist())):
-                    # only the dump needs the posterior's per-m_z phases
-                    post = mixture.condition(PhotonOutcome(c, d))[1]
-                    name = f"shot_{lo + j:06d}.json"
-                    with open(os.path.join(stage, name), "w", encoding="utf-8") as pf:
-                        json.dump(state_to_json(post), pf, sort_keys=True)
-                    refs.append(json.dumps(os.path.join(dump_dir, name)).encode())
-                refs = np.array(refs)
+            dead = log_p == -math.inf
+            if dead.any():
+                # the first shot, in shot order, that drew a dead outcome
+                j = int(dead[at].argmax())
+                raise QndError(f"sampled outcome ({n_c[at[j]]}, {n_d[at[j]]}) has zero "
+                               f"probability (shot {lo + j}, seed {(seed + lo + j) % (1 << 64)})")
             total = n_c + n_d
+            none = total == 0
             with np.errstate(invalid="ignore"):
                 r = (n_d - n_c) / total
-            ratio = var_jz / prior_var if prior_var > 0 else None
-            write_rows(_csvrows.format_rows(
-                [log_p, mean_jz, n_c, n_d, refs, (r, total == 0), seeds, ratio, var_jz],
-                _RECORD_AFTER, _RECORD_BEFORE, "null"))
+            fields = [log_p, mean_jz, r, var_jz, var_jz / prior_var if prior_var > 0 else None]
+            del log_p, mean_jz, r, var_jz
+            # a field's floats are freed once its text is formed
+            for k, a in enumerate(fields):
+                if a is not None:
+                    fields[k] = _csvrows.float_field(a, 5 * _SHOT_BLOCK)
+            del a
+            for w in range(lo, hi, _SHOT_BLOCK):
+                rec = at[w - lo:w - lo + _SHOT_BLOCK]
+                c, d = n_c[rec], n_d[rec]
+                log_p, mean_jz, r, var_jz, ratio = (None if f is None else f[rec] for f in fields)
+                refs = None
+                if dump:
+                    refs = []
+                    for j, outcome in enumerate(zip(c.tolist(), d.tolist())):
+                        # only the dump needs the posterior's per-m_z phases
+                        post = mixture.condition(PhotonOutcome(*outcome))[1]
+                        name = f"shot_{w + j:06d}.json"
+                        with open(os.path.join(stage, name), "w", encoding="utf-8") as pf:
+                            json.dump(state_to_json(post), pf, sort_keys=True)
+                        refs.append(json.dumps(os.path.join(dump_dir, name)).encode())
+                    refs = np.array(refs)
+                write_rows(_csvrows.format_rows(
+                    [log_p, mean_jz, c, d, refs, (r, none[rec]),
+                     _shot_seeds(seed, w, w + rec.size), ratio, var_jz],
+                    _RECORD_AFTER, _RECORD_BEFORE, "null"))
+            # the block's text goes before the next block is drawn
+            del fields, at
     return 0
 
 
 def cmd_wigner(cfg: ExperimentConfig, out, fmt) -> int:
+    from . import _csvrows
     from .analysis import density_from_state, wigner
 
     params = cfg.params()
@@ -316,9 +363,8 @@ def cmd_wigner(cfg: ExperimentConfig, out, fmt) -> int:
     rho = density_from_state(state)
     wg = wigner(rho, **cfg.raw.get("grid", {}))
     # every coordinate repeats on a row or column of the grid: its text is
-    # formed once, as the writer would form it, and repeated
-    thetas, phis = (np.array([repr(v) for v in a.tolist()], dtype="S")
-                    for a in (wg.thetas, wg.phis))
+    # formed once and repeated
+    thetas, phis = (_csvrows.float_field(a) for a in (wg.thetas, wg.phis))
     # row-major over the grid, theta outer and phi inner, a few theta at a
     # time
     step = max(1, _CHUNK_ROWS // phis.size)

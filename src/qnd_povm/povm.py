@@ -468,9 +468,12 @@ class _Mixture:
         for lo in range(0, n_c.size, _ROWS):
             rows = slice(lo, lo + _ROWS)
             log_p[rows], _, d, q = self.kernel.condition(n_c[rows], n_d[rows])
-            mean[rows] = q @ self.m
-            # a second pass, in E's buffer, about each row's own <J_z>: near a
-            # Dicke state <m^2> - <m>^2 would cancel
+            # <J_z> summed row by row in E's buffer, so that a row's bits do
+            # not hang on its place in the batch, as a GEMV's rounding does
+            np.multiply(q, self.m, out=d)
+            mean[rows] = d.sum(axis=1)
+            # a second pass about each row's own <J_z>: near a Dicke state
+            # <m^2> - <m>^2 would cancel
             np.subtract(self.m, mean[rows, None], out=d)
             d *= d
             d *= q

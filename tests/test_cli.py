@@ -29,7 +29,7 @@ from qnd_povm.cli import main
 from qnd_povm.config import ExperimentConfig, build_params, parse_angle
 from qnd_povm.errors import ConfigError, DomainError, ResourceCapError
 from qnd_povm.povm import (PhotonOutcome, amplitude, condition, condition_many,
-                           log_amplitude, outcome_distribution)
+                           log_amplitude, outcome_distribution, sample_outcomes)
 from qnd_povm.spin_state import coherent_state, moments
 
 import cli_contracts
@@ -1226,24 +1226,31 @@ def test_measure_partial_last_block_writes_every_shot(tmp_path, shots):
         assert abs(rec["var_jz"] - got.var_jz) <= 1e-12
 
 
-def _impossible_shot(monkeypatch, shot):
-    """Make measure's conditioning give shot `shot` zero probability."""
-    real = povm._Mixture.condition_many
-    done = [0]
+def _impossible_outcome(monkeypatch, cfg, shot):
+    """Make the outcome that shot `shot` of `cfg` draws impossible, wherever
+    measure's conditioning meets it; returns the first shot that draws it.
 
-    def one_impossible(mixture, n_c, n_d):
-        log_p, mean, var = real(mixture, n_c, n_d)
-        if done[0] <= shot < done[0] + log_p.size:
-            log_p[shot - done[0]] = -math.inf
-        done[0] += log_p.size
+    measure conditions each distinct outcome of a block of shots once, so
+    the outcome is found from the same draws, not from a row's place."""
+    run = ExperimentConfig.from_dict("measure", cfg)
+    seeds = (np.arange(shot + 1, dtype=np.uint64) + np.uint64(cfg["seed"])).tolist()
+    n_c, n_d = sample_outcomes(run.params(), run.initial_state(), seeds)
+    drawn = (n_c == n_c[shot]) & (n_d == n_d[shot])
+    real = povm._Mixture.condition_many
+
+    def one_impossible(mixture, c, d):
+        log_p, mean, var = real(mixture, c, d)
+        log_p[(np.asarray(c) == n_c[shot]) & (np.asarray(d) == n_d[shot])] = -math.inf
         return log_p, mean, var
 
     monkeypatch.setattr(povm._Mixture, "condition_many", one_impossible)
+    return int(np.flatnonzero(drawn)[0])
 
 
 def test_measure_zero_probability_shot_exits_4(tmp_path, monkeypatch, capsys):
-    _impossible_shot(monkeypatch, 5)
     cfg = dict(BASE, shots=200, seed=7, mass_tolerance=1e-8)
+    # no shot before shot 5 draws its outcome
+    assert _impossible_outcome(monkeypatch, cfg, 5) == 5
     path = write_config(tmp_path, "m.json", cfg)
     assert run_cli("measure", "--config", path, "--out", str(tmp_path / "m.jsonl")) == 4
     err = capsys.readouterr().err
@@ -1251,16 +1258,21 @@ def test_measure_zero_probability_shot_exits_4(tmp_path, monkeypatch, capsys):
     assert os.listdir(tmp_path) == ["m.json"]
 
 
-@pytest.mark.parametrize("shot", [133, 1029, 1299])
-def test_measure_zero_probability_names_a_later_shot(tmp_path, monkeypatch, capsys, shot):
-    # past the first conditioning block and the first block of draws, the
-    # message still names the shot's own index and seed (seed + shot)
-    _impossible_shot(monkeypatch, shot)
+@pytest.mark.parametrize("block", [cli._CHUNK_ROWS, 1000])
+@pytest.mark.parametrize("shot, first", [(133, 133), (1029, 266), (1299, 1044)])
+def test_measure_zero_probability_names_a_later_shot(tmp_path, monkeypatch, capsys, block,
+                                                     shot, first):
+    # past the first write of 256 records, and (with blocks of 1000 shots)
+    # past the first block of draws, the message names the first shot that
+    # drew the outcome, with its own index and seed (seed + shot): shots
+    # 1029 and 1299 repeat the outcomes of shots 266 and 1044
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", block)
     cfg = dict(BASE, shots=1300, seed=(1 << 64) - 1100, mass_tolerance=1e-8)
+    assert _impossible_outcome(monkeypatch, cfg, shot) == first
     path = write_config(tmp_path, "m.json", cfg)
     assert run_cli("measure", "--config", path, "--out", str(tmp_path / "m.jsonl")) == 4
     err = capsys.readouterr().err
-    assert f"has zero probability (shot {shot}, seed {(shot - 1100) % (1 << 64)})" in err
+    assert f"has zero probability (shot {first}, seed {(first - 1100) % (1 << 64)})" in err
     assert os.listdir(tmp_path) == ["m.json"]
 
 

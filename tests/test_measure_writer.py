@@ -1,9 +1,10 @@
 """`measure` records against the per-shot loop they replaced.
 
 The reference draws each shot with the plain-Python oracle
-(`shot_oracle.draw`) and writes each record as
-`json.dumps(record, sort_keys=True)`; the CLI must write the same bytes,
-and the same posterior dump files.
+(`shot_oracle.draw`), conditions its outcome alone and writes its record
+as `json.dumps(record, sort_keys=True)`; the CLI, which conditions and
+formats each distinct outcome of a block of shots once, must write the
+same bytes, and the same posterior dump files.
 """
 
 import json
@@ -25,34 +26,31 @@ def reference_measure(raw, out):
     cfg = ExperimentConfig.from_dict("measure", raw)
     params, state = cfg.params(), cfg.initial_state()
     prior_var = moments(state).var_jz
-    seed, shots = raw.get("seed", 0), raw["shots"]
+    seed = raw.get("seed", 0)
     lines, dumps = [], {}
-    for lo in range(0, shots, cli._SHOT_BLOCK):
-        block = range(lo, min(lo + cli._SHOT_BLOCK, shots))
-        seeds = [(seed + shot) % (1 << 64) for shot in block]
-        outcomes = [PhotonOutcome(*shot_oracle.draw(params, state, s)) for s in seeds]
-        log_p, mean_jz, var_jz = condition_many(
-            params, [o.n_c for o in outcomes], [o.n_d for o in outcomes], state)
-        for shot, shot_seed, outcome, lp, mean, var in zip(
-                block, seeds, outcomes, log_p.tolist(), mean_jz.tolist(), var_jz.tolist()):
-            ref = None
-            if raw.get("dump_posteriors"):
-                name = f"shot_{shot:06d}.json"
-                ref = os.path.join(f"{out}.posteriors", name)
-                dumps[name] = json.dumps(state_to_json(condition(params, outcome, state)[1]),
-                                         sort_keys=True)
-            record = {
-                "seed": shot_seed,
-                "n_c": outcome.n_c,
-                "n_d": outcome.n_d,
-                "r": outcome.r if outcome.total > 0 else None,
-                "log_prob": lp,
-                "mean_jz": mean,
-                "var_jz": var,
-                "squeezing_ratio": var / prior_var if prior_var > 0 else None,
-                "posterior_ref": ref,
-            }
-            lines.append(json.dumps(record, sort_keys=True) + "\n")
+    for shot in range(raw["shots"]):
+        shot_seed = (seed + shot) % (1 << 64)
+        outcome = PhotonOutcome(*shot_oracle.draw(params, state, shot_seed))
+        lp, mean, var = (a.item() for a in condition_many(
+            params, [outcome.n_c], [outcome.n_d], state))
+        ref = None
+        if raw.get("dump_posteriors"):
+            name = f"shot_{shot:06d}.json"
+            ref = os.path.join(f"{out}.posteriors", name)
+            dumps[name] = json.dumps(state_to_json(condition(params, outcome, state)[1]),
+                                     sort_keys=True)
+        record = {
+            "seed": shot_seed,
+            "n_c": outcome.n_c,
+            "n_d": outcome.n_d,
+            "r": outcome.r if outcome.total > 0 else None,
+            "log_prob": lp,
+            "mean_jz": mean,
+            "var_jz": var,
+            "squeezing_ratio": var / prior_var if prior_var > 0 else None,
+            "posterior_ref": ref,
+        }
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
     return "".join(lines), dumps
 
 
@@ -60,7 +58,8 @@ BASE = {"params": {"gamma": [5.1, 0.0], "chi": [5.0, 0.0], "gt": "pi/N"}, "N": 4
         "initial": {"type": "coherent", "theta": "pi/2"}}
 
 # (config, a fragment the records must hold, so each case shows what it
-# covers); no shot count is a multiple of the block, so a short last block runs
+# covers); no shot count is a multiple of the 256-record write, so a short
+# last write runs
 CASES = {
     # s = 0.45: the zero-photon outcome is drawn in about two shots of three
     "dim_light": (dict(BASE, params={"gamma": [0.5, 0.2], "chi": [0.4, 0.0], "gt": "pi/N"},
@@ -149,10 +148,13 @@ def test_records_null_rows_and_edge_values():
     assert got == want
 
 
-@pytest.mark.parametrize("shots", [1, 1023, 1025, 2100])
-def test_measure_records_across_draw_blocks(tmp_path, shots):
-    # shot counts from one shot to past eight blocks, none a multiple of the
-    # block, with seed + shot passing 2^64 - 1 inside the run
+@pytest.mark.parametrize("shots", [1, 999, 1000, 1001, 1023, 1025, 2100])
+def test_measure_records_across_draw_blocks(tmp_path, monkeypatch, shots):
+    # blocks of 1000 shots, each drawn, conditioned and formatted per
+    # distinct outcome before it is written 256 records at a time: counts
+    # either side of one and of two blocks, with seed + shot passing
+    # 2^64 - 1 inside the run
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 1000)
     raw = dict(BASE, N=10, shots=shots, seed=(1 << 64) - 1000)
     out = tmp_path / "m.jsonl"
     assert cli.run("measure", dict(raw), str(out)) == 0

@@ -803,6 +803,22 @@ def test_condition_many_matches_condition_and_moments(params, state):
         assert log_p.min() < -175.0 and log_p.max() > -11.0
 
 
+def test_condition_many_rows_do_not_depend_on_the_batch():
+    # a row's ln P, <J_z> and Var J_z are functions of its outcome alone: the
+    # same bits alone, in batches either side of the kernel's 128 rows and
+    # at shifted places in the batch (OpenBLAS's GEMV rounds each output by
+    # its position, so <J_z> may not be one)
+    mixture = povm._Mixture(P_N200, coherent_state(200, math.pi / 2.0))
+    n_c, n_d = mixture.sampler()(np.arange(300, dtype=np.uint64))
+    alone = np.array([[a[0] for a in mixture.condition_many(n_c[i:i + 1], n_d[i:i + 1])]
+                      for i in range(n_c.size)]).T
+    for shift in (0, 1, 37):
+        rolled = [np.roll(a, shift, axis=-1) for a in (n_c, n_d, alone)]
+        for size in (1, 127, 128, 129, 300):
+            got = np.array(mixture.condition_many(rolled[0][:size], rolled[1][:size]))
+            assert got.tobytes() == rolled[2][:, :size].tobytes(), (shift, size)
+
+
 def test_table_and_conditioner_are_one_law():
     # every enumerated row's p is the conditioner's P of the same outcome
     params = QndParams(gamma=3.0, chi=3.2 * cmath.exp(0.7j), gt=math.pi / 20)
