@@ -11,11 +11,10 @@ from functools import cached_property
 import numpy as np
 
 from ._record import Record
-from .errors import MAX_ENTRIES, DomainError, PreconditionError, reserve
-from .numerics import cg_blocks, legendre_sum
+from .errors import MAX_ENTRIES, DomainError, PreconditionError, count_text, reserve
+from .numerics import _whole, cg_blocks, legendre_sum
 from .povm import PhotonOutcome, QndParams, eigen
-from .spin_state import (CollectiveState, coherent_state, moments, normalize, overlap,
-                         whole_two_j)
+from .spin_state import _TWO_J, CollectiveState, coherent_state, moments, normalize, overlap
 
 _RESIDUE_TOL = 1e-10
 _PARSEVAL_TOL = 1e-10
@@ -25,15 +24,15 @@ def _reserve_square(two_j: int):
     """Refuse a density matrix, and with it a multipole table, of over
     MAX_ENTRIES entries, before either is built."""
     d = two_j + 1
-    reserve(d * d, f"a density matrix at 2J={two_j} holds {d * d} entries, "
-                   f"over the cap of {MAX_ENTRIES}")
+    reserve(d * d, f"a density matrix at 2J={count_text(two_j)} holds {count_text(d * d)} "
+                   f"entries, over the cap of {MAX_ENTRIES}")
 
 
 class DensityMatrix(Record):
     """Density matrix of one total spin, indexed by (m_z, m_z')."""
 
     def __init__(self, two_j: int, rho: np.ndarray):
-        two_j = whole_two_j(two_j)
+        two_j = _whole(two_j, _TWO_J, hi=MAX_ENTRIES)
         d = two_j + 1
         _reserve_square(two_j)
         r = np.array(rho, dtype=complex)
@@ -148,11 +147,14 @@ def wigner(rho: DensityMatrix, n_theta: int = 181, n_phi: int = 361) -> WignerGr
     multipoles at 2J = 100, against Parseval up to 2J = 200, and against
     rotation covariance at 2J = 200.
     """
+    grid = ("grid sizes must be non-negative", "grid size {} is not an integer", None)
+    n_theta, n_phi = _whole(n_theta, grid), _whole(n_phi, grid)
     two_j = rho.two_j
     n_m = two_j + 1
     largest = max(n_theta * n_m, n_m * n_phi, n_theta * n_phi)
-    reserve(largest, f"a {n_theta}x{n_phi} Wigner grid at 2J={two_j} needs an array of "
-                     f"{largest} entries, over the cap of {MAX_ENTRIES}")
+    reserve(largest, f"a {count_text(n_theta)}x{count_text(n_phi)} Wigner grid at 2J={two_j} "
+                     f"needs an array of {count_text(largest)} entries, over the cap of "
+                     f"{MAX_ENTRIES}")
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi)
     residual = rho.parseval_residual()
@@ -190,6 +192,7 @@ def parity_pattern_check(params: QndParams, outcome: PhotonOutcome,
     relative to the peak (an asymptotic statement, so ``strict`` reflects
     whether every off-support amplitude cleared the 1e-12 relative bar).
     """
+    N = _whole(N, _TWO_J, hi=MAX_ENTRIES)
     if N < 2 or N % 2 != 0:
         raise PreconditionError("parity classification assumes even N")
     if abs(params.gt - math.pi / 2.0) > 1e-9:
@@ -235,8 +238,7 @@ def cat_fidelity(state: CollectiveState, N: int) -> float:
     Gives 1 for any equal-weight cat regardless of its fringe phase, 1/2 for
     a single coherent state.
     """
-    if state.two_j != N:
-        raise DomainError(f"state must have J = {N}/2, not {state.two_j}/2")
-    a = overlap(coherent_state(N, math.pi / 2.0), state)
-    b = overlap(coherent_state(N, -math.pi / 2.0), state)
-    return (abs(a) + abs(b)) ** 2 / 2.0
+    plus, minus = coherent_state(N, math.pi / 2.0), coherent_state(N, -math.pi / 2.0)
+    if state.two_j != plus.two_j:
+        raise DomainError(f"state must have J = {plus.two_j}/2, not {state.two_j}/2")
+    return (abs(overlap(plus, state)) + abs(overlap(minus, state))) ** 2 / 2.0

@@ -17,10 +17,10 @@ import math
 import numpy as np
 
 from ._record import Record
-from .errors import DomainError, PreconditionError, ZeroProjectionError
-from .numerics import finite, twice
+from .errors import MAX_ENTRIES, DomainError, PreconditionError, ZeroProjectionError
+from .numerics import _whole, finite, twice
 from .povm import PhotonOutcome, QndParams, eigen, phase_phi
-from .spin_state import CollectiveState, normalize, scale_amplitudes
+from .spin_state import _TWO_J, CollectiveState, normalize, scale_amplitudes
 
 
 class GaussianModel(Record):
@@ -92,7 +92,7 @@ def peak_solutions(params: QndParams, outcome: PhotonOutcome, J) -> list[float]:
     """
     if outcome.total == 0:
         raise PreconditionError("peak location needs at least one photon")
-    jv = twice(J) / 2.0
+    jv = _whole(twice(J), _TWO_J, hi=MAX_ENTRIES) / 2.0
     c2e = params.cos_2eta
     r = outcome.r
     if abs(r) > c2e:

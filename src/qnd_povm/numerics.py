@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, count_text
 
 # log(n!) exact to one ulp for the table range; lgamma beyond.
 _LOGFACT_EXACT_MAX = 256
@@ -51,23 +51,59 @@ def finite(x, message: str, array: bool = False):
     return a if array else float(a)
 
 
+def _whole(x, messages, lo=0, hi=None, array=False):
+    """The one refusal of a whole-number argument: x as an int, or with
+    `array` a numpy array.  messages = (below, fraction, above), each raised
+    as DomainError, in that order: for x < lo; for a fraction, nan, +-inf, a
+    bool or a non-number (an array, without `array`); for x >= hi (None: no
+    bound).  Their "{}" is the refused value, by `format` (above, by
+    `count_text`).  A sequence is read as Python objects, so an int past 64
+    bits stays exact; an int, and an int or uint array, skip the integrality test."""
+    below, fraction, above = messages
+    if array:
+        a = np.asarray(x, dtype=None if isinstance(x, np.ndarray) else object)
+        if a.dtype.kind == "O":
+            for v in a.flat:
+                _whole(v, messages, lo, hi)
+            return a
+        if a.dtype.kind not in "iuf":
+            raise DomainError(fraction.format(x))
+        bad = a < lo
+        if a.dtype.kind == "f":  # unlike %, floor and isinf raise no warning at inf
+            bad |= np.isinf(a) | (np.floor(a) != a)
+        if hi is not None:
+            bad |= a >= hi
+        if not bad.any():
+            return a
+        x = a[bad][0].item()  # the first element refused, read as a scalar
+    elif isinstance(x, (np.generic, np.ndarray)) and not x.ndim:
+        x = x.item()
+    if type(x) not in (int, float):
+        raise DomainError(fraction.format(x))
+    if x < lo:
+        raise DomainError(below.format(x))
+    if type(x) is float and not x.is_integer():
+        raise DomainError(fraction.format(x))
+    if hi is not None and x >= hi:
+        raise DomainError(above.format(count_text(int(x))))
+    return int(x)
+
+
 def twice(x) -> int:
     """Twice the half-integer x, as an exact int.
 
     J, m_z, L and M live on a half-integer lattice; carrying twice their
     value keeps selection rules (parity, triangle conditions) free of float
     equality.  Ints pass; a float passes when twice it is within 1e-9 of an
-    integer.  Anything else raises DomainError, as do NaN, +-inf and a float
-    whose double overflows.
+    integer.  Anything else raises DomainError, as do NaN, +-inf, a bool
+    and a float whose double overflows.
     """
-    if isinstance(x, (int, np.integer)):
-        return 2 * int(x)
     if isinstance(x, (float, np.floating)):
         d = finite(2.0 * float(x), f"{x!r} is not a half-integer")
         if abs(d - round(d)) <= 1e-9:
             return round(d)
         raise DomainError(f"{x!r} is not a half-integer")
-    raise DomainError(f"cannot interpret {x!r} as a half-integer")
+    return 2 * _whole(x, (None, "cannot interpret {} as a half-integer", None), -math.inf)
 
 
 def log_factorial(n):
@@ -78,18 +114,13 @@ def log_factorial(n):
     the doubles; an integral float such as 3.0 passes, and anything else
     raises DomainError.  An int or uint array skips the integrality test.
     """
-    if not (isinstance(n, np.ndarray) and n.ndim):
-        n = finite(n, "factorial of a non-finite or non-real number")
-        if 0 <= n <= _LOGFACT_EXACT_MAX and not n % 1:
-            return float(_LOGFACT_TABLE[int(n)])
+    n = _whole(n, ("factorial of a negative integer", "factorial of a non-integer", None),
+               array=isinstance(n, np.ndarray) and n.ndim > 0)
+    if not isinstance(n, np.ndarray):
+        if n <= _LOGFACT_EXACT_MAX:
+            return float(_LOGFACT_TABLE[n])
         return float(log_factorial(np.array([n]))[0])
-    if n.size and n.min() < 0:
-        raise DomainError("factorial of a negative integer")
-    index = np.minimum(n, _LOGFACT_EXACT_MAX)
-    if n.dtype.kind not in "iu":
-        if (n % 1).any():
-            raise DomainError("factorial of a non-integer")
-        index = index.astype(np.intp)
+    index = np.minimum(n, _LOGFACT_EXACT_MAX).astype(np.intp, copy=False)
     out = _LOGFACT_TABLE[index]
     big = n > _LOGFACT_EXACT_MAX
     try:

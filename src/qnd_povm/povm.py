@@ -28,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._record import Record
 from .errors import (MAX_ENTRIES, DomainError, PreconditionError, ResourceCapError,
                      count_text, reserve)
-from .numerics import finite, log_factorial
+from .numerics import _whole, finite, log_factorial
 from .spin_state import CollectiveState, normalize, scale_amplitudes
 
 _TWO_PI = 2.0 * math.pi
@@ -49,19 +49,9 @@ def _wrap_pi(x):
     return math.pi - (math.pi - x) % _TWO_PI
 
 
-def _check_counts(n: np.ndarray):
-    """Raise DomainError unless the array `n` holds valid photon counts:
-    non-negative integers below 2^53.  An int or uint array skips the
-    integrality test."""
-    if not n.size:
-        return
-    if not n.min() >= 0:  # written so that nan fails too
-        raise DomainError("photon counts must be non-negative")
-    # float64 holds every integer only up to 2^53
-    if not n.max() < 1 << 53:
-        raise DomainError("photon counts must be below 2^53")
-    if n.dtype.kind not in "iu" and (n % 1).any():
-        raise DomainError("photon counts must be integers")
+# photon counts are the integers in [0, 2^53), every one of which a double holds
+_COUNTS = ("photon counts must be non-negative", "photon counts must be integers",
+           "photon counts must be below 2^53")
 
 
 class QndParams(Record):
@@ -128,8 +118,7 @@ class PhotonOutcome(Record):
     """Photon counts registered by the two detectors."""
 
     def __init__(self, n_c: int, n_d: int):
-        _check_counts(np.array([n_c, n_d]))
-        self._keep(int(n_c), int(n_d))
+        self._keep(_whole(n_c, _COUNTS, hi=1 << 53), _whole(n_d, _COUNTS, hi=1 << 53))
 
     @property
     def total(self) -> int:
@@ -247,11 +236,9 @@ def _log_bases(params: QndParams, m: np.ndarray):
 
 def _counts(n_c, n_d):
     """Two equal-length 1-d arrays of valid photon counts, as int64."""
-    n_c, n_d = np.asarray(n_c), np.asarray(n_d)
+    n_c, n_d = (_whole(n, _COUNTS, hi=1 << 53, array=True) for n in (n_c, n_d))
     if not (n_c.ndim == 1 and n_c.shape == n_d.shape):
         raise DomainError("n_c and n_d must be 1-d arrays of one length")
-    _check_counts(n_c)
-    _check_counts(n_d)
     return n_c.astype(np.int64), n_d.astype(np.int64)
 
 
@@ -277,7 +264,7 @@ class _Kernel:
 
     def envelope(self, n_c, n_d):
         """C[B] and E[B, k] of the outcomes (n_c[b], n_d[b]), int64 arrays
-        that `_counts` passed; see `eigen`.
+        of valid photon counts; see `eigen`.
 
         An exact zero base raised to a positive count is cut to -inf here,
         and nothing else is: a finite envelope stays finite however large
@@ -357,7 +344,7 @@ def eigen(params: QndParams, outcome: PhotonOutcome, m):
     refuses raises DomainError.
     """
     kernel = _Kernel(params, finite(m, _M_Z, array=True))
-    log_c, log_e = kernel.envelope(*_counts([outcome.n_c], [outcome.n_d]))
+    log_c, log_e = kernel.envelope(np.array([outcome.n_c]), np.array([outcome.n_d]))
     return float(log_c[0]), log_e[0], _phase(params, outcome, kernel.m)
 
 
@@ -454,7 +441,7 @@ class _Mixture:
     def condition(self, outcome: PhotonOutcome):
         """`condition` of `outcome` on the state."""
         log_p, shift, log_e, _ = self.kernel.condition(
-            *_counts([outcome.n_c], [outcome.n_d]))
+            np.array([outcome.n_c]), np.array([outcome.n_d]))
         if log_p[0] == -math.inf:
             return -math.inf, None
         # |psi_m| e^{E - shift / 2} <= 1, with equality at the peak term
@@ -641,12 +628,11 @@ class _OutcomeTable:
         mass_tolerance = finite(mass_tolerance, "mass_tolerance must lie strictly between 0 and 1")
         if not (0.0 < mass_tolerance < 1.0):
             raise DomainError("mass_tolerance must lie strictly between 0 and 1")
-        if max_total is not None and max_total < 0:
-            raise DomainError("max_total must be non-negative")
         s = params.photon_mean
         # 4 s + 100 overflows from s ~ 4.5e307, where the row cap refuses anyway
-        cap = (int(max_total) if max_total is not None
-               else int(min(4.0 * s + 100.0, np.finfo(float).max)))
+        cap = (_whole(max_total, ("max_total must be non-negative",
+                                  "max_total {} is not an integer", None))
+               if max_total is not None else int(min(4.0 * s + 100.0, np.finfo(float).max)))
         support = mixture.m.size
         k, prev = 4.0, None
         while True:
@@ -785,17 +771,11 @@ def _mixture_rows(a: np.ndarray, b: np.ndarray, lo: int):
 def _seed_array(seeds) -> np.ndarray:
     """The seeds as a uint64 array; DomainError for any that is not an
     integer in [0, 2^64).  An integral float such as 3.0 passes."""
-    if isinstance(seeds, np.ndarray) and seeds.dtype.kind == "u":
-        return seeds.astype(np.uint64, copy=False)
-    seeds = list(seeds)
-    bad = [s for s in seeds if s % 1]  # nan and inf leave a nan remainder
-    if bad:
-        raise DomainError(f"seed {bad[0]!r} is not an integer")
-    seeds = [int(s) for s in seeds]
-    bad = [s for s in seeds if not 0 <= s < 1 << 64]
-    if bad:
-        raise DomainError(f"seed {bad[0]} is outside [0, 2^64)")
-    return np.array(seeds, dtype=np.uint64)
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype.kind == "u"):
+        outside = "seed {} is outside [0, 2^64)"
+        seeds = _whole(seeds, (outside, "seed {} is not an integer", outside), hi=1 << 64,
+                       array=True)
+    return seeds.astype(np.uint64, copy=False)
 
 
 def _uniforms(seeds: np.ndarray, k: int) -> np.ndarray:

@@ -12,30 +12,23 @@ import math
 import numpy as np
 
 from ._record import Record
-from .errors import DomainError, PreconditionError
-from .numerics import finite, log_factorial, twice
+from .errors import MAX_ENTRIES, DomainError, PreconditionError
+from .numerics import _whole, finite, log_factorial, twice
 
 _NORM_TOL = 1e-9
 # the smallest normal double
 _TINY = float(np.finfo(float).tiny)
 
 
-def whole_two_j(two_j) -> int:
-    """2J as an int.  An int, an integral float such as 2.0 and a numpy
-    scalar pass; a negative, fractional or non-finite value raises
-    DomainError."""
-    if two_j < 0:
-        raise DomainError("negative total spin")
-    if two_j % 1:  # nan and inf leave a nan remainder
-        raise DomainError(f"2J={two_j} is not an integer")
-    return int(two_j)
+_TWO_J = ("negative total spin", "2J={} is not an integer",
+          f"a state of 2J={{}} needs over the cap of {MAX_ENTRIES} amplitudes")
 
 
 class CollectiveState(Record):
     """One total-spin block: amps[i] is the amplitude of m_z = -J + i."""
 
     def __init__(self, two_j: int, amps: np.ndarray):
-        two_j = whole_two_j(two_j)
+        two_j = _whole(two_j, _TWO_J, hi=MAX_ENTRIES)
         a = np.array(amps, dtype=complex)
         if a.shape != (two_j + 1,):
             raise DomainError(f"a state of 2J={two_j} needs {two_j + 1} amplitudes")
@@ -92,10 +85,9 @@ class SpinMoments(Record):
 
 def dicke_state(J, m_z) -> CollectiveState:
     """Basis ket |J, m_z>."""
-    tj = twice(J)
-    ket = np.arange(-tj, tj + 1, 2) == twice(m_z)
-    if not ket.any():
-        raise DomainError(f"m_z={m_z} not in 2J={tj}")
+    tj = _whole(twice(J), _TWO_J, hi=MAX_ENTRIES)
+    ket = np.zeros(tj + 1)
+    ket[CollectiveState(tj, ket).index_of(m_z)] = 1.0
     return CollectiveState(tj, ket)
 
 
@@ -105,10 +97,9 @@ def coherent_state(N: int, theta: float) -> CollectiveState:
     Amplitude on m_z is sqrt(C(N, N/2+m_z)) cos^(N/2+m_z)(theta/2)
     sin^(N/2-m_z)(theta/2); the azimuthal angle is fixed at zero so the
     amplitudes are real.  Formed in log space so N ~ 10^3 stays accurate.
-    A theta that `finite` refuses raises DomainError.
+    An N outside [1, MAX_ENTRIES) or a theta that `finite` refuses raises DomainError.
     """
-    if N < 1:
-        raise DomainError("need at least one spin")
+    N = _whole(N, ("need at least one spin", *_TWO_J[1:]), 1, MAX_ENTRIES)
     theta = finite(theta, "theta must be a finite real")
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
@@ -212,13 +203,7 @@ def state_from_json(data: dict) -> CollectiveState:
         records = data["sectors"]
         if len(records) != 1:
             raise DomainError(f"a state record holds one spin block, not {len(records)}")
-        two_j = records[0]["twoJ"]
-        # a bool is an int, and int() would parse "2" and truncate 2.5
-        real = (int, float, np.integer, np.floating)
-        if isinstance(two_j, bool) or not isinstance(two_j, real):
-            raise DomainError(f"malformed state record: twoJ {two_j!r} is not a number")
-        two_j = whole_two_j(two_j)
-        amps = np.array([complex(re, im) for re, im in records[0]["amps"]])
+        return CollectiveState(records[0]["twoJ"],
+                               [complex(re, im) for re, im in records[0]["amps"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed state record: {exc}") from exc
-    return CollectiveState(two_j, amps)

@@ -15,7 +15,7 @@ import numpy as np
 from .analysis import DensityMatrix, density_from_state, wigner
 from .approx import gaussian_model
 from .errors import DomainError
-from .numerics import clebsch_gordan, legendre_sum, log_factorial
+from .numerics import _whole, clebsch_gordan, legendre_sum, log_factorial
 from .povm import (PhotonOutcome, QndParams, _uniforms, _wrap_pi, condition, condition_many,
                    eigen, log_amplitude, log_matrix_element_direct, outcome_distribution)
 from .spin_state import CollectiveState, coherent_state, dicke_state, normalize, overlap
@@ -312,6 +312,7 @@ def check_composition(params: QndParams, state: CollectiveState, first, second) 
 
 
 def run_all(seed: int = 20260810) -> list[Check]:
+    seed = _whole(seed, ("seed {} is negative", "seed {} is not an integer", None))
     rng = lambda k: _Draws(seed, k)
     light = lambda n: QndParams(gamma=5.1, chi=5.0, gt=math.pi / n)
     return [

@@ -251,6 +251,14 @@ def test_wigner_sums_only_the_live_half_of_g(monkeypatch, state, live):
     assert np.array_equal(pairs, np.ascontiguousarray(want).view(float))
 
 
+def test_wigner_prints_a_grid_size_past_the_doubles_in_three_digits():
+    # the cap message once printed all 401 digits of n_phi
+    rho = density_from_state(coherent_state(2, 1.0))
+    with pytest.raises(ResourceCapError, match=r"^a 181x1\.00e\+400 Wigner grid at 2J=2 needs "
+                                               r"an array of 1\.81e\+402 entries, over the cap"):
+        wigner(rho, n_phi=10**400)
+
+
 def test_density_matrix_meets_the_cap_before_it_copies(monkeypatch):
     rho = np.eye(11) / 11.0
     monkeypatch.setattr(errors, "MAX_ENTRIES", 11 * 11 - 1)

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnd_povm import _clebsch, approx, numerics, povm
-from qnd_povm.analysis import DensityMatrix, cat_state, density_from_state
+from qnd_povm import _clebsch, approx, numerics, povm, validate
+from qnd_povm.analysis import (DensityMatrix, cat_fidelity, cat_state, density_from_state,
+                               parity_pattern_check, wigner)
 from qnd_povm.errors import DomainError
 from qnd_povm.numerics import cg_blocks, clebsch_gordan, legendre_sum, log_factorial, twice
 from qnd_povm.povm import PhotonOutcome, QndParams
-from qnd_povm.spin_state import coherent_state, dicke_state
+from qnd_povm.spin_state import CollectiveState, coherent_state, dicke_state, state_from_json
 
 from legendre_oracle import legendre_norm_table, legendre_sum_every_column
 
@@ -230,6 +231,7 @@ _NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "10**400": 1
 _NON_NUMBERS = {"str": "0.5", "None": None, "list": [1.0, 2.0]}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("call, x", [
     pytest.param(call, x, id=f"{name}-{label}")
     for name, call, scalar in _entry_points()
@@ -237,6 +239,113 @@ _NON_NUMBERS = {"str": "0.5", "None": None, "list": [1.0, 2.0]}
 def test_every_real_argument_refuses_what_finite_refuses(call, x):
     # 10**400 once raised OverflowError everywhere, and coherent_state's inf
     # a math domain ValueError
+    with pytest.raises(DomainError):
+        call(x)
+
+
+# ---------------------------------------------------- one refusal of a whole number
+
+_WORDS = ("below {}", "fraction {}", "above {}")
+
+
+@pytest.mark.parametrize("x, want", [
+    (3, 3), (3.0, 3), (np.int64(3), 3), (np.float32(3.0), 3), (np.array(3), 3),
+    (np.uint64(2**64 - 1), 2**64 - 1), (2.0**60, 2**60), (10**400, 10**400)])
+def test_whole_reads_an_int(x, want):
+    got = numerics._whole(x, _WORDS)
+    assert type(got) is int and got == want
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x, message", [
+    (-1, "below -1"), (-0.5, "below -0.5"), (-math.inf, "below -inf"),
+    (np.int8(-3), "below -3"), (2.5, "fraction 2.5"), (np.float64(1.5), "fraction 1.5"),
+    (math.nan, "fraction nan"), (math.inf, "fraction inf"), (True, "fraction True"),
+    (np.True_, "fraction True"), ("3", "fraction 3"), (None, "fraction None"),
+    (1j, "fraction 1j"), ([3], "fraction [3]"), (np.array([3]), "fraction [3]"),
+    (10, "above 10"), (10.0, "above 10"), (10**400, "above 1.00e+400"),
+    (1e300, "above 1.00e+300")])
+def test_whole_refuses_with_the_callers_message(x, message):
+    # below lo first, as a comparison nan passes; then not whole; then at or above hi
+    with pytest.raises(DomainError) as exc:
+        numerics._whole(x, _WORDS, 0, 10)
+    assert str(exc.value) == message
+
+
+def test_whole_reads_arrays():
+    ints, floats = np.arange(5), np.array([0.0, 3.0, 2.0**60])
+    assert numerics._whole(ints, _WORDS, array=True) is ints
+    assert numerics._whole(floats, _WORDS, array=True) is floats
+    # a sequence is read as Python objects: as float64, 2^64 - 1 would round to 2^64
+    assert numerics._whole([0, 2**64 - 1], _WORDS, hi=1 << 64, array=True).astype(
+        np.uint64).tolist() == [0, 2**64 - 1]
+    assert numerics._whole(7, _WORDS, array=True).ndim == 0
+    assert numerics._whole([], _WORDS, array=True).size == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x, message", [
+    ([1, -1, 2.5], "below -1"), ([1, 2.5, -1], "fraction 2.5"),
+    (np.array([1.0, 2.5, -1.0]), "fraction 2.5"), (np.array([3.0, math.inf]), "fraction inf"),
+    (np.array([3, 12, -1]), "above 12"), ([3, 10**400], "above 1.00e+400"),
+    (np.array([5, 2**70], dtype=object), "above 1.18e+21"), ([True], "fraction True"),
+    (np.array([True]), "fraction [ True]"), (["x"], "fraction x"),
+    ([[1, 2], [3]], "fraction [1, 2]")])
+def test_whole_names_the_first_element_it_refuses(x, message):
+    with pytest.raises(DomainError) as exc:
+        numerics._whole(x, _WORDS, 0, 10, array=True)
+    assert str(exc.value) == message
+
+
+def _whole_entry_points():
+    """(name, call of one whole-number argument, whether the argument is a
+    half-integer spin, the out-of-range values it refuses) for every
+    whole-number argument of povm, spin_state, analysis, approx, validate
+    and numerics."""
+    params, out = QndParams(3.0, 3.0, math.pi / 10.0), PhotonOutcome(5, 5)
+    state = coherent_state(4, 1.0)
+    rho = density_from_state(coherent_state(2, 1.0))
+    record = lambda x: {"sectors": [{"twoJ": x, "amps": [[1.0, 0.0], [0.0, 0.0]]}]}
+    both, below = {"10**400": 10**400, "-1": -1}, {"-1": -1}
+    return [
+        ("PhotonOutcome-n_c", lambda x: PhotonOutcome(x, 0), False, both),
+        ("PhotonOutcome-n_d", lambda x: PhotonOutcome(0, x), False, both),
+        ("condition_many", lambda x: povm.condition_many(params, [x], [1], state), False, both),
+        ("condition_many-array",
+         lambda x: povm.condition_many(params, [1], np.array([x]), state), False, both),
+        ("sample_outcomes", lambda x: povm.sample_outcomes(params, state, [x]), False, both),
+        ("sample_outcomes-array",
+         lambda x: povm.sample_outcomes(params, state, np.array([x])), False, both),
+        ("max_total", lambda x: povm.outcome_distribution(params, state, 1e-6, max_total=x),
+         False, below),
+        ("CollectiveState", lambda x: CollectiveState(x, [1.0, 0.0]), False, both),
+        ("DensityMatrix", lambda x: DensityMatrix(x, np.diag([1.0, 0.0])), False, both),
+        ("state_from_json", lambda x: state_from_json(record(x)), False, both),
+        ("coherent_state", lambda x: coherent_state(x, 1.0), False, both),
+        ("cat_state", cat_state, False, both),
+        ("cat_fidelity", lambda x: cat_fidelity(cat_state(1), x), False, both),
+        ("parity_pattern_check", lambda x: parity_pattern_check(
+            QndParams(5.0, 5.0, math.pi / 2.0), out, x), False, both),
+        ("dicke_state", lambda x: dicke_state(x, 0), True, both),
+        ("peak_solutions", lambda x: approx.peak_solutions(params, out, x), True, both),
+        ("wigner-n_theta", lambda x: wigner(rho, n_theta=x, n_phi=3), False, below),
+        ("wigner-n_phi", lambda x: wigner(rho, n_theta=3, n_phi=x), False, below),
+        ("run_all", validate.run_all, False, below),
+        ("twice", twice, True, {}),
+        ("log_factorial", log_factorial, False, below),
+        ("log_factorial-array", lambda x: log_factorial(np.array([x])), False, below),
+    ]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call, x", [
+    pytest.param(call, x, id=f"{name}-{label}")
+    for name, call, spin, outside in _whole_entry_points()
+    for label, x in ({"nan": math.nan, "inf": math.inf, "str": "x", "bool": True,
+                      "fraction": 2.25 if spin else 2.5} | outside).items()])
+def test_every_whole_argument_refuses_what_the_reader_refuses(call, x):
+    # each of these once raised ValueError, TypeError, OverflowError or
+    # numpy's UFuncTypeError, or read 2.5 as 2 and True as 1
     with pytest.raises(DomainError):
         call(x)
 

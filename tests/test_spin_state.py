@@ -156,6 +156,13 @@ def test_state_checks_its_shape():
         st.index_of(1)  # parity mismatch
 
 
+def test_a_spin_past_the_cap_is_refused_in_three_digits():
+    # 2J = 10**400 once reached the shape message, which printed it in full
+    with pytest.raises(DomainError, match=r"^a state of 2J=1\.00e\+400 needs over the cap of "
+                                          r"16777216 amplitudes$"):
+        CollectiveState(10**400, [1])
+
+
 def test_support_lists_the_nonzero_amplitudes():
     st = CollectiveState(5, np.array([0.6, 0.0, 0.0, 0.8j, 0.0, 0.0]))
     m, w = st.support()
