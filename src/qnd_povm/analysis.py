@@ -11,10 +11,11 @@ from functools import cached_property
 import numpy as np
 
 from ._record import Record
-from .errors import MAX_ENTRIES, DomainError, PreconditionError, count_text, reserve
+from .errors import DomainError, PreconditionError, reserve
 from .numerics import _whole, cg_blocks, legendre_sum
 from .povm import PhotonOutcome, QndParams, eigen
-from .spin_state import _TWO_J, CollectiveState, coherent_state, moments, normalize, overlap
+from .spin_state import (CollectiveState, _spin_size, coherent_state, moments, normalize,
+                         overlap)
 
 _RESIDUE_TOL = 1e-10
 _PARSEVAL_TOL = 1e-10
@@ -24,15 +25,15 @@ def _reserve_square(two_j: int):
     """Refuse a density matrix, and with it a multipole table, of over
     MAX_ENTRIES entries, before either is built."""
     d = two_j + 1
-    reserve(d * d, f"a density matrix at 2J={count_text(two_j)} holds {count_text(d * d)} "
-                   f"entries, over the cap of {MAX_ENTRIES}")
+    reserve(d * d, "a density matrix at 2J={} holds {} entries, over the cap of {cap}",
+            two_j, d * d)
 
 
 class DensityMatrix(Record):
     """Density matrix of one total spin, indexed by (m_z, m_z')."""
 
     def __init__(self, two_j: int, rho: np.ndarray):
-        two_j = _whole(two_j, _TWO_J, hi=MAX_ENTRIES)
+        two_j = _spin_size(two_j)
         d = two_j + 1
         _reserve_square(two_j)
         r = np.array(rho, dtype=complex)
@@ -152,9 +153,8 @@ def wigner(rho: DensityMatrix, n_theta: int = 181, n_phi: int = 361) -> WignerGr
     two_j = rho.two_j
     n_m = two_j + 1
     largest = max(n_theta * n_m, n_m * n_phi, n_theta * n_phi)
-    reserve(largest, f"a {count_text(n_theta)}x{count_text(n_phi)} Wigner grid at 2J={two_j} "
-                     f"needs an array of {count_text(largest)} entries, over the cap of "
-                     f"{MAX_ENTRIES}")
+    reserve(largest, "a {}x{} Wigner grid at 2J={} needs an array of {} entries, over the "
+            "cap of {cap}", n_theta, n_phi, two_j, largest)
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi)
     residual = rho.parseval_residual()
@@ -192,7 +192,7 @@ def parity_pattern_check(params: QndParams, outcome: PhotonOutcome,
     relative to the peak (an asymptotic statement, so ``strict`` reflects
     whether every off-support amplitude cleared the 1e-12 relative bar).
     """
-    N = _whole(N, _TWO_J, hi=MAX_ENTRIES)
+    N = _spin_size(N)
     if N < 2 or N % 2 != 0:
         raise PreconditionError("parity classification assumes even N")
     if abs(params.gt - math.pi / 2.0) > 1e-9:

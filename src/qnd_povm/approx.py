@@ -17,10 +17,10 @@ import math
 import numpy as np
 
 from ._record import Record
-from .errors import MAX_ENTRIES, DomainError, PreconditionError, ZeroProjectionError
-from .numerics import _whole, finite, twice
+from .errors import DomainError, PreconditionError, ZeroProjectionError
+from .numerics import finite, twice
 from .povm import PhotonOutcome, QndParams, eigen, phase_phi
-from .spin_state import _TWO_J, CollectiveState, normalize, scale_amplitudes
+from .spin_state import CollectiveState, _spin_size, normalize, scale_amplitudes
 
 
 class GaussianModel(Record):
@@ -92,7 +92,7 @@ def peak_solutions(params: QndParams, outcome: PhotonOutcome, J) -> list[float]:
     """
     if outcome.total == 0:
         raise PreconditionError("peak location needs at least one photon")
-    jv = _whole(twice(J), _TWO_J, hi=MAX_ENTRIES) / 2.0
+    jv = _spin_size(twice(J)) / 2.0
     c2e = params.cos_2eta
     r = outcome.r
     if abs(r) > c2e:
@@ -165,7 +165,7 @@ def round_to_sector_parity(m0: float, two_j: int) -> int:
     half-integers; exact ties break toward zero.
     """
     t = 2.0 * m0
-    parity = two_j % 2
+    parity = _spin_size(two_j) % 2
     lo = math.floor(t)
     if (lo - parity) % 2 != 0:
         lo -= 1

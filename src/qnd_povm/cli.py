@@ -35,10 +35,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (MAX_ENTRIES, ConfigError, DomainError, PreconditionError,
-                     QndError, ResourceCapError, count_text, reserve)
+from .errors import (ConfigError, DomainError, PreconditionError, QndError, ResourceCapError,
+                     reserve)
 from .povm import PhotonOutcome, _Mixture, _OutcomeTable, eigen, posterior
-from .spin_state import moments, state_to_json
+from .spin_state import _spin_size, moments, state_to_json
 
 HEADER = f"# qnd-povm v{__version__}, schema v1"
 
@@ -188,8 +188,7 @@ def write_table(path, columns, blocks, meta=None, fmt="csv"):
 def _check_spin_dimensions(raw):
     """Refuse, before any state or m grid exists, an N over the cap."""
     for n in [case["N"] for case in raw.get("cases", [])] + [raw.get("N", 0)]:
-        reserve(n + 1, f"N = {count_text(n)} gives a spin dimension of "
-                       f"{count_text(n + 1)}, over the cap of {MAX_ENTRIES}")
+        _spin_size(n)
 
 
 def cmd_amp_scan(cfg: ExperimentConfig, out, fmt) -> int:
@@ -283,9 +282,8 @@ def cmd_measure(cfg: ExperimentConfig, out, fmt) -> int:
     if dump and (out is None or out == "-"):
         raise ConfigError("dump_posteriors needs --out FILE to anchor the dump dir")
     if dump:
-        reserve(cfg.raw["shots"] * (cfg.n_atoms + 1),
-                f"dumping {count_text(cfg.raw['shots'])} posteriors of dimension "
-                f"{count_text(cfg.n_atoms + 1)} writes over the cap of {MAX_ENTRIES} amplitudes")
+        reserve(cfg.raw["shots"] * (cfg.n_atoms + 1), "dumping {} posteriors of dimension {} "
+                "writes over the cap of {cap} amplitudes", cfg.raw["shots"], cfg.n_atoms + 1)
     dump_dir = f"{out}.posteriors"
     mixture = _Mixture(params, state)
     draw = mixture.sampler()

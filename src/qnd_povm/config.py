@@ -203,16 +203,16 @@ def parse_angle(value, N: int | None = None) -> float:
         if m.group("sign") == "-":
             coef = -coef
         den = m.group("den")
-        if den is None:
-            d = 1.0
-        elif den.upper() == "N":
+        if den is not None and den.upper() == "N":
             if N is None:
                 raise ConfigError("angle uses N but no atom number is configured")
-            d = float(N)
-        else:
-            d = float(den)
-            if d == 0.0:
-                raise ConfigError("zero denominator in angle")
+            den = N
+        try:
+            d = 1.0 if den is None else float(den)
+        except OverflowError:
+            raise ConfigError(f"angle {value!r} divides by an N past the doubles") from None
+        if d == 0.0:
+            raise ConfigError("zero denominator in angle")
         angle = coef * math.pi / d
     if not math.isfinite(angle):
         raise ConfigError(f"angle {value!r} is not finite")

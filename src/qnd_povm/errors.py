@@ -39,19 +39,20 @@ class ResourceCapError(QndError):
         self.captured_mass = captured_mass
 
 
-def reserve(entries: int, message: str):
+def reserve(entries: int, message: str, *counts):
     """Refuse, before it is allocated, an array of over MAX_ENTRIES entries:
-    the one comparison against the cap."""
+    the one comparison against the cap.  The message is formatted only on
+    refusal: each "{}" is the next count, by `count_text`, and "{cap}" is the cap."""
     if entries > MAX_ENTRIES:
-        raise ResourceCapError(message)
+        raise ResourceCapError(message.format(*map(count_text, counts), cap=MAX_ENTRIES))
 
 
 def count_text(n: int) -> str:
-    """A count as the cap messages print it: every digit below 2^53, and
-    three significant ones from there, where a double no longer holds every
-    integer (light near the double range gives counts of hundreds of
-    digits)."""
-    if n < 1 << 53:
+    """A count as the cap messages print it: every digit below 2^53 in
+    magnitude, and three significant ones from there, where a double no
+    longer holds every integer (light near the double range gives counts of
+    hundreds of digits)."""
+    if abs(n) < 1 << 53:
         return str(n)
     from decimal import Decimal  # only a refusal of such a count reaches it
 

@@ -26,8 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._record import Record
-from .errors import (MAX_ENTRIES, DomainError, PreconditionError, ResourceCapError,
-                     count_text, reserve)
+from .errors import DomainError, PreconditionError, ResourceCapError, count_text, reserve
 from .numerics import _whole, finite, log_factorial
 from .spin_state import CollectiveState, normalize, scale_amplitudes
 
@@ -425,8 +424,7 @@ class _Mixture:
     def log_factorials(self, top: int) -> np.ndarray:
         """ln n! for n = 0..top, a view of the one table, grown as needed."""
         if self._lf.size <= top:
-            reserve(top + 1, f"ln n! to {count_text(top)} is over the cap of {MAX_ENTRIES} "
-                             "entries")
+            reserve(top + 1, "ln n! to {} is over the cap of {cap} entries", top)
             self._lf = np.append(self._lf, log_factorial(np.arange(self._lf.size, top + 1)))
         return self._lf[:top + 1]
 
@@ -532,9 +530,8 @@ class _Mixture:
         cdf_m = np.cumsum(self.weights)
         lo, width = self.window(_TAIL)
         k = self.m.size
-        reserve(2 * k * width, f"the sampler's per-port Poisson tables (2 x {k} x "
-                               f"{count_text(width)}) are over the cap of {MAX_ENTRIES} "
-                               "entries")
+        reserve(2 * k * width, "the sampler's per-port Poisson tables (2 x {} x {}) are over "
+                "the cap of {cap} entries", k, width)
         cdf = self.pmf(lo, width)
         # in place, and row i of port c, row k + i of port d
         cdf = np.cumsum(cdf, axis=2, out=cdf).reshape(2 * k, width)
@@ -640,11 +637,10 @@ class _OutcomeTable:
             hi = math.floor(s + k * math.sqrt(s))
             top = min(hi, cap)
             n_rows = (top - lo + 1) * (lo + top + 2) // 2
-            reserve(n_rows, f"the photon window {count_text(lo)}..{count_text(top)} holds "
-                            f"{count_text(n_rows)} outcomes, over the cap of {MAX_ENTRIES}")
-            reserve(2 * support * (hi + 1), f"the per-port Poisson tables (2 x {support} x "
-                                            f"{count_text(hi + 1)}) are over the cap of "
-                                            f"{MAX_ENTRIES} entries")
+            reserve(n_rows, "the photon window {}..{} holds {} outcomes, over the cap of {cap}",
+                    lo, top, n_rows)
+            reserve(2 * support * (hi + 1), "the per-port Poisson tables (2 x {} x {}) are over "
+                    "the cap of {cap} entries", support, hi + 1)
             marginal = mixture.weights.sum() * np.exp(
                 np.arange(lo, top + 1) * math.log(s) - s - mixture.log_factorials(top)[lo:])
             mass = float(marginal.sum())

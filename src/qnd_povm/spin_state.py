@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ._record import Record
-from .errors import MAX_ENTRIES, DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, count_text, reserve
 from .numerics import _whole, finite, log_factorial, twice
 
 _NORM_TOL = 1e-9
@@ -20,15 +20,18 @@ _NORM_TOL = 1e-9
 _TINY = float(np.finfo(float).tiny)
 
 
-_TWO_J = ("negative total spin", "2J={} is not an integer",
-          f"a state of 2J={{}} needs over the cap of {MAX_ENTRIES} amplitudes")
+def _spin_size(n, lo=0, below="negative total spin") -> int:
+    """N = 2J, read by `_whole`, with N + 1 states over the cap refused by `reserve`."""
+    n = _whole(n, (below, "2J={} is not an integer", None), lo)
+    reserve(n + 1, "N = {} gives a spin dimension of {}, over the cap of {cap}", n, n + 1)
+    return n
 
 
 class CollectiveState(Record):
     """One total-spin block: amps[i] is the amplitude of m_z = -J + i."""
 
     def __init__(self, two_j: int, amps: np.ndarray):
-        two_j = _whole(two_j, _TWO_J, hi=MAX_ENTRIES)
+        two_j = _spin_size(two_j)
         a = np.array(amps, dtype=complex)
         if a.shape != (two_j + 1,):
             raise DomainError(f"a state of 2J={two_j} needs {two_j + 1} amplitudes")
@@ -55,7 +58,8 @@ class CollectiveState(Record):
     def index_of(self, m_z) -> int:
         tm = twice(m_z)
         if (tm - self.two_j) % 2 != 0 or abs(tm) > self.two_j:
-            raise DomainError(f"m_z={m_z} not in 2J={self.two_j}")
+            shown = count_text(int(m_z)) if isinstance(m_z, (int, np.integer)) else m_z
+            raise DomainError(f"m_z={shown} not in 2J={self.two_j}")
         return (tm + self.two_j) // 2
 
     def _live(self) -> np.ndarray:
@@ -85,7 +89,7 @@ class SpinMoments(Record):
 
 def dicke_state(J, m_z) -> CollectiveState:
     """Basis ket |J, m_z>."""
-    tj = _whole(twice(J), _TWO_J, hi=MAX_ENTRIES)
+    tj = _spin_size(twice(J))
     ket = np.zeros(tj + 1)
     ket[CollectiveState(tj, ket).index_of(m_z)] = 1.0
     return CollectiveState(tj, ket)
@@ -97,9 +101,9 @@ def coherent_state(N: int, theta: float) -> CollectiveState:
     Amplitude on m_z is sqrt(C(N, N/2+m_z)) cos^(N/2+m_z)(theta/2)
     sin^(N/2-m_z)(theta/2); the azimuthal angle is fixed at zero so the
     amplitudes are real.  Formed in log space so N ~ 10^3 stays accurate.
-    An N outside [1, MAX_ENTRIES) or a theta that `finite` refuses raises DomainError.
+    N < 1 or a theta `finite` refuses is a DomainError; N over the cap, a ResourceCapError.
     """
-    N = _whole(N, ("need at least one spin", *_TWO_J[1:]), 1, MAX_ENTRIES)
+    N = _spin_size(N, 1, "need at least one spin")
     theta = finite(theta, "theta must be a finite real")
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
@@ -203,7 +207,7 @@ def state_from_json(data: dict) -> CollectiveState:
         records = data["sectors"]
         if len(records) != 1:
             raise DomainError(f"a state record holds one spin block, not {len(records)}")
-        return CollectiveState(records[0]["twoJ"],
+        return CollectiveState(_spin_size(records[0]["twoJ"]),
                                [complex(re, im) for re, im in records[0]["amps"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed state record: {exc}") from exc

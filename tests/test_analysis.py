@@ -58,6 +58,11 @@ def random_density(rng, two_j):
 
 # ------------------------------------------------------------- density matrix
 
+def test_density_from_the_zero_state_is_refused():
+    with pytest.raises(DomainError, match="^state carries no amplitude$"):
+        density_from_state(CollectiveState(2, [0, 0, 0]))
+
+
 def test_density_from_dicke():
     dm = density_from_state(dicke_state(4, -1))
     i = dicke_state(4, -1).index_of(-1)

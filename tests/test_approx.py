@@ -115,6 +115,8 @@ def test_peak_solutions_sine_zeros():
 
 def test_peak_solutions_out_of_reach():
     assert peak_solutions(P_REF, PhotonOutcome(0, 60), 50) == []
+    # no interaction, no peak: the envelope is flat in m_z
+    assert peak_solutions(QndParams(5.0, 5.0, 0.0), PhotonOutcome(25, 25), 50) == []
     with pytest.raises(PreconditionError):
         peak_solutions(P_REF, PhotonOutcome(0, 0), 50)
 
@@ -253,6 +255,11 @@ def test_project_zero_support():
         project(P_REF, st, 25.0, -1.0)  # collapse point away from support
     with pytest.raises(DomainError):
         project(P_REF, st, 0.0, 2.0)
+
+
+def test_project_refuses_an_unnormalized_state():
+    with pytest.raises(PreconditionError, match="^project needs a normalized state$"):
+        project(P_REF, CollectiveState(2, [1.0, 1.0, 0.0]), 25.0, 0.0)
 
 
 @pytest.mark.parametrize("u, m0", [(math.nan, 0.0), (math.inf, 0.0), (25.0, math.nan),

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import qnd_povm
-from qnd_povm import analysis, cli, errors, povm
+from qnd_povm import analysis, approx, cli, errors, povm, spin_state
 from qnd_povm.analysis import density_from_state, wigner
 from qnd_povm.approx import gaussian_model
 from qnd_povm.cli import main
@@ -79,6 +79,19 @@ def test_parse_angle_forms():
         parse_angle("pi/N")
     with pytest.raises(ConfigError):
         parse_angle("two pi")
+
+
+def test_parse_angle_refuses_an_n_it_cannot_divide_by():
+    # once ZeroDivisionError and OverflowError; the CLI's schema and N cap
+    # keep both out of a config, but the library takes any N
+    with pytest.raises(ConfigError, match="^zero denominator in angle$"):
+        parse_angle("pi/0")
+    with pytest.raises(ConfigError, match="^zero denominator in angle$"):
+        parse_angle("pi/N", 0)
+    with pytest.raises(ConfigError, match=r"^angle 'pi/N' divides by an N past the doubles$"):
+        parse_angle("pi/N", 10**400)
+    with pytest.raises(ConfigError, match="past the doubles"):
+        build_params(BASE["params"], 10**400)
 
 
 # ------------------------------------------------------------------ exit codes
@@ -1407,7 +1420,7 @@ def _reached(*args, **kwargs):
 CAP_SITES = {
     "ln-factorials": (
         5, lambda tmp: povm._Mixture(build_params(PD_SMALL["params"], 10),
-                                     coherent_state(10, 1.0)).log_factorials(10),
+                                     coherent_state(3, 1.0)).log_factorials(10),
         (povm, "log_factorial"), "ln n! to 10 is over the cap of "),
     "sampler-tables": (
         100, lambda tmp: povm._Mixture(build_params(PD_SMALL["params"], 10),
@@ -1419,7 +1432,7 @@ CAP_SITES = {
         (povm._Mixture, "log_factorials"), "the photon window "),
     # a faint light on many m_z: 36 rows, but 2 x 201 x 8 table entries
     "per-port-tables": (
-        100, lambda tmp: povm._OutcomeTable(povm.QndParams(gamma=1.0, chi=1.0, gt=0.1),
+        1000, lambda tmp: povm._OutcomeTable(povm.QndParams(gamma=1.0, chi=1.0, gt=0.1),
                                             coherent_state(200, 1.0), 1e-5),
         (povm._Mixture, "log_factorials"), "the per-port Poisson tables (2 x 201 x 8) "),
     "spin-dimension": (
@@ -1453,6 +1466,49 @@ def test_every_cap_refuses_through_reserve_before_it_allocates(tmp_path, monkeyp
         call(tmp_path)
     assert str(err.value).startswith(message)
     assert os.listdir(tmp_path) == []
+
+
+# each spin size, read by spin_state._spin_size: (a call with N = 2J, the
+# allocating step after the read, which must not run when it refuses, and
+# the start of the refusal an N + 1 at the cap meets next, if any)
+_PARITY = (povm.QndParams(5.0, 5.0, math.pi / 2.0), PhotonOutcome(5, 5))
+SPIN_SIZES = {
+    "CollectiveState": (lambda n: spin_state.CollectiveState(n, np.ones(n + 1)),
+                        (spin_state, "np"), None),
+    # the (N + 1)^2 density matrix is over the cap wherever N + 1 is at it
+    "DensityMatrix": (lambda n: analysis.DensityMatrix(n, np.eye(n + 1) / (n + 1)),
+                      (analysis, "np"), "a density matrix at 2J=10 holds 121 entries, "),
+    # `complex` shadowed in spin_state: the record's amplitudes, read after 2J
+    "state_from_json": (lambda n: spin_state.state_from_json(
+        {"sectors": [{"twoJ": n, "amps": [[1.0, 0.0]] * (n + 1)}]}),
+        (spin_state, "complex"), None),
+    "dicke_state": (lambda n: spin_state.dicke_state(n / 2, n / 2), (spin_state, "np"), None),
+    "coherent_state": (lambda n: coherent_state(n, 1.0), (spin_state, "np"), None),
+    "cat_state": (analysis.cat_state, (spin_state, "np"), None),
+    "parity_pattern_check": (lambda n: analysis.parity_pattern_check(*_PARITY, n),
+                             (analysis, "np"), None),
+    "peak_solutions": (lambda n: approx.peak_solutions(*_PARITY, n / 2), (approx, "math"), None),
+    "cli-N": (lambda n: cli._check_spin_dimensions({"cases": [{"N": 3}, {"N": n}]}),
+              None, None),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SPIN_SIZES))
+def test_every_spin_size_is_refused_through_reserve(monkeypatch, site):
+    # the one cap, patched to 11 states: N = 10 passes and N = 11 is refused,
+    # before any array of it is built, with the cap as it is patched
+    call, step, at_cap = SPIN_SIZES[site]
+    monkeypatch.setattr(errors, "MAX_ENTRIES", 11)
+    if at_cap is None:
+        call(10)
+    else:
+        with pytest.raises(ResourceCapError, match=f"^{re.escape(at_cap)}"):
+            call(10)
+    if step is not None:
+        monkeypatch.setattr(*step, _reached, raising=False)
+    with pytest.raises(ResourceCapError) as err:
+        call(11)
+    assert str(err.value) == "N = 11 gives a spin dimension of 12, over the cap of 11"
 
 
 def test_cap_messages_print_counts_past_2_53_to_three_digits(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qnd_povm import _clebsch, approx, numerics, povm, validate
 from qnd_povm.analysis import (DensityMatrix, cat_fidelity, cat_state, density_from_state,
                                parity_pattern_check, wigner)
-from qnd_povm.errors import DomainError
+from qnd_povm.errors import DomainError, ResourceCapError
 from qnd_povm.numerics import cg_blocks, clebsch_gordan, legendre_sum, log_factorial, twice
 from qnd_povm.povm import PhotonOutcome, QndParams
 from qnd_povm.spin_state import CollectiveState, coherent_state, dicke_state, state_from_json
@@ -328,6 +328,7 @@ def _whole_entry_points():
             QndParams(5.0, 5.0, math.pi / 2.0), out, x), False, both),
         ("dicke_state", lambda x: dicke_state(x, 0), True, both),
         ("peak_solutions", lambda x: approx.peak_solutions(params, out, x), True, both),
+        ("round_to_sector_parity", lambda x: approx.round_to_sector_parity(0.3, x), False, both),
         ("wigner-n_theta", lambda x: wigner(rho, n_theta=x, n_phi=3), False, below),
         ("wigner-n_phi", lambda x: wigner(rho, n_theta=3, n_phi=x), False, below),
         ("run_all", validate.run_all, False, below),
@@ -337,16 +338,24 @@ def _whole_entry_points():
     ]
 
 
+# the spin sizes, read by spin_state._spin_size: 2J = 10**400 is over the
+# size cap, which errors.reserve refuses
+_SPIN_SIZES = {"CollectiveState", "DensityMatrix", "state_from_json", "coherent_state",
+               "cat_state", "cat_fidelity", "parity_pattern_check", "dicke_state",
+               "peak_solutions", "round_to_sector_parity"}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("call, x", [
-    pytest.param(call, x, id=f"{name}-{label}")
+@pytest.mark.parametrize("call, x, error", [
+    pytest.param(call, x, ResourceCapError if name in _SPIN_SIZES and label == "10**400"
+                 else DomainError, id=f"{name}-{label}")
     for name, call, spin, outside in _whole_entry_points()
     for label, x in ({"nan": math.nan, "inf": math.inf, "str": "x", "bool": True,
                       "fraction": 2.25 if spin else 2.5} | outside).items()])
-def test_every_whole_argument_refuses_what_the_reader_refuses(call, x):
+def test_every_whole_argument_refuses_what_the_reader_refuses(call, x, error):
     # each of these once raised ValueError, TypeError, OverflowError or
     # numpy's UFuncTypeError, or read 2.5 as 2 and True as 1
-    with pytest.raises(DomainError):
+    with pytest.raises(error):
         call(x)
 
 
@@ -381,6 +390,8 @@ def test_cg_selection_rules():
         clebsch_gordan(1, 0.5, 1, 0, 2, 0.5)                # parity mismatch
     with pytest.raises(DomainError):
         clebsch_gordan(1, 2, 1, -1, 2, 1)                   # |m| > j
+    with pytest.raises(DomainError, match="^negative angular momentum j1$"):
+        clebsch_gordan(-1, 0, 1, 0, 0, 0)
 
 
 def test_cg_against_sympy_samples():

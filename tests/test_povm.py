@@ -752,6 +752,17 @@ def test_posterior_survives_deep_tail_outcome():
     assert abs(overlap(st, post)) ** 2 == pytest.approx(1.0, abs=1e-14)
 
 
+def test_an_outcome_of_zero_probability_is_refused_or_reported():
+    # light so faint that one photon's probability underflows to exactly 0
+    faint, one = QndParams(1e-150, 1e-150, math.pi / 2.0), PhotonOutcome(1, 0)
+    st = dicke_state(5, 1)
+    assert log_matrix_element(faint, one, 1) == (-math.inf, 0.0)
+    with pytest.raises(DomainError, match="^zero-probability outcome has no posterior$"):
+        posterior(faint, one, st)
+    check = check_composition(faint, st, (1, 0), (0, 1))
+    assert not check.passed and check.value == math.inf
+
+
 def test_posterior_squeezes_coherent_state():
     st = coherent_state(100, math.pi / 2.0)
     prior_var = moments(st).var_jz

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnd_povm.errors import DomainError, PreconditionError
+from qnd_povm.errors import DomainError, PreconditionError, ResourceCapError
 from qnd_povm.spin_state import (CollectiveState, coherent_state,
                                  dicke_state, moments, normalize, overlap,
                                  scale_amplitudes, state_from_json, state_to_json)
@@ -158,9 +158,19 @@ def test_state_checks_its_shape():
 
 def test_a_spin_past_the_cap_is_refused_in_three_digits():
     # 2J = 10**400 once reached the shape message, which printed it in full
-    with pytest.raises(DomainError, match=r"^a state of 2J=1\.00e\+400 needs over the cap of "
-                                          r"16777216 amplitudes$"):
+    with pytest.raises(ResourceCapError, match=r"^N = 1\.00e\+400 gives a spin dimension of "
+                                               r"1\.00e\+400, over the cap of 16777216$"):
         CollectiveState(10**400, [1])
+
+
+@pytest.mark.parametrize("m_z, shown", [(10**400, "1.00e+400"), (-10**400, "-1.00e+400"),
+                                        (1 << 53, "9.01e+15"), ((1 << 53) - 1, str((1 << 53) - 1)),
+                                        (np.int64(-1 << 60), "-1.15e+18"), (3, "3"), (2.5, "2.5")])
+def test_a_refused_m_z_is_printed_bounded_by_its_magnitude(m_z, shown):
+    # 10**400 once printed all 401 digits, and -10**400 its sign as well
+    with pytest.raises(DomainError) as exc:
+        dicke_state(2, m_z)
+    assert str(exc.value) == f"m_z={shown} not in 2J=4"
 
 
 def test_support_lists_the_nonzero_amplitudes():

@@ -175,6 +175,10 @@ def test_format_rows_matches_the_per_row_loop(columns):
     assert _csvrows.format_rows(columns) == want.encode("ascii")
 
 
+def test_zero_rows_format_to_no_bytes():
+    assert _csvrows.format_rows([np.array([], dtype=np.int64), np.array([])]) == b""
+
+
 def test_nan_payloads_and_signs_print_nan():
     bits = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
                      0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
