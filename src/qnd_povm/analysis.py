@@ -174,10 +174,12 @@ def wigner(rho: DensityMatrix, n_theta: int = 181, n_phi: int = 361) -> WignerGr
 
 def squeezing_report(prior: CollectiveState,
                      posterior_state: CollectiveState) -> SqueezingReport:
-    """J_z variance before and after a measurement, and their ratio."""
+    """J_z variance before and after a measurement, and their ratio: inf for
+    a positive variance over a zero one, and nan for 0/0, which `measure`
+    writes as null."""
     vp = moments(prior).var_jz
     vq = moments(posterior_state).var_jz
-    ratio = vq / vp if vp > 0.0 else math.inf
+    ratio = vq / vp if vp > 0.0 else (math.inf if vq > 0.0 else math.nan)
     return SqueezingReport(var_prior=vp, var_post=vq, ratio=ratio)
 
 

@@ -223,16 +223,6 @@ def build_params(raw: dict, N: int | None) -> QndParams:
     return params_from_json({**raw, "gt": parse_angle(raw["gt"], N)})
 
 
-def build_initial(raw: dict, N: int) -> CollectiveState:
-    if raw["type"] == "coherent":
-        if "theta" not in raw:
-            raise ConfigError("coherent initial state needs theta")
-        return coherent_state(N, parse_angle(raw["theta"], N))
-    if "m" not in raw:
-        raise ConfigError("dicke initial state needs m")
-    return dicke_state(N / 2.0, raw["m"])
-
-
 def read_config(path: str) -> dict:
     """The JSON object in the config file at `path`, not yet validated."""
     try:
@@ -273,6 +263,11 @@ class ExperimentConfig(Record):
         if command == "wigner" and raw.get("state", "prior") == "posterior":
             if "outcome" not in raw:
                 raise ConfigError("posterior Wigner map needs an outcome")
+        # the key each initial state is built from, which the schema leaves optional
+        initial = raw.get("initial", {})
+        key = {"coherent": "theta", "dicke": "m"}.get(initial.get("type"))
+        if key is not None and key not in initial:
+            raise ConfigError(f"{initial['type']} initial state needs {key}")
         return ExperimentConfig(command=command, raw=raw)
 
     # convenience accessors -------------------------------------------------
@@ -284,4 +279,7 @@ class ExperimentConfig(Record):
         return build_params(self.raw["params"], self.raw.get("N"))
 
     def initial_state(self) -> CollectiveState:
-        return build_initial(self.raw["initial"], self.n_atoms)
+        initial, N = self.raw["initial"], self.n_atoms
+        if initial["type"] == "coherent":
+            return coherent_state(N, parse_angle(initial["theta"], N))
+        return dicke_state(N / 2.0, initial["m"])

@@ -411,22 +411,14 @@ def apply(params: QndParams, outcome: PhotonOutcome,
 class _Mixture:
     """The outcome law sum_m |psi_m|^2 Pois(n_c; lam_c(m)) Pois(n_d; lam_d(m))
     of a normalized state, lam = (s/2) e^{log base} with lam_c + lam_d = s,
-    that conditioning, enumeration and sampling read.  Its kernel, ln lam and
-    one ln n! table are built on first use, so a cap acts before they exist."""
+    that conditioning, enumeration and sampling read.  Its kernel and ln lam
+    are built on first use, so a cap acts before they exist."""
 
     def __init__(self, params: QndParams, state: CollectiveState):
         if not state.is_normalized():
             raise PreconditionError("outcome statistics need a normalized state")
         self.params, self.state = params, state
         self.m, self.weights = state.support()
-        self._lf = np.empty(0)  # ln n! for n = 0 .. size - 1
-
-    def log_factorials(self, top: int) -> np.ndarray:
-        """ln n! for n = 0..top, a view of the one table, grown as needed."""
-        if self._lf.size <= top:
-            reserve(top + 1, "ln n! to {} is over the cap of {cap} entries", top)
-            self._lf = np.append(self._lf, log_factorial(np.arange(self._lf.size, top + 1)))
-        return self._lf[:top + 1]
 
     @cached_property
     def kernel(self) -> _Kernel:
@@ -472,11 +464,14 @@ class _Mixture:
         and the counts n = lo + 0 .. width - 1, lo an int or one per port and
         m_z: the one builder of per-port Poisson tables.  A dark port's ln lam
         holds the _LOG_ZERO sentinel: lam underflows to 0 and the row is
-        exactly [n == 0], however large n."""
+        exactly [n == 0], however large n.  ln n! is read over the counts
+        lo.min() .. lo.max() + width - 1, refused over MAX_ENTRIES before it is built."""
         lo = np.broadcast_to(lo, self.log_lam.shape)
-        lf = self.log_factorials(int(lo.max()) + width - 1)
-        # row i is ln n! of the counts i .. i + width - 1
-        lf_rows = sliding_window_view(lf, width)
+        first, last = int(lo.min()), int(lo.max()) + width - 1
+        reserve(last - first + 1, "ln n! over {}..{} is over the cap of {cap} entries",
+                first, last)
+        # row i is ln n! of the counts first + i .. first + i + width - 1
+        lf_rows = sliding_window_view(log_factorial(np.arange(first, last + 1)), width)
         out = np.empty(self.log_lam.shape + (width,))
         lam = np.exp(self.log_lam)
         # one port and _BLOCK rows of m_z at a time, each formed in its slice
@@ -495,7 +490,7 @@ class _Mixture:
                     # instead of faulting fresh pages in for every chunk (with
                     # no such slice, a table of 1.07M rows took 56k page
                     # faults against 6.6k, and 0.2 s more, on a 2-core host)
-                    table -= lf_rows[lo[port, rows]]
+                    table -= lf_rows[lo[port, rows] - first]
                     table -= lam[port, rows, None]
                     np.exp(table, out=table)
         return out
@@ -523,9 +518,9 @@ class _Mixture:
         CDF over the `window` of a = _TAIL = 43, 2 e^-43 < 2^-60 outside.  Each
         CDF row is scaled by its own total T, and u < 1 gives u T < T: no draw
         leaves its row or is clamped, and none lands on an entry of zero mass.
-        The tables, 2 x support x width, and the ln n! table up to the largest
-        count are refused over MAX_ENTRIES before any is built, which also
-        keeps every count below 2^53.
+        The tables, 2 x support x width, and `pmf`'s ln n! over the counts
+        the windows span are refused over MAX_ENTRIES before any is built;
+        the tables' cap also keeps every count below 2^53.
         """
         cdf_m = np.cumsum(self.weights)
         lo, width = self.window(_TAIL)
@@ -641,8 +636,9 @@ class _OutcomeTable:
                     lo, top, n_rows)
             reserve(2 * support * (hi + 1), "the per-port Poisson tables (2 x {} x {}) are over "
                     "the cap of {cap} entries", support, hi + 1)
+            totals = np.arange(lo, top + 1)
             marginal = mixture.weights.sum() * np.exp(
-                np.arange(lo, top + 1) * math.log(s) - s - mixture.log_factorials(top)[lo:])
+                totals * math.log(s) - s - log_factorial(totals))
             mass = float(marginal.sum())
             if hi > cap:
                 raise ResourceCapError(f"photon window exceeded the cap of {count_text(cap)} "

@@ -137,6 +137,13 @@ ROWS = (
     # at a mean of 20000 photons and N = 200 it peaks under 100 MB
     Row("m20000", "measure", _coherent(100, 200, shots=200, seed=3), count=(b"\n", 200),
         rss=(None, 100)),
+    # and reads ln n! over the counts its windows span alone: a Dicke state
+    # under a mean of 1e8 photons, counts past 2^24, peaks under 60 MB
+    Row("m1e8", "measure", {"params": {"gamma": [5e7 ** 0.5, 0], "chi": [5e7 ** 0.5, 0],
+                                       "gt": "pi/N"},
+                            "N": 10, "initial": {"type": "dicke", "m": 0}, "shots": 200,
+                            "seed": 3},
+        count=(b"\n", 200), rss=(None, 60)),
 )
 ROW = {row.name: row for row in ROWS}
 

@@ -480,6 +480,15 @@ def test_squeezing_report_narrows():
     assert rep.var_prior == pytest.approx(25.0, rel=1e-10)
 
 
+def test_squeezing_ratio_over_a_zero_prior_variance():
+    # 0/0 is undefined, as `measure` writes it (null); a spread over none is inf
+    dicke = dicke_state(5, 0)
+    rep = squeezing_report(dicke, dicke)
+    assert (rep.var_prior, rep.var_post) == (0.0, 0.0) and math.isnan(rep.ratio)
+    rep = squeezing_report(dicke, coherent_state(10, math.pi / 2.0))
+    assert rep.var_post == pytest.approx(2.5) and rep.ratio == math.inf
+
+
 def test_squeezing_monotone_in_interaction_time():
     st = coherent_state(100, math.pi / 2.0)
     ratios = []

@@ -1387,6 +1387,19 @@ def test_spin_dimension_cap_is_the_largest_dimension_allowed():
         cli._check_spin_dimensions({"cases": [{"N": 3}, {"N": 1 << 24}]})
 
 
+def test_posterior_dump_needs_an_output_file(tmp_path, capsys):
+    # the dump directory sits beside the output file: stdout has none
+    cfg = dict(PD_SMALL, shots=3, dump_posteriors=True)
+    for out in (None, "-"):
+        with pytest.raises(ConfigError, match="^dump_posteriors needs --out FILE to anchor "
+                                              "the dump dir$"):
+            cli.run("measure", cfg, out)
+    assert run_cli("measure", "--config", write_config(tmp_path, "m.json", cfg)) == 2
+    assert capsys.readouterr() == ("", "config error: dump_posteriors needs --out FILE to "
+                                       "anchor the dump dir\n")
+    assert os.listdir(tmp_path) == ["m.json"]
+
+
 def test_posterior_dump_over_the_cap_exits_3(tmp_path, capsys):
     # 1e6 shots x dimension 101: refused before the output or the dump exists
     path = write_config(tmp_path, "m.json", dict(BASE, shots=10 ** 6, dump_posteriors=True))
@@ -1418,10 +1431,12 @@ def _reached(*args, **kwargs):
 # after it, which must not run, and the start of its message); N = 10 unless
 # the site needs another size
 CAP_SITES = {
+    # a dark port c and a port d near 20000 photons: the sampler's tables,
+    # 2 x 1 x 2654 entries, pass the cap, but its ln n! spans 0..21327
     "ln-factorials": (
-        5, lambda tmp: povm._Mixture(build_params(PD_SMALL["params"], 10),
-                                     coherent_state(3, 1.0)).log_factorials(10),
-        (povm, "log_factorial"), "ln n! to 10 is over the cap of "),
+        10000, lambda tmp: povm._Mixture(povm.QndParams(gamma=100.0, chi=100.0, gt=math.pi / 2),
+                                         spin_state.dicke_state(1, 1)).sampler(),
+        (povm, "log_factorial"), "ln n! over 0..21327 is over the cap of "),
     "sampler-tables": (
         100, lambda tmp: povm._Mixture(build_params(PD_SMALL["params"], 10),
                                        coherent_state(10, 1.0)).sampler(),
@@ -1429,12 +1444,12 @@ CAP_SITES = {
     "photon-window-rows": (
         100, lambda tmp: povm._OutcomeTable(build_params(PD_SMALL["params"], 10),
                                             coherent_state(10, 1.0), 1e-5),
-        (povm._Mixture, "log_factorials"), "the photon window "),
+        (povm, "log_factorial"), "the photon window "),
     # a faint light on many m_z: 36 rows, but 2 x 201 x 8 table entries
     "per-port-tables": (
         1000, lambda tmp: povm._OutcomeTable(povm.QndParams(gamma=1.0, chi=1.0, gt=0.1),
                                             coherent_state(200, 1.0), 1e-5),
-        (povm._Mixture, "log_factorials"), "the per-port Poisson tables (2 x 201 x 8) "),
+        (povm, "log_factorial"), "the per-port Poisson tables (2 x 201 x 8) "),
     "spin-dimension": (
         10, lambda tmp: cli.run("photon-dist", PD_SMALL, str(tmp / "pd.csv")),
         (cli, "_OutcomeTable"), "N = 10 gives a spin dimension of 11, "),
@@ -1519,9 +1534,6 @@ def test_cap_messages_print_counts_past_2_53_to_three_digits(tmp_path):
     with pytest.raises(ResourceCapError, match=r"^N = 1.00e\+20 gives a spin dimension "
                                                r"of 1.00e\+20, over the cap of 16777216$"):
         cli._check_spin_dimensions({"N": 10**20})
-    mixture = povm._Mixture(build_params(PD_SMALL["params"], 10), coherent_state(10, 1.0))
-    with pytest.raises(ResourceCapError, match=r"^ln n! to 1.00e\+20 is over the cap"):
-        mixture.log_factorials(10**20)
     with pytest.raises(ResourceCapError, match=r"^dumping 1.00e\+20 posteriors of "
                                                r"dimension 11 writes over the cap"):
         cli.run("measure", dict(PD_SMALL, shots=10**20, dump_posteriors=True),

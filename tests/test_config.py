@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,50 @@ def test_non_finite_number_is_rejected_at_its_key_path(tmp_path, capsys, command
     assert main([command, "--config", str(file), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {want}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+# the refusals that join two keys, which the schemas cannot state: each
+# command, a config that meets one, and its message
+CROSS_KEY = {
+    "coherent-theta": ("photon-dist", dict(STATE, initial={"type": "coherent"}),
+                       "coherent initial state needs theta"),
+    "dicke-m": ("project", dict(VALID["project"], initial={"type": "dicke"}),
+                "dicke initial state needs m"),
+    "posterior-outcome": ("wigner", dict(STATE, state="posterior"),
+                          "posterior Wigner map needs an outcome"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CROSS_KEY))
+def test_cross_key_refusal_exits_2_and_writes_nothing(tmp_path, capsys, case):
+    command, raw, want = CROSS_KEY[case]
+    with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+        ExperimentConfig.from_dict(command, raw)
+    file = tmp_path / "c.json"
+    file.write_text(json.dumps(raw))
+    assert main([command, "--config", str(file), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {want}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize("initial", ["coherent", "dicke"])
+@pytest.mark.parametrize("edit", [{"params": dict(PARAMS, gamma=[1e200, 0.0])}, {"N": 10**8}],
+                         ids=["overflowing-light", "spin-dimension-cap"])
+def test_a_missing_initial_key_exits_2_before_the_light_or_the_size(tmp_path, capsys,
+                                                                     initial, edit):
+    # with the key given, the light exits 4 (|gamma|^2 overflows) and the N
+    # exits 3 (a spin dimension over the cap)
+    file = tmp_path / "c.json"
+    file.write_text(json.dumps(dict(STATE, initial={"type": initial}, **edit)))
+    assert main(["photon-dist", "--config", str(file)]) == 2
+    key = "theta" if initial == "coherent" else "m"
+    assert capsys.readouterr() == ("", f"config error: {initial} initial state needs {key}\n")
+
+
+def test_unknown_command_is_a_config_error():
+    for refuse in (ExperimentConfig.from_dict, cli.run):
+        with pytest.raises(ConfigError, match="^unknown command 'scan'$"):
+            refuse("scan", {})
 
 
 def test_rejection_names_the_nested_key_path(tmp_path, capsys):

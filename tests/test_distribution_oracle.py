@@ -411,8 +411,7 @@ def test_sampler_holds_its_tables_and_one_block_of_rows():
     mixture = povm._Mixture(params, coherent_state(200, math.pi / 2.0))
     lo, width = mixture.window(povm._TAIL)
     tables = 2 * lo.shape[1] * width * 8
-    # the kernel, ln lam and the ln n! table are built before the trace
-    mixture.log_factorials(int(lo.max()) + width - 1)
+    # the kernel and ln lam are built before the trace, by `window`
     tracemalloc.start()
     try:
         mixture.sampler()
@@ -420,6 +419,23 @@ def test_sampler_holds_its_tables_and_one_block_of_rows():
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * tables
+
+
+def test_sampler_reads_ln_factorial_over_its_window():
+    # a Dicke state under 1e7 photons: each port's window, about 41k counts
+    # around 5e6, is all the sampler reads ln n! over; a table from n = 0 to
+    # its largest count took 196 MB
+    a = math.sqrt(5e6)
+    params, state = QndParams(a, a, math.pi / 10), dicke_state(5, 0)
+    lo, width = povm._Mixture(params, state).window(povm._TAIL)
+    tables = 2 * lo.shape[1] * width * 8
+    tracemalloc.start()
+    try:
+        sample_outcomes(params, state, [1, 2, 3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * tables
 
 
 def test_distribution_peak_is_its_three_columns():

@@ -452,11 +452,11 @@ def test_distribution_mass_tolerance_domain():
 
 def test_photon_window_reaches_the_next_total_below_one_photon(monkeypatch):
     # at s = 1e-12 a step of k sqrt(s) = 1e-6 photons once left the window
-    # as it was for about 1e6 passes (8.5 s); each pass reads ln n! once
+    # as it was for about 1e6 passes (8.5 s); each pass reads ln n! once,
+    # and the per-port tables once more
     passes = []
-    real = povm._Mixture.log_factorials
-    monkeypatch.setattr(povm._Mixture, "log_factorials",
-                        lambda self, top: passes.append(top) or real(self, top))
+    real = povm.log_factorial
+    monkeypatch.setattr(povm, "log_factorial", lambda n: passes.append(n) or real(n))
     amp = math.sqrt(0.5e-12)
     dist = outcome_distribution(QndParams(amp, amp, 0.1), coherent_state(4, 1.0), 1e-14)
     assert dist.cutoff_total == 1 and dist.p.size == 3
@@ -641,8 +641,8 @@ def test_sampler_tables_capped_before_any_table(monkeypatch):
 
 
 def test_sampler_cdfs_equal_the_per_entry_log_factorials(monkeypatch):
-    # the shared ln n! table gives the CDFs that ln n! taken entry by entry
-    # gave: counts below 257 come from the exact table, those above from lgamma
+    # the gathered ln n! rows give the CDFs that ln n! taken entry by entry
+    # gives: counts below 257 come from the exact table, those above from lgamma
     params = QndParams(gamma=100.0, chi=100.0, gt=math.pi / 200)
     mixture = povm._Mixture(params, coherent_state(200, math.pi / 2.0))
     real, seen = povm._inverse_cdf, []
@@ -659,14 +659,35 @@ def test_sampler_cdfs_equal_the_per_entry_log_factorials(monkeypatch):
     assert np.array_equal(seen[0], np.cumsum(want, axis=2).reshape(2 * 201, width))
 
 
-def test_sampler_log_factorial_table_capped_before_it_is_built(monkeypatch):
-    # a Dicke state under 3.4e7 photons: its two windows, 2 x 1 x 76501
-    # entries, pass the table cap, but reach counts past 2^24
+@pytest.mark.parametrize("light, state", [(4123.0, dicke_state(2, 0)),
+                                          (math.sqrt(5e7), dicke_state(5, 0))],
+                         ids=["3.4e7-photons", "1e8-photons"])
+def test_sampler_reads_ln_factorial_over_its_windows_alone(monkeypatch, light, state):
+    # Dicke states under 3.4e7 and 1e8 photons: their two windows, 2 x 1 x
+    # 76501 and 2 x 1 x 131179 entries, reach counts past 2^24, and ln n! is
+    # read over their span alone, once, where a table from n = 0 was refused
+    mixture = povm._Mixture(QndParams(light, light, math.pi / 10), state)
+    lo, width = mixture.window(povm._TAIL)
+    read, real = [], povm.log_factorial
+    monkeypatch.setattr(povm, "log_factorial", lambda n: read.append(n) or real(n))
+    n_c, n_d = mixture.sampler()(np.arange(200))
+    assert len(read) == 1
+    assert read[0].tolist() == list(range(lo.min(), lo.max() + width))
+    assert lo.max() + width > 1 << 24
+    for counts, port in ((n_c, 0), (n_d, 1)):
+        assert (lo[port] <= counts).all() and (counts < lo[port] + width).all()
+        lam = math.exp(mixture.log_lam[port, 0])
+        assert abs(counts.mean() - lam) < 5.0 * math.sqrt(lam / counts.size)
+
+
+def test_sampler_span_capped_before_ln_factorial_is_read(monkeypatch):
+    # ports whose windows lie far apart: the tables, 2 x 3 x 117334 entries,
+    # pass their cap, but the counts between the windows' ends do not
     monkeypatch.setattr(povm, "log_factorial", _no_tables)
-    bright = QndParams(gamma=4123.0, chi=4123.0, gt=0.01)
-    with pytest.raises(ResourceCapError,
-                       match="^ln n! to 17037379 is over the cap of 16777216 entries$"):
-        sample_outcomes(bright, dicke_state(2, 0), [0])
+    a = math.sqrt(2e7)
+    with pytest.raises(ResourceCapError, match=r"^ln n! over 0\.\.40058667 is over the cap "
+                                               r"of 16777216 entries$"):
+        sample_outcomes(QndParams(a, a, math.pi / 2), coherent_state(2, math.pi / 2), [0])
 
 
 # ------------------------------------------------------------------- posterior
