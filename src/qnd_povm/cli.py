@@ -279,7 +279,8 @@ def cmd_measure(cfg: ExperimentConfig, out, fmt) -> int:
     state = cfg.initial_state()
     seed = int(cfg.raw.get("seed", 0)) % (1 << 64)
     dump = cfg.raw.get("dump_posteriors", False)
-    if dump and (out is None or out == "-"):
+    # stdout, /dev/null or a pipe has no directory beside it to hold the dump
+    if dump and (out is None or out == "-" or (os.path.exists(out) and not os.path.isfile(out))):
         raise ConfigError("dump_posteriors needs --out FILE to anchor the dump dir")
     if dump:
         reserve(cfg.raw["shots"] * (cfg.n_atoms + 1), "dumping {} posteriors of dimension {} "
@@ -314,6 +315,21 @@ def cmd_measure(cfg: ExperimentConfig, out, fmt) -> int:
                 j = int(dead[at].argmax())
                 raise QndError(f"sampled outcome ({n_c[at[j]]}, {n_d[at[j]]}) has zero "
                                f"probability (shot {lo + j}, seed {(seed + lo + j) % (1 << 64)})")
+            if dump:
+                # each distinct outcome's posterior text is formed once and
+                # written to the files of every shot that drew it, one text
+                # at a time; the shots, grouped by outcome, in shot order
+                shots_of = np.argsort(at, kind="stable") + lo
+                bounds = [0, *np.cumsum(np.bincount(at, minlength=n_c.size)).tolist()]
+                for k, (c, d) in enumerate(zip(n_c.tolist(), n_d.tolist())):
+                    # only the dump needs the posterior's per-m_z phases
+                    text = json.dumps(state_to_json(mixture.condition(PhotonOutcome(c, d))[1]),
+                                      sort_keys=True)
+                    for shot in shots_of[bounds[k]:bounds[k + 1]].tolist():
+                        with open(os.path.join(stage, f"shot_{shot:06d}.json"), "w",
+                                  encoding="utf-8") as pf:
+                            pf.write(text)
+                    del text
             total = n_c + n_d
             none = total == 0
             with np.errstate(invalid="ignore"):
@@ -329,17 +345,9 @@ def cmd_measure(cfg: ExperimentConfig, out, fmt) -> int:
                 rec = at[w - lo:w - lo + _SHOT_BLOCK]
                 c, d = n_c[rec], n_d[rec]
                 log_p, mean_jz, r, var_jz, ratio = (None if f is None else f[rec] for f in fields)
-                refs = None
-                if dump:
-                    refs = []
-                    for j, outcome in enumerate(zip(c.tolist(), d.tolist())):
-                        # only the dump needs the posterior's per-m_z phases
-                        post = mixture.condition(PhotonOutcome(*outcome))[1]
-                        name = f"shot_{w + j:06d}.json"
-                        with open(os.path.join(stage, name), "w", encoding="utf-8") as pf:
-                            json.dump(state_to_json(post), pf, sort_keys=True)
-                        refs.append(json.dumps(os.path.join(dump_dir, name)).encode())
-                    refs = np.array(refs)
+                refs = np.array([
+                    json.dumps(os.path.join(dump_dir, f"shot_{shot:06d}.json")).encode()
+                    for shot in range(w, w + rec.size)]) if dump else None
                 write_rows(_csvrows.format_rows(
                     [log_p, mean_jz, c, d, refs, (r, none[rec]),
                      _shot_seeds(seed, w, w + rec.size), ratio, var_jz],

@@ -82,6 +82,10 @@ ROWS = (
     Row("validate", "validate"),
     Row("photon-dist", "photon-dist", _coherent(3, 10)),
     Row("measure", "measure", _coherent(3, 10, shots=200, seed=3), count=(b"\n", 200)),
+    # with a posterior dump, one file per shot beside the records, each
+    # distinct outcome's text formed once: at most 2 MB above the records alone
+    Row("m-dump", "measure", _coherent(3, 10, shots=200, seed=3, dump_posteriors=True),
+        count=(b"\n", 200), rss=("measure", 2)),
     # each failing exit names its kind on stderr and leaves no file
     Row("usage-error", "photon-dist", _coherent(3, 10), flags=("--mass-tol", "nan"),
         status=2, err="config error: config rejected: config.mass_tolerance is not a "

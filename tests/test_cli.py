@@ -1211,7 +1211,8 @@ def test_measure_records_do_not_depend_on_the_posterior_dump(tmp_path, monkeypat
     cfg["dump_posteriors"] = True
     assert run_cli("measure", "--config", write_config(tmp_path, "b.json", cfg),
                    "--out", str(dumped)) == 0
-    assert len(calls) == 20
+    # the dump conditions each distinct outcome of the block once
+    assert len(calls) == len({(rec["n_c"], rec["n_d"]) for rec in _records(dumped)}) < 20
     strip = [[json.dumps({k: v for k, v in rec.items() if k != "posterior_ref"},
                          sort_keys=True) for rec in _records(p)] for p in (plain, dumped)]
     assert strip[0] == strip[1]
@@ -1387,16 +1388,22 @@ def test_spin_dimension_cap_is_the_largest_dimension_allowed():
         cli._check_spin_dimensions({"cases": [{"N": 3}, {"N": 1 << 24}]})
 
 
-def test_posterior_dump_needs_an_output_file(tmp_path, capsys):
-    # the dump directory sits beside the output file: stdout has none
+def test_posterior_dump_needs_an_output_file(tmp_path, capsys, monkeypatch):
+    # the dump directory sits beside the output file: stdout has none, and
+    # neither has /dev/null, which is written in place; each is refused
+    # before anything is drawn, staged or written
+    monkeypatch.setattr(cli, "_Mixture", _reached)
+    monkeypatch.setattr(cli, "_staged_dir", _reached)
     cfg = dict(PD_SMALL, shots=3, dump_posteriors=True)
-    for out in (None, "-"):
+    for out in (None, "-", os.devnull):
         with pytest.raises(ConfigError, match="^dump_posteriors needs --out FILE to anchor "
                                               "the dump dir$"):
             cli.run("measure", cfg, out)
-    assert run_cli("measure", "--config", write_config(tmp_path, "m.json", cfg)) == 2
-    assert capsys.readouterr() == ("", "config error: dump_posteriors needs --out FILE to "
-                                       "anchor the dump dir\n")
+    path = write_config(tmp_path, "m.json", cfg)
+    for out in ([], ["--out", os.devnull]):
+        assert run_cli("measure", "--config", path, *out) == 2
+        assert capsys.readouterr() == ("", "config error: dump_posteriors needs --out FILE "
+                                           "to anchor the dump dir\n")
     assert os.listdir(tmp_path) == ["m.json"]
 
 

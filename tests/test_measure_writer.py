@@ -58,23 +58,30 @@ BASE = {"params": {"gamma": [5.1, 0.0], "chi": [5.0, 0.0], "gt": "pi/N"}, "N": 4
         "initial": {"type": "coherent", "theta": "pi/2"}}
 
 # (config, a fragment the records must hold, so each case shows what it
-# covers); no shot count is a multiple of the 256-record write, so a short
-# last write runs
+# covers, and the shots per block, or None for the program's); no shot count
+# is a multiple of the 256-record write, so a short last write runs
 CASES = {
     # s = 0.45: the zero-photon outcome is drawn in about two shots of three
     "dim_light": (dict(BASE, params={"gamma": [0.5, 0.2], "chi": [0.4, 0.0], "gt": "pi/N"},
-                       shots=300, seed=11), '"r": null'),
+                       shots=300, seed=11), '"r": null', None),
     "dicke": (dict(BASE, initial={"type": "dicke", "m": 7}, shots=200, seed=5),
-              '"squeezing_ratio": null'),
-    "dump": (dict(BASE, shots=130, seed=9, dump_posteriors=True), '"posterior_ref": "'),
+              '"squeezing_ratio": null', None),
+    "dump": (dict(BASE, shots=130, seed=9, dump_posteriors=True), '"posterior_ref": "', None),
+    # a mean of 1800 photons, where outcomes rarely repeat, over three blocks:
+    # dump names past the first block
+    "dump_blocks": (dict(BASE, params={"gamma": [30, 0], "chi": [21.2, 21.2], "gt": "pi/N"},
+                         initial={"type": "coherent", "theta": 1.3}, shots=250, seed=11,
+                         dump_posteriors=True), 'shot_000249.json"', 100),
     # seed + shot passes 2^64 - 1 at the third shot
-    "wrapping_seed": (dict(BASE, shots=257, seed=(1 << 64) - 3), '"seed": 0,'),
+    "wrapping_seed": (dict(BASE, shots=257, seed=(1 << 64) - 3), '"seed": 0,', None),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_measure_matches_the_per_record_writer(tmp_path, name):
-    raw, fragment = CASES[name]
+def test_measure_matches_the_per_record_writer(tmp_path, monkeypatch, name):
+    raw, fragment, block = CASES[name]
+    if block is not None:
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", block)
     out = tmp_path / "m.jsonl"
     assert cli.run("measure", dict(raw), str(out)) == 0
     want, dumps = reference_measure(raw, str(out))
